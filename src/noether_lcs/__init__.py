@@ -18,8 +18,6 @@ from .fields import (
     ScalarField,
     DifferentiabilityAudit,
     directional_derivative,
-    partial_L,
-    second_partial_L,
     check_normal_differentiability,
 )
 from .curves import (

@@ -237,7 +237,7 @@ def cmd_find_symmetries(prob: ProblemFile, args):
         {
             "count": len(found),
             "generators": [
-                {"coefficients": getattr(g, "coefficients", None)} for g in found
+                {"coefficients": g.coefficients} for g in found
             ],
             "verdicts": {"searched": True},
         }

@@ -136,13 +136,13 @@ def action(L: ScalarField, curve: Curve) -> ActionReport:
     grid = curve.grid
     if grid.n % 2 != 0:
         raise ValidationError(f"Simpson quadrature needs an even N, got {grid.n}")
-    vels = derivative_all(curve, 1)
-    f = np.empty(grid.n + 1)
-    for i, t in enumerate(grid.nodes):
-        try:
-            f[i] = L(t, curve.values[i], vels[i])
-        except EvaluationError as err:
-            raise EvaluationError(f"integrand failed at node {i} (t={t}): {err}")
+    try:
+        f = L(grid.nodes, curve.values, derivative_all(curve, 1))
+    except EvaluationError as err:
+        i = err.index
+        raise EvaluationError(
+            f"integrand failed at node {i} (t={grid.nodes[i]}): {err}", index=i
+        )
     return ActionReport(
         value=float(simpson(f, dx=grid.h)), rule="simpson", node_count=grid.n + 1
     )

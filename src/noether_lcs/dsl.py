@@ -1,16 +1,19 @@
 """Small arithmetic expression language over t, x1..xm, v1..vm.
 
 Recursive-descent parser with the precedence chain ^ > unary minus > * / > + -,
-and exact first/second partials by forward-mode jet arithmetic (value, gradient,
-Hessian) propagated through the expression tree.  Exponents of ^ must be
-constant so second partials stay closed-form.
+and one evaluator, ``evaluate``, that propagates forward-mode jets (value,
+gradient, Hessian) through the expression tree at one point or at a whole
+stack of points at once.  Compiled fields and the parser's folding of
+constant exponents both go through it.  Exponents of ^ must be constant so
+second partials stay closed-form.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 import re
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,42 +32,51 @@ class ParseDiagnostic(ValueError):
         super().__init__(f"at offset {offset} near {token!r}: {message}")
 
 
-class DomainError(ArithmeticError):
+class _PointError(ArithmeticError):
+    """``rows`` lists the failing points of an evaluated stack (``[0]`` for
+    one point)."""
+
+    def __init__(self, message: str, rows=(0,)):
+        super().__init__(message)
+        self.rows = np.asarray(rows, dtype=int)
+
+
+class DomainError(_PointError):
     """Evaluation hit an invalid argument (log/sqrt/division)."""
 
 
-class NonDifferentiableError(ArithmeticError):
+class NonDifferentiableError(_PointError):
     """abs() evaluated within 1e-12 of its kink; analytic partials unavailable."""
 
 
 # -- expression tree ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     kind: str  # 't' | 'x' | 'v'
     index: int  # 1-based for x/v, 0 for t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unary:
     op: str  # neg sin cos exp log sqrt abs
     operand: "Expression"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binary:
     op: str  # + - * /
     left: "Expression"
     right: "Expression"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pow:
     base: "Expression"
     exponent: float
@@ -210,31 +222,7 @@ def _has_variables(e: Expression) -> bool:
 
 
 def _fold_constant(e: Expression) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Unary):
-        u = _fold_constant(e.operand)
-        return {
-            "neg": lambda z: -z,
-            "sin": math.sin,
-            "cos": math.cos,
-            "exp": math.exp,
-            "log": math.log,
-            "sqrt": math.sqrt,
-            "abs": abs,
-        }[e.op](u)
-    if isinstance(e, Binary):
-        a, b = _fold_constant(e.left), _fold_constant(e.right)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        return a / b
-    if isinstance(e, Pow):
-        return _fold_constant(e.base) ** e.exponent
-    raise AssertionError(e)
+    return float(evaluate(e, 0.0, (), ()).value)
 
 
 # -- pretty printer -----------------------------------------------------
@@ -288,185 +276,77 @@ def to_string(e: Expression) -> str:
     return f"{left}{e.op}{right}"
 
 
-# -- jet arithmetic -----------------------------------------------------
+# -- evaluation ---------------------------------------------------------
+#
+# One evaluator serves every consumer: forward-mode Taylor arithmetic over a
+# stack of points (Griewank & Walther, Evaluating Derivatives, ch. 13).  A
+# jet is a triple (value, gradient, Hessian) over n = 1 + 2m slots ordered
+# t, x1..xm, v1..vm.  Values have shape S = () at one point and S = (N,) on a
+# stack of N points; gradients and Hessians have shapes that broadcast to
+# S + (n,) and S + (n, n).  None stands for an identically zero gradient or
+# Hessian, so constants and linear terms carry no derivative arithmetic, and
+# orders 0 and 1 carry no Hessians at all.
 
 
-class _Jet:
-    """Truncated Taylor value: scalar, gradient, optional Hessian."""
-
-    __slots__ = ("val", "g", "h")
-
-    def __init__(self, val, g, h):
-        self.val = val
-        self.g = g
-        self.h = h
-
-
-def _jet_const(value: float, n: int, order: int) -> _Jet:
-    return _Jet(value, np.zeros(n), np.zeros((n, n)) if order >= 2 else None)
-
-
-def _jet_var(value: float, slot: int, n: int, order: int) -> _Jet:
-    g = np.zeros(n)
-    g[slot] = 1.0
-    return _Jet(value, g, np.zeros((n, n)) if order >= 2 else None)
+_UNARY = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+}
+_ARITHMETIC = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+}
 
 
-def _jet_add(a: _Jet, b: _Jet, sign: float) -> _Jet:
-    h = None if a.h is None else a.h + sign * b.h
-    return _Jet(a.val + sign * b.val, a.g + sign * b.g, h)
+def _plus(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a + b
 
 
-def _jet_mul(a: _Jet, b: _Jet) -> _Jet:
-    h = None
-    if a.h is not None:
-        h = a.h * b.val + b.h * a.val + np.outer(a.g, b.g) + np.outer(b.g, a.g)
-    return _Jet(a.val * b.val, a.g * b.val + b.g * a.val, h)
+def _minus(a, b):
+    if b is None:
+        return a
+    if a is None:
+        return -b
+    return a - b
 
 
-def _jet_div(a: _Jet, b: _Jet) -> _Jet:
-    if b.val == 0.0:
-        raise DomainError("division by zero")
-    q = a.val / b.val
-    g = (a.g - q * b.g) / b.val
-    h = None
-    if a.h is not None:
-        h = (a.h - np.outer(g, b.g) - np.outer(b.g, g) - q * b.h) / b.val
-    return _Jet(q, g, h)
+def _neg(a):
+    return None if a is None else -a
 
 
-def _jet_chain(u: _Jet, f0: float, f1: float, f2: float) -> _Jet:
-    h = None
-    if u.h is not None:
-        h = f1 * u.h + f2 * np.outer(u.g, u.g)
-    return _Jet(f0, f1 * u.g, h)
+def _g_times(g, s):
+    """Gradient g scaled point by point by the values s."""
+    return None if g is None else g * (s[:, None] if s.ndim else s)
 
 
-def _jet_pow(u: _Jet, c: float) -> _Jet:
-    x = u.val
-    if c == 0.0:
-        return _jet_chain(u, 1.0, 0.0, 0.0)
-    if x == 0.0:
-        if c == 1.0:
-            return _jet_chain(u, 0.0, 1.0, 0.0)
-        if c == 2.0:
-            return _jet_chain(u, 0.0, 0.0, 2.0)
-        if c > 2.0 and c == int(c):
-            return _jet_chain(u, 0.0, 0.0, 0.0)
-        raise DomainError(f"0 raised to exponent {c}")
-    if x < 0.0 and c != int(c):
-        raise DomainError(f"negative base {x} with non-integer exponent {c}")
-    f0 = x**c
-    f1 = c * x ** (c - 1.0)
-    f2 = c * (c - 1.0) * x ** (c - 2.0)
-    return _jet_chain(u, f0, f1, f2)
+def _h_times(h, s):
+    """Hessian h scaled point by point by the values s."""
+    if h is None or s is None:
+        return None
+    return h * (s[:, None, None] if s.ndim else s)
 
 
-def _jet_unary(op: str, u: _Jet) -> _Jet:
-    x = u.val
-    if op == "neg":
-        h = None if u.h is None else -u.h
-        return _Jet(-x, -u.g, h)
-    if op == "sin":
-        return _jet_chain(u, math.sin(x), math.cos(x), -math.sin(x))
-    if op == "cos":
-        return _jet_chain(u, math.cos(x), -math.sin(x), -math.cos(x))
-    if op == "exp":
-        e = math.exp(x)
-        return _jet_chain(u, e, e, e)
-    if op == "log":
-        if x <= 0.0:
-            raise DomainError(f"log of non-positive value {x}")
-        return _jet_chain(u, math.log(x), 1.0 / x, -1.0 / x**2)
-    if op == "sqrt":
-        if x < 0.0:
-            raise DomainError(f"sqrt of negative value {x}")
-        if x == 0.0:
-            raise DomainError("sqrt not differentiable at 0")
-        s = math.sqrt(x)
-        return _jet_chain(u, s, 0.5 / s, -0.25 / (s * x))
-    if op == "abs":
-        if abs(x) < 1e-12:
-            raise NonDifferentiableError("abs evaluated at its kink")
-        sgn = 1.0 if x > 0 else -1.0
-        return _jet_chain(u, abs(x), sgn, 0.0)
-    raise AssertionError(op)
+def _outer(a, b):
+    if a is None or b is None:
+        return None
+    return a[..., :, None] * b[..., None, :]
 
 
-def _eval_jet(e: Expression, t: float, x, v, order: int) -> _Jet:
-    m = len(x)
-    n = 1 + 2 * m
-
-    def rec(node):
-        if isinstance(node, Const):
-            return _jet_const(node.value, n, order)
-        if isinstance(node, Var):
-            if node.kind == "t":
-                return _jet_var(t, 0, n, order)
-            if node.kind == "x":
-                return _jet_var(x[node.index - 1], node.index, n, order)
-            return _jet_var(v[node.index - 1], m + node.index, n, order)
-        if isinstance(node, Unary):
-            return _jet_unary(node.op, rec(node.operand))
-        if isinstance(node, Pow):
-            return _jet_pow(rec(node.base), node.exponent)
-        a, b = rec(node.left), rec(node.right)
-        if node.op == "+":
-            return _jet_add(a, b, 1.0)
-        if node.op == "-":
-            return _jet_add(a, b, -1.0)
-        if node.op == "*":
-            return _jet_mul(a, b)
-        return _jet_div(a, b)
-
-    return rec(e)
-
-
-def _eval_plain(e: Expression, t: float, x, v) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        if e.kind == "t":
-            return t
-        return float(x[e.index - 1] if e.kind == "x" else v[e.index - 1])
-    if isinstance(e, Unary):
-        u = _eval_plain(e.operand, t, x, v)
-        if e.op == "neg":
-            return -u
-        if e.op == "log" and u <= 0.0:
-            raise DomainError(f"log of non-positive value {u}")
-        if e.op == "sqrt" and u < 0.0:
-            raise DomainError(f"sqrt of negative value {u}")
-        return {
-            "sin": math.sin,
-            "cos": math.cos,
-            "exp": math.exp,
-            "log": math.log,
-            "sqrt": math.sqrt,
-            "abs": abs,
-        }[e.op](u)
-    if isinstance(e, Pow):
-        base = _eval_plain(e.base, t, x, v)
-        if base < 0.0 and e.exponent != int(e.exponent):
-            raise DomainError(
-                f"negative base {base} with non-integer exponent {e.exponent}"
-            )
-        return base**e.exponent
-    a = _eval_plain(e.left, t, x, v)
-    b = _eval_plain(e.right, t, x, v)
-    if e.op == "+":
-        return a + b
-    if e.op == "-":
-        return a - b
-    if e.op == "*":
-        return a * b
-    if b == 0.0:
-        raise DomainError("division by zero")
-    return a / b
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalResult:
+    """Value and partials at one point (floats and (m,)/(m, m) arrays), or at
+    a stack of N points (the same with a leading N axis)."""
+
     value: float
     d_t: Optional[float] = None
     d_x: Optional[np.ndarray] = None
@@ -475,93 +355,264 @@ class EvalResult:
 
 
 def evaluate(e: Expression, t, x, v, order: int = 0) -> EvalResult:
-    """Evaluate with exact partials up to the requested order."""
+    """Value of ``e`` with exact partials up to ``order`` (0, 1 or 2).
+
+    Takes one point (scalar t, x and v of shape (m,)) or a stack of N points
+    (t of shape (N,), x and v of shape (N, m)); the stack is evaluated in one
+    pass over the tree.  An invalid argument raises DomainError, and abs()
+    within 1e-12 of its kink raises NonDifferentiableError when partials are
+    asked for; on a stack both name the first failing point and list every
+    failing row in ``rows``.
+    """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    m = len(x)
-    if order == 0:
-        return EvalResult(value=float(_eval_plain(e, float(t), x, v)))
-    jet = _eval_jet(e, float(t), x, v, order)
-    res = {
-        "value": float(jet.val),
-        "d_t": float(jet.g[0]),
-        "d_x": jet.g[1 : m + 1].copy(),
-        "d_v": jet.g[m + 1 :].copy(),
-    }
+    stacked = x.ndim == 2
+    T = np.asarray(t, dtype=float) if stacked else np.float64(t)
+    m = x.shape[-1]
+    n = 1 + 2 * m
+    units = {}
+
+    def check(bad, message, values=None, exc=DomainError):
+        if not (bad.any() if type(bad) is np.ndarray else bad):
+            return
+        if not stacked:
+            raise exc(message.format(values))
+        rows = np.flatnonzero(np.broadcast_to(bad, T.shape))
+        i = int(rows[0])
+        value = None if values is None else np.broadcast_to(values, T.shape)[i]
+        raise exc(
+            message.format(value) + f" at point {i} (t={T[i]}, x={x[i]}, v={v[i]})",
+            rows,
+        )
+
+    def chain(f0, ug, uh, f1, f2):
+        h = None
+        if order >= 2:
+            h = _plus(_h_times(uh, f1), _h_times(_outer(ug, ug), f2))
+        return f0, _g_times(ug, f1), h
+
+    def variable(node):
+        if node.kind == "t":
+            slot, val = 0, T
+        elif node.kind == "x":
+            slot, val = node.index, x[..., node.index - 1]
+        else:
+            slot, val = m + node.index, v[..., node.index - 1]
+        if order == 0:
+            return val, None, None
+        if slot not in units:
+            units[slot] = np.zeros(n)
+            units[slot][slot] = 1.0
+        return val, units[slot], None
+
+    def power(u, c):
+        u0, ug, uh = u
+        if c == 0.0:
+            return np.float64(1.0), None, None
+        if order >= 1:
+            if not (c in (1.0, 2.0) or (c > 2.0 and c == int(c))):
+                check(u0 == 0.0, f"0 raised to exponent {c}")
+        elif c < 0.0:
+            check(u0 == 0.0, f"0 raised to exponent {c}")
+        if c != int(c):
+            check(u0 < 0.0, f"negative base {{}} with non-integer exponent {c}", u0)
+        f0 = u0**c
+        if ug is None:
+            return f0, None, None
+        f2 = None if c == 1.0 or order < 2 else c * (c - 1.0) * u0 ** (c - 2.0)
+        return chain(f0, ug, uh, c * u0 ** (c - 1.0), f2)
+
+    def unary(op, u):
+        u0, ug, uh = u
+        if op == "neg":
+            return -u0, _neg(ug), _neg(uh)
+        if op == "log":
+            check(u0 <= 0.0, "log of non-positive value {}", u0)
+        elif op == "sqrt":
+            check(u0 < 0.0, "sqrt of negative value {}", u0)
+            if order >= 1:
+                check(u0 == 0.0, "sqrt not differentiable at 0")
+        elif op == "abs" and order >= 1:
+            kink = np.abs(u0) < 1e-12
+            check(kink, "abs evaluated at its kink", exc=NonDifferentiableError)
+        f0 = _UNARY[op](u0)
+        if ug is None:
+            return f0, None, None
+        # first and second derivative of the outer function
+        if op == "sin":
+            f1, f2 = np.cos(u0), -f0
+        elif op == "cos":
+            f1, f2 = -np.sin(u0), -f0
+        elif op == "exp":
+            f1 = f2 = f0
+        elif op == "log":
+            f1, f2 = 1.0 / u0, -1.0 / u0**2
+        elif op == "sqrt":
+            f1, f2 = 0.5 / f0, -0.25 / (f0 * u0)
+        else:
+            f1, f2 = np.where(u0 > 0.0, 1.0, -1.0), None
+        return chain(f0, ug, uh, f1, f2)
+
+    def rec(node):
+        kind = type(node)
+        if kind is Binary:
+            a0, ag, ah = rec(node.left)
+            b0, bg, bh = rec(node.right)
+            op = node.op
+            if op == "/":
+                check(b0 == 0.0, "division by zero")
+            if ag is None and bg is None:
+                return _ARITHMETIC[op](a0, b0), None, None
+            if op == "+":
+                return a0 + b0, _plus(ag, bg), _plus(ah, bh)
+            if op == "-":
+                return a0 - b0, _minus(ag, bg), _minus(ah, bh)
+            if op == "*":
+                h = None
+                if order >= 2:
+                    h = _plus(_h_times(ah, b0), _h_times(bh, a0))
+                    h = _plus(_plus(h, _outer(ag, bg)), _outer(bg, ag))
+                return a0 * b0, _plus(_g_times(ag, b0), _g_times(bg, a0)), h
+            q = a0 / b0
+            g = _minus(ag, _g_times(bg, q))
+            g = None if g is None else g / (b0[:, None] if b0.ndim else b0)
+            h = None
+            if order >= 2:
+                h = _minus(_minus(ah, _outer(g, bg)), _outer(bg, g))
+                h = _minus(h, _h_times(bh, q))
+                h = None if h is None else h / (b0[:, None, None] if b0.ndim else b0)
+            return q, g, h
+        if kind is Var:
+            return variable(node)
+        if kind is Const:
+            return np.float64(node.value), None, None
+        if kind is Pow:
+            return power(rec(node.base), node.exponent)
+        return unary(node.op, rec(node.operand))
+
+    with np.errstate(all="ignore"):
+        val, g, h = rec(e)
+    shape = T.shape
+    res = {"value": np.array(np.broadcast_to(val, shape)) if stacked else float(val)}
+    if order >= 1:
+        g = np.broadcast_to(0.0 if g is None else g, shape + (n,))
+        res["d_t"] = _block(g[..., 0])
+        res["d_x"] = _block(g[..., 1 : m + 1])
+        res["d_v"] = _block(g[..., m + 1 :])
     if order >= 2:
-        H = jet.h
+        h = np.broadcast_to(0.0 if h is None else h, shape + (n, n))
         res["d2"] = {
-            "tt": float(H[0, 0]),
-            "xx": H[1 : m + 1, 1 : m + 1].copy(),
-            "vv": H[m + 1 :, m + 1 :].copy(),
-            "xv": H[1 : m + 1, m + 1 :].copy(),
-            "vx": H[m + 1 :, 1 : m + 1].copy(),
+            "tt": _block(h[..., 0, 0]),
+            "xx": _block(h[..., 1 : m + 1, 1 : m + 1]),
+            "vv": _block(h[..., m + 1 :, m + 1 :]),
+            "xv": _block(h[..., 1 : m + 1, m + 1 :]),
+            "vx": _block(h[..., m + 1 :, 1 : m + 1]),
         }
     return EvalResult(**res)
 
 
-def _used_variables(e: Expression, acc=None) -> frozenset:
-    if acc is None:
-        acc = set()
-    if isinstance(e, Var):
-        acc.add(e.kind)
-    elif isinstance(e, Unary):
-        _used_variables(e.operand, acc)
-    elif isinstance(e, Binary):
-        _used_variables(e.left, acc)
-        _used_variables(e.right, acc)
-    elif isinstance(e, Pow):
-        _used_variables(e.base, acc)
-    return frozenset(acc)
+def _block(a):
+    """A result block as a fresh array, or a float for a scalar at one point."""
+    return float(a) if a.ndim == 0 else np.array(a)
+
+
+class _Block:
+    """One block of a compiled expression at one point or a stack: its value
+    (``block`` 'value'), a first partial ('t', 'x', 'v') or a second-partial
+    block ('tt', 'xx', 'xv', 'vx', 'vv'), read off one ``evaluate`` call.
+    Points where abs() sits at its kink get finite differences instead, with
+    one warning per call.  Slotted, because a problem holds many of them."""
+
+    __slots__ = ("expr", "fd", "block")
+
+    def __init__(self, expr, fd: FDConfig, block: str):
+        self.expr, self.fd, self.block = expr, fd, block
+
+    @property
+    def order(self) -> int:
+        return 0 if self.block == "value" else len(self.block)
+
+    def _pick(self, r: EvalResult):
+        if self.order == 0:
+            return r.value
+        return getattr(r, f"d_{self.block}") if self.order == 1 else r.d2[self.block]
+
+    def _finite_difference(self, t, x, v):
+        value = _Block(self.expr, self.fd, "value")
+        field = ScalarField(dim=len(x), func=value, fd=self.fd)
+        if self.order == 1:
+            return field.partial(self.block, t, x, v)
+        return field.second_partial(self.block, t, x, v)
+
+    def __call__(self, t, x, v):
+        order = self.order
+        try:
+            return self._pick(evaluate(self.expr, t, x, v, order=order))
+        except NonDifferentiableError as err:
+            kinks = err.rows
+        warnings.warn(
+            "abs() within 1e-12 of its kink; falling back to finite differences",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        if np.ndim(x) == 1:
+            return self._finite_difference(t, x, v)
+        t = np.asarray(t, dtype=float)
+        smooth = np.ones(len(t), dtype=bool)
+        smooth[kinks] = False
+        while True:
+            rows = np.flatnonzero(smooth)
+            try:
+                r = evaluate(self.expr, t[rows], x[rows], v[rows], order=order)
+                exact = self._pick(r)
+                break
+            except NonDifferentiableError as err:
+                smooth[rows[err.rows]] = False
+        out = [None] * len(t)
+        for k, i in enumerate(rows):
+            out[i] = exact[k]
+        for i in np.flatnonzero(~smooth):
+            out[i] = self._finite_difference(t[i], x[i], v[i])
+        return np.array(out)
+
+
+_PAIRS = ("tt", "xx", "vv", "xv", "vx")
+
+
+class _SecondPartials(Mapping):
+    """The ``d2`` map of a compiled field: the block callables are made on
+    lookup, so a field holds one small object for all five."""
+
+    __slots__ = ("expr", "fd")
+
+    def __init__(self, expr, fd: FDConfig):
+        self.expr, self.fd = expr, fd
+
+    def __getitem__(self, pair: str) -> _Block:
+        if pair not in _PAIRS:
+            raise KeyError(pair)
+        return _Block(self.expr, self.fd, pair)
+
+    def __iter__(self):
+        return iter(_PAIRS)
+
+    def __len__(self) -> int:
+        return len(_PAIRS)
 
 
 def compile_field(source, dim: int, fd: FDConfig = DEFAULT_FD) -> ScalarField:
     """Turn an expression (string or tree) into a ScalarField with exact
-    analytic partials.  Near an abs() kink the analytic route is unavailable;
-    the field then falls back to finite differences with a warning."""
+    analytic partials that answers one point or a stack of points with one
+    ``evaluate`` call.  Near an abs() kink the analytic route is unavailable;
+    those points fall back to finite differences with a warning."""
     expr = parse(source, dim) if isinstance(source, str) else source
-
-    def func(t, x, v):
-        return _eval_plain(expr, float(t), x, v)
-
-    def order1(t, x, v):
-        return evaluate(expr, t, x, v, order=1)
-
-    def order2(t, x, v):
-        return evaluate(expr, t, x, v, order=2)
-
-    def guarded(getter, order_fn, fallback):
-        def call(t, x, v):
-            try:
-                return getter(order_fn(t, x, v))
-            except NonDifferentiableError:
-                warnings.warn(
-                    "abs() within 1e-12 of its kink; falling back to finite "
-                    "differences",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                return fallback(t, x, v)
-
-        return call
-
-    fd_field = ScalarField(dim=dim, func=func, fd=fd)
-    field = ScalarField(
+    return ScalarField(
         dim=dim,
-        func=func,
-        uses=_used_variables(expr),
-        d_t=guarded(lambda r: r.d_t, order1, lambda t, x, v: fd_field.partial("t", t, x, v)),
-        d_x=guarded(lambda r: r.d_x, order1, lambda t, x, v: fd_field.partial("x", t, x, v)),
-        d_v=guarded(lambda r: r.d_v, order1, lambda t, x, v: fd_field.partial("v", t, x, v)),
-        d2={
-            pair: guarded(
-                lambda r, pair=pair: r.d2[pair],
-                order2,
-                lambda t, x, v, pair=pair: fd_field.second_partial(pair, t, x, v),
-            )
-            for pair in ("tt", "xx", "vv", "xv", "vx")
-        },
+        func=_Block(expr, fd, "value"),
+        d_t=_Block(expr, fd, "t"),
+        d_x=_Block(expr, fd, "x"),
+        d_v=_Block(expr, fd, "v"),
+        d2=_SecondPartials(expr, fd),
         fd=fd,
+        stacks=True,
     )
-    object.__setattr__(field, "expression", expr)
-    return field

@@ -15,7 +15,13 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import simpson
 
-from .curves import Curve, Grid, derivative_all, first_derivative_stencil
+from .curves import (
+    Curve,
+    Grid,
+    derivative_all,
+    first_derivative_stencil,
+    stencil_derivative,
+)
 from .fields import ScalarField
 from .spaces import Space, ValidationError, dual_seminorm
 
@@ -52,19 +58,29 @@ class SolverError(RuntimeError):
         self.residual_history = residual_history or []
 
 
+def _covectors(L: ScalarField, grid: Grid, xs: np.ndarray):
+    """Node velocities of the node array xs, and the covectors dL/dx and
+    dL/dv at every node, each from one stacked call."""
+    xd = stencil_derivative(xs, grid.h, 1)
+    return xd, L.partial("x", grid.nodes, xs, xd), L.partial("v", grid.nodes, xs, xd)
+
+
+def _interior_residual(L: ScalarField, grid: Grid, xs: np.ndarray):
+    """The Euler-Lagrange residual dL/dx - d/dt dL/dv at the interior nodes,
+    with the momentum derivative by the central stencil; also returns the
+    node velocities."""
+    xd, lx, lv = _covectors(L, grid, xs)
+    return lx[1:-1] - (lv[2:] - lv[:-2]) / (2.0 * grid.h), xd
+
+
 def first_variation(L: ScalarField, x: Curve, h: Curve) -> float:
     """Simpson quadrature of dL/dx . h + dL/dv . h' along the curve."""
     if x.grid != h.grid or x.space.dim != h.space.dim:
         raise ValidationError("curve and variation must share grid and space")
-    grid = x.grid
-    xd = derivative_all(x, 1)
+    _, lx, lv = _covectors(L, x.grid, x.values)
     hd = derivative_all(h, 1)
-    f = np.empty(grid.n + 1)
-    for i, t in enumerate(grid.nodes):
-        lx = L.partial("x", t, x.values[i], xd[i])
-        lv = L.partial("v", t, x.values[i], xd[i])
-        f[i] = lx @ h.values[i] + lv @ hd[i]
-    return float(simpson(f, dx=grid.h))
+    f = np.einsum("ni,ni->n", lx, h.values) + np.einsum("ni,ni->n", lv, hd)
+    return float(simpson(f, dx=x.grid.h))
 
 
 @dataclass(frozen=True)
@@ -77,16 +93,6 @@ class ELResidual:
     dual_index: int
 
 
-def _momentum_track(L: ScalarField, x: Curve) -> np.ndarray:
-    xd = derivative_all(x, 1)
-    return np.array(
-        [
-            L.partial("v", t, x.values[i], xd[i])
-            for i, t in enumerate(x.grid.nodes)
-        ]
-    )
-
-
 def el_residual(L: ScalarField, x: Curve, dual_index: Optional[int] = None) -> ELResidual:
     """Pointwise Euler-Lagrange residual dL/dx - d/dt dL/dv at interior nodes.
 
@@ -94,53 +100,24 @@ def el_residual(L: ScalarField, x: Curve, dual_index: Optional[int] = None) -> E
     curve derivative reconstruction; the summary norm is the max over nodes of
     the dual seminorm at ``dual_index`` (default: the strongest index).
     """
-    grid = x.grid
     if dual_index is None:
         dual_index = x.space.num_seminorms
-    xd = derivative_all(x, 1)
-    p = _momentum_track(L, x)
-    dp = (p[2:] - p[:-2]) / (2.0 * grid.h)
-    res = np.empty((grid.n - 1, x.space.dim))
-    for k, i in enumerate(range(1, grid.n)):
-        lx = L.partial("x", grid.nodes[i], x.values[i], xd[i])
-        res[k] = lx - dp[k]
+    res, _ = _interior_residual(L, x.grid, x.values)
     norms = [dual_seminorm(x.space, dual_index, r) for r in res]
     return ELResidual(
-        nodes=grid.nodes[1:-1],
+        nodes=x.grid.nodes[1:-1],
         residuals=res,
         max_norm=float(max(norms)),
         dual_index=dual_index,
     )
 
 
-def _interior_residual(L, grid, space, xs):
-    """Stacked residual over interior nodes for the full node array xs."""
-    n, m = grid.n, space.dim
-    xd = np.empty((n + 1, m))
-    for j in range(n + 1):
-        st = first_derivative_stencil(grid, j)
-        xd[j] = sum(c * xs[k] for k, c in st.items())
-    p = np.array(
-        [L.partial("v", grid.nodes[j], xs[j], xd[j]) for j in range(n + 1)]
-    )
-    out = np.empty((n - 1, m))
-    for k, i in enumerate(range(1, n)):
-        lx = L.partial("x", grid.nodes[i], xs[i], xd[i])
-        out[k] = lx - (p[i + 1] - p[i - 1]) / (2.0 * grid.h)
-    return out, xd
-
-
 def _interior_jacobian(L, grid, space, xs, xd):
     """Exact Jacobian of the stacked residual with respect to interior nodes."""
     n, m = grid.n, space.dim
-    lxx = np.empty((n + 1, m, m))
-    lxv = np.empty((n + 1, m, m))
-    lvv = np.empty((n + 1, m, m))
-    for j in range(n + 1):
-        t = grid.nodes[j]
-        lxx[j] = L.second_partial("xx", t, xs[j], xd[j])
-        lxv[j] = L.second_partial("xv", t, xs[j], xd[j])
-        lvv[j] = L.second_partial("vv", t, xs[j], xd[j])
+    lxx = L.second_partial("xx", grid.nodes, xs, xd)
+    lxv = L.second_partial("xv", grid.nodes, xs, xd)
+    lvv = L.second_partial("vv", grid.nodes, xs, xd)
     jac = np.zeros((n - 1, m, n - 1, m))
 
     def add(i, k, block):
@@ -185,7 +162,7 @@ def solve_extremal(
 
     history = []
     for _ in range(cfg.max_iter):
-        res, xd = _interior_residual(L, grid, space, xs)
+        res, xd = _interior_residual(L, grid, xs)
         norm = float(np.max(np.abs(res)))
         history.append(norm)
         if norm <= cfg.tol:
@@ -207,7 +184,7 @@ def solve_extremal(
         for _ in range(30):
             trial = xs.copy()
             trial[1:-1] += lam * step
-            trial_res, _ = _interior_residual(L, grid, space, trial)
+            trial_res, _ = _interior_residual(L, grid, trial)
             if float(np.max(np.abs(trial_res))) < norm:
                 xs = trial
                 break
@@ -216,7 +193,7 @@ def solve_extremal(
             raise SolverError(
                 f"line search stalled at residual {norm:.3e}", history
             )
-    res, _ = _interior_residual(L, grid, space, xs)
+    res, _ = _interior_residual(L, grid, xs)
     norm = float(np.max(np.abs(res)))
     if norm <= cfg.tol:
         return Curve(space, grid, xs)

@@ -2,8 +2,13 @@
 
 A ScalarField wraps an evaluator ``L(t, x, v)`` together with optional analytic
 partials.  Missing partials fall back to central finite differences with one
-Richardson extrapolation level.  The module also hosts a numeric audit of the
-normal-differentiability remainder criterion for maps between truncations.
+Richardson extrapolation level.  Values and partials are asked for at one
+point (scalar t, x and v of shape (m,)) or at a stack of N points (t of shape
+(N,), x and v of shape (N, m)); a stack gets results with a leading N axis.
+A field built with ``stacks=True`` (every compiled field is) hands the whole
+stack to its callables in one call; any other field loops over the points.
+The module also hosts a numeric audit of the normal-differentiability
+remainder criterion for maps between truncations.
 """
 
 from __future__ import annotations
@@ -20,7 +25,12 @@ _EPS = np.finfo(float).eps
 
 
 class EvaluationError(RuntimeError):
-    """A field produced a non-finite value at the reported point."""
+    """A field produced a non-finite value at the reported point; ``index``
+    is that point's row when a stack was evaluated."""
+
+    def __init__(self, message: str, index: Optional[int] = None):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -37,14 +47,6 @@ class FDConfig:
 
 
 DEFAULT_FD = FDConfig()
-
-
-def _central(f: Callable[[float], float], eps: float, richardson: bool) -> float:
-    d1 = (f(eps) - f(-eps)) / (2.0 * eps)
-    if not richardson:
-        return d1
-    d2 = (f(eps / 2.0) - f(-eps / 2.0)) / eps
-    return (4.0 * d2 - d1) / 3.0
 
 
 def directional_derivative(f, base, h, cfg: FDConfig = DEFAULT_FD):
@@ -69,62 +71,75 @@ def directional_derivative(f, base, h, cfg: FDConfig = DEFAULT_FD):
     return d1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScalarField:
     """Evaluator on (t, x, v) with optional analytic first/second partials.
 
     ``d2`` maps block names 'tt', 'xx', 'xv', 'vx', 'vv' to callables.  The
     'xv' block has rows indexed by x and columns by v; 'vx' is its transpose
-    layout.
+    layout.  With ``stacks=True``, ``func`` and the partial callables also
+    take a stack of points and answer with a leading N axis.
     """
 
     dim: int
     func: Callable
-    uses: frozenset = frozenset({"t", "x", "v"})
     d_t: Optional[Callable] = None
     d_x: Optional[Callable] = None
     d_v: Optional[Callable] = None
     d2: Optional[Mapping[str, Callable]] = None
     fd: FDConfig = field(default=DEFAULT_FD)
+    stacks: bool = False
 
-    def __call__(self, t, x, v) -> float:
-        val = float(self.func(t, np.asarray(x, float), np.asarray(v, float)))
-        if not math.isfinite(val):
-            raise EvaluationError(f"non-finite field value at t={t}, x={x}, v={v}")
-        return val
+    def __call__(self, t, x, v):
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        if x.ndim == 1:
+            val = float(self.func(t, x, v))
+            if not math.isfinite(val):
+                raise EvaluationError(f"non-finite field value at t={t}, x={x}, v={v}")
+            return val
+        if self.stacks:
+            vals = np.asarray(self.func(t, x, v), dtype=float)
+        else:
+            vals = np.array([float(self.func(*p)) for p in zip(t, x, v)])
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if len(bad):
+            i = int(bad[0])
+            raise EvaluationError(
+                f"non-finite field value at point {i}: t={t[i]}, x={x[i]}, v={v[i]}",
+                index=i,
+            )
+        return vals
 
     # -- first partials -------------------------------------------------
 
     def partial(self, which: str, t, x, v):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
+        exact = {"t": self.d_t, "x": self.d_x, "v": self.d_v}
+        if which not in exact:
+            raise ValueError(f"unknown partial {which!r}")
+        fn = exact[which]
+        if x.ndim == 2 and not (self.stacks and fn is not None):
+            return np.array([self.partial(which, *p) for p in zip(t, x, v)])
+        if fn is not None:
+            out = np.asarray(fn(t, x, v), dtype=float)
+            return float(out) if which == "t" and x.ndim == 1 else out
         if which == "t":
-            if self.d_t is not None:
-                return float(self.d_t(t, x, v))
-            eps = self.fd.step * (1.0 + abs(t))
-            return _central(lambda e: self(t + e, x, v), eps, self.fd.richardson)
-        if which == "x":
-            if self.d_x is not None:
-                return np.asarray(self.d_x(t, x, v), dtype=float)
-            return self._fd_grad(t, x, v, "x")
-        if which == "v":
-            if self.d_v is not None:
-                return np.asarray(self.d_v(t, x, v), dtype=float)
-            return self._fd_grad(t, x, v, "v")
-        raise ValueError(f"unknown partial {which!r}")
+            return directional_derivative(lambda s: self(s, x, v), t, 1.0, self.fd)
+        return self._fd_grad(t, x, v, which)
 
     def _fd_grad(self, t, x, v, wrt: str) -> np.ndarray:
         base = x if wrt == "x" else v
         out = np.empty(self.dim)
         for i in range(self.dim):
-            eps = self.fd.step * (1.0 + abs(base[i]))
 
-            def probe(e, i=i):
+            def probe(s, i=i):
                 z = base.copy()
-                z[i] += e
+                z[i] = s
                 return self(t, z, v) if wrt == "x" else self(t, x, z)
 
-            out[i] = _central(probe, eps, self.fd.richardson)
+            out[i] = directional_derivative(probe, base[i], 1.0, self.fd)
         return out
 
     # -- second partials ------------------------------------------------
@@ -132,9 +147,12 @@ class ScalarField:
     def second_partial(self, pair: str, t, x, v):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        if self.d2 is not None and pair in self.d2:
-            out = self.d2[pair](t, x, v)
-            return float(out) if pair == "tt" else np.asarray(out, dtype=float)
+        fn = None if self.d2 is None else self.d2.get(pair)
+        if x.ndim == 2 and not (self.stacks and fn is not None):
+            return np.array([self.second_partial(pair, *p) for p in zip(t, x, v)])
+        if fn is not None:
+            out = np.asarray(fn(t, x, v), dtype=float)
+            return float(out) if pair == "tt" and x.ndim == 1 else out
         if pair == "tt":
             eps = self.fd.second_step * (1.0 + abs(t))
             f0 = self(t, x, v)
@@ -197,16 +215,6 @@ class ScalarField:
                     self(t, xp, vp) - self(t, xp, vm) - self(t, xm, vp) + self(t, xm, vm)
                 ) / (4.0 * sx[i] * sv[j])
         return h
-
-
-def partial_L(L: ScalarField, which: str, t, x, v):
-    """First partial of L with respect to t, x, or v (covector for x/v)."""
-    return L.partial(which, t, x, v)
-
-
-def second_partial_L(L: ScalarField, pair: str, t, x, v):
-    """Second-partial block of L; 'vv'/'xx' come back symmetric for C^2 fields."""
-    return L.second_partial(pair, t, x, v)
 
 
 # -- normal-differentiability audit -------------------------------------

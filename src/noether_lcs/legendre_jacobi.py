@@ -31,15 +31,10 @@ class JacobiOperators:
 
 def jacobi_operators(L: ScalarField, x: Curve) -> JacobiOperators:
     grid = x.grid
-    xd = derivative_all(x, 1)
-    m = x.space.dim
-    R = np.empty((grid.n + 1, m, m))
-    vx = np.empty((grid.n + 1, m, m))
-    xx = np.empty((grid.n + 1, m, m))
-    for i, t in enumerate(grid.nodes):
-        R[i] = L.second_partial("vv", t, x.values[i], xd[i])
-        vx[i] = L.second_partial("vx", t, x.values[i], xd[i])
-        xx[i] = L.second_partial("xx", t, x.values[i], xd[i])
+    point = (grid.nodes, x.values, derivative_all(x, 1))
+    R = L.second_partial("vv", *point)
+    vx = L.second_partial("vx", *point)
+    xx = L.second_partial("xx", *point)
     P = xx - stencil_derivative(vx, grid.h, 1)
     return JacobiOperators(grid=grid, R=R, P=P)
 
@@ -53,9 +48,9 @@ def second_variation(L: ScalarField, x: Curve, h: Curve) -> float:
         raise ValidationError("variation must vanish at both endpoints")
     ops = jacobi_operators(L, x)
     hd = derivative_all(h, 1)
-    f = np.empty(x.grid.n + 1)
-    for i in range(x.grid.n + 1):
-        f[i] = hd[i] @ ops.R[i] @ hd[i] + h.values[i] @ ops.P[i] @ h.values[i]
+    f = np.einsum("ni,nij,nj->n", hd, ops.R, hd) + np.einsum(
+        "ni,nij,nj->n", h.values, ops.P, h.values
+    )
     return float(simpson(f, dx=x.grid.h))
 
 
@@ -78,17 +73,11 @@ class LegendreReport:
 
 def legendre_check(L: ScalarField, x: Curve, tol: float = 1e-10) -> LegendreReport:
     """Positive semidefiniteness of the symmetrized vv-Hessian at every node."""
-    grid = x.grid
-    xd = derivative_all(x, 1)
-    mins = np.empty(grid.n + 1)
-    bad = []
-    for i, t in enumerate(grid.nodes):
-        hess = L.second_partial("vv", t, x.values[i], xd[i])
-        sym = 0.5 * (hess + hess.T)
-        mins[i] = float(np.min(np.linalg.eigvalsh(sym)))
-        if mins[i] < -tol:
-            bad.append(i)
-    return LegendreReport(min_eigenvalues=mins, tol=tol, violating_nodes=tuple(bad))
+    hess = L.second_partial("vv", x.grid.nodes, x.values, derivative_all(x, 1))
+    sym = 0.5 * (hess + np.swapaxes(hess, 1, 2))
+    mins = np.min(np.linalg.eigvalsh(sym), axis=1)
+    bad = tuple(int(i) for i in np.flatnonzero(mins < -tol))
+    return LegendreReport(min_eigenvalues=mins, tol=tol, violating_nodes=bad)
 
 
 def spike_variation(x: Curve, node: int, direction=None) -> Curve:

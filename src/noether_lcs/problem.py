@@ -27,15 +27,6 @@ class ProblemError(ValueError):
     """Problem file fails validation."""
 
 
-_CATALOG_PREFIXES = (
-    "time-translation",
-    "space-translation",
-    "rotation-",
-    "dilation",
-    "galilean",
-)
-
-
 @dataclass
 class ProblemFile:
     path: Path

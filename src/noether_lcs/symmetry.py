@@ -29,6 +29,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .curves import Curve, derivative_all
+from .dsl import Binary, Const, Var, compile_field
 from .fields import ScalarField
 from .spaces import ValidationError
 
@@ -43,6 +44,8 @@ class SymmetryGenerator:
     X: tuple  # dim ScalarFields, one per component
     name: str = ""
     F: Optional[ScalarField] = None
+    # the affine coefficient vector (layout of ``affine_generator``), when known
+    coefficients: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self):
         if len(self.X) != self.dim:
@@ -54,15 +57,15 @@ class SymmetryGenerator:
                 f"gauge has dim {self.F.dim} for a generator of dim {self.dim}"
             )
 
-    def T_value(self, t, x) -> float:
-        return self.T(t, x, np.zeros(self.dim))
+    def T_value(self, t, x):
+        return self.T(t, x, np.zeros_like(x, dtype=float))
 
     def X_value(self, t, x) -> np.ndarray:
-        z = np.zeros(self.dim)
-        return np.array([c(t, x, z) for c in self.X])
+        z = np.zeros_like(x, dtype=float)
+        return np.stack([c(t, x, z) for c in self.X], axis=-1)
 
-    def F_value(self, t, x) -> float:
-        return self.F(t, x, np.zeros(self.dim))
+    def F_value(self, t, x):
+        return self.F(t, x, np.zeros_like(x, dtype=float))
 
     def scaled(self, factor: float) -> "SymmetryGenerator":
         return SymmetryGenerator(
@@ -71,19 +74,51 @@ class SymmetryGenerator:
             X=tuple(_scale_field(c, factor) for c in self.X),
             name=self.name,
             F=None if self.F is None else _scale_field(self.F, factor),
+            coefficients=(
+                None if self.coefficients is None else factor * self.coefficients
+            ),
         )
 
 
 def _scale_field(f: ScalarField, c: float) -> ScalarField:
+    def times(fn):
+        return None if fn is None else (lambda t, x, v: c * np.asarray(fn(t, x, v)))
+
     return ScalarField(
         dim=f.dim,
-        func=lambda t, x, v: c * f.func(t, x, v),
-        uses=f.uses,
-        d_t=None if f.d_t is None else (lambda t, x, v: c * f.d_t(t, x, v)),
-        d_x=None if f.d_x is None else (lambda t, x, v: c * np.asarray(f.d_x(t, x, v))),
-        d_v=None if f.d_v is None else (lambda t, x, v: c * np.asarray(f.d_v(t, x, v))),
+        func=times(f.func),
+        d_t=times(f.d_t),
+        d_x=times(f.d_x),
+        d_v=times(f.d_v),
+        d2=None if f.d2 is None else {pair: times(fn) for pair, fn in f.d2.items()},
         fd=f.fd,
+        stacks=f.stacks,
     )
+
+
+def _tz(dim: int) -> list:
+    """The DSL variables z = (t, x1..x<dim>) of a generator component."""
+    return [Var("t", 0)] + [Var("x", i) for i in range(1, dim + 1)]
+
+
+def _affine_tree(coeffs, dim: int):
+    """DSL tree of a0 + a1 t + sum b_i x_i, without the zero terms."""
+    terms = [Const(float(coeffs[0]))] if coeffs[0] != 0.0 else []
+    terms += [
+        Binary("*", Const(float(c)), z)
+        for c, z in zip(coeffs[1:], _tz(dim))
+        if c != 0.0
+    ]
+    return _sum(terms)
+
+
+def _sum(terms):
+    if not terms:
+        return Const(0.0)
+    tree = terms[0]
+    for term in terms[1:]:
+        tree = Binary("+", tree, term)
+    return tree
 
 
 def affine_generator(
@@ -99,22 +134,10 @@ def affine_generator(
     if t_coeffs.shape != (dim + 2,):
         raise ValidationError(f"T coefficient vector must have length {dim + 2}")
 
-    def make(coeffs):
-        a0, a1 = coeffs[0], coeffs[1]
-        b = coeffs[2:].copy()
-        return ScalarField(
-            dim=dim,
-            func=lambda t, x, v: a0 + a1 * t + float(b @ x),
-            uses=frozenset({"t", "x"}),
-            d_t=lambda t, x, v: a1,
-            d_x=lambda t, x, v: b,
-            d_v=lambda t, x, v: np.zeros(dim),
-        )
-
     return SymmetryGenerator(
         dim=dim,
-        T=make(t_coeffs),
-        X=tuple(make(row) for row in x_coeffs),
+        T=compile_field(_affine_tree(t_coeffs, dim), dim),
+        X=tuple(compile_field(_affine_tree(row, dim), dim) for row in x_coeffs),
         name=name,
     )
 
@@ -163,22 +186,31 @@ def catalog_generator(name: str, dim: int) -> SymmetryGenerator:
 # -- generator calculus -------------------------------------------------
 
 
-def total_time_derivative(f: ScalarField, t, x, v) -> float:
-    """f' = df/dt + df/dx . v for a field of (t, x)."""
+def _dot(a, b):
+    """Dot product over the last axis, per point of a stack."""
+    return np.einsum("...i,...i->...", a, b)
+
+
+def total_time_derivative(f: ScalarField, t, x, v):
+    """f' = df/dt + df/dx . v for a field of (t, x), at one point (a float)
+    or at a stack of points (an (N,) array)."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    return float(f.partial("t", t, x, v)) + float(f.partial("x", t, x, v) @ v)
+    out = f.partial("t", t, x, v) + _dot(f.partial("x", t, x, v), v)
+    return float(out) if x.ndim == 1 else out
 
 
 def extended_generator(g: SymmetryGenerator, t, x, v) -> np.ndarray:
     """Velocity-space generator V = X' - v T'."""
     v = np.asarray(v, dtype=float)
     tp = total_time_derivative(g.T, t, x, v)
-    xp = np.array([total_time_derivative(c, t, x, v) for c in g.X])
-    return xp - v * tp
+    xp = np.stack([total_time_derivative(c, t, x, v) for c in g.X], axis=-1)
+    return xp - v * np.asarray(tp)[..., None]
 
 
-def invariance_residual(L: ScalarField, g: SymmetryGenerator, t, x, v) -> float:
+def invariance_residual(L: ScalarField, g: SymmetryGenerator, t, x, v):
+    """The (gauged) invariance residual at one point (a float) or at a stack
+    of sample points (an (N,) array)."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     lt = L.partial("t", t, x, v)
@@ -186,12 +218,15 @@ def invariance_residual(L: ScalarField, g: SymmetryGenerator, t, x, v) -> float:
     lv = L.partial("v", t, x, v)
     tp = total_time_derivative(g.T, t, x, v)
     vv = extended_generator(g, t, x, v)
-    res = float(
-        lt * g.T_value(t, x) + lx @ g.X_value(t, x) + lv @ vv + L(t, x, v) * tp
+    res = (
+        lt * g.T_value(t, x)
+        + _dot(lx, g.X_value(t, x))
+        + _dot(lv, vv)
+        + L(t, x, v) * tp
     )
     if g.F is not None:
-        res -= total_time_derivative(g.F, t, x, v)
-    return res
+        res = res - total_time_derivative(g.F, t, x, v)
+    return float(res) if x.ndim == 1 else res
 
 
 @dataclass(frozen=True)
@@ -237,15 +272,10 @@ def check_invariance(
     tol: float = 1e-8,
 ) -> InvarianceReport:
     ts, xs, vs = samples.samples(g.dim)
-    res = np.array(
-        [invariance_residual(L, g, t, x, v) for t, x, v in zip(ts, xs, vs)]
-    )
+    res = invariance_residual(L, g, ts, xs, vs)
     strict_res = res
     if g.F is not None:
-        strict = replace(g, F=None)
-        strict_res = np.array(
-            [invariance_residual(L, strict, t, x, v) for t, x, v in zip(ts, xs, vs)]
-        )
+        strict_res = invariance_residual(L, replace(g, F=None), ts, xs, vs)
     return InvarianceReport(
         residuals=res,
         max_residual=float(np.max(np.abs(res))),
@@ -275,10 +305,7 @@ def fit_gauge(
         samples, count=max(samples.count, 3 * n_basis), seed=samples.seed + 1
     )
     ts, xs, vs = cfg.samples(dim)
-    strict = replace(g, F=None)
-    r = np.array(
-        [invariance_residual(L, strict, t, x, v) for t, x, v in zip(ts, xs, vs)]
-    )
+    r = invariance_residual(L, replace(g, F=None), ts, xs, vs)
     Z = np.column_stack([ts, xs])
     W = np.column_stack([np.ones_like(ts), vs])  # z' along the curve
     # D_t z_i = w_i and D_t (z_i z_j) = z_i w_j + z_j w_i
@@ -290,25 +317,17 @@ def fit_gauge(
 
 
 def _quadratic_field(b: np.ndarray, Q: np.ndarray) -> ScalarField:
-    """F = b . z + z . Q z with z = (t, x), with analytic partials."""
+    """F = b . z + z . Q z with z = (t, x), compiled from its DSL tree."""
     dim = len(b) - 1
-    S = Q + Q.T
-
-    def grad(t, x):
-        return b + S @ np.concatenate(([t], x))
-
-    def func(t, x, v):
-        z = np.concatenate(([t], x))
-        return float(b @ z + z @ Q @ z)
-
-    return ScalarField(
-        dim=dim,
-        func=func,
-        uses=frozenset({"t", "x"}),
-        d_t=lambda t, x, v: grad(t, x)[0],
-        d_x=lambda t, x, v: grad(t, x)[1:],
-        d_v=lambda t, x, v: np.zeros(dim),
-    )
+    z = _tz(dim)
+    terms = [Binary("*", Const(float(c)), zi) for c, zi in zip(b, z) if c != 0.0]
+    terms += [
+        Binary("*", Binary("*", Const(float(Q[i, j])), z[i]), z[j])
+        for i in range(dim + 1)
+        for j in range(dim + 1)
+        if Q[i, j] != 0.0
+    ]
+    return compile_field(_sum(terms), dim)
 
 
 # -- first integrals ----------------------------------------------------
@@ -412,10 +431,7 @@ def find_affine_symmetries(
             affine_generator(dim, coeffs[:per], coeffs[per:].reshape(dim, per))
         )
     ts, xs, vs = cfg.samples(dim)
-    M = np.empty((count, n_params))
-    for s in range(count):
-        for k, g in enumerate(basis):
-            M[s, k] = invariance_residual(L, g, ts[s], xs[s], vs[s])
+    M = np.column_stack([invariance_residual(L, g, ts, xs, vs) for g in basis])
     _, sing, vt = np.linalg.svd(M, full_matrices=True)
     cutoff = null_threshold * (sing[0] if len(sing) and sing[0] > 0 else 1.0)
     null_vectors = [
@@ -433,8 +449,10 @@ def find_affine_symmetries(
     out = []
     for vec in null_vectors:
         vec = vec / np.max(np.abs(vec))
-        g = affine_generator(dim, vec[:per], vec[per:].reshape(dim, per))
+        g = replace(
+            affine_generator(dim, vec[:per], vec[per:].reshape(dim, per)),
+            coefficients=vec.copy(),
+        )
         if check_invariance(L, g, fresh, tol=verify_tol).passed:
-            object.__setattr__(g, "coefficients", vec.copy())
             out.append(g)
     return out

@@ -1,12 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import sympy as sp
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import noether_lcs as nl
 from noether_lcs.dsl import (
     Binary,
     Const,
+    DomainError,
     ParseDiagnostic,
     Pow,
     Unary,
@@ -274,3 +279,126 @@ def test_compile_field_exposes_analytic_blocks():
     assert L.partial("v", t, x, v) == pytest.approx([3.0])
     assert np.allclose(L.second_partial("vv", t, x, v), [[1.0]])
     assert np.allclose(L.second_partial("xv", t, x, v), [[1.0]])
+
+
+# -- stacked evaluation -----------------------------------------------------
+
+_SYMBOLS = sp.symbols("t x1 v1")
+
+
+def _to_sympy(e):
+    if isinstance(e, Const):
+        return sp.Rational(e.value)  # the exact binary value of the literal
+    if isinstance(e, Var):
+        return _SYMBOLS[0] if e.kind == "t" else sp.Symbol(f"{e.kind}{e.index}")
+    if isinstance(e, Pow):
+        return _to_sympy(e.base) ** sp.Rational(e.exponent)
+    if isinstance(e, Unary):
+        u = _to_sympy(e.operand)
+        return -u if e.op == "neg" else getattr(sp, e.op if e.op != "abs" else "Abs")(u)
+    a, b = _to_sympy(e.left), _to_sympy(e.right)
+    return {"+": a + b, "-": a - b, "*": a * b, "/": a / b}[e.op]
+
+
+def _sympy_jet(expr, t, x, v):
+    """Value, gradient over (t, x1, v1) and the Hessian entries of ``_flat``
+    at each point, from sympy partials evaluated at 40 digits."""
+    f = _to_sympy(expr)
+    grad = [sp.diff(f, s) for s in _SYMBOLS]
+    hess = [[sp.diff(g, s) for s in _SYMBOLS] for g in grad]
+    fn = sp.lambdify(_SYMBOLS, [f, grad, hess], modules="mpmath")
+    out = []
+    with mpmath.workdps(40):
+        for i in range(len(t)):
+            val, g, h = fn(mpmath.mpf(t[i]), mpmath.mpf(x[i, 0]), mpmath.mpf(v[i, 0]))
+            h = np.array(h, dtype=float)
+            hess = np.r_[h[0, 0], h[1:, 1:].ravel()]
+            out.append((float(val), np.array(g, dtype=float), hess))
+    return out
+
+
+def _flat(r, i=None):
+    """Value, gradient and the Hessian entries that EvalResult exposes (tt,
+    then the (x1, v1) block) of an EvalResult, or of row i of a stack."""
+    pick = (lambda a: a) if i is None else (lambda a: a[i])
+    d2 = {k: np.atleast_2d(pick(b)) for k, b in r.d2.items()}
+    xv = np.block([[d2["xx"], d2["xv"]], [d2["vx"], d2["vv"]]])
+    grad = np.array([pick(r.d_t), pick(r.d_x)[0], pick(r.d_v)[0]], dtype=float)
+    return float(pick(r.value)), grad, np.r_[d2["tt"].ravel(), xv.ravel()]
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_stacked_evaluate_matches_single_points_and_sympy(seed):
+    rng = np.random.default_rng(seed)
+    expr = random_smooth_expression(rng)
+    t = rng.uniform(-1, 1, size=4)
+    x = rng.uniform(-1, 1, size=(4, 1))
+    v = rng.uniform(-1, 1, size=(4, 1))
+    r = evaluate(expr, t, x, v, order=2)
+    assert r.value.shape == (4,) and r.d_x.shape == (4, 1)
+    assert r.d2["xv"].shape == (4, 1, 1)
+    rows = [_flat(r, i) for i in range(4)]
+    # the random trees are smooth, but nested exp/pow can leave float range
+    entries = np.concatenate([np.r_[a, b, c] for a, b, c in rows])
+    assume(np.all(np.isfinite(entries)) and np.max(np.abs(entries)) < 1e6)
+    exact = _sympy_jet(expr, t, x, v)
+    for i, (val, grad, hess) in enumerate(rows):
+        single = _flat(evaluate(expr, t[i], x[i], v[i], order=2))
+        for got, want in zip((val, grad, hess), single):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+        # a partial whose terms cancel has an error relative to the terms,
+        # not to the result: the floor is rtol times the row's largest entry
+        scale = max(abs(val), np.max(np.abs(grad)), np.max(np.abs(hess)), 1.0)
+        for got, want in zip((val, grad, hess), exact[i]):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * scale)
+
+
+def test_stacked_evaluate_of_a_constant_broadcasts():
+    e = parse("2^3 + 1", dim=2)
+    r = evaluate(e, np.zeros(3), np.ones((3, 2)), np.ones((3, 2)), order=2)
+    assert np.array_equal(r.value, [9.0, 9.0, 9.0])
+    assert r.d_x.shape == (3, 2) and not r.d_x.any()
+    assert r.d2["xv"].shape == (3, 2, 2) and not r.d2["xv"].any()
+
+
+def test_stacked_domain_error_names_the_failing_point():
+    e = parse("v1 + log(x1)", dim=1)
+    x = np.array([[1.0], [2.0], [-0.5], [3.0], [-1.0]])
+    named = r"non-positive value -0\.5 at point 2 \(t=0\.2"
+    for order in (0, 1, 2):
+        with pytest.raises(DomainError, match=named) as err:
+            evaluate(e, np.linspace(0.0, 0.4, 5), x, np.zeros((5, 1)), order=order)
+        assert list(err.value.rows) == [2, 4]
+    # a compiled field raises the same through a stacked call
+    L = compile_field("1/(x1 - 2)", dim=1)
+    with pytest.raises(DomainError, match=r"division by zero at point 1"):
+        L(np.zeros(3), x[:3], np.zeros((3, 1)))
+
+
+def test_abs_kink_rows_alone_fall_back_with_one_warning(monkeypatch):
+    L = compile_field("abs(x1)*v1^2", dim=1)
+    t = np.zeros(5)
+    x = np.array([[2.0], [0.0], [-3.0], [1e-13], [0.5]])
+    v = np.array([[1.5], [2.0], [-1.0], [3.0], [0.5]])
+    probed = []
+    fd_grad = nl.ScalarField._fd_grad
+
+    def spy(self, t, x, v, wrt):
+        probed.append(float(x[0]))
+        return fd_grad(self, t, x, v, wrt)
+
+    monkeypatch.setattr(nl.ScalarField, "_fd_grad", spy)
+    with pytest.warns(RuntimeWarning, match="kink") as caught:
+        d_x = L.partial("x", t, x, v)
+    assert len(caught) == 1
+    assert probed == [0.0, 1e-13]
+    smooth = [0, 2, 4]
+    assert np.array_equal(d_x[smooth, 0], np.sign(x[smooth, 0]) * v[smooth, 0] ** 2)
+    assert d_x[[1, 3], 0] == pytest.approx([0.0, 0.0], abs=1e-6)

@@ -149,3 +149,28 @@ def test_discrete_stationarity_random_variations(line_space):
         scale = np.max(np.abs(h.values)) or 1.0
         h = nl.Curve(line_space, grid, h.values / scale)
         assert abs(nl.first_variation(L, c, h)) <= 10 * grid.h**2
+
+
+def test_newton_iteration_costs_a_fixed_number_of_jet_calls(monkeypatch):
+    # every residual and Jacobian is one stacked jet call per block, so the
+    # count per Newton iteration does not grow with the grid
+    calls, jacobians = [], []
+    evaluate = nl.dsl.evaluate
+    assemble = nl.euler_lagrange._interior_jacobian
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    def counting_jacobian(*args):
+        jacobians.append(1)
+        return assemble(*args)
+
+    monkeypatch.setattr(nl.dsl, "evaluate", counting)
+    monkeypatch.setattr(nl.euler_lagrange, "_interior_jacobian", counting_jacobian)
+    for n in (40, 320):
+        calls.clear()
+        jacobians.clear()
+        solve("v1^2/2 + v1^4/12 - x1^2/2", [0.0], [1.0], 0.0, 1.0, n)
+        assert jacobians
+        assert len(calls) <= 15 * len(jacobians)

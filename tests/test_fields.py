@@ -44,12 +44,12 @@ def test_directional_derivative_propagates_nonfinite():
 
 
 def test_partial_L_kinetic(free_particle):
-    assert nl.partial_L(free_particle, "v", 0.0, [0.0], [3.0]) == pytest.approx([3.0])
-    assert nl.partial_L(free_particle, "t", 0.0, [0.0], [3.0]) == pytest.approx(0.0)
+    assert free_particle.partial("v", 0.0, [0.0], [3.0]) == pytest.approx([3.0])
+    assert free_particle.partial("t", 0.0, [0.0], [3.0]) == pytest.approx(0.0)
 
 
 def test_partial_L_oscillator_fd_agrees(oscillator):
-    analytic = nl.partial_L(oscillator, "x", 0.0, [2.0], [0.0])
+    analytic = oscillator.partial("x", 0.0, [2.0], [0.0])
     assert analytic == pytest.approx([-2.0])
     bare = nl.ScalarField(dim=1, func=oscillator.func)
     assert bare.partial("x", 0.0, np.array([2.0]), np.array([0.0])) == pytest.approx(
@@ -59,16 +59,16 @@ def test_partial_L_oscillator_fd_agrees(oscillator):
 
 def test_second_partial_kinetic(free_particle):
     assert np.allclose(
-        nl.second_partial_L(free_particle, "vv", 0.0, [0.0], [1.0]), [[1.0]]
+        free_particle.second_partial("vv", 0.0, [0.0], [1.0]), [[1.0]]
     )
     assert np.allclose(
-        nl.second_partial_L(free_particle, "xx", 0.0, [0.0], [1.0]), [[0.0]]
+        free_particle.second_partial("xx", 0.0, [0.0], [1.0]), [[0.0]]
     )
 
 
 def test_second_partial_weighted_kinetic():
     L = nl.compile_field("(1*v1^2 + 2*v2^2 + 3*v3^2)/2", dim=3)
-    hess = nl.second_partial_L(L, "vv", 0.0, np.zeros(3), np.ones(3))
+    hess = L.second_partial("vv", 0.0, np.zeros(3), np.ones(3))
     assert hess == pytest.approx(np.diag([1.0, 2.0, 3.0]))
     bare = nl.ScalarField(dim=3, func=L.func)
     fd_hess = bare.second_partial("vv", 0.0, np.zeros(3), np.ones(3))
@@ -148,3 +148,61 @@ def test_audit_abs_kink_fails(sup_space3):
         tol=1e-4,
     )
     assert not audit.passed
+
+
+# -- stacks of points -------------------------------------------------------
+
+
+def _stack(dim, count=7, seed=3):
+    rng = np.random.default_rng(seed)
+    return (
+        rng.uniform(0.0, 1.0, count),
+        rng.uniform(-1.0, 1.0, (count, dim)),
+        rng.uniform(-1.0, 1.0, (count, dim)),
+    )
+
+
+def _every_block(L, t, x, v):
+    out = [L(t, x, v)] + [L.partial(w, t, x, v) for w in "txv"]
+    return out + [L.second_partial(p, t, x, v) for p in ("tt", "xx", "xv", "vx", "vv")]
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "fd"])
+def test_stacked_calls_match_point_by_point_calls(compiled):
+    L = nl.compile_field("exp(t/3)*(x1*v2 + v1^2/2) + sin(x2)*v2^2 - x1^2*x2", dim=2)
+    if not compiled:
+        L = nl.ScalarField(dim=2, func=L.func)
+    t, x, v = _stack(2)
+    stacked = _every_block(L, t, x, v)
+    rows = [_every_block(L, t[i], x[i], v[i]) for i in range(len(t))]
+    for k, block in enumerate(stacked):
+        assert block.shape[0] == len(t)
+        by_point = np.array([r[k] for r in rows])
+        np.testing.assert_allclose(block, by_point, rtol=1e-12, atol=0.0)
+
+
+def test_compiled_field_answers_a_stack_with_one_evaluation(monkeypatch):
+    L = nl.compile_field("(v1^2 + 2*v2^2)/2 - x1*x2 + t*v1", dim=2)
+    t, x, v = _stack(2, count=50)
+    orders = []
+    evaluate = nl.dsl.evaluate
+
+    def counting(e, t, x, v, order=0):
+        orders.append(order)
+        return evaluate(e, t, x, v, order=order)
+
+    monkeypatch.setattr(nl.dsl, "evaluate", counting)
+    _every_block(L, t, x, v)
+    assert orders == [0, 1, 1, 1, 2, 2, 2, 2, 2]
+
+
+def test_stacked_non_finite_value_names_the_point(line_space):
+    L = nl.compile_field("exp(x1)", dim=1)
+    x = np.array([[0.0], [1.0], [800.0], [2.0]])
+    with pytest.raises(nl.fields.EvaluationError, match="at point 2") as err:
+        L(np.zeros(4), x, np.zeros((4, 1)))
+    assert err.value.index == 2
+    curve = nl.Curve(line_space, nl.Grid(0.0, 1.0, 4), np.vstack([x, [[3.0]]]))
+    named = r"integrand failed at node 2 \(t=0.5\)"
+    with pytest.raises(nl.fields.EvaluationError, match=named):
+        nl.action(L, curve)

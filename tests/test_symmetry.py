@@ -301,3 +301,47 @@ def test_found_symmetries_yield_conserved_integrals(line_space, free_particle):
     for g in nl.find_affine_symmetries(free_particle):
         C = nl.noether_first_integral(free_particle, g)
         assert nl.verify_conservation(C, x, tol=1e-6).passed
+
+
+def test_found_generators_keep_their_coefficients(free_particle):
+    gens = nl.find_affine_symmetries(free_particle)
+    assert gens
+    for g in gens:
+        gauged = nl.fit_gauge(free_particle, g)
+        assert np.array_equal(gauged.coefficients, g.coefficients)
+        assert np.array_equal(g.scaled(2.5).coefficients, 2.5 * g.coefficients)
+    assert nl.catalog_generator("dilation", 1).coefficients is None
+
+
+def test_scaled_compiled_field_keeps_exact_second_partials(monkeypatch):
+    from noether_lcs.symmetry import _scale_field
+
+    def no_fd(*args, **kwargs):
+        raise AssertionError("finite-difference Hessian reached")
+
+    monkeypatch.setattr(nl.ScalarField, "_fd_hess_same", no_fd)
+    monkeypatch.setattr(nl.ScalarField, "_fd_hess_mixed", no_fd)
+    f = nl.compile_field("x1^2*v2 + sin(t)*x2*v1^2 + t^3", dim=2)
+    scaled = _scale_field(f, -1.5)
+    rng = np.random.default_rng(4)
+    ts = rng.uniform(-1, 1, 5)
+    xs, vs = rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, (5, 2))
+    for pair in ("tt", "xx", "xv", "vx", "vv"):
+        assert np.array_equal(
+            scaled.second_partial(pair, ts, xs, vs),
+            -1.5 * f.second_partial(pair, ts, xs, vs),
+        )
+        assert np.array_equal(
+            scaled.second_partial(pair, ts[0], xs[0], vs[0]),
+            -1.5 * f.second_partial(pair, ts[0], xs[0], vs[0]),
+        )
+
+
+def test_stacked_invariance_residual_matches_per_sample():
+    L = nl.compile_field("v1^2/2 + v2^2/2 - x1*x2 + t*v1", dim=2)
+    g = nl.fit_gauge(L, nl.catalog_generator("galilean-2", 2))
+    ts, xs, vs = nl.SamplingConfig(count=40).samples(2)
+    stacked = nl.invariance_residual(L, g, ts, xs, vs)
+    assert stacked.shape == (40,)
+    single = [nl.invariance_residual(L, g, t, x, v) for t, x, v in zip(ts, xs, vs)]
+    np.testing.assert_allclose(stacked, single, rtol=1e-12, atol=1e-14)
