@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -24,7 +23,7 @@ from . import __version__
 from .curves import Curve, action, read_curve_csv, write_curve_csv
 from .dsl import DomainError
 from .euler_lagrange import SolverError, el_residual, solve_extremal
-from .fields import FDConfig, DEFAULT_FD, check_normal_differentiability
+from .fields import check_normal_differentiability
 from .legendre_jacobi import (
     jacobi_eigen,
     jacobi_operators,
@@ -260,10 +259,8 @@ def cmd_audit_diff(prob: ProblemFile, args):
         return np.array([L(t_mid, z[:m], z[m:])])
 
     def deriv(z):
-        row = np.concatenate(
-            [L.partial("x", t_mid, z[:m], z[m:]), L.partial("v", t_mid, z[:m], z[m:])]
-        )
-        return row.reshape(1, 2 * m)
+        jet = L.jet(t_mid, z[:m], z[m:], 1)
+        return np.concatenate([jet["x"], jet["v"]]).reshape(1, 2 * m)
 
     ts, xs, vs = prob.sampling.samples(m)
     bases = [np.concatenate([xs[i], vs[i]]) for i in range(min(5, len(ts)))]
@@ -312,13 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory for reports/CSV")
         p.add_argument("--grid-n", type=int, default=None, help="override interval count")
         p.add_argument("--tol", type=float, default=None, help="override all verdict tolerances")
-        p.add_argument("--fd-step", type=float, default=None, help="finite-difference base step")
-        p.add_argument(
-            "--fd-richardson",
-            choices=("on", "off"),
-            default="on",
-            help="toggle Richardson extrapolation in finite differences",
-        )
         p.add_argument("--seed-curve", default=None, help="CSV curve to start from / analyze")
         p.add_argument("--emit-velocity", action="store_true")
         if name == "jacobi":
@@ -333,19 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = os.environ.get("NOETHER_LCS_THREADS")
-    if threads is not None and not threads.isdigit():
-        print(f"NOETHER_LCS_THREADS must be an integer, got {threads!r}", file=sys.stderr)
-        return 1
-    fd = DEFAULT_FD
-    if args.fd_step is not None or args.fd_richardson == "off":
-        fd = FDConfig(
-            step=args.fd_step if args.fd_step is not None else DEFAULT_FD.step,
-            richardson=args.fd_richardson == "on",
-        )
     started = time.perf_counter()
     try:
-        prob = load_problem(args.problem, grid_n=args.grid_n, fd=fd)
+        prob = load_problem(args.problem, grid_n=args.grid_n)
         if args.tol is not None:
             prob.tolerances = {k: args.tol for k in prob.tolerances}
         report, code = _COMMANDS[args.command](prob, args)

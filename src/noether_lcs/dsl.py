@@ -13,13 +13,12 @@ from __future__ import annotations
 import operator
 import re
 import warnings
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .fields import ScalarField, FDConfig, DEFAULT_FD
+from .fields import ScalarField
 
 
 class ParseDiagnostic(ValueError):
@@ -169,7 +168,7 @@ class _Parser:
         if kind == "op" and text == "^":
             self.advance()
             exponent = self.parse_unary()  # right-associative; sign allowed
-            if _has_variables(exponent):
+            if has_variables(exponent):
                 raise ParseDiagnostic(off, "^", "exponent must be constant")
             return Pow(base, _fold_constant(exponent))
         return base
@@ -209,15 +208,16 @@ def parse(source: str, dim: int) -> Expression:
     return _Parser(source, dim).parse()
 
 
-def _has_variables(e: Expression) -> bool:
+def has_variables(e: Expression, kinds: str = "txv") -> bool:
+    """Whether ``e`` names a variable of one of ``kinds`` ('t', 'x', 'v')."""
     if isinstance(e, Var):
-        return True
+        return e.kind in kinds
     if isinstance(e, Unary):
-        return _has_variables(e.operand)
+        return has_variables(e.operand, kinds)
     if isinstance(e, Binary):
-        return _has_variables(e.left) or _has_variables(e.right)
+        return has_variables(e.left, kinds) or has_variables(e.right, kinds)
     if isinstance(e, Pow):
-        return _has_variables(e.base)
+        return has_variables(e.base, kinds)
     return False
 
 
@@ -352,6 +352,9 @@ class EvalResult:
     d_x: Optional[np.ndarray] = None
     d_v: Optional[np.ndarray] = None
     d2: Optional[dict] = None  # blocks tt, xx, xv, vx, vv
+    # rows without exact partials (abs() at its kink): NaN in every partial
+    # block of a stack, no partial blocks at one point
+    kinks: Optional[np.ndarray] = None
 
 
 def evaluate(e: Expression, t, x, v, order: int = 0) -> EvalResult:
@@ -516,47 +519,49 @@ def _block(a):
     return float(a) if a.ndim == 0 else np.array(a)
 
 
-class _Block:
-    """One block of a compiled expression at one point or a stack: its value
-    (``block`` 'value'), a first partial ('t', 'x', 'v') or a second-partial
-    block ('tt', 'xx', 'xv', 'vx', 'vv'), read off one ``evaluate`` call.
-    Points where abs() sits at its kink get finite differences instead, with
-    one warning per call.  Slotted, because a problem holds many of them."""
+def _scatter(r: EvalResult, rows, n: int, value, kinks) -> EvalResult:
+    """The partial blocks of ``r``, evaluated on the stack ``rows``, spread to
+    all n rows with NaN elsewhere."""
 
-    __slots__ = ("expr", "fd", "block")
+    def full(b):
+        if b is None:
+            return None
+        out = np.full((n,) + b.shape[1:], np.nan)
+        out[rows] = b
+        return out
 
-    def __init__(self, expr, fd: FDConfig, block: str):
-        self.expr, self.fd, self.block = expr, fd, block
+    d2 = None if r.d2 is None else {k: full(b) for k, b in r.d2.items()}
+    return EvalResult(value, full(r.d_t), full(r.d_x), full(r.d_v), d2, kinks)
 
-    @property
-    def order(self) -> int:
-        return 0 if self.block == "value" else len(self.block)
 
-    def _pick(self, r: EvalResult):
-        if self.order == 0:
-            return r.value
-        return getattr(r, f"d_{self.block}") if self.order == 1 else r.d2[self.block]
+class _Jets:
+    """Exact-jet engine of a compiled field: one ``evaluate`` call on its
+    tree per request.  Where abs() sits at its kink the partials are
+    unavailable: those rows come back listed in ``kinks``, with one warning
+    per call, and the field makes them by finite differences.  Slotted,
+    because a problem holds many compiled fields."""
 
-    def _finite_difference(self, t, x, v):
-        value = _Block(self.expr, self.fd, "value")
-        field = ScalarField(dim=len(x), func=value, fd=self.fd)
-        if self.order == 1:
-            return field.partial(self.block, t, x, v)
-        return field.second_partial(self.block, t, x, v)
+    __slots__ = ("expr",)
 
-    def __call__(self, t, x, v):
-        order = self.order
+    def __init__(self, expr):
+        self.expr = expr
+
+    def value(self, t, x, v):
+        return evaluate(self.expr, t, x, v).value
+
+    def __call__(self, t, x, v, order: int) -> EvalResult:
         try:
-            return self._pick(evaluate(self.expr, t, x, v, order=order))
+            return evaluate(self.expr, t, x, v, order=order)
         except NonDifferentiableError as err:
             kinks = err.rows
         warnings.warn(
             "abs() within 1e-12 of its kink; falling back to finite differences",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
+        value = self.value(t, x, v)
         if np.ndim(x) == 1:
-            return self._finite_difference(t, x, v)
+            return EvalResult(value=value, kinks=kinks)
         t = np.asarray(t, dtype=float)
         smooth = np.ones(len(t), dtype=bool)
         smooth[kinks] = False
@@ -564,55 +569,17 @@ class _Block:
             rows = np.flatnonzero(smooth)
             try:
                 r = evaluate(self.expr, t[rows], x[rows], v[rows], order=order)
-                exact = self._pick(r)
                 break
             except NonDifferentiableError as err:
                 smooth[rows[err.rows]] = False
-        out = [None] * len(t)
-        for k, i in enumerate(rows):
-            out[i] = exact[k]
-        for i in np.flatnonzero(~smooth):
-            out[i] = self._finite_difference(t[i], x[i], v[i])
-        return np.array(out)
+        return _scatter(r, rows, len(t), value, np.flatnonzero(~smooth))
 
 
-_PAIRS = ("tt", "xx", "vv", "xv", "vx")
-
-
-class _SecondPartials(Mapping):
-    """The ``d2`` map of a compiled field: the block callables are made on
-    lookup, so a field holds one small object for all five."""
-
-    __slots__ = ("expr", "fd")
-
-    def __init__(self, expr, fd: FDConfig):
-        self.expr, self.fd = expr, fd
-
-    def __getitem__(self, pair: str) -> _Block:
-        if pair not in _PAIRS:
-            raise KeyError(pair)
-        return _Block(self.expr, self.fd, pair)
-
-    def __iter__(self):
-        return iter(_PAIRS)
-
-    def __len__(self) -> int:
-        return len(_PAIRS)
-
-
-def compile_field(source, dim: int, fd: FDConfig = DEFAULT_FD) -> ScalarField:
+def compile_field(source, dim: int) -> ScalarField:
     """Turn an expression (string or tree) into a ScalarField with exact
     analytic partials that answers one point or a stack of points with one
     ``evaluate`` call.  Near an abs() kink the analytic route is unavailable;
     those points fall back to finite differences with a warning."""
     expr = parse(source, dim) if isinstance(source, str) else source
-    return ScalarField(
-        dim=dim,
-        func=_Block(expr, fd, "value"),
-        d_t=_Block(expr, fd, "t"),
-        d_x=_Block(expr, fd, "x"),
-        d_v=_Block(expr, fd, "v"),
-        d2=_SecondPartials(expr, fd),
-        fd=fd,
-        stacks=True,
-    )
+    jets = _Jets(expr)
+    return ScalarField(dim=dim, func=jets.value, jets=jets)

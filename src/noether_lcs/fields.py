@@ -1,12 +1,14 @@
 """Scalar fields on [a,b] x E x E and their numeric differentiation.
 
-A ScalarField wraps an evaluator ``L(t, x, v)`` together with optional analytic
-partials.  Missing partials fall back to central finite differences with one
-Richardson extrapolation level.  Values and partials are asked for at one
-point (scalar t, x and v of shape (m,)) or at a stack of N points (t of shape
-(N,), x and v of shape (N, m)); a stack gets results with a leading N axis.
-A field built with ``stacks=True`` (every compiled field is) hands the whole
-stack to its callables in one call; any other field loops over the points.
+A ScalarField wraps an evaluator ``L(t, x, v)`` and an optional exact-jet
+engine.  ``jet(t, x, v, order)`` gives the value and every partial up to
+``order`` from one engine call, read block by block; ``__call__``,
+``partial`` and ``second_partial`` each read one block.  Blocks the engine
+does not give fall back to central finite differences with one Richardson
+extrapolation level.  Points are one point (scalar t, x and v of shape (m,))
+or a stack of N points (t of shape (N,), x and v of shape (N, m)); a stack
+gets results with a leading N axis.  A field with an engine (every compiled
+field) hands the whole stack to it; any other field loops over the points.
 The module also hosts a numeric audit of the normal-differentiability
 remainder criterion for maps between truncations.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -71,63 +73,122 @@ def directional_derivative(f, base, h, cfg: FDConfig = DEFAULT_FD):
     return d1
 
 
+# the jet order each block needs; 'xv' has rows indexed by x and columns by
+# v, and 'vx' is its transpose
+_ORDER = {"value": 0, "t": 1, "x": 1, "v": 1, "tt": 2, "xx": 2, "xv": 2, "vx": 2, "vv": 2}
+
+
+def _pick(r, block: str):
+    """One block of a ``dsl.EvalResult``."""
+    if block == "value":
+        return r.value
+    return getattr(r, f"d_{block}") if len(block) == 1 else r.d2[block]
+
+
+def _check_finite(value, t, x, v) -> None:
+    if x.ndim == 1:
+        if not math.isfinite(value):
+            raise EvaluationError(f"non-finite field value at t={t}, x={x}, v={v}")
+        return
+    bad = np.flatnonzero(~np.isfinite(value))
+    if len(bad):
+        i = int(bad[0])
+        raise EvaluationError(
+            f"non-finite field value at point {i}: t={t[i]}, x={x[i]}, v={v[i]}",
+            index=i,
+        )
+
+
+class Jet:
+    """The value and partials of a field up to ``order`` at one point or a
+    stack, from at most one engine call; ``jet[block]`` reads one block (see
+    ``_ORDER`` for the names).  A block the engine did not give (every block
+    of a field without an engine, and the rows where abs() sits at its kink)
+    is made point by point from the field's values when it is read, so only
+    the blocks read cost finite differences.  Reading 'value' raises
+    EvaluationError at a non-finite value and names the point."""
+
+    __slots__ = ("field", "t", "x", "v", "order", "exact")
+
+    def __init__(self, field, t, x, v, order: int, exact):
+        self.field, self.t, self.x, self.v = field, t, x, v
+        self.order, self.exact = order, exact
+
+    def __getitem__(self, block: str):
+        if block not in _ORDER or _ORDER[block] > self.order:
+            raise KeyError(block)
+        f, t, x, v, r = self.field, self.t, self.x, self.v, self.exact
+        if r is not None and (block == "value" or r.kinks is None):
+            out = _pick(r, block)
+        elif x.ndim == 1:
+            out = f._at_point(block, t, x, v)
+        elif r is None:
+            out = np.array([f._at_point(block, *p) for p in zip(t, x, v)])
+        else:
+            out = np.array(_pick(r, block))
+            for i in r.kinks:
+                out[i] = f._at_point(block, t[i], x[i], v[i])
+        if block == "value":
+            _check_finite(out, t, x, v)
+        return out
+
+
 @dataclass(frozen=True, slots=True)
 class ScalarField:
-    """Evaluator on (t, x, v) with optional analytic first/second partials.
+    """Evaluator ``func(t, x, v)`` at one point with an optional exact-jet
+    engine.
 
-    ``d2`` maps block names 'tt', 'xx', 'xv', 'vx', 'vv' to callables.  The
-    'xv' block has rows indexed by x and columns by v; 'vx' is its transpose
-    layout.  With ``stacks=True``, ``func`` and the partial callables also
-    take a stack of points and answer with a leading N axis.
+    ``jets(t, x, v, order)`` returns a ``dsl.EvalResult``: the value and
+    every partial up to ``order`` (0, 1 or 2) at one point or a whole stack,
+    with the rows that have no exact partials listed in ``kinks``.  Without
+    an engine every partial is a finite difference of ``func``.
     """
 
     dim: int
     func: Callable
-    d_t: Optional[Callable] = None
-    d_x: Optional[Callable] = None
-    d_v: Optional[Callable] = None
-    d2: Optional[Mapping[str, Callable]] = None
+    jets: Optional[Callable] = None
     fd: FDConfig = field(default=DEFAULT_FD)
-    stacks: bool = False
+
+    def jet(self, t, x, v, order: int) -> Jet:
+        """The value and every partial up to ``order`` from one engine call."""
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        exact = None if self.jets is None else self.jets(t, x, v, order)
+        return Jet(self, t, x, v, order, exact)
 
     def __call__(self, t, x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if x.ndim == 1:
-            val = float(self.func(t, x, v))
-            if not math.isfinite(val):
-                raise EvaluationError(f"non-finite field value at t={t}, x={x}, v={v}")
-            return val
-        if self.stacks:
-            vals = np.asarray(self.func(t, x, v), dtype=float)
-        else:
-            vals = np.array([float(self.func(*p)) for p in zip(t, x, v)])
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if len(bad):
-            i = int(bad[0])
-            raise EvaluationError(
-                f"non-finite field value at point {i}: t={t[i]}, x={x[i]}, v={v[i]}",
-                index=i,
-            )
-        return vals
-
-    # -- first partials -------------------------------------------------
+        return self.jet(t, x, v, 0)["value"]
 
     def partial(self, which: str, t, x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        exact = {"t": self.d_t, "x": self.d_x, "v": self.d_v}
-        if which not in exact:
+        """One first partial: 't' (a float at one point), 'x' or 'v'."""
+        if _ORDER.get(which) != 1:
             raise ValueError(f"unknown partial {which!r}")
-        fn = exact[which]
-        if x.ndim == 2 and not (self.stacks and fn is not None):
-            return np.array([self.partial(which, *p) for p in zip(t, x, v)])
-        if fn is not None:
-            out = np.asarray(fn(t, x, v), dtype=float)
-            return float(out) if which == "t" and x.ndim == 1 else out
-        if which == "t":
+        return self.jet(t, x, v, 1)[which]
+
+    def second_partial(self, pair: str, t, x, v):
+        """One second-partial block: 'tt', 'xx', 'xv', 'vx' or 'vv'."""
+        if _ORDER.get(pair) != 2:
+            raise ValueError(f"unknown second partial {pair!r}")
+        return self.jet(t, x, v, 2)[pair]
+
+    # -- finite differences at one point --------------------------------
+
+    def _at_point(self, block: str, t, x, v):
+        """One block at one point from values of ``func`` alone."""
+        if block == "value":
+            return float(self.func(t, x, v))
+        if block == "t":
             return directional_derivative(lambda s: self(s, x, v), t, 1.0, self.fd)
-        return self._fd_grad(t, x, v, which)
+        if block in ("x", "v"):
+            return self._fd_grad(t, x, v, block)
+        if block == "tt":
+            eps = self.fd.second_step * (1.0 + abs(t))
+            f0 = self(t, x, v)
+            return (self(t + eps, x, v) - 2.0 * f0 + self(t - eps, x, v)) / eps**2
+        if block in ("xx", "vv"):
+            return self._fd_hess_same(t, x, v, block[0])
+        h = self._fd_hess_mixed(t, x, v)  # rows x, cols v
+        return h if block == "xv" else h.T
 
     def _fd_grad(self, t, x, v, wrt: str) -> np.ndarray:
         base = x if wrt == "x" else v
@@ -141,29 +202,6 @@ class ScalarField:
 
             out[i] = directional_derivative(probe, base[i], 1.0, self.fd)
         return out
-
-    # -- second partials ------------------------------------------------
-
-    def second_partial(self, pair: str, t, x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        fn = None if self.d2 is None else self.d2.get(pair)
-        if x.ndim == 2 and not (self.stacks and fn is not None):
-            return np.array([self.second_partial(pair, *p) for p in zip(t, x, v)])
-        if fn is not None:
-            out = np.asarray(fn(t, x, v), dtype=float)
-            return float(out) if pair == "tt" and x.ndim == 1 else out
-        if pair == "tt":
-            eps = self.fd.second_step * (1.0 + abs(t))
-            f0 = self(t, x, v)
-            return (self(t + eps, x, v) - 2.0 * f0 + self(t - eps, x, v)) / eps**2
-        if pair in ("xx", "vv"):
-            wrt = pair[0]
-            return self._fd_hess_same(t, x, v, wrt)
-        if pair in ("xv", "vx"):
-            h = self._fd_hess_mixed(t, x, v)  # rows x, cols v
-            return h if pair == "xv" else h.T
-        raise ValueError(f"unknown second partial {pair!r}")
 
     def _fd_hess_same(self, t, x, v, wrt: str) -> np.ndarray:
         base = x if wrt == "x" else v

@@ -31,12 +31,9 @@ class JacobiOperators:
 
 def jacobi_operators(L: ScalarField, x: Curve) -> JacobiOperators:
     grid = x.grid
-    point = (grid.nodes, x.values, derivative_all(x, 1))
-    R = L.second_partial("vv", *point)
-    vx = L.second_partial("vx", *point)
-    xx = L.second_partial("xx", *point)
-    P = xx - stencil_derivative(vx, grid.h, 1)
-    return JacobiOperators(grid=grid, R=R, P=P)
+    jet = L.jet(grid.nodes, x.values, derivative_all(x, 1), 2)
+    P = jet["xx"] - stencil_derivative(jet["vx"], grid.h, 1)
+    return JacobiOperators(grid=grid, R=jet["vv"], P=P)
 
 
 def second_variation(L: ScalarField, x: Curve, h: Curve) -> float:

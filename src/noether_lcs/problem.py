@@ -16,9 +16,9 @@ from typing import Dict, Optional
 import numpy as np
 
 from .curves import Grid
-from .dsl import compile_field, ParseDiagnostic
+from .dsl import compile_field, has_variables, parse, ParseDiagnostic
 from .euler_lagrange import BoundaryConditions, SolverConfig
-from .fields import ScalarField, FDConfig, DEFAULT_FD
+from .fields import ScalarField
 from .spaces import Space, ValidationError, make_space
 from .symmetry import SamplingConfig, SymmetryGenerator, catalog_generator, FirstIntegral
 
@@ -56,9 +56,7 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def load_problem(
-    path, grid_n: Optional[int] = None, fd: FDConfig = DEFAULT_FD
-) -> ProblemFile:
+def load_problem(path, grid_n: Optional[int] = None) -> ProblemFile:
     path = Path(path)
     raw = path.read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
@@ -80,7 +78,7 @@ def load_problem(
             raise ProblemError(f"interval n must be even and >= 4, got {n}")
         grid = Grid(a=float(iv["a"]), b=float(iv["b"]), n=n)
         lagrangian_source = doc["lagrangian"]
-        lagrangian = compile_field(lagrangian_source, space.dim, fd=fd)
+        lagrangian = compile_field(lagrangian_source, space.dim)
     except KeyError as err:
         raise ProblemError(f"{path}: missing required key {err}")
     except (ValidationError, ParseDiagnostic) as err:
@@ -103,15 +101,21 @@ def load_problem(
             if isinstance(spec, str):
                 generators[name] = catalog_generator(spec, space.dim)
             else:
-                t_field = compile_field(spec.get("T", "0"), space.dim, fd=fd)
+                trees = [parse(spec.get("T", "0"), space.dim)]
                 x_exprs = spec.get("X", ["0"] * space.dim)
                 if len(x_exprs) != space.dim:
                     raise ProblemError(
                         f"generator {name!r} needs {space.dim} X components"
                     )
-                x_fields = tuple(compile_field(s, space.dim, fd=fd) for s in x_exprs)
+                trees += [parse(s, space.dim) for s in x_exprs]
+                if any(has_variables(e, "v") for e in trees):
+                    raise ProblemError(
+                        f"generator {name!r}: T and X are fields of (t, x) "
+                        f"and may not use v1..v{space.dim}"
+                    )
+                t_field, *x_fields = (compile_field(e, space.dim) for e in trees)
                 generators[name] = SymmetryGenerator(
-                    dim=space.dim, T=t_field, X=x_fields, name=name
+                    dim=space.dim, T=t_field, X=tuple(x_fields), name=name
                 )
         except (ValidationError, ParseDiagnostic) as err:
             raise ProblemError(f"{path}: generator {name!r}: {err}")
@@ -119,7 +123,7 @@ def load_problem(
     integrals = {}
     for name, src in doc.get("integrals", {}).items():
         try:
-            f = compile_field(src, space.dim, fd=fd)
+            f = compile_field(src, space.dim)
         except ParseDiagnostic as err:
             raise ProblemError(f"{path}: integral {name!r}: {err}")
         integrals[name] = FirstIntegral(dim=space.dim, evaluator=f.func, provenance="user")

@@ -81,19 +81,14 @@ class SymmetryGenerator:
 
 
 def _scale_field(f: ScalarField, c: float) -> ScalarField:
-    def times(fn):
-        return None if fn is None else (lambda t, x, v: c * np.asarray(fn(t, x, v)))
-
-    return ScalarField(
-        dim=f.dim,
-        func=times(f.func),
-        d_t=times(f.d_t),
-        d_x=times(f.d_x),
-        d_v=times(f.d_v),
-        d2=None if f.d2 is None else {pair: times(fn) for pair, fn in f.d2.items()},
-        fd=f.fd,
-        stacks=f.stacks,
-    )
+    """c times f.  A compiled field is compiled again as the tree c * f, so
+    its partials stay exact; any other field scales its values."""
+    expr = getattr(f.jets, "expr", None)
+    if expr is None:
+        return ScalarField(
+            f.dim, func=lambda t, x, v: c * np.asarray(f.func(t, x, v)), fd=f.fd
+        )
+    return replace(compile_field(Binary("*", Const(float(c)), expr), f.dim), fd=f.fd)
 
 
 def _tz(dim: int) -> list:
@@ -191,38 +186,50 @@ def _dot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
 
+def _time_derivative(jet, v):
+    """f' = df/dt + df/dx . v from an order-1 jet of f."""
+    return jet["t"] + _dot(jet["x"], v)
+
+
 def total_time_derivative(f: ScalarField, t, x, v):
     """f' = df/dt + df/dx . v for a field of (t, x), at one point (a float)
     or at a stack of points (an (N,) array)."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    out = f.partial("t", t, x, v) + _dot(f.partial("x", t, x, v), v)
+    out = _time_derivative(f.jet(t, x, v, 1), v)
     return float(out) if x.ndim == 1 else out
+
+
+def _prolongation(tj, xj, v):
+    """T' and the velocity generator V = X' - v T' from order-1 jets of T and
+    of each X component."""
+    tp = _time_derivative(tj, v)
+    xp = np.stack([_time_derivative(j, v) for j in xj], axis=-1)
+    return tp, xp - v * np.asarray(tp)[..., None]
 
 
 def extended_generator(g: SymmetryGenerator, t, x, v) -> np.ndarray:
     """Velocity-space generator V = X' - v T'."""
+    x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    tp = total_time_derivative(g.T, t, x, v)
-    xp = np.stack([total_time_derivative(c, t, x, v) for c in g.X], axis=-1)
-    return xp - v * np.asarray(tp)[..., None]
+    return _prolongation(g.T.jet(t, x, v, 1), [c.jet(t, x, v, 1) for c in g.X], v)[1]
 
 
 def invariance_residual(L: ScalarField, g: SymmetryGenerator, t, x, v):
     """The (gauged) invariance residual at one point (a float) or at a stack
-    of sample points (an (N,) array)."""
+    of sample points (an (N,) array), from one order-1 jet of L and of each
+    generator field."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    lt = L.partial("t", t, x, v)
-    lx = L.partial("x", t, x, v)
-    lv = L.partial("v", t, x, v)
-    tp = total_time_derivative(g.T, t, x, v)
-    vv = extended_generator(g, t, x, v)
+    lj = L.jet(t, x, v, 1)
+    tj = g.T.jet(t, x, v, 1)
+    xj = [c.jet(t, x, v, 1) for c in g.X]
+    tp, vel = _prolongation(tj, xj, v)
     res = (
-        lt * g.T_value(t, x)
-        + _dot(lx, g.X_value(t, x))
-        + _dot(lv, vv)
-        + L(t, x, v) * tp
+        lj["t"] * tj["value"]
+        + _dot(lj["x"], np.stack([j["value"] for j in xj], axis=-1))
+        + _dot(lj["v"], vel)
+        + lj["value"] * tp
     )
     if g.F is not None:
         res = res - total_time_derivative(g.F, t, x, v)
@@ -350,8 +357,9 @@ def noether_first_integral(L: ScalarField, g: SymmetryGenerator) -> FirstIntegra
     generator has no gauge."""
 
     def evaluator(t, x, v):
-        lv = L.partial("v", t, x, v)
-        c = (L(t, x, v) - float(lv @ v)) * g.T_value(t, x) + float(
+        lj = L.jet(t, x, v, 1)
+        lv = lj["v"]
+        c = (lj["value"] - float(lv @ v)) * g.T_value(t, x) + float(
             lv @ g.X_value(t, x)
         )
         if g.F is not None:
@@ -364,7 +372,8 @@ def noether_first_integral(L: ScalarField, g: SymmetryGenerator) -> FirstIntegra
 def hamiltonian(L: ScalarField, t, x, v) -> float:
     """H = -L + v . dL/dv."""
     v = np.asarray(v, dtype=float)
-    return float(-L(t, x, v) + v @ L.partial("v", t, x, v))
+    lj = L.jet(t, x, v, 1)
+    return float(-lj["value"] + v @ lj["v"])
 
 
 @dataclass(frozen=True)
@@ -416,13 +425,7 @@ def find_affine_symmetries(
     per = dim + 2
     n_params = per * (dim + 1)
     count = max(samples.count, 3 * n_params)
-    cfg = SamplingConfig(
-        t_range=samples.t_range,
-        x_radius=samples.x_radius,
-        v_radius=samples.v_radius,
-        count=count,
-        seed=samples.seed,
-    )
+    cfg = replace(samples, count=count)
     basis = []
     for k in range(n_params):
         coeffs = np.zeros(n_params)
@@ -439,13 +442,7 @@ def find_affine_symmetries(
         for i in range(n_params)
         if i >= len(sing) or sing[i] <= cutoff
     ]
-    fresh = SamplingConfig(
-        t_range=samples.t_range,
-        x_radius=samples.x_radius,
-        v_radius=samples.v_radius,
-        count=verify_count,
-        seed=samples.seed + 1,
-    )
+    fresh = replace(samples, count=verify_count, seed=samples.seed + 1)
     out = []
     for vec in null_vectors:
         vec = vec / np.max(np.abs(vec))

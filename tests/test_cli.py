@@ -237,12 +237,19 @@ def test_bad_lagrangian_exit_code(tmp_path, capsys):
     assert code == 1
 
 
-def test_thread_env_validation(tmp_path, free_particle_json, monkeypatch, capsys):
-    monkeypatch.setenv("NOETHER_LCS_THREADS", "many")
-    code = main(["solve", str(free_particle_json), "--out", str(tmp_path)])
+def test_generator_using_velocity_is_rejected(tmp_path, capsys):
+    # a generator is a field of (t, x); a component in v has no meaning
+    doc = {
+        "space": {"dim": 2},
+        "interval": {"a": 0.0, "b": 1.0, "n": 10},
+        "lagrangian": "(v1^2 + v2^2)/2",
+        "generators": {"odd": {"T": "1", "X": ["x2", "t*v2"]}},
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check-invariance", str(path), "--out", str(tmp_path)])
     assert code == 1
-    assert "NOETHER_LCS_THREADS" in capsys.readouterr().err
-
+    assert "generator 'odd': T and X are fields of (t, x)" in capsys.readouterr().err
 
 def test_report_contains_provenance(tmp_path, free_particle_json):
     _, report, _ = run(tmp_path, "solve", str(free_particle_json))

@@ -132,6 +132,18 @@ def test_solver_error_reports_history(line_space):
     assert err.value.residual_history
 
 
+def test_singular_newton_jacobian_raises_solver_error(line_space):
+    # L_x = v + 1 and L_v = x, so the residual is identically 1 and the
+    # Jacobian identically 0
+    L = nl.compile_field("x1*v1 + x1", dim=1)
+    named = r"singular Newton Jacobian near node 1 \(t=0\.05\)"
+    with pytest.raises(nl.SolverError, match=named) as err:
+        nl.solve_extremal(
+            L, nl.BoundaryConditions([0.0], [1.0]), nl.Grid(0.0, 1.0, 20), line_space
+        )
+    assert err.value.residual_history == [pytest.approx(1.0)]
+
+
 def test_discrete_stationarity_random_variations(line_space):
     rng = np.random.default_rng(77)
     L, c = solve("(v1^2 - x1^2)/2", [0.0], [1.0], 0.0, np.pi / 2, 200)

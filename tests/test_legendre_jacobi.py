@@ -173,6 +173,14 @@ def test_jacobi_eigen_k_validation():
         nl.jacobi_eigen(ops, grid, 100)
 
 
+def test_jacobi_eigen_rejects_a_non_symmetric_R():
+    grid = nl.Grid(0.0, 1.0, 10)
+    R = np.repeat(np.array([[[1.0, 0.5], [0.0, 1.0]]]), grid.n + 1, axis=0)
+    ops = nl.JacobiOperators(grid=grid, R=R, P=np.zeros_like(R))
+    with pytest.raises(nl.ValidationError, match="not symmetric"):
+        nl.jacobi_eigen(ops, grid, 2)
+
+
 def test_jacobi_eigen_from_solved_oscillator(line_space):
     L = nl.compile_field("(v1^2 - x1^2)/2", dim=1)
     grid = nl.Grid(0.0, np.pi / 2, 200)

@@ -345,3 +345,23 @@ def test_stacked_invariance_residual_matches_per_sample():
     assert stacked.shape == (40,)
     single = [nl.invariance_residual(L, g, t, x, v) for t, x, v in zip(ts, xs, vs)]
     np.testing.assert_allclose(stacked, single, rtol=1e-12, atol=1e-14)
+
+
+def test_invariance_residual_asks_each_field_for_one_jet(monkeypatch):
+    src = "v1^2/2 + v2^2/2 - x1*x2 + t*v1"
+    L = nl.compile_field(src, dim=2)
+    g = nl.catalog_generator("rotation-12", 2)
+    tree = nl.parse(src, 2)
+    calls = []
+    evaluate = nl.dsl.evaluate
+
+    def counting(e, t, x, v, order=0):
+        calls.append((e == tree, order))
+        return evaluate(e, t, x, v, order=order)
+
+    monkeypatch.setattr(nl.dsl, "evaluate", counting)
+    ts, xs, vs = nl.SamplingConfig(count=40).samples(2)
+    nl.invariance_residual(L, g, ts, xs, vs)
+    assert [order for is_L, order in calls if is_L] == [1]
+    # and one order-1 jet of T and of each X component
+    assert sorted(calls) == [(False, 1)] * 3 + [(True, 1)]
