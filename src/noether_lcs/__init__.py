@@ -40,6 +40,7 @@ from .euler_lagrange import (
     ELResidual,
     first_variation,
     el_residual,
+    meets_stopping_rule,
     solve_extremal,
 )
 from .legendre_jacobi import (

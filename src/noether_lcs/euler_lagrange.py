@@ -25,6 +25,8 @@ from .curves import (
 from .fields import ScalarField
 from .spaces import Space, ValidationError, dual_seminorm
 
+_EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class BoundaryConditions:
@@ -136,6 +138,34 @@ def _interior_jacobian(L, grid, space, xs, xd):
     return jac.reshape((n - 1) * m, (n - 1) * m)
 
 
+def _newton_step(L, grid, space, xs, xd, res):
+    """The full Newton step from the node array xs, with residual res and
+    node velocities xd; None when the Jacobian is singular."""
+    jac = _interior_jacobian(L, grid, space, xs, xd)
+    try:
+        step = np.linalg.solve(jac, -res.reshape(-1))
+    except np.linalg.LinAlgError:
+        return None
+    return step.reshape(grid.n - 1, space.dim)
+
+
+def _step_at_roundoff(step, xs) -> bool:
+    """max|step| <= 100 eps max(1, max|xs|)."""
+    scale = max(1.0, float(np.max(np.abs(xs))))
+    return bool(np.max(np.abs(step)) <= 100.0 * _EPS * scale)
+
+
+def meets_stopping_rule(L: ScalarField, x: Curve, tol: float) -> bool:
+    """Whether ``solve_extremal`` with tolerance ``tol`` stops at the curve
+    x: its residual max-norm is at most ``tol``, or the full Newton step from
+    it is at roundoff (never where the Jacobian is singular)."""
+    res, xd = _interior_residual(L, x.grid, x.values)
+    if float(np.max(np.abs(res))) <= tol:
+        return True
+    step = _newton_step(L, x.grid, x.space, x.values, xd, res)
+    return step is not None and _step_at_roundoff(step, x.values)
+
+
 def solve_extremal(
     L: ScalarField,
     bc: BoundaryConditions,
@@ -143,7 +173,9 @@ def solve_extremal(
     space: Space,
     cfg: SolverConfig = SolverConfig(),
 ) -> Curve:
-    """Damped Newton iteration on the discretized Euler-Lagrange system."""
+    """Damped Newton iteration on the discretized Euler-Lagrange system; it
+    stops at residual max-norm ``cfg.tol``, or where the line search fails
+    and the full step is at roundoff (the residual's floor is eps |x| / h^2)."""
     if grid.n % 2 != 0:
         raise ValidationError(f"grid N must be even, got {grid.n}")
     m = space.dim
@@ -161,16 +193,14 @@ def solve_extremal(
     xs[-1] = bc.xb
 
     history = []
+    res, xd = _interior_residual(L, grid, xs)
     for _ in range(cfg.max_iter):
-        res, xd = _interior_residual(L, grid, xs)
         norm = float(np.max(np.abs(res)))
         history.append(norm)
         if norm <= cfg.tol:
             return Curve(space, grid, xs)
-        jac = _interior_jacobian(L, grid, space, xs, xd)
-        try:
-            step = np.linalg.solve(jac, -res.reshape(-1))
-        except np.linalg.LinAlgError:
+        step = _newton_step(L, grid, space, xs, xd, res)
+        if step is None:
             worst = int(np.argmax(np.max(np.abs(res), axis=1))) + 1
             raise SolverError(
                 f"singular Newton Jacobian near node {worst} "
@@ -178,22 +208,23 @@ def solve_extremal(
                 "Lagrangian may fail the Legendre condition there",
                 history,
             )
-        step = step.reshape(grid.n - 1, m)
-        # backtracking on the residual max-norm
+        # backtracking on the residual max-norm; the accepted trial's
+        # residual and velocities carry into the next iteration
         lam = cfg.damping
         for _ in range(30):
             trial = xs.copy()
             trial[1:-1] += lam * step
-            trial_res, _ = _interior_residual(L, grid, trial)
+            trial_res, trial_xd = _interior_residual(L, grid, trial)
             if float(np.max(np.abs(trial_res))) < norm:
-                xs = trial
+                xs, res, xd = trial, trial_res, trial_xd
                 break
             lam *= 0.5
         else:
+            if _step_at_roundoff(step, xs):
+                return Curve(space, grid, xs)
             raise SolverError(
                 f"line search stalled at residual {norm:.3e}", history
             )
-    res, _ = _interior_residual(L, grid, xs)
     norm = float(np.max(np.abs(res)))
     if norm <= cfg.tol:
         return Curve(space, grid, xs)

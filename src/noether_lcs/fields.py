@@ -4,9 +4,10 @@ A ScalarField wraps an evaluator ``L(t, x, v)`` and an optional exact-jet
 engine.  ``jet(t, x, v, order)`` gives the value and every partial up to
 ``order`` from one engine call, read block by block; ``__call__``,
 ``partial`` and ``second_partial`` each read one block.  Blocks the engine
-does not give fall back to central finite differences with one Richardson
-extrapolation level.  Points are one point (scalar t, x and v of shape (m,))
-or a stack of N points (t of shape (N,), x and v of shape (N, m)); a stack
+does not give fall back to central finite differences over the engine's
+slots z = (t, x, v), Richardson-extrapolated for a first partial and three-
+or four-point for a second.  Points are one point (scalar t, x and v of
+shape (m,)) or a stack of N points (t of shape (N,), x and v of shape (N, m)); a stack
 gets results with a leading N axis.  A field with an engine (every compiled
 field) hands the whole stack to it; any other field loops over the points.
 The module also hosts a numeric audit of the normal-differentiability
@@ -16,7 +17,7 @@ remainder criterion for maps between truncations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,18 +38,16 @@ class EvaluationError(RuntimeError):
 
 @dataclass(frozen=True)
 class FDConfig:
-    """Finite-difference configuration.
-
-    Steps are scaled per coordinate by (1 + |coordinate|); the base steps
-    balance truncation against roundoff for first and second derivatives.
-    """
+    """The base step of ``directional_derivative``, scaled by
+    (1 + max |base|); it balances truncation against roundoff for a first
+    derivative."""
 
     step: float = _EPS ** (1.0 / 3.0)
-    second_step: float = _EPS**0.25
-    richardson: bool = True
 
 
 DEFAULT_FD = FDConfig()
+# the base step of a second difference, scaled per slot by (1 + |z_k|)
+_SECOND_STEP = _EPS**0.25
 
 
 def directional_derivative(f, base, h, cfg: FDConfig = DEFAULT_FD):
@@ -65,9 +64,8 @@ def directional_derivative(f, base, h, cfg: FDConfig = DEFAULT_FD):
         return val
 
     d1 = (probe(eps) - probe(-eps)) / (2.0 * eps)
-    if cfg.richardson:
-        d2 = (probe(eps / 2.0) - probe(-eps / 2.0)) / eps
-        d1 = (4.0 * d2 - d1) / 3.0
+    d2 = (probe(eps / 2.0) - probe(-eps / 2.0)) / eps
+    d1 = (4.0 * d2 - d1) / 3.0
     if d1.ndim == 0:
         return float(d1)
     return d1
@@ -147,7 +145,6 @@ class ScalarField:
     dim: int
     func: Callable
     jets: Optional[Callable] = None
-    fd: FDConfig = field(default=DEFAULT_FD)
 
     def jet(self, t, x, v, order: int) -> Jet:
         """The value and every partial up to ``order`` from one engine call."""
@@ -174,85 +171,44 @@ class ScalarField:
     # -- finite differences at one point --------------------------------
 
     def _at_point(self, block: str, t, x, v):
-        """One block at one point from values of ``func`` alone."""
+        """One block at one point from values of the field alone, over the
+        engine's slots z = (t, x1..xm, v1..vm)."""
         if block == "value":
             return float(self.func(t, x, v))
-        if block == "t":
-            return directional_derivative(lambda s: self(s, x, v), t, 1.0, self.fd)
-        if block in ("x", "v"):
-            return self._fd_grad(t, x, v, block)
-        if block == "tt":
-            eps = self.fd.second_step * (1.0 + abs(t))
-            f0 = self(t, x, v)
-            return (self(t + eps, x, v) - 2.0 * f0 + self(t - eps, x, v)) / eps**2
-        if block in ("xx", "vv"):
-            return self._fd_hess_same(t, x, v, block[0])
-        h = self._fd_hess_mixed(t, x, v)  # rows x, cols v
-        return h if block == "xv" else h.T
+        m = self.dim
+        z = np.concatenate([[t], x, v])
+        slots = {"t": [0], "x": range(1, m + 1), "v": range(m + 1, 2 * m + 1)}
 
-    def _fd_grad(self, t, x, v, wrt: str) -> np.ndarray:
-        base = x if wrt == "x" else v
-        out = np.empty(self.dim)
-        for i in range(self.dim):
+        def at(*slot_values):
+            zs = z.copy()
+            for k, value in slot_values:
+                zs[k] = value
+            return self(zs[0], zs[1 : m + 1], zs[m + 1 :])
 
-            def probe(s, i=i):
-                z = base.copy()
-                z[i] = s
-                return self(t, z, v) if wrt == "x" else self(t, x, z)
+        rows = slots[block[0]]
+        if len(block) == 1:
+            grad = [directional_derivative(lambda s: at((k, s)), z[k], 1.0) for k in rows]
+            return grad[0] if block == "t" else np.array(grad)
+        cols = slots[block[1]]
+        e = _SECOND_STEP * (1.0 + np.abs(z))
+        up, down = z + e, z - e
+        f0 = at() if rows == cols else None
 
-            out[i] = directional_derivative(probe, base[i], 1.0, self.fd)
-        return out
+        def second(i, j):
+            if i == j:
+                return (at((i, up[i])) - 2.0 * f0 + at((i, down[i]))) / e[i] ** 2
+            return (
+                at((i, up[i]), (j, up[j]))
+                - at((i, up[i]), (j, down[j]))
+                - at((i, down[i]), (j, up[j]))
+                + at((i, down[i]), (j, down[j]))
+            ) / (4.0 * e[i] * e[j])
 
-    def _fd_hess_same(self, t, x, v, wrt: str) -> np.ndarray:
-        base = x if wrt == "x" else v
-
-        def at(z):
-            return self(t, z, v) if wrt == "x" else self(t, x, z)
-
-        n = self.dim
-        h = np.empty((n, n))
-        steps = self.fd.second_step * (1.0 + np.abs(base))
-        f0 = at(base)
-        for i in range(n):
-            zi = base.copy()
-            zi[i] += steps[i]
-            zmi = base.copy()
-            zmi[i] -= steps[i]
-            h[i, i] = (at(zi) - 2.0 * f0 + at(zmi)) / steps[i] ** 2
-            for j in range(i + 1, n):
-                zpp = base.copy()
-                zpp[[i, j]] += [steps[i], steps[j]]
-                zpm = base.copy()
-                zpm[[i, j]] += [steps[i], -steps[j]]
-                zmp = base.copy()
-                zmp[[i, j]] += [-steps[i], steps[j]]
-                zmm = base.copy()
-                zmm[[i, j]] += [-steps[i], -steps[j]]
-                val = (at(zpp) - at(zpm) - at(zmp) + at(zmm)) / (
-                    4.0 * steps[i] * steps[j]
-                )
-                h[i, j] = h[j, i] = val
-        return h
-
-    def _fd_hess_mixed(self, t, x, v) -> np.ndarray:
-        n = self.dim
-        h = np.empty((n, n))
-        sx = self.fd.second_step * (1.0 + np.abs(x))
-        sv = self.fd.second_step * (1.0 + np.abs(v))
-        for i in range(n):
-            for j in range(n):
-                xp = x.copy()
-                xp[i] += sx[i]
-                xm = x.copy()
-                xm[i] -= sx[i]
-                vp = v.copy()
-                vp[j] += sv[j]
-                vm = v.copy()
-                vm[j] -= sv[j]
-                h[i, j] = (
-                    self(t, xp, vp) - self(t, xp, vm) - self(t, xm, vp) + self(t, xm, vm)
-                ) / (4.0 * sx[i] * sv[j])
-        return h
+        # each unordered slot pair once, so 'vx' is 'xv'.T and 'xx', 'vv'
+        # are symmetric exactly
+        d2 = {p: second(*p) for p in {(min(i, j), max(i, j)) for i in rows for j in cols}}
+        h = np.array([[d2[min(i, j), max(i, j)] for j in cols] for i in rows])
+        return float(h[0, 0]) if block == "tt" else h
 
 
 # -- normal-differentiability audit -------------------------------------
@@ -317,6 +273,10 @@ def check_normal_differentiability(
         }
         pairs = here if pairs is None else pairs & here
 
+    def values(z):
+        return np.atleast_1d(np.asarray(g(z), dtype=float))
+
+    g_base = [values(b) for b in base_points] if pairs else []
     rng = np.random.default_rng(seed)
     ratios = {}
     verdicts = {}
@@ -331,20 +291,14 @@ def check_normal_differentiability(
             u = np.zeros(space_src.dim)
             u[:k] = rng.standard_normal(k)
             dirs.append(u)
+        # each direction with its seminorm, leaving out the null directions
+        dirs = [(u, nu) for u in dirs if (nu := seminorm(space_src, m, u)) != 0.0]
         worst = np.zeros(len(radii))
         for ir, r in enumerate(radii):
-            for b, A in zip(base_points, derivs):
-                gb = np.atleast_1d(np.asarray(g(b), dtype=float))
-                for u in dirs:
-                    nu = seminorm(space_src, m, u)
-                    if nu == 0.0:
-                        continue
+            for b, gb, A in zip(base_points, g_base, derivs):
+                for u, nu in dirs:
                     h = (r / nu) * u
-                    rem = (
-                        np.atleast_1d(np.asarray(g(b + h), dtype=float))
-                        - gb
-                        - A.matrix @ h
-                    )
+                    rem = values(b + h) - gb - A.matrix @ h
                     num = seminorm(space_dst, s, rem)
                     worst[ir] = max(worst[ir], num / r)
         ratios[(s, m)] = worst

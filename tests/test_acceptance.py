@@ -91,6 +91,31 @@ def test_criterion_2_stationarity():
     record("2 stationarity", ok)
 
 
+def test_newton_converges_on_refined_grids():
+    # the residual's roundoff floor grows like eps |x| / h^2, so refinement
+    # (or large boundary values) must not turn a converged solve into a
+    # "line search stalled" failure; the O(h^2) ratio checks still hold
+    for entry in CATALOG:
+        ns = (200, 400, 800, 1600) if entry[2] == 1 else (200, 400, 800)
+        errs = []
+        for n in ns:
+            L, x, err = solve_catalog_entry(entry, n)
+            assert nl.meets_stopping_rule(L, x, nl.SolverConfig().tol)
+            assert err <= 1e-3
+            errs.append(err)
+        for coarse, fine in zip(errs, errs[1:]):
+            if coarse > 1e-12:
+                assert coarse / fine >= 3.5
+    _, src, dim, (a, b), xa, xb, exact = CATALOG[1]
+    L = nl.compile_field(src, dim)
+    grid = nl.Grid(a, b, 200)
+    scale = 1e3
+    bc = nl.BoundaryConditions(scale * np.array(xa), scale * np.array(xb))
+    x = nl.solve_extremal(L, bc, grid, space(dim), nl.SolverConfig())
+    truth = scale * np.array([exact(t) for t in grid.nodes])
+    assert np.max(np.abs(x.values - truth)) <= scale * 1e-5
+
+
 NOETHER_PAIRS = [
     # (label, catalog entry, generator, strict): every pair is checked through
     # its fitted gauge, and the strict residual must vanish exactly when the

@@ -150,6 +150,19 @@ def test_noether_boost_fails(tmp_path, free_particle_json):
     assert not report["verdicts"]["invariance"]
 
 
+def test_noether_accepts_a_curve_stopped_at_the_roundoff_floor(tmp_path):
+    # boundary values x1e4 put the residual's roundoff floor above 10 * tol;
+    # the solver stops there, and the extremal verdict accepts its curve
+    prob = json.loads((PROBLEMS / "oscillator.json").read_text())
+    prob["boundary"]["xb"] = [1e4]
+    path = tmp_path / "oscillator_1e4.json"
+    path.write_text(json.dumps(prob))
+    code, report, _ = run(tmp_path, "noether", str(path), "--generator", "time")
+    assert report["extremal_residual_max"] > 1e-9
+    assert report["verdicts"]["extremal"] is True
+    assert code == 0
+
+
 def test_verify_energy(tmp_path, oscillator_json):
     code, report, _ = run(
         tmp_path, "verify", str(oscillator_json), "--integral", "energy"

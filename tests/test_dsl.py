@@ -388,13 +388,13 @@ def test_abs_kink_rows_alone_fall_back_with_one_warning(monkeypatch):
     x = np.array([[2.0], [0.0], [-3.0], [1e-13], [0.5]])
     v = np.array([[1.5], [2.0], [-1.0], [3.0], [0.5]])
     probed = []
-    fd_grad = nl.ScalarField._fd_grad
+    at_point = nl.ScalarField._at_point
 
-    def spy(self, t, x, v, wrt):
+    def spy(self, block, t, x, v):
         probed.append(float(x[0]))
-        return fd_grad(self, t, x, v, wrt)
+        return at_point(self, block, t, x, v)
 
-    monkeypatch.setattr(nl.ScalarField, "_fd_grad", spy)
+    monkeypatch.setattr(nl.ScalarField, "_at_point", spy)
     with pytest.warns(RuntimeWarning, match="kink") as caught:
         d_x = L.partial("x", t, x, v)
     assert len(caught) == 1

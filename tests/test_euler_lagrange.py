@@ -186,3 +186,61 @@ def test_newton_iteration_costs_a_fixed_number_of_jet_calls(monkeypatch):
         solve("v1^2/2 + v1^4/12 - x1^2/2", [0.0], [1.0], 0.0, 1.0, n)
         assert jacobians
         assert len(calls) <= 15 * len(jacobians)
+
+
+def test_newton_carries_the_accepted_trial_residual(monkeypatch, line_space):
+    # the oscillator's Euler-Lagrange system is linear, so one full Newton
+    # step (one line-search trial) converges; the residual of the accepted
+    # trial is the next iteration's, not computed again
+    L = nl.compile_field("(v1^2 - x1^2)/2", dim=1)
+    orders = []
+    evaluate = nl.dsl.evaluate
+
+    def counting(e, t, x, v, order=0):
+        orders.append(order)
+        return evaluate(e, t, x, v, order=order)
+
+    monkeypatch.setattr(nl.dsl, "evaluate", counting)
+    bc = nl.BoundaryConditions([0.0], [1.0])
+    nl.solve_extremal(L, bc, nl.Grid(0.0, np.pi / 2, 40), line_space)
+    # dL/dx and dL/dv at the start, the xx, xv and vv Jacobian blocks, and
+    # dL/dx and dL/dv at the one trial
+    assert orders == [1, 1, 2, 2, 2, 1, 1]
+
+
+def test_newton_iteration_budget_raises_solver_error(line_space):
+    # with damping 3 the full step overshoots the linear oscillator and the
+    # half step 1.5 is accepted, which halves the residual per iteration
+    L = nl.compile_field("(v1^2 - x1^2)/2", dim=1)
+    with pytest.raises(nl.SolverError, match="did not converge in 3 iterations") as err:
+        nl.solve_extremal(
+            L,
+            nl.BoundaryConditions([0.0], [1.0]),
+            nl.Grid(0.0, np.pi / 2, 40),
+            line_space,
+            nl.SolverConfig(damping=3.0, max_iter=3),
+        )
+    history = err.value.residual_history
+    assert len(history) == 3
+    assert history[1] / history[0] == pytest.approx(0.5)
+
+
+def test_newton_stops_at_the_roundoff_floor(line_space):
+    # boundary values x1e4 lift the residual's roundoff floor (about
+    # eps |x| / h^2) above the absolute tolerance: the line search finds no
+    # decrease, and the full Newton step is at roundoff
+    L, c = solve("(v1^2 - x1^2)/2", [0.0], [1e4], 0.0, np.pi / 2, 200)
+    assert nl.el_residual(L, c).max_norm > 10 * nl.SolverConfig().tol
+    assert nl.meets_stopping_rule(L, c, nl.SolverConfig().tol)
+    assert np.max(np.abs(c.values[:, 0] - 1e4 * np.sin(c.grid.nodes))) <= 1e4 * 1e-5
+
+
+def test_line_search_stall_away_from_roundoff_still_raises(line_space):
+    # L_vv = -sin(v) changes sign along the seed, so Newton's direction does
+    # not lower the residual; the stalled step is far above roundoff
+    L = nl.compile_field("sin(v1) + x1^2", dim=1)
+    grid = nl.Grid(0.0, 1.0, 20)
+    with pytest.raises(nl.SolverError, match="line search stalled"):
+        nl.solve_extremal(L, nl.BoundaryConditions([0.5], [1.0]), grid, line_space)
+    seed = nl.Curve.from_function(line_space, grid, lambda t: [0.5 + 0.5 * t])
+    assert not nl.meets_stopping_rule(L, seed, 1e-10)

@@ -206,3 +206,81 @@ def test_stacked_non_finite_value_names_the_point(line_space):
     named = r"integrand failed at node 2 \(t=0.5\)"
     with pytest.raises(nl.fields.EvaluationError, match=named):
         nl.action(L, curve)
+
+
+# -- finite differences over the slots (t, x, v) -----------------------------
+
+
+def _counting_bare(src, dim):
+    """A field without an engine over a compiled field's values, and the list
+    its value calls are recorded in."""
+    compiled = nl.compile_field(src, dim)
+    calls = []
+
+    def func(t, x, v):
+        calls.append(1)
+        return compiled.func(t, x, v)
+
+    return nl.ScalarField(dim=dim, func=func), calls
+
+
+def test_fd_hessian_blocks_are_exactly_symmetric():
+    bare, _ = _counting_bare("exp(x1*v3)*sin(t*x2) + v1*v2*x3^2 - x1*x2*x3", 3)
+    exact = nl.compile_field("exp(x1*v3)*sin(t*x2) + v1*v2*x3^2 - x1*x2*x3", 3)
+    t, x, v = _stack(3, count=4, seed=9)
+    for point in [(t[0], x[0], v[0]), (t, x, v)]:
+        xv = bare.second_partial("xv", *point)
+        assert np.array_equal(bare.second_partial("vx", *point), np.swapaxes(xv, -1, -2))
+        for pair in ("xx", "vv"):
+            h = bare.second_partial(pair, *point)
+            assert np.array_equal(h, np.swapaxes(h, -1, -2))
+        for pair in ("xx", "xv", "vv"):
+            np.testing.assert_allclose(
+                bare.second_partial(pair, *point),
+                exact.second_partial(pair, *point),
+                atol=1e-6,
+            )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_fd_blocks_cost_a_fixed_number_of_field_values(dim):
+    src = " + ".join(f"sin(t*x{i})*v{i}^2 + x{i}*v{(i % dim) + 1}" for i in range(1, dim + 1))
+    bare, calls = _counting_bare(src, dim)
+    t, x, v = _stack(dim, count=1, seed=dim)
+    m = dim
+    # Richardson probes 4 values per first partial; a Hessian block costs
+    # one centre value, 2 per diagonal entry and 4 per unordered pair
+    expected = {
+        "t": 4,
+        "x": 4 * m,
+        "v": 4 * m,
+        "tt": 3,
+        "xx": 1 + 2 * m + 2 * m * (m - 1),
+        "vv": 1 + 2 * m + 2 * m * (m - 1),
+        "xv": 4 * m * m,
+        "vx": 4 * m * m,
+    }
+    for block, count in expected.items():
+        read = bare.partial if len(block) == 1 else bare.second_partial
+        calls.clear()
+        read(block, t[0], x[0], v[0])
+        assert len(calls) == count, block
+
+
+def test_audit_evaluates_each_base_point_once(sup_space3):
+    A = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [3.0, 0.0, 1.0]])
+    bases = [np.zeros(3), np.array([1.0, -1.0, 2.0])]
+    probed = []
+
+    def g(y):
+        probed.append(y.copy())
+        return A @ y
+
+    audit = nl.check_normal_differentiability(
+        g, lambda y: A, sup_space3, sup_space3, bases, tol=1e-8, num_directions=4
+    )
+    at_bases = [y for y in probed if any(np.array_equal(y, b) for b in bases)]
+    assert len(at_bases) == len(bases)
+    # one more value per (pair, radius, base point, direction)
+    per_pair = [len(audit.radii) * len(bases) * (2 * min(m, 3) + 4) for (_, m) in audit.ratios]
+    assert len(probed) == len(bases) + sum(per_pair)

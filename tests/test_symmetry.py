@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -319,8 +321,7 @@ def test_scaled_compiled_field_keeps_exact_second_partials(monkeypatch):
     def no_fd(*args, **kwargs):
         raise AssertionError("finite-difference Hessian reached")
 
-    monkeypatch.setattr(nl.ScalarField, "_fd_hess_same", no_fd)
-    monkeypatch.setattr(nl.ScalarField, "_fd_hess_mixed", no_fd)
+    monkeypatch.setattr(nl.ScalarField, "_at_point", no_fd)
     f = nl.compile_field("x1^2*v2 + sin(t)*x2*v1^2 + t^3", dim=2)
     scaled = _scale_field(f, -1.5)
     rng = np.random.default_rng(4)
@@ -365,3 +366,25 @@ def test_invariance_residual_asks_each_field_for_one_jet(monkeypatch):
     assert [order for is_L, order in calls if is_L] == [1]
     # and one order-1 jet of T and of each X component
     assert sorted(calls) == [(False, 1)] * 3 + [(True, 1)]
+
+
+def test_gauged_check_asks_the_lagrangian_for_one_jet(free_particle, monkeypatch):
+    g = nl.fit_gauge(free_particle, nl.catalog_generator("galilean-1", 1))
+    ts, xs, vs = nl.SamplingConfig().samples(1)
+    gauged = nl.invariance_residual(free_particle, g, ts, xs, vs)
+    strict = nl.invariance_residual(free_particle, replace(g, F=None), ts, xs, vs)
+    orders = []
+    jet = nl.ScalarField.jet
+
+    def counting(self, t, x, v, order):
+        if self is free_particle:
+            orders.append(order)
+        return jet(self, t, x, v, order)
+
+    monkeypatch.setattr(nl.ScalarField, "jet", counting)
+    rep = nl.check_invariance(free_particle, g, tol=1e-8)
+    assert orders == [1]
+    assert np.array_equal(rep.residuals, gauged)
+    assert rep.max_residual == float(np.max(np.abs(gauged)))
+    assert rep.strict_max_residual == float(np.max(np.abs(strict)))
+    assert rep.passed and rep.strict_max_residual > 1e-8
