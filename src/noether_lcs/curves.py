@@ -86,15 +86,21 @@ def stencil_derivative(values: np.ndarray, h: float, order: int) -> np.ndarray:
     return d
 
 
-def first_derivative_stencil(grid: Grid, j: int) -> dict:
-    """Stencil weights of the first-derivative reconstruction at node j, as a
-    map node index -> coefficient.  Needed for exact Jacobian assembly."""
-    h2 = 2.0 * grid.h
-    if j == 0:
-        return {0: -3.0 / h2, 1: 4.0 / h2, 2: -1.0 / h2}
-    if j == grid.n:
-        return {grid.n: 3.0 / h2, grid.n - 1: -4.0 / h2, grid.n - 2: 1.0 / h2}
-    return {j - 1: -1.0 / h2, j + 1: 1.0 / h2}
+def block_band(diagonals: dict) -> np.ndarray:
+    """LAPACK band storage ab[u + r - c, c] = A[r, c], as read by
+    ``scipy.linalg.solve_banded((u, u), ab, b)``, of a square matrix of
+    m x m blocks.  ``diagonals[d]`` stacks the blocks of block diagonal d in
+    order (block row I holds one at block column I + d); the scalar
+    half-bandwidth is u = (max |d| + 1) m - 1 = (len(ab) - 1) / 2."""
+    nb, m = len(diagonals[0]), diagonals[0].shape[1]
+    u = (max(abs(d) for d in diagonals) + 1) * m - 1
+    ab = np.zeros((2 * u + 1, nb * m))
+    a = np.arange(m)
+    rows = u + a[:, None] - a[None, :]
+    for d, blocks in diagonals.items():
+        cols = (m * np.arange(max(d, 0), nb + min(d, 0)))[:, None, None] + a
+        ab[rows - d * m, cols] = blocks
+    return ab
 
 
 def derivative(curve: Curve, i: int, order: int) -> np.ndarray:

@@ -14,14 +14,9 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import simpson
+from scipy.linalg import solve_banded
 
-from .curves import (
-    Curve,
-    Grid,
-    derivative_all,
-    first_derivative_stencil,
-    stencil_derivative,
-)
+from .curves import Curve, Grid, block_band, derivative_all, stencil_derivative
 from .fields import ScalarField
 from .spaces import Space, ValidationError, dual_seminorm
 
@@ -105,45 +100,47 @@ def el_residual(L: ScalarField, x: Curve, dual_index: Optional[int] = None) -> E
     if dual_index is None:
         dual_index = x.space.num_seminorms
     res, _ = _interior_residual(L, x.grid, x.values)
-    norms = [dual_seminorm(x.space, dual_index, r) for r in res]
     return ELResidual(
         nodes=x.grid.nodes[1:-1],
         residuals=res,
-        max_norm=float(max(norms)),
+        max_norm=float(np.max(dual_seminorm(x.space, dual_index, res))),
         dual_index=dual_index,
     )
 
 
-def _interior_jacobian(L, grid, space, xs, xd):
-    """Exact Jacobian of the stacked residual with respect to interior nodes."""
-    n, m = grid.n, space.dim
+def _interior_jacobian(L, grid, xs, xd):
+    """Exact Jacobian of the stacked residual with respect to the interior
+    nodes, in band storage (see ``block_band``).  It is block-pentadiagonal,
+    scalar half-bandwidth 3m - 1: row i reads x_i's jet directly and, through
+    the momentum stencil, the jets at nodes i -+ 1, whose velocity stencils
+    reach nodes i -+ 2 (one-sided at the endpoints, weights -3, 4, -1)."""
     lxx = L.second_partial("xx", grid.nodes, xs, xd)
     lxv = L.second_partial("xv", grid.nodes, xs, xd)
     lvv = L.second_partial("vv", grid.nodes, xs, xd)
-    jac = np.zeros((n - 1, m, n - 1, m))
-
-    def add(i, k, block):
-        if 1 <= k <= n - 1:
-            jac[i - 1, :, k - 1, :] += block
-
-    for i in range(1, n):
-        add(i, i, lxx[i])
-        for k, c in first_derivative_stencil(grid, i).items():
-            add(i, k, c * lxv[i])
-        # - d/dt momentum term: central stencil over nodes i-1, i+1
-        for j, d in ((i + 1, 1.0 / (2.0 * grid.h)), (i - 1, -1.0 / (2.0 * grid.h))):
-            add(i, j, -d * lxv[j].T)  # dp_j/dx_j = (d2L/dv dx)_j
-            for k, c in first_derivative_stencil(grid, j).items():
-                add(i, k, -d * c * lvv[j])
-    return jac.reshape((n - 1) * m, (n - 1) * m)
+    lvx = np.swapaxes(lxv, 1, 2)  # dp_j/dx_j for the momentum p_j = dL/dv
+    c = 1.0 / (2.0 * grid.h)
+    q = c * c
+    diag = lxx[1:-1] + q * (lvv[2:] + lvv[:-2])
+    up = c * (lxv[1:-2] - lvx[2:-1])
+    down = c * (lvx[1:-2] - lxv[2:-1])
+    # the endpoint momenta p_0 and p_n read x_1 and x_{n-1} with weight 4c
+    # (not c) and x_2 and x_{n-2} with weight -c (not 0)
+    diag[0] += 3.0 * q * lvv[0]
+    diag[-1] += 3.0 * q * lvv[-1]
+    up[0] -= q * lvv[0]
+    down[-1] -= q * lvv[-1]
+    far = -q * lvv[2:-2]  # x_{i -+ 2} through the momentum at i -+ 1
+    return block_band({-2: far, -1: down, 0: diag, 1: up, 2: far})
 
 
 def _newton_step(L, grid, space, xs, xd, res):
     """The full Newton step from the node array xs, with residual res and
-    node velocities xd; None when the Jacobian is singular."""
-    jac = _interior_jacobian(L, grid, space, xs, xd)
+    node velocities xd, by one banded LU solve; None when the Jacobian is
+    singular."""
+    ab = _interior_jacobian(L, grid, xs, xd)
+    u = len(ab) // 2
     try:
-        step = np.linalg.solve(jac, -res.reshape(-1))
+        step = solve_banded((u, u), ab, -res.reshape(-1), check_finite=False)
     except np.linalg.LinAlgError:
         return None
     return step.reshape(grid.n - 1, space.dim)

@@ -13,11 +13,13 @@ from typing import List, Tuple
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.linalg import eigh
+from scipy.linalg import eig_banded, solve_banded
 
-from .curves import Curve, Grid, derivative_all, stencil_derivative
+from .curves import Curve, Grid, block_band, derivative_all, stencil_derivative
 from .fields import ScalarField
 from .spaces import Space, ValidationError
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -115,48 +117,82 @@ def negative_second_variation_witness(
     return h, second_variation(L, x, h)
 
 
+def _inverse_iteration(ab, vals) -> np.ndarray:
+    """Unit eigenvectors, as columns, of the symmetric band matrix ab (band
+    storage, see ``block_band``) for its ascending eigenvalues vals: two
+    sweeps of inverse iteration each, as in LAPACK dstein.  Each shift sits a
+    few ulps of max|A| above its eigenvalue and above the shift before it, so
+    no pivot is exactly zero and equal eigenvalues get distinct shifts; each
+    sweep orthogonalizes against the earlier vectors, which separates a
+    cluster.  Start vectors come from a fixed seed."""
+    u = len(ab) // 2
+    size = ab.shape[1]
+    nudge = 4.0 * _EPS * (float(np.max(np.abs(ab))) or 1.0)
+    rng = np.random.default_rng(0)
+    vecs = np.zeros((size, len(vals)))
+    shift = -np.inf
+    for j, lam in enumerate(vals):
+        shift = max(lam, shift) + nudge
+        shifted = ab.copy()
+        shifted[u] -= shift
+        v = rng.uniform(-1.0, 1.0, size)
+        for _ in range(2):
+            v = solve_banded((u, u), shifted, v, check_finite=False)
+            v -= vecs[:, :j] @ (vecs[:, :j].T @ v)
+            v /= np.linalg.norm(v)
+        vecs[:, j] = v
+    return vecs
+
+
 def jacobi_eigen(
     ops: JacobiOperators, grid: Grid, k: int, symmetry_tol: float = 1e-6
 ) -> List[Tuple[float, Curve]]:
     """k smallest eigenpairs of -d/dt(R h') + P h = lambda h with Dirichlet
-    conditions, by the three-point conservative stencil.
+    conditions, by the three-point conservative stencil: a block-tridiagonal
+    matrix of scalar half-bandwidth 2m - 1, in band storage.
 
-    Eigenfunction curves are normalized to unit discrete L2 norm.
+    Eigenfunction curves are normalized to unit discrete L2 norm and signed
+    so that the largest-magnitude value (the first within 1e-6 relative of
+    it, so that near-ties do not flip with roundoff) is positive.
     """
     n = grid.n
     m = ops.R.shape[1]
     size = (n - 1) * m
     if not 1 <= k <= size:
         raise ValidationError(f"k must be in 1..{size}, got {k}")
-    h = grid.h
-    A = np.zeros((n - 1, m, n - 1, m))
-    for i in range(1, n):
-        r_minus = 0.5 * (ops.R[i] + ops.R[i - 1])
-        r_plus = 0.5 * (ops.R[i] + ops.R[i + 1])
-        A[i - 1, :, i - 1, :] += (r_minus + r_plus) / h**2 + ops.P[i]
-        if i - 1 >= 1:
-            A[i - 1, :, i - 2, :] -= r_minus / h**2
-        if i + 1 <= n - 1:
-            A[i - 1, :, i, :] -= r_plus / h**2
-    A = A.reshape(size, size)
-    asym = float(np.max(np.abs(A - A.T)))
-    scale = float(np.max(np.abs(A))) or 1.0
-    if asym > symmetry_tol * scale:
+    h2 = grid.h**2
+    rbar = 0.5 * (ops.R[1:] + ops.R[:-1])  # R at the cell midpoints
+    diag = (rbar[:-1] + rbar[1:]) / h2 + ops.P[1:-1]
+    coupling = -(rbar[1:-1] / h2)  # between interior nodes i and i + 1
+    # max |A - A^T| over node i's diagonal block and its coupling to i + 1
+    dev = np.max(np.abs(diag - np.swapaxes(diag, 1, 2)), axis=(1, 2))
+    cdev = np.max(np.abs(coupling - np.swapaxes(coupling, 1, 2)), axis=(1, 2))
+    dev[:-1] = np.maximum(dev[:-1], cdev)
+    scale = max(float(np.max(np.abs(diag))), float(np.max(np.abs(coupling)))) or 1.0
+    bad = np.flatnonzero(dev > symmetry_tol * scale)
+    if bad.size:
+        i = int(bad[0]) + 1
         raise ValidationError(
-            f"assembled accessory matrix is not symmetric (deviation {asym:.3e}); "
+            f"assembled accessory matrix is not symmetric at node {i} "
+            f"(t={grid.nodes[i]:.6g}, deviation {dev[i - 1]:.3e}); "
             "the Lagrangian does not look twice continuously differentiable"
         )
-    A = 0.5 * (A + A.T)
-    eigvals, eigvecs = eigh(A, subset_by_index=(0, k - 1))
+    diag = 0.5 * (diag + np.swapaxes(diag, 1, 2))
+    coupling = 0.5 * (coupling + np.swapaxes(coupling, 1, 2))
+    ab = block_band({-1: coupling, 0: diag, 1: coupling})
+    eigvals = eig_banded(
+        ab[len(ab) // 2 :], lower=True, eigvals_only=True, select="i",
+        select_range=(0, k - 1),
+    )
     space = Space(dim=m, weights=np.ones(m), num_seminorms=m)
     out = []
-    for idx in range(k):
-        vec = eigvecs[:, idx].reshape(n - 1, m)
+    for lam, vec in zip(eigvals, _inverse_iteration(ab, eigvals).T):
+        mag = np.abs(vec)
+        sign = np.sign(vec[np.argmax(mag >= (1.0 - 1e-6) * np.max(mag))])
         vals = np.zeros((n + 1, m))
-        vals[1:-1] = vec
-        norm = np.sqrt(h * float(np.sum(vals**2)))
-        vals /= norm
-        out.append((float(eigvals[idx]), Curve(space, grid, vals)))
+        vals[1:-1] = sign * vec.reshape(n - 1, m)
+        vals /= np.sqrt(grid.h * float(np.sum(vals**2)))
+        out.append((float(lam), Curve(space, grid, vals)))
     return out
 
 

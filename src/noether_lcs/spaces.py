@@ -71,16 +71,19 @@ def seminorm(space: Space, p: int, y) -> float:
     return float(np.max(space.weights[:k] * np.abs(y[:k])))
 
 
-def dual_seminorm(space: Space, p: int, r) -> float:
-    """Dual norm of a covector r against |.|_p: weighted l1 sum, inf off support."""
+def dual_seminorm(space: Space, p: int, r):
+    """Dual norm of a covector r against |.|_p: weighted l1 sum, inf off
+    support.  An (N, dim) stack of covectors gives an (N,) array."""
     space.check_index(p)
     r = np.asarray(r, dtype=float)
-    if r.shape != (space.dim,):
-        raise ValidationError(f"covector shape {r.shape} != ({space.dim},)")
+    if r.ndim not in (1, 2) or r.shape[-1] != space.dim:
+        raise ValidationError(
+            f"covector shape {r.shape} is neither ({space.dim},) nor (N, {space.dim})"
+        )
     k = min(p, space.dim)
-    if np.any(r[k:] != 0.0):
-        return math.inf
-    return float(np.sum(np.abs(r[:k]) / space.weights[:k]))
+    norms = np.sum(np.abs(r[..., :k]) / space.weights[:k], axis=-1)
+    norms = np.where(np.any(r[..., k:] != 0.0, axis=-1), math.inf, norms)
+    return float(norms) if r.ndim == 1 else norms
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,7 @@ def test_newton_converges_on_refined_grids():
     # (or large boundary values) must not turn a converged solve into a
     # "line search stalled" failure; the O(h^2) ratio checks still hold
     for entry in CATALOG:
-        ns = (200, 400, 800, 1600) if entry[2] == 1 else (200, 400, 800)
+        ns = (200, 400, 800, 1600, 3200) if entry[2] == 1 else (200, 400, 800, 1600)
         errs = []
         for n in ns:
             L, x, err = solve_catalog_entry(entry, n)

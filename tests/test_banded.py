@@ -1,0 +1,153 @@
+"""Banded Newton steps and Jacobi eigenpairs against dense references.
+
+The dense matrices are assembled here, entry by entry from the stencils, and
+solved with numpy's dense routines; the package itself only builds bands.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import noether_lcs as nl
+from noether_lcs.euler_lagrange import _interior_residual, _newton_step
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+
+def dense_jacobian(L, grid, xs, xd):
+    """Jacobian of the interior residual by the stencil dicts, one node at a
+    time."""
+    n, m = grid.n, xs.shape[1]
+    lxx = L.second_partial("xx", grid.nodes, xs, xd)
+    lxv = L.second_partial("xv", grid.nodes, xs, xd)
+    lvv = L.second_partial("vv", grid.nodes, xs, xd)
+    h2 = 2.0 * grid.h
+
+    def stencil(j):
+        if j == 0:
+            return {0: -3.0 / h2, 1: 4.0 / h2, 2: -1.0 / h2}
+        if j == n:
+            return {n: 3.0 / h2, n - 1: -4.0 / h2, n - 2: 1.0 / h2}
+        return {j - 1: -1.0 / h2, j + 1: 1.0 / h2}
+
+    jac = np.zeros((n - 1, m, n - 1, m))
+
+    def add(i, k, block):
+        if 1 <= k <= n - 1:
+            jac[i - 1, :, k - 1, :] += block
+
+    for i in range(1, n):
+        add(i, i, lxx[i])
+        for k, c in stencil(i).items():
+            add(i, k, c * lxv[i])
+        for j, d in ((i + 1, 1.0 / h2), (i - 1, -1.0 / h2)):
+            add(i, j, -d * lxv[j].T)
+            for k, c in stencil(j).items():
+                add(i, k, -d * c * lvv[j])
+    return jac.reshape((n - 1) * m, (n - 1) * m)
+
+
+def dense_accessory(R, P, grid):
+    """The symmetric accessory matrix of the three-point conservative
+    stencil."""
+    n, m = grid.n, R.shape[1]
+    A = np.zeros((n - 1, m, n - 1, m))
+    for i in range(1, n):
+        r_minus = 0.5 * (R[i] + R[i - 1])
+        r_plus = 0.5 * (R[i] + R[i + 1])
+        A[i - 1, :, i - 1, :] += (r_minus + r_plus) / grid.h**2 + P[i]
+        if i >= 2:
+            A[i - 1, :, i - 2, :] -= r_minus / grid.h**2
+        if i <= n - 2:
+            A[i - 1, :, i, :] -= r_plus / grid.h**2
+    A = A.reshape((n - 1) * m, (n - 1) * m)
+    return 0.5 * (A + A.T)
+
+
+def lagrangian_source(dim, kin, pot, coupling, gyro, quartic, drift):
+    """A catalog Lagrangian: weighted kinetic energy, a softening potential,
+    a coordinate coupling, a gyroscopic term, a quartic velocity term and an
+    explicit time dependence."""
+    terms = [f"{kin[k]!r}*v{k + 1}^2/2 - {pot!r}*x{k + 1}^2/2" for k in range(dim)]
+    terms += [
+        f"{coupling!r}*x1*x{dim}",
+        f"{gyro!r}*x1*v{dim}",
+        f"{quartic!r}*v1^4/12",
+        f"{drift!r}*t*x{dim}",
+    ]
+    return " + ".join(terms)
+
+
+coefficient = st.floats(-1.0, 1.0)
+
+
+@PROPERTY
+@given(
+    n=st.integers(4, 40),
+    dim=st.sampled_from([1, 2, 3]),
+    data=st.data(),
+)
+def test_banded_newton_step_matches_the_dense_solve(n, dim, data):
+    kin = data.draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim))
+    pot, quartic = data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 1.0))
+    coupling, gyro, drift = (data.draw(coefficient) for _ in range(3))
+    src = lagrangian_source(dim, kin, pot, coupling, gyro, quartic, drift)
+    L = nl.compile_field(src, dim)
+    grid = nl.Grid(0.0, 1.0, n)
+    vector = st.lists(coefficient, min_size=dim, max_size=dim).map(np.array)
+    xa, xb, bump = (data.draw(vector) for _ in range(3))
+    t = grid.nodes[:, None]
+    xs = xa + (xb - xa) * t + bump * np.sin(np.pi * t)
+    res, xd = _interior_residual(L, grid, xs)
+    space = nl.make_space(dim, np.ones(dim), dim)
+    step = _newton_step(L, grid, space, xs, xd, res)
+    want = np.linalg.solve(dense_jacobian(L, grid, xs, xd), -res.reshape(-1))
+    scale = float(np.max(np.abs(want)))
+    assert np.max(np.abs(step.reshape(-1) - want)) <= 1e-12 * scale
+
+
+def random_operators(rng, grid, dim, equal_oscillators):
+    """SPD R and symmetric P per node; with equal_oscillators every block is
+    a multiple of the identity, so every eigenvalue is repeated dim times."""
+    count = grid.n + 1
+    if equal_oscillators:
+        eye = np.eye(dim)
+        R = rng.uniform(0.5, 2.0, count)[:, None, None] * eye
+        P = rng.uniform(-3.0, 3.0, count)[:, None, None] * eye
+        return R, P
+    A = rng.normal(size=(count, dim, dim))
+    B = rng.normal(size=(count, dim, dim))
+    R = A @ np.swapaxes(A, 1, 2) + 0.5 * np.eye(dim)
+    return R, B + np.swapaxes(B, 1, 2)
+
+
+@PROPERTY
+@given(
+    n=st.integers(4, 40),
+    dim=st.sampled_from([1, 2, 3]),
+    equal_oscillators=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_banded_jacobi_matches_the_dense_eigensolve(n, dim, equal_oscillators, seed, data):
+    grid = nl.Grid(0.0, 1.0, n)
+    R, P = random_operators(np.random.default_rng(seed), grid, dim, equal_oscillators)
+    size = (n - 1) * dim
+    k = data.draw(st.integers(1, min(size, 6)))
+    pairs = nl.jacobi_eigen(nl.JacobiOperators(grid=grid, R=R, P=P), grid, k)
+    A = dense_accessory(R, P, grid)
+    scale = float(np.max(np.abs(A)))
+    want, vecs = np.linalg.eigh(A)
+    got = np.array([lam for lam, _ in pairs])
+    assert np.max(np.abs(got - want[:k])) <= 1e-12 * scale
+    V = np.array([mode.values[1:-1].reshape(-1) for _, mode in pairs]).T
+    V /= np.linalg.norm(V, axis=0)
+    assert np.max(np.abs(V.T @ V - np.eye(k))) <= 1e-12
+    # clusters of the dense spectrum: the banded vectors of a cluster must
+    # span the dense vectors' subspace (or lie in it, if k cuts the cluster)
+    cuts = np.flatnonzero(np.diff(want) > 1e-6 * scale) + 1
+    for cluster in np.split(np.arange(size), cuts):
+        mine = cluster[cluster < k]
+        if len(mine) == 0:
+            break
+        cos = np.linalg.svd(vecs[:, cluster].T @ V[:, mine], compute_uv=False)
+        assert 1.0 - np.min(cos) <= 1e-10

@@ -269,3 +269,14 @@ def test_report_contains_provenance(tmp_path, free_particle_json):
     assert report["schema_version"] == 1
     assert report["command"] == "solve"
     assert len(report["input_digest"]) == 64
+
+
+def test_jacobi_modes_are_byte_identical_across_runs(tmp_path, oscillator_json):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["jacobi", str(oscillator_json), "--k", "4", "--out", str(out)]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert len([n for n in names if n.startswith("jacobi_mode_")]) == 4
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -192,3 +192,27 @@ def test_jacobi_eigen_from_solved_oscillator(line_space):
     lam, _ = nl.jacobi_eigen(ops, grid, 1)[0]
     # -h'' - h = lambda h on [0, pi/2]: smallest eigenvalue 2^2 - 1 = 3
     assert lam == pytest.approx(3.0, abs=0.01)
+
+
+def test_jacobi_eigen_names_the_first_asymmetric_node():
+    grid = nl.Grid(0.0, 1.0, 10)
+    ops = nl.constant_operators(grid, 1.0, 0.0, dim=2)
+    P = ops.P.copy()
+    P[6, 0, 1] = 0.5
+    ops = nl.JacobiOperators(grid=grid, R=ops.R, P=P)
+    named = r"not symmetric at node 6 \(t=0\.6, deviation 5\.000e-01\)"
+    with pytest.raises(nl.ValidationError, match=named):
+        nl.jacobi_eigen(ops, grid, 2)
+
+
+def test_jacobi_modes_take_the_sign_of_their_largest_value():
+    # the discrete Dirichlet modes are +-sin(k t) at the nodes.  For k = 2
+    # and 4 the peaks of |sin(k t)| at the nodes tie in exact arithmetic, with
+    # both signs, and the first one (sin = +1) is made positive; for k = 3
+    # only the node t = pi/2 reaches |sin(3 t)| = 1, where sin(3 t) = -1
+    grid = nl.Grid(0.0, np.pi, 200)
+    pairs = nl.jacobi_eigen(nl.constant_operators(grid, 1.0, 0.0), grid, 4)
+    for k, sign, (_, mode) in zip((1, 2, 3, 4), (1, 1, -1, 1), pairs):
+        target = sign * np.sin(k * grid.nodes)
+        target /= np.sqrt(grid.h * np.sum(target**2))
+        assert np.max(np.abs(mode.values[:, 0] - target)) <= 1e-9

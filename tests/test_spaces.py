@@ -161,3 +161,23 @@ def test_dual_seminorm():
     sp = nl.make_space(3, [1, 2, 1], 3)
     assert nl.dual_seminorm(sp, 3, [1.0, 2.0, 3.0]) == 1.0 + 1.0 + 3.0
     assert nl.dual_seminorm(sp, 1, [1.0, 0.5, 0.0]) == math.inf
+
+
+def test_dual_seminorm_of_a_stack_equals_the_per_row_values():
+    rng = np.random.default_rng(23)
+    for dim in (1, 2, 3, 9, 12):
+        sp = nl.make_space(dim, rng.uniform(0.2, 3.0, size=dim), dim + 1)
+        r = rng.normal(size=(50, dim)) * 10.0 ** rng.integers(-6, 6, size=(50, dim))
+        r[rng.random(size=r.shape) < 0.3] = 0.0
+        r[:10, 1:] = 0.0  # finite at every index
+        for p in range(1, dim + 2):
+            stacked = nl.dual_seminorm(sp, p, r)
+            assert stacked.shape == (50,)
+            rows = np.array([nl.dual_seminorm(sp, p, row) for row in r])
+            assert np.array_equal(stacked, rows)
+            if p < dim:
+                assert np.isinf(stacked).any() and np.isfinite(stacked).any()
+    with pytest.raises(nl.ValidationError):
+        nl.dual_seminorm(sp, 1, np.zeros((2, dim + 1)))
+    with pytest.raises(nl.ValidationError):
+        nl.dual_seminorm(sp, 1, np.zeros((2, 2, dim)))
