@@ -5,8 +5,8 @@ flags only override tolerances and grids.  Reports are deterministic JSON
 (fixed key order, floats at 17 significant digits); curves travel as CSV with
 columns t, x1..xm (velocities appended with --emit-velocity).
 
-Exit codes: 0 all verdicts passed, 2 a mathematical verdict failed,
-1 input or solver error.
+Exit codes: 0 all verdicts passed (and after --help or --version), 2 a
+mathematical verdict failed, 1 a usage, input or solver error.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def _outdir(args) -> Path:
 
 
 def _load_curve(prob: ProblemFile, args) -> Curve:
-    if getattr(args, "seed_curve", None):
+    if args.seed_curve:
         return read_curve_csv(prob.space, args.seed_curve)
     bc = prob.require_boundary()
     return solve_extremal(prob.lagrangian, bc, prob.grid, prob.space, prob.solver)
@@ -313,8 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory for reports/CSV")
         p.add_argument("--grid-n", type=int, default=None, help="override interval count")
         p.add_argument("--tol", type=float, default=None, help="override all verdict tolerances")
-        p.add_argument("--seed-curve", default=None, help="CSV curve to start from / analyze")
-        p.add_argument("--emit-velocity", action="store_true")
+        if name in ("solve", "legendre", "jacobi", "noether", "verify"):  # read a curve
+            p.add_argument("--seed-curve", default=None, help="CSV curve to start from / analyze")
+        if name == "solve":
+            p.add_argument("--emit-velocity", action="store_true")
         if name == "jacobi":
             p.add_argument("--k", type=int, default=3, help="number of eigenpairs")
         if name in ("check-invariance", "noether"):
@@ -326,7 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as done:  # 0 after --help and --version, 2 on a usage error
+        return 1 if done.code else 0
     started = time.perf_counter()
     try:
         prob = load_problem(args.problem, grid_n=args.grid_n)

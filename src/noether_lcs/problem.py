@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -56,6 +57,21 @@ DEFAULT_TOLERANCES = {
 }
 
 
+_vector = partial(np.asarray, dtype=float)
+
+
+def _value(path, section: dict, key: str, kind, default=None):
+    """``kind(section[key])``, or ``kind(default)`` when the key is absent; a
+    missing key without a default, or a value ``kind`` rejects, is a
+    ProblemError naming the file and the key."""
+    if key not in section and default is None:
+        raise ProblemError(f"{path}: missing required key {key!r}")
+    try:
+        return kind(section.get(key, default))
+    except (TypeError, ValueError):
+        raise ProblemError(f"{path}: malformed value {section[key]!r} for key {key!r}") from None
+
+
 def load_problem(path, grid_n: Optional[int] = None) -> ProblemFile:
     path = Path(path)
     raw = path.read_bytes()
@@ -66,29 +82,27 @@ def load_problem(path, grid_n: Optional[int] = None) -> ProblemFile:
         raise ProblemError(f"{path}: not valid JSON ({err})")
 
     try:
-        sp = doc["space"]
+        sp = _value(path, doc, "space", dict)
+        dim = _value(path, sp, "dim", int)
         space = make_space(
-            dim=int(sp["dim"]),
-            weights=sp.get("weights", [1.0] * int(sp["dim"])),
-            num_seminorms=int(sp.get("seminorms", sp["dim"])),
+            dim=dim,
+            weights=_value(path, sp, "weights", _vector, [1.0] * dim),
+            num_seminorms=_value(path, sp, "seminorms", int, dim),
         )
-        iv = doc["interval"]
-        n = int(grid_n if grid_n is not None else iv["n"])
+        iv = _value(path, doc, "interval", dict)
+        n = int(grid_n) if grid_n is not None else _value(path, iv, "n", int)
         if n % 2 != 0 or n < 4:
             raise ProblemError(f"interval n must be even and >= 4, got {n}")
-        grid = Grid(a=float(iv["a"]), b=float(iv["b"]), n=n)
-        lagrangian_source = doc["lagrangian"]
+        grid = Grid(a=_value(path, iv, "a", float), b=_value(path, iv, "b", float), n=n)
+        lagrangian_source = _value(path, doc, "lagrangian", str)
         lagrangian = compile_field(lagrangian_source, space.dim)
-    except KeyError as err:
-        raise ProblemError(f"{path}: missing required key {err}")
     except (ValidationError, ParseDiagnostic) as err:
         raise ProblemError(f"{path}: {err}")
 
     boundary = None
     if "boundary" in doc:
-        bnd = doc["boundary"]
-        xa = np.asarray(bnd["xa"], dtype=float)
-        xb = np.asarray(bnd["xb"], dtype=float)
+        bnd = _value(path, doc, "boundary", dict)
+        xa, xb = (_value(path, bnd, k, _vector) for k in ("xa", "xb"))
         if xa.shape != (space.dim,) or xb.shape != (space.dim,):
             raise ProblemError(
                 f"{path}: boundary vectors must have length {space.dim}"
@@ -96,7 +110,7 @@ def load_problem(path, grid_n: Optional[int] = None) -> ProblemFile:
         boundary = BoundaryConditions(xa=xa, xb=xb)
 
     generators = {}
-    for name, spec in doc.get("generators", {}).items():
+    for name, spec in _value(path, doc, "generators", dict, {}).items():
         try:
             if isinstance(spec, str):
                 generators[name] = catalog_generator(spec, space.dim)
@@ -121,30 +135,31 @@ def load_problem(path, grid_n: Optional[int] = None) -> ProblemFile:
             raise ProblemError(f"{path}: generator {name!r}: {err}")
 
     integrals = {}
-    for name, src in doc.get("integrals", {}).items():
+    for name, src in _value(path, doc, "integrals", dict, {}).items():
         try:
             f = compile_field(src, space.dim)
         except ParseDiagnostic as err:
             raise ProblemError(f"{path}: integral {name!r}: {err}")
         integrals[name] = FirstIntegral(dim=space.dim, evaluator=f.func, provenance="user")
 
-    sv = doc.get("solver", {})
+    sv = _value(path, doc, "solver", dict, {})
     solver = SolverConfig(
-        tol=float(sv.get("tol", 1e-10)),
-        max_iter=int(sv.get("max_iter", 50)),
-        damping=float(sv.get("damping", 1.0)),
+        tol=_value(path, sv, "tol", float, 1e-10),
+        max_iter=_value(path, sv, "max_iter", int, 50),
+        damping=_value(path, sv, "damping", float, 1.0),
     )
 
     tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update({k: float(v) for k, v in doc.get("tolerances", {}).items()})
+    tol_doc = _value(path, doc, "tolerances", dict, {})
+    tolerances.update({k: _value(path, tol_doc, k, float) for k in tol_doc})
 
-    sm = doc.get("sampling", {})
+    sm = _value(path, doc, "sampling", dict, {})
     sampling = SamplingConfig(
         t_range=(grid.a, grid.b),
-        x_radius=float(sm.get("x_radius", 2.0)),
-        v_radius=float(sm.get("v_radius", 2.0)),
-        count=int(sm.get("count", 200)),
-        seed=int(sm.get("seed", 0)),
+        x_radius=_value(path, sm, "x_radius", float, 2.0),
+        v_radius=_value(path, sm, "v_radius", float, 2.0),
+        count=_value(path, sm, "count", int, 200),
+        seed=_value(path, sm, "seed", int, 0),
     )
 
     return ProblemFile(

@@ -16,8 +16,9 @@ symmetry, Noether-Bessel-Hagen) and yields the conserved quantity
 Without a gauge (F = None) both are the strict forms, and ``check_invariance``
 is the strict test: a boost of v^2/2, which changes L by a total derivative,
 fails it.  ``fit_gauge`` reaches such divergence symmetries by fitting F over
-the fixed monomials of degree 1-2 in (t, x); the check then reports the
-gauged residual beside the strict one.
+the monomials of degree 1-2 in (t, x), from the one monomial list that also
+spans the affine generators; the check then reports the gauged residual
+beside the strict one.
 """
 
 from __future__ import annotations
@@ -57,16 +58,6 @@ class SymmetryGenerator:
                 f"gauge has dim {self.F.dim} for a generator of dim {self.dim}"
             )
 
-    def T_value(self, t, x):
-        return self.T(t, x, np.zeros_like(x, dtype=float))
-
-    def X_value(self, t, x) -> np.ndarray:
-        z = np.zeros_like(x, dtype=float)
-        return np.stack([c(t, x, z) for c in self.X], axis=-1)
-
-    def F_value(self, t, x):
-        return self.F(t, x, np.zeros_like(x, dtype=float))
-
     def scaled(self, factor: float) -> "SymmetryGenerator":
         return SymmetryGenerator(
             dim=self.dim,
@@ -89,29 +80,48 @@ def _scale_field(f: ScalarField, c: float) -> ScalarField:
     return compile_field(Binary("*", Const(float(c)), expr), f.dim)
 
 
-def _tz(dim: int) -> list:
-    """The DSL variables z = (t, x1..x<dim>) of a generator component."""
-    return [Var("t", 0)] + [Var("x", i) for i in range(1, dim + 1)]
+# -- polynomials in z = (t, x) -------------------------------------------
 
 
-def _affine_tree(coeffs, dim: int):
-    """DSL tree of a0 + a1 t + sum b_i x_i, without the zero terms."""
-    terms = [Const(float(coeffs[0]))] if coeffs[0] != 0.0 else []
-    terms += [
-        Binary("*", Const(float(c)), z)
-        for c, z in zip(coeffs[1:], _tz(dim))
-        if c != 0.0
-    ]
-    return _sum(terms)
+def _monomials(dim: int, degrees) -> list:
+    """The monomials of z = (t, x1..x<dim>) of the given degrees (0, 1, 2) as
+    index tuples into z, by degree and then row-major with i <= j: degrees 0-1
+    span the affine generators, degrees 1-2 the gauge of ``fit_gauge``."""
+    n = dim + 1
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    by_degree = ([()], [(i,) for i in range(n)], pairs)
+    return [mono for d in degrees for mono in by_degree[d]]
 
 
-def _sum(terms):
-    if not terms:
-        return Const(0.0)
-    tree = terms[0]
-    for term in terms[1:]:
-        tree = Binary("+", tree, term)
-    return tree
+def _monomial_columns(monomials, ts, xs, vs) -> np.ndarray:
+    """The values of the monomials at a stack of samples and their total time
+    derivatives along the curve (z' = (1, v) and the product rule): two
+    (N, len(monomials)) arrays."""
+    z = np.column_stack([ts, xs])
+    w = np.column_stack([np.ones_like(ts), vs])
+    out = np.empty((2, len(ts), len(monomials)))
+    for k, mono in enumerate(monomials):
+        val, der = np.ones_like(ts), np.zeros_like(ts)
+        for i in mono:
+            val, der = val * z[:, i], der * z[:, i] + val * w[:, i]
+        out[:, :, k] = val, der
+    return out
+
+
+def _polynomial(coeffs, monomials, dim: int) -> ScalarField:
+    """sum c_k m_k, compiled from its DSL tree: the terms Const(c),
+    Const(c)*z_i and (Const(c)*z_i)*z_j, without the zero ones, added from
+    the left."""
+    z = [Var("t", 0)] + [Var("x", i) for i in range(1, dim + 1)]
+    tree = None
+    for c, mono in zip(coeffs, monomials):
+        if c == 0.0:
+            continue
+        term = Const(float(c))
+        for i in mono:
+            term = Binary("*", term, z[i])
+        tree = term if tree is None else Binary("+", tree, term)
+    return compile_field(Const(0.0) if tree is None else tree, dim)
 
 
 def affine_generator(
@@ -126,11 +136,11 @@ def affine_generator(
     x_coeffs = np.asarray(x_coeffs, dtype=float).reshape(dim, dim + 2)
     if t_coeffs.shape != (dim + 2,):
         raise ValidationError(f"T coefficient vector must have length {dim + 2}")
-
+    affine = _monomials(dim, (0, 1))
     return SymmetryGenerator(
         dim=dim,
-        T=compile_field(_affine_tree(t_coeffs, dim), dim),
-        X=tuple(compile_field(_affine_tree(row, dim), dim) for row in x_coeffs),
+        T=_polynomial(t_coeffs, affine, dim),
+        X=tuple(_polynomial(row, affine, dim) for row in x_coeffs),
         name=name,
     )
 
@@ -138,42 +148,38 @@ def affine_generator(
 def catalog_generator(name: str, dim: int) -> SymmetryGenerator:
     """Named generators: time-translation, space-translation[-j],
     rotation-ij, dilation, galilean[-j]."""
-    zero_t = np.zeros(dim + 2)
-    zero_x = np.zeros((dim, dim + 2))
+    t, x = np.zeros(dim + 2), np.zeros((dim, dim + 2))
     if name == "time-translation":
-        t = zero_t.copy()
         t[0] = 1.0
-        return affine_generator(dim, t, zero_x, name=name)
-    if name == "dilation":
-        t = zero_t.copy()
+    elif name == "dilation":
         t[1] = 1.0
-        return affine_generator(dim, t, zero_x, name=name)
-    if name.startswith("space-translation"):
-        axis = int(name.rsplit("-", 1)[1]) if name[len("space-translation"):] else 1
-        if not 1 <= axis <= dim:
-            raise ValidationError(f"translation axis {axis} out of range for dim {dim}")
-        x = zero_x.copy()
-        x[axis - 1, 0] = 1.0
-        return affine_generator(dim, zero_t, x, name=name)
-    if name.startswith("galilean"):
-        axis = int(name.rsplit("-", 1)[1]) if name[len("galilean"):] else 1
-        if not 1 <= axis <= dim:
-            raise ValidationError(f"boost axis {axis} out of range for dim {dim}")
-        x = zero_x.copy()
-        x[axis - 1, 1] = 1.0  # X_axis = t
-        return affine_generator(dim, zero_t, x, name=name)
-    if name.startswith("rotation-"):
+    elif name.startswith("space-translation"):
+        x[_axis(name, "space-translation", "translation", dim) - 1, 0] = 1.0
+    elif name.startswith("galilean"):
+        x[_axis(name, "galilean", "boost", dim) - 1, 1] = 1.0  # X_axis = t
+    elif name.startswith("rotation-"):
         digits = name[len("rotation-"):]
-        if len(digits) != 2 or not digits.isdigit():
+        if len(digits) != 2 or not digits.isdecimal():
             raise ValidationError(f"rotation name must look like rotation-12, got {name}")
         i, j = int(digits[0]), int(digits[1])
         if not (1 <= i <= dim and 1 <= j <= dim and i != j):
             raise ValidationError(f"rotation axes {i},{j} invalid for dim {dim}")
-        x = zero_x.copy()
         x[i - 1, 2 + (j - 1)] = -1.0  # X_i = -x_j
         x[j - 1, 2 + (i - 1)] = 1.0  # X_j = x_i
-        return affine_generator(dim, zero_t, x, name=name)
-    raise ValidationError(f"unknown catalog generator {name!r}")
+    else:
+        raise ValidationError(f"unknown catalog generator {name!r}")
+    return affine_generator(dim, t, x, name=name)
+
+
+def _axis(name: str, family: str, kind: str, dim: int) -> int:
+    """The axis j of ``<family>-j`` (1 for a bare ``<family>``)."""
+    digits = name.rsplit("-", 1)[1] if name[len(family):] else "1"
+    if not digits.isdecimal():
+        raise ValidationError(f"{kind} axis {digits!r} of {name!r} is not an integer")
+    axis = int(digits)
+    if not 1 <= axis <= dim:
+        raise ValidationError(f"{kind} axis {axis} out of range for dim {dim}")
+    return axis
 
 
 # -- generator calculus -------------------------------------------------
@@ -198,19 +204,29 @@ def total_time_derivative(f: ScalarField, t, x, v):
     return float(out) if x.ndim == 1 else out
 
 
-def _prolongation(tj, xj, v):
-    """T' and the velocity generator V = X' - v T' from order-1 jets of T and
-    of each X component."""
-    tp = _time_derivative(tj, v)
+def _field_jets(g: SymmetryGenerator, t, x, v):
+    """T, T', X and X' from one order-1 jet of each generator field."""
+    tj, xj = g.T.jet(t, x, v, 1), [c.jet(t, x, v, 1) for c in g.X]
+    X = np.stack([j["value"] for j in xj], axis=-1)
     xp = np.stack([_time_derivative(j, v) for j in xj], axis=-1)
-    return tp, xp - v * np.asarray(tp)[..., None]
+    return tj["value"], _time_derivative(tj, v), X, xp
+
+
+def _residual(lj, v, T, tp, X, xp):
+    """dL/dt T + dL/dx . X + dL/dv . (X' - v T') + L T' from an order-1 jet
+    of L and the generator's T, T', X and X'.  ``_search_matrix`` broadcasts
+    it over an axis of generators; a reordered sum moves that matrix at
+    roundoff."""
+    vel = xp - v * np.asarray(tp)[..., None]
+    return lj["t"] * T + _dot(lj["x"], X) + _dot(lj["v"], vel) + lj["value"] * tp
 
 
 def extended_generator(g: SymmetryGenerator, t, x, v) -> np.ndarray:
     """Velocity-space generator V = X' - v T'."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    return _prolongation(g.T.jet(t, x, v, 1), [c.jet(t, x, v, 1) for c in g.X], v)[1]
+    _, tp, _, xp = _field_jets(g, t, x, v)
+    return xp - v * np.asarray(tp)[..., None]
 
 
 def invariance_residual(L: ScalarField, g: SymmetryGenerator, t, x, v):
@@ -219,16 +235,7 @@ def invariance_residual(L: ScalarField, g: SymmetryGenerator, t, x, v):
     generator field."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    lj = L.jet(t, x, v, 1)
-    tj = g.T.jet(t, x, v, 1)
-    xj = [c.jet(t, x, v, 1) for c in g.X]
-    tp, vel = _prolongation(tj, xj, v)
-    res = (
-        lj["t"] * tj["value"]
-        + _dot(lj["x"], np.stack([j["value"] for j in xj], axis=-1))
-        + _dot(lj["v"], vel)
-        + lj["value"] * tp
-    )
+    res = _residual(L.jet(t, x, v, 1), v, *_field_jets(g, t, x, v))
     if g.F is not None:
         res = res - total_time_derivative(g.F, t, x, v)
     return float(res) if x.ndim == 1 else res
@@ -302,37 +309,15 @@ def fit_gauge(
     the fit did not see.  A residual that no such F' cancels is left in the
     gauged residual, so non-symmetries still fail the check.
     """
-    dim = g.dim
-    n = dim + 1
-    iu = np.triu_indices(n)
-    n_basis = n + len(iu[0])
+    gauge = _monomials(g.dim, (1, 2))
     cfg = replace(
-        samples, count=max(samples.count, 3 * n_basis), seed=samples.seed + 1
+        samples, count=max(samples.count, 3 * len(gauge)), seed=samples.seed + 1
     )
-    ts, xs, vs = cfg.samples(dim)
+    ts, xs, vs = cfg.samples(g.dim)
     r = invariance_residual(L, replace(g, F=None), ts, xs, vs)
-    Z = np.column_stack([ts, xs])
-    W = np.column_stack([np.ones_like(ts), vs])  # z' along the curve
-    # D_t z_i = w_i and D_t (z_i z_j) = z_i w_j + z_j w_i
-    A = np.hstack([W, Z[:, iu[0]] * W[:, iu[1]] + Z[:, iu[1]] * W[:, iu[0]]])
+    _, A = _monomial_columns(gauge, ts, xs, vs)
     coeffs, *_ = np.linalg.lstsq(A, r, rcond=None)
-    Q = np.zeros((n, n))
-    Q[iu] = coeffs[n:]
-    return replace(g, F=_quadratic_field(coeffs[:n], Q))
-
-
-def _quadratic_field(b: np.ndarray, Q: np.ndarray) -> ScalarField:
-    """F = b . z + z . Q z with z = (t, x), compiled from its DSL tree."""
-    dim = len(b) - 1
-    z = _tz(dim)
-    terms = [Binary("*", Const(float(c)), zi) for c, zi in zip(b, z) if c != 0.0]
-    terms += [
-        Binary("*", Binary("*", Const(float(Q[i, j])), z[i]), z[j])
-        for i in range(dim + 1)
-        for j in range(dim + 1)
-        if Q[i, j] != 0.0
-    ]
-    return compile_field(_sum(terms), dim)
+    return replace(g, F=_polynomial(coeffs, gauge, g.dim))
 
 
 # -- first integrals ----------------------------------------------------
@@ -357,21 +342,23 @@ def noether_first_integral(L: ScalarField, g: SymmetryGenerator) -> FirstIntegra
     def evaluator(t, x, v):
         lj = L.jet(t, x, v, 1)
         lv = lj["v"]
-        c = (lj["value"] - float(lv @ v)) * g.T_value(t, x) + float(
-            lv @ g.X_value(t, x)
-        )
+        X = np.stack([comp(t, x, v) for comp in g.X], axis=-1)
+        c = (lj["value"] - float(lv @ v)) * g.T(t, x, v) + float(lv @ X)
         if g.F is not None:
-            c -= g.F_value(t, x)
+            c -= g.F(t, x, v)
         return c
 
     return FirstIntegral(dim=g.dim, evaluator=evaluator, provenance="noether")
 
 
-def hamiltonian(L: ScalarField, t, x, v) -> float:
-    """H = -L + v . dL/dv."""
+def hamiltonian(L: ScalarField, t, x, v):
+    """H = -L + v . dL/dv at one point (a float) or at a stack of points (an
+    (N,) array)."""
+    x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     lj = L.jet(t, x, v, 1)
-    return float(-lj["value"] + v @ lj["v"])
+    out = -lj["value"] + _dot(v, lj["v"])
+    return float(out) if x.ndim == 1 else out
 
 
 @dataclass(frozen=True)
@@ -405,6 +392,21 @@ def verify_conservation(C: FirstIntegral, x: Curve, tol: float) -> ConservationR
 # -- affine symmetry search ---------------------------------------------
 
 
+def _search_matrix(L: ScalarField, ts, xs, vs) -> np.ndarray:
+    """The residuals at the samples of the affine generators with one unit
+    coefficient, a column each in the layout of ``affine_generator``: one
+    order-1 jet of L, with the degree 0-1 monomials in the T slot and then in
+    each X slot."""
+    mono, dmono = _monomial_columns(_monomials(L.dim, (0, 1)), ts, xs, vs)
+    jet = L.jet(ts, xs, vs, 1)
+    lj = {block: jet[block][:, None] for block in ("value", "t", "x", "v")}
+    v, zero = vs[:, None, :], np.zeros_like(mono)
+    cols = [_residual(lj, v, mono, dmono, np.zeros(L.dim), np.zeros(L.dim))]
+    for e in np.eye(L.dim):
+        cols.append(_residual(lj, v, zero, zero, mono[..., None] * e, dmono[..., None] * e))
+    return np.hstack(cols)
+
+
 def find_affine_symmetries(
     L: ScalarField,
     samples: SamplingConfig = SamplingConfig(),
@@ -422,17 +424,8 @@ def find_affine_symmetries(
     dim = L.dim
     per = dim + 2
     n_params = per * (dim + 1)
-    count = max(samples.count, 3 * n_params)
-    cfg = replace(samples, count=count)
-    basis = []
-    for k in range(n_params):
-        coeffs = np.zeros(n_params)
-        coeffs[k] = 1.0
-        basis.append(
-            affine_generator(dim, coeffs[:per], coeffs[per:].reshape(dim, per))
-        )
-    ts, xs, vs = cfg.samples(dim)
-    M = np.column_stack([invariance_residual(L, g, ts, xs, vs) for g in basis])
+    cfg = replace(samples, count=max(samples.count, 3 * n_params))
+    M = _search_matrix(L, *cfg.samples(dim))
     _, sing, vt = np.linalg.svd(M, full_matrices=True)
     cutoff = null_threshold * (sing[0] if len(sing) and sing[0] > 0 else 1.0)
     null_vectors = [

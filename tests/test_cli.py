@@ -280,3 +280,72 @@ def test_jacobi_modes_are_byte_identical_across_runs(tmp_path, oscillator_json):
     assert len([n for n in names if n.startswith("jacobi_mode_")]) == 4
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{problem}", "--frobnicate"],
+        ["verify", "{problem}"],  # --integral is required
+        ["check-invariance", "{problem}", "--seed-curve", "x.csv"],
+        ["find-symmetries", "{problem}", "--emit-velocity"],
+    ],
+    ids=["unknown-flag", "missing-required-flag", "seed-curve-not-read", "emit-velocity-not-read"],
+)
+def test_usage_errors_exit_1(tmp_path, oscillator_json, capsys, argv):
+    argv = [a.format(problem=oscillator_json) for a in argv]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_report.json"))
+
+
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_version_and_help_exit_0(flag, capsys):
+    assert main([flag]) == 0
+    assert capsys.readouterr().out
+
+
+def _malformed(doc, case):
+    if case == "boundary-without-xb":
+        del doc["boundary"]["xb"]
+    elif case == "n":
+        doc["interval"]["n"] = "abc"
+    elif case == "tol":
+        doc["solver"] = {"tol": "x"}
+    elif case == "count":
+        doc["sampling"] = {"count": "many"}
+    elif case == "audit":
+        doc["tolerances"] = {"audit": "big"}
+    elif case == "galilean-x":
+        doc["generators"]["boost"] = "galilean-x"
+    elif case == "solver-not-an-object":
+        doc["solver"] = 5
+    elif case == "weights":
+        doc["space"]["weights"] = ["heavy"]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "case,named",
+    [
+        ("boundary-without-xb", "'xb'"),
+        ("n", "'n'"),
+        ("tol", "'tol'"),
+        ("count", "'count'"),
+        ("audit", "'audit'"),
+        ("galilean-x", "'boost'"),
+        ("solver-not-an-object", "'solver'"),
+        ("weights", "'weights'"),
+    ],
+)
+def test_malformed_problem_values_give_one_error_line(tmp_path, capsys, case, named):
+    doc = _malformed(json.loads((PROBLEMS / "free_particle.json").read_text()), case)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check-invariance", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(path) in lines[0] and named in lines[0]

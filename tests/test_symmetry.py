@@ -2,31 +2,42 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import noether_lcs as nl
+from noether_lcs.symmetry import _search_matrix
+from test_banded import lagrangian_source
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
 
 def names(gens):
     return {g.name for g in gens}
 
 
+def X_at(g, t, x):
+    """The X components of a generator at (t, x), read like every field at
+    (t, x, v); a generator does not depend on v."""
+    return [c(t, x, np.zeros(len(x))) for c in g.X]
+
+
 def test_catalog_generator_values():
     g = nl.catalog_generator("time-translation", 2)
-    assert g.T_value(0.3, [1.0, 2.0]) == 1.0
-    assert g.X_value(0.3, [1.0, 2.0]) == pytest.approx([0.0, 0.0])
+    assert g.T(0.3, [1.0, 2.0], [0.0, 0.0]) == 1.0
+    assert X_at(g, 0.3, [1.0, 2.0]) == pytest.approx([0.0, 0.0])
 
     g = nl.catalog_generator("space-translation-2", 2)
-    assert g.T_value(0.3, [1.0, 2.0]) == 0.0
-    assert g.X_value(0.3, [1.0, 2.0]) == pytest.approx([0.0, 1.0])
+    assert g.T(0.3, [1.0, 2.0], [0.0, 0.0]) == 0.0
+    assert X_at(g, 0.3, [1.0, 2.0]) == pytest.approx([0.0, 1.0])
 
     g = nl.catalog_generator("dilation", 1)
-    assert g.T_value(0.5, [3.0]) == 0.5
+    assert g.T(0.5, [3.0], [0.0]) == 0.5
 
     g = nl.catalog_generator("galilean-1", 1)
-    assert g.X_value(0.7, [9.0]) == pytest.approx([0.7])
+    assert X_at(g, 0.7, [9.0]) == pytest.approx([0.7])
 
     g = nl.catalog_generator("rotation-12", 2)
-    assert g.X_value(0.0, [1.0, 2.0]) == pytest.approx([-2.0, 1.0])
+    assert X_at(g, 0.0, [1.0, 2.0]) == pytest.approx([-2.0, 1.0])
 
 
 def test_catalog_generator_validation():
@@ -36,6 +47,12 @@ def test_catalog_generator_validation():
         nl.catalog_generator("rotation-11", 2)
     with pytest.raises(nl.ValidationError):
         nl.catalog_generator("frobnicate", 1)
+
+
+@pytest.mark.parametrize("name", ["galilean-x", "space-translation-y", "galilean-"])
+def test_catalog_axis_must_be_an_integer(name):
+    with pytest.raises(nl.ValidationError, match="is not an integer"):
+        nl.catalog_generator(name, 2)
 
 
 def test_generator_dimension_mismatch():
@@ -135,7 +152,7 @@ def test_fit_gauge_boost_is_divergence_symmetry(m):
     L = nl.compile_field(f"{m}*v1^2/2", 1)
     g = nl.fit_gauge(L, nl.catalog_generator("galilean-1", 1))
     for t, x in ((0.0, 0.0), (0.3, 1.7), (0.9, -1.2)):
-        assert g.F_value(t, [x]) == pytest.approx(m * x, abs=1e-12)
+        assert g.F(t, [x], [0.0]) == pytest.approx(m * x, abs=1e-12)
     rep = nl.check_invariance(L, g)
     assert rep.passed
     assert rep.max_residual <= 1e-12
@@ -162,7 +179,7 @@ def test_fit_gauge_strict_generator_has_zero_gauge(source, gen, dim):
         t = float(rng.uniform(0, 1))
         x = rng.uniform(-2, 2, size=dim)
         v = rng.uniform(-2, 2, size=dim)
-        assert abs(g.F_value(t, x)) <= 1e-12
+        assert abs(g.F(t, x, v)) <= 1e-12
         assert abs(C_gauged(t, x, v) - C_strict(t, x, v)) <= 1e-12
     rep = nl.check_invariance(L, g)
     assert rep.passed and rep.strict_max_residual <= 1e-12
@@ -216,6 +233,15 @@ def test_hamiltonian_identity_random(oscillator, free_particle):
             h = nl.hamiltonian(L, t, x, v)
             direct = -L(t, x, v) + float(v @ L.partial("v", t, x, v))
             assert abs(h - direct) <= 1e-12
+
+
+def test_hamiltonian_of_a_stack_equals_the_per_point_values():
+    L = nl.compile_field("v1^2/2 + v2^4/4 - x1*x2 + t*v1", dim=2)
+    ts, xs, vs = nl.SamplingConfig(count=30).samples(2)
+    stacked = nl.hamiltonian(L, ts, xs, vs)
+    assert stacked.shape == (30,)
+    single = [nl.hamiltonian(L, t, x, v) for t, x, v in zip(ts, xs, vs)]
+    np.testing.assert_allclose(stacked, single, rtol=1e-14, atol=1e-14)
 
 
 def test_conservation_momentum_on_line(line_space, free_particle):
@@ -388,3 +414,101 @@ def test_gauged_check_asks_the_lagrangian_for_one_jet(free_particle, monkeypatch
     assert rep.max_residual == float(np.max(np.abs(gauged)))
     assert rep.strict_max_residual == float(np.max(np.abs(strict)))
     assert rep.passed and rep.strict_max_residual > 1e-8
+
+
+def reference_search_matrix(L, ts, xs, vs):
+    """The search matrix column by column: one ``invariance_residual`` call
+    per affine generator with one unit coefficient."""
+    dim = L.dim
+    per = dim + 2
+    n_params = per * (dim + 1)
+    cols = []
+    for k in range(n_params):
+        coeffs = np.zeros(n_params)
+        coeffs[k] = 1.0
+        g = nl.affine_generator(dim, coeffs[:per], coeffs[per:].reshape(dim, per))
+        cols.append(nl.invariance_residual(L, g, ts, xs, vs))
+    return np.column_stack(cols)
+
+
+def reference_gauge(L, g, samples):
+    """The least-squares F = b . z + sum_{i <= j} Q_ij z_i z_j with z = (t, x),
+    fitted to the strict residual by the total derivatives of the monomials,
+    and the monomial values it is read back at."""
+    n = g.dim + 1
+    iu = np.triu_indices(n)
+    cfg = replace(
+        samples, count=max(samples.count, 3 * (n + len(iu[0]))), seed=samples.seed + 1
+    )
+    ts, xs, vs = cfg.samples(g.dim)
+    r = nl.invariance_residual(L, replace(g, F=None), ts, xs, vs)
+    Z = np.column_stack([ts, xs])
+    W = np.column_stack([np.ones_like(ts), vs])
+    A = np.hstack([W, Z[:, iu[0]] * W[:, iu[1]] + Z[:, iu[1]] * W[:, iu[0]]])
+    coeffs, *_ = np.linalg.lstsq(A, r, rcond=None)
+    return coeffs, lambda z: np.hstack([z, z[:, iu[0]] * z[:, iu[1]]])
+
+
+def catalog_names(dim):
+    names = ["time-translation", "dilation"]
+    names += [f"{kind}-{j}" for kind in ("space-translation", "galilean") for j in range(1, dim + 1)]
+    names += [f"rotation-{i}{j}" for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
+    return names
+
+
+@PROPERTY
+@given(dim=st.integers(1, 4), seed=st.integers(0, 1000), data=st.data())
+def test_search_matrix_equals_the_per_generator_residuals(dim, seed, data):
+    coefficient = st.floats(-1.0, 1.0)
+    kin = data.draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim))
+    pot, quartic = data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 1.0))
+    coupling, gyro, drift = (data.draw(coefficient) for _ in range(3))
+    L = nl.compile_field(
+        lagrangian_source(dim, kin, pot, coupling, gyro, quartic, drift), dim
+    )
+    samples = nl.SamplingConfig(count=3 * (dim + 2) * (dim + 1), seed=seed)
+    ts, xs, vs = samples.samples(dim)
+    want = reference_search_matrix(L, ts, xs, vs)
+    got = _search_matrix(L, ts, xs, vs)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    name = data.draw(st.sampled_from(catalog_names(dim)))
+    g = nl.fit_gauge(L, nl.catalog_generator(name, dim), samples)
+    coeffs, monomials = reference_gauge(L, g, samples)
+    rng = np.random.default_rng(seed)
+    t, x = rng.uniform(0, 1, 20), rng.uniform(-2, 2, (20, dim))
+    terms = monomials(np.column_stack([t, x])) * coeffs
+    scale = 1.0 + np.max(np.sum(np.abs(terms), axis=1))
+    assert np.max(np.abs(g.F(t, x, np.zeros_like(x)) - terms.sum(axis=1))) <= 1e-12 * scale
+
+
+def test_search_matrix_reads_the_lagrangian_through_one_jet(monkeypatch):
+    dim = 3
+    src = "(v1^2 + v2^2 + v3^2)/2 - (x1^2 + x2^2 + x3^2)/2"
+    L = nl.compile_field(src, dim)
+    tree = L.jets.expr
+    jets, compiles = [], []
+    evaluate, compile_field = nl.dsl.evaluate, nl.symmetry.compile_field
+
+    def counting_evaluate(e, t, x, v, order=0):
+        if e is tree:
+            jets.append(order)
+        return evaluate(e, t, x, v, order=order)
+
+    def counting_compile(source, d):
+        compiles.append(source)
+        return compile_field(source, d)
+
+    monkeypatch.setattr(nl.dsl, "evaluate", counting_evaluate)
+    monkeypatch.setattr(nl.symmetry, "compile_field", counting_compile)
+    ts, xs, vs = nl.SamplingConfig(count=60).samples(dim)
+    _search_matrix(L, ts, xs, vs)
+    assert jets == [1] and compiles == []
+    # the search: that one jet, then one check (one jet of L) and one
+    # compiled generator (dim + 1 fields) per candidate from the null space
+    jets.clear()
+    found = nl.find_affine_symmetries(L)
+    assert len(found) == 4  # time translation and the three rotations
+    assert jets == [1] * (1 + len(found))
+    assert len(compiles) == (dim + 1) * len(found)
