@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .fields import ScalarField, EvaluationError
 from .spaces import Space, ValidationError, seminorm
@@ -139,6 +138,8 @@ class ActionReport:
 
 def action(L: ScalarField, curve: Curve) -> ActionReport:
     """Simpson quadrature of L(t, x, x') along the curve."""
+    from scipy.integrate import simpson
+
     grid = curve.grid
     if grid.n % 2 != 0:
         raise ValidationError(f"Simpson quadrature needs an even N, got {grid.n}")

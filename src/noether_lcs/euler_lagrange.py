@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.linalg import solve_banded
 
 from .curves import Curve, Grid, block_band, derivative_all, stencil_derivative
 from .fields import ScalarField
@@ -72,6 +70,8 @@ def _interior_residual(L: ScalarField, grid: Grid, xs: np.ndarray):
 
 def first_variation(L: ScalarField, x: Curve, h: Curve) -> float:
     """Simpson quadrature of dL/dx . h + dL/dv . h' along the curve."""
+    from scipy.integrate import simpson
+
     if x.grid != h.grid or x.space.dim != h.space.dim:
         raise ValidationError("curve and variation must share grid and space")
     _, lx, lv = _covectors(L, x.grid, x.values)
@@ -137,6 +137,8 @@ def _newton_step(L, grid, space, xs, xd, res):
     """The full Newton step from the node array xs, with residual res and
     node velocities xd, by one banded LU solve; None when the Jacobian is
     singular."""
+    from scipy.linalg import solve_banded
+
     ab = _interior_jacobian(L, grid, xs, xd)
     u = len(ab) // 2
     try:

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.linalg import eig_banded, solve_banded
 
 from .curves import Curve, Grid, block_band, derivative_all, stencil_derivative
 from .fields import ScalarField
@@ -40,6 +38,8 @@ def jacobi_operators(L: ScalarField, x: Curve) -> JacobiOperators:
 
 def second_variation(L: ScalarField, x: Curve, h: Curve) -> float:
     """Simpson quadrature of R h'.h' + P h.h for an endpoint-vanishing h."""
+    from scipy.integrate import simpson
+
     if x.grid != h.grid:
         raise ValidationError("curve and variation must share the grid")
     scale = float(np.max(np.abs(h.values))) or 1.0
@@ -125,6 +125,8 @@ def _inverse_iteration(ab, vals) -> np.ndarray:
     no pivot is exactly zero and equal eigenvalues get distinct shifts; each
     sweep orthogonalizes against the earlier vectors, which separates a
     cluster.  Start vectors come from a fixed seed."""
+    from scipy.linalg import solve_banded
+
     u = len(ab) // 2
     size = ab.shape[1]
     nudge = 4.0 * _EPS * (float(np.max(np.abs(ab))) or 1.0)
@@ -155,6 +157,8 @@ def jacobi_eigen(
     so that the largest-magnitude value (the first within 1e-6 relative of
     it, so that near-ties do not flip with roundoff) is positive.
     """
+    from scipy.linalg import eig_banded
+
     n = grid.n
     m = ops.R.shape[1]
     size = (n - 1) * m

@@ -114,17 +114,23 @@ def load_problem(path, grid_n: Optional[int] = None) -> ProblemFile:
         try:
             if isinstance(spec, str):
                 generators[name] = catalog_generator(spec, space.dim)
+            elif not isinstance(spec, dict):
+                raise ProblemError(
+                    f"{path}: generator {name!r} must be a catalog name or an "
+                    f"object with T and X, got {spec!r}"
+                )
             else:
-                trees = [parse(spec.get("T", "0"), space.dim)]
+                trees = [parse(_value(path, spec, "T", str, "0"), space.dim)]
                 x_exprs = spec.get("X", ["0"] * space.dim)
-                if len(x_exprs) != space.dim:
+                if not isinstance(x_exprs, list) or len(x_exprs) != space.dim:
                     raise ProblemError(
-                        f"generator {name!r} needs {space.dim} X components"
+                        f"{path}: generator {name!r} needs a list of "
+                        f"{space.dim} X components"
                     )
-                trees += [parse(s, space.dim) for s in x_exprs]
+                trees += [parse(str(s), space.dim) for s in x_exprs]
                 if any(has_variables(e, "v") for e in trees):
                     raise ProblemError(
-                        f"generator {name!r}: T and X are fields of (t, x) "
+                        f"{path}: generator {name!r}: T and X are fields of (t, x) "
                         f"and may not use v1..v{space.dim}"
                     )
                 t_field, *x_fields = (compile_field(e, space.dim) for e in trees)

@@ -23,11 +23,12 @@ beside the strict one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .curves import Curve, derivative_all
 from .dsl import Binary, Const, Var, compile_field
@@ -241,9 +242,50 @@ def invariance_residual(L: ScalarField, g: SymmetryGenerator, t, x, v):
     return float(res) if x.ndim == 1 else res
 
 
+def _primes(count: int) -> list:
+    """The first ``count`` primes."""
+    out, c = [], 2
+    while len(out) < count:
+        if all(c % p for p in out if p * p <= c):
+            out.append(c)
+        c += 1
+    return out
+
+
+@lru_cache
+def _halton(d: int, n: int, seed: int) -> np.ndarray:
+    """The first n points of the d-dimensional Halton sequence with Owen's
+    random digit permutations (A. B. Owen, "A randomized Halton algorithm in
+    R", arXiv:1706.02808): coordinate j is the radical inverse in the j-th
+    prime b, each base-b digit sent through its own permutation of
+    0..b-1, for the ceil(54 / log2 b) - 1 digits a double resolves.  The
+    permutations are drawn from ``np.random.default_rng(seed)`` in the order
+    of ``scipy.stats.qmc.Halton``, so the points equal
+    ``qmc.Halton(d=d, seed=seed).random(n)`` bit for bit.  Cached, because
+    the checks ask for the same box again and again: the array is
+    read-only."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((n, d))
+    for col, b in enumerate(_primes(d)):
+        perms = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        k = np.arange(n)
+        seq = np.zeros(n)
+        b2r = 1.0 / b
+        for perm in perms:
+            seq += perm[k % b] * b2r
+            b2r /= b
+            k //= b
+        out[:, col] = seq
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class SamplingConfig:
-    """Quasi-random sampling box for (t, x, v) triples."""
+    """Quasi-random sampling box for (t, x, v) triples: scrambled Halton
+    points (see ``_halton``) for the given ``seed``, mapped onto the box."""
 
     t_range: tuple = (0.0, 1.0)
     x_radius: float = 2.0
@@ -252,8 +294,7 @@ class SamplingConfig:
     seed: int = 0
 
     def samples(self, dim: int):
-        sampler = qmc.Halton(d=1 + 2 * dim, seed=self.seed)
-        u = sampler.random(self.count)
+        u = _halton(1 + 2 * dim, self.count, self.seed)
         a, b = self.t_range
         ts = a + (b - a) * u[:, 0]
         xs = self.x_radius * (2.0 * u[:, 1 : dim + 1] - 1.0)
@@ -426,7 +467,7 @@ def find_affine_symmetries(
     n_params = per * (dim + 1)
     cfg = replace(samples, count=max(samples.count, 3 * n_params))
     M = _search_matrix(L, *cfg.samples(dim))
-    _, sing, vt = np.linalg.svd(M, full_matrices=True)
+    _, sing, vt = np.linalg.svd(M, full_matrices=False)
     cutoff = null_threshold * (sing[0] if len(sing) and sing[0] > 0 else 1.0)
     null_vectors = [
         vt[i]

@@ -322,6 +322,10 @@ def _malformed(doc, case):
         doc["solver"] = 5
     elif case == "weights":
         doc["space"]["weights"] = ["heavy"]
+    elif case == "generator-not-an-object":
+        doc["generators"]["g"] = 5
+    elif case == "generator-x-not-a-list":
+        doc["generators"]["g"] = {"T": "1", "X": "x1"}
     return doc
 
 
@@ -336,6 +340,8 @@ def _malformed(doc, case):
         ("galilean-x", "'boost'"),
         ("solver-not-an-object", "'solver'"),
         ("weights", "'weights'"),
+        ("generator-not-an-object", "generator 'g'"),
+        ("generator-x-not-a-list", "generator 'g'"),
     ],
 )
 def test_malformed_problem_values_give_one_error_line(tmp_path, capsys, case, named):

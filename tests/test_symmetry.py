@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import noether_lcs as nl
-from noether_lcs.symmetry import _search_matrix
+from noether_lcs.symmetry import _halton, _search_matrix
 from test_banded import lagrangian_source
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -512,3 +512,53 @@ def test_search_matrix_reads_the_lagrangian_through_one_jet(monkeypatch):
     assert len(found) == 4  # time translation and the three rotations
     assert jets == [1] * (1 + len(found))
     assert len(compiles) == (dim + 1) * len(found)
+
+
+@PROPERTY
+@given(d=st.integers(1, 65), n=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+def test_halton_equals_scipys_scrambled_halton(d, n, seed):
+    from scipy.stats import qmc
+
+    got = _halton(d, n, seed)
+    want = qmc.Halton(d=d, seed=seed).random(n)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+
+
+def test_samples_are_fresh_writable_arrays_over_the_cached_points():
+    cfg = nl.SamplingConfig(t_range=(0.5, 2.0), count=50, seed=3)
+    u = _halton(5, 50, 3)
+    first, again = cfg.samples(2), cfg.samples(2)
+    assert _halton(5, 50, 3) is u
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.5
+    for a, b in zip(first, again):
+        assert a.flags.writeable and not np.shares_memory(a, b)
+        assert not np.shares_memory(a, u) and np.array_equal(a, b)
+    assert np.array_equal(first[0], 0.5 + 1.5 * u[:, 0])
+    assert np.array_equal(first[2], 2.0 * (2.0 * u[:, 3:] - 1.0))
+    first[1][:] = 0.0
+    assert np.array_equal(cfg.samples(2)[1], again[1])
+
+
+def test_thin_svd_finds_the_coefficients_of_the_full_svd(monkeypatch):
+    # a dim-16 oscillator chain whose first two coordinates share a
+    # frequency: time translation and the 1-2 rotation
+    dim = 16
+    c = [1.0, 1.0] + [1.0 + 0.1 * i for i in range(2, dim)]
+    k = [0.7, 0.7] + [0.5 + 0.13 * i for i in range(2, dim)]
+    src = " + ".join(f"{c[i]!r}*v{i + 1}^2/2 - {k[i]!r}*x{i + 1}^2/2" for i in range(dim))
+    L = nl.compile_field(src, dim)
+    thin = nl.find_affine_symmetries(L)
+    svd, calls = np.linalg.svd, []
+
+    def full_svd(M, full_matrices=True):
+        calls.append(full_matrices)
+        return svd(M, full_matrices=True)
+
+    monkeypatch.setattr(np.linalg, "svd", full_svd)
+    full = nl.find_affine_symmetries(L)
+    assert calls == [False]
+    assert len(thin) == len(full) == 2
+    for a, b in zip(thin, full):
+        assert np.array_equal(a.coefficients, b.coefficients)
