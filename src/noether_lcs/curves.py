@@ -115,18 +115,16 @@ def derivative_all(curve: Curve, order: int) -> np.ndarray:
 
 def curve_seminorm_c1(curve: Curve, p: int) -> float:
     """sup |x(t)|_p + sup |x'(t)|_p, with sups taken over the grid nodes."""
-    xs = curve.values
-    vs = derivative_all(curve, 1)
-    sup_x = max(seminorm(curve.space, p, y) for y in xs)
-    sup_v = max(seminorm(curve.space, p, y) for y in vs)
-    return sup_x + sup_v
+    sup_x = np.max(seminorm(curve.space, p, curve.values))
+    sup_v = np.max(seminorm(curve.space, p, derivative_all(curve, 1)))
+    return float(sup_x + sup_v)
 
 
 def curve_seminorm_c2(curve: Curve, p: int) -> float:
     """C1 seminorm plus the sup of the reconstructed second derivative."""
     acc = curve_seminorm_c1(curve, p)
-    sup_a = max(seminorm(curve.space, p, y) for y in derivative_all(curve, 2))
-    return acc + sup_a
+    sup_a = np.max(seminorm(curve.space, p, derivative_all(curve, 2)))
+    return float(acc + sup_a)
 
 
 @dataclass(frozen=True)

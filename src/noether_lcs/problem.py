@@ -72,6 +72,18 @@ def _value(path, section: dict, key: str, kind, default=None):
         raise ProblemError(f"{path}: malformed value {section[key]!r} for key {key!r}") from None
 
 
+def _int_at_least(low: int):
+    """A ``kind`` for ``_value``: an int that is at least ``low``."""
+
+    def kind(value):
+        n = int(value)
+        if n < low:
+            raise ValueError(f"{n} < {low}")
+        return n
+
+    return kind
+
+
 def load_problem(path, grid_n: Optional[int] = None) -> ProblemFile:
     path = Path(path)
     raw = path.read_bytes()
@@ -164,8 +176,8 @@ def load_problem(path, grid_n: Optional[int] = None) -> ProblemFile:
         t_range=(grid.a, grid.b),
         x_radius=_value(path, sm, "x_radius", float, 2.0),
         v_radius=_value(path, sm, "v_radius", float, 2.0),
-        count=_value(path, sm, "count", int, 200),
-        seed=_value(path, sm, "seed", int, 0),
+        count=_value(path, sm, "count", _int_at_least(1), 200),
+        seed=_value(path, sm, "seed", _int_at_least(0), 0),
     )
 
     return ProblemFile(

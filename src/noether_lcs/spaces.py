@@ -39,10 +39,13 @@ class Space:
                 f"seminorm index {p} out of range 1..{self.num_seminorms}"
             )
 
-    def check_vector(self, y: np.ndarray) -> np.ndarray:
+    def check_vector(self, y: np.ndarray, stack: bool = False) -> np.ndarray:
+        """y as a finite float array of shape (dim,), or with ``stack`` also
+        an (N, dim) stack of vectors."""
         y = np.asarray(y, dtype=float)
-        if y.shape != (self.dim,):
-            raise ValidationError(f"vector shape {y.shape} != ({self.dim},)")
+        if y.ndim not in ((1, 2) if stack else (1,)) or y.shape[-1] != self.dim:
+            also = f" or (N, {self.dim})" if stack else ""
+            raise ValidationError(f"vector shape {y.shape} != ({self.dim},){also}")
         if not np.all(np.isfinite(y)):
             raise ValidationError("vector has non-finite entries")
         return y
@@ -63,12 +66,14 @@ def make_space(dim: int, weights, num_seminorms: int) -> Space:
     return Space(dim=dim, weights=w, num_seminorms=num_seminorms)
 
 
-def seminorm(space: Space, p: int, y) -> float:
-    """Value of |y|_p = max_{i <= min(p, dim)} w_i |y_i|."""
+def seminorm(space: Space, p: int, y):
+    """Value of |y|_p = max_{i <= min(p, dim)} w_i |y_i|.  An (N, dim) stack
+    of vectors gives an (N,) array."""
     space.check_index(p)
-    y = space.check_vector(y)
+    y = space.check_vector(y, stack=True)
     k = min(p, space.dim)
-    return float(np.max(space.weights[:k] * np.abs(y[:k])))
+    norms = np.max(space.weights[:k] * np.abs(y[..., :k]), axis=-1)
+    return float(norms) if y.ndim == 1 else norms
 
 
 def dual_seminorm(space: Space, p: int, r):

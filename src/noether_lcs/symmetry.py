@@ -366,25 +366,34 @@ def fit_gauge(
 
 @dataclass(frozen=True)
 class FirstIntegral:
-    """Scalar quantity C(t, x, v) with a conservation-verification contract."""
+    """Scalar quantity C(t, x, v) with a conservation-verification contract.
+
+    ``evaluator(t, x, v)`` takes one point (scalar t, x and v of shape
+    (dim,)) or a stack of N points (t of shape (N,), x and v of shape
+    (N, dim)) and gives a scalar or an (N,) array."""
 
     dim: int
     evaluator: Callable
     provenance: str = "user"  # 'noether' | 'user'
 
-    def __call__(self, t, x, v) -> float:
-        return float(self.evaluator(t, np.asarray(x, float), np.asarray(v, float)))
+    def __call__(self, t, x, v):
+        """C at one point (a float) or at a stack of points (an array)."""
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        out = self.evaluator(t, x, v)
+        return float(out) if x.ndim == 1 else np.asarray(out, dtype=float)
 
 
 def noether_first_integral(L: ScalarField, g: SymmetryGenerator) -> FirstIntegral:
     """C = [L - dL/dv . v] T + dL/dv . X - F, without the F term when the
-    generator has no gauge."""
+    generator has no gauge: one order-1 jet of L and one value of each
+    generator field, at one point or a stack."""
 
     def evaluator(t, x, v):
         lj = L.jet(t, x, v, 1)
         lv = lj["v"]
         X = np.stack([comp(t, x, v) for comp in g.X], axis=-1)
-        c = (lj["value"] - float(lv @ v)) * g.T(t, x, v) + float(lv @ X)
+        c = (lj["value"] - _dot(lv, v)) * g.T(t, x, v) + _dot(lv, X)
         if g.F is not None:
             c -= g.F(t, x, v)
         return c
@@ -416,12 +425,15 @@ class ConservationReport:
 
 
 def verify_conservation(C: FirstIntegral, x: Curve, tol: float) -> ConservationReport:
-    """Evaluate C along the curve with reconstructed velocities and measure
-    the spread around the mean."""
-    xd = derivative_all(x, 1)
-    vals = np.array(
-        [C(t, x.values[i], xd[i]) for i, t in enumerate(x.grid.nodes)]
-    )
+    """Evaluate C along the curve with reconstructed velocities, in one call
+    on the stack of nodes, and measure the spread around the mean."""
+    vals = C(x.grid.nodes, x.values, derivative_all(x, 1))
+    if vals.shape != (x.grid.n + 1,):
+        raise ValidationError(
+            f"first integral gave shape {vals.shape} on a stack of "
+            f"{x.grid.n + 1} nodes, expected ({x.grid.n + 1},): its evaluator "
+            f"must take t (N,), x and v (N, {C.dim}) and return (N,)"
+        )
     mean = float(np.mean(vals))
     max_dev = float(np.max(np.abs(vals - mean)))
     rel = max_dev / (1.0 + abs(mean))

@@ -314,6 +314,12 @@ def _malformed(doc, case):
         doc["solver"] = {"tol": "x"}
     elif case == "count":
         doc["sampling"] = {"count": "many"}
+    elif case == "count-zero":
+        doc["sampling"] = {"count": 0}
+    elif case == "count-negative":
+        doc["sampling"] = {"count": -3}
+    elif case == "seed-negative":
+        doc["sampling"] = {"seed": -1}
     elif case == "audit":
         doc["tolerances"] = {"audit": "big"}
     elif case == "galilean-x":
@@ -336,6 +342,9 @@ def _malformed(doc, case):
         ("n", "'n'"),
         ("tol", "'tol'"),
         ("count", "'count'"),
+        ("count-zero", "'count'"),
+        ("count-negative", "'count'"),
+        ("seed-negative", "'seed'"),
         ("audit", "'audit'"),
         ("galilean-x", "'boost'"),
         ("solver-not-an-object", "'solver'"),

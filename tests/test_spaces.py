@@ -163,6 +163,25 @@ def test_dual_seminorm():
     assert nl.dual_seminorm(sp, 1, [1.0, 0.5, 0.0]) == math.inf
 
 
+def test_seminorm_of_a_stack_equals_the_per_row_values():
+    rng = np.random.default_rng(29)
+    for dim in (1, 2, 3, 9, 12):
+        sp = nl.make_space(dim, rng.uniform(0.2, 3.0, size=dim), dim + 1)
+        y = rng.normal(size=(50, dim)) * 10.0 ** rng.integers(-6, 6, size=(50, dim))
+        y[rng.random(size=y.shape) < 0.3] = 0.0
+        for p in range(1, dim + 2):
+            stacked = nl.seminorm(sp, p, y)
+            assert stacked.shape == (50,)
+            rows = np.array([nl.seminorm(sp, p, row) for row in y])
+            assert np.array_equal(stacked, rows)
+    with pytest.raises(nl.ValidationError, match=r"\(N, 12\)"):
+        nl.seminorm(sp, 1, np.zeros((2, dim + 1)))
+    with pytest.raises(nl.ValidationError):
+        nl.seminorm(sp, 1, np.zeros((2, 2, dim)))
+    with pytest.raises(nl.ValidationError, match="non-finite"):
+        nl.seminorm(sp, 1, np.full((2, dim), np.nan))
+
+
 def test_dual_seminorm_of_a_stack_equals_the_per_row_values():
     rng = np.random.default_rng(23)
     for dim in (1, 2, 3, 9, 12):

@@ -1,10 +1,14 @@
+import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import noether_lcs as nl
+from noether_lcs.problem import load_problem
 from noether_lcs.symmetry import _halton, _search_matrix
 from test_banded import lagrangian_source
 
@@ -269,12 +273,119 @@ def test_conservation_energy_on_oscillator(line_space, oscillator):
 def test_conservation_fails_for_nonconserved_quantity(line_space):
     grid = nl.Grid(0.0, 1.0, 100)
     x = nl.Curve.from_function(line_space, grid, lambda t: [t * t])
-    C = nl.FirstIntegral(dim=1, evaluator=lambda t, xx, vv: float(vv[0]))
+    C = nl.FirstIntegral(dim=1, evaluator=lambda t, xx, vv: vv[..., 0])
     rep = nl.verify_conservation(C, x, tol=1e-6)
     # v = 2t sweeps [0, 2]: mean 1, max deviation 1, relative deviation 1/2
     assert not rep.passed
     assert rep.mean == pytest.approx(1.0, abs=1e-6)
     assert rep.relative_deviation == pytest.approx(0.5, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "evaluator,shape",
+    [
+        (lambda t, xx, vv: 0.5 * float(np.sum(vv**2)), r"\(\)"),
+        (lambda t, xx, vv: vv[0], r"\(1,\)"),
+        (lambda t, xx, vv: vv, r"\(101, 1\)"),
+    ],
+)
+def test_conservation_rejects_an_evaluator_without_the_stack_contract(
+    line_space, evaluator, shape
+):
+    grid = nl.Grid(0.0, 1.0, 100)
+    x = nl.Curve.from_function(line_space, grid, lambda t: [t * t])
+    C = nl.FirstIntegral(dim=1, evaluator=evaluator)
+    with pytest.raises(nl.ValidationError, match=rf"shape {shape} .*expected \(101,\)"):
+        nl.verify_conservation(C, x, tol=1e-6)
+
+
+def test_first_integral_is_a_float_at_a_point_and_an_array_at_a_stack(oscillator):
+    C = nl.noether_first_integral(oscillator, nl.catalog_generator("time-translation", 1))
+    assert type(C(0.0, [1.0], [2.0])) is float
+    ts, xs, vs = nl.SamplingConfig(count=7).samples(1)
+    assert C(ts, xs, vs).shape == (7,)
+
+
+def test_conservation_reads_each_field_once_at_every_grid_size(monkeypatch):
+    src = "v1^2/2 + v2^2/2 - x1*x2 + t*v1"
+    L = nl.compile_field(src, dim=2)
+    g = nl.fit_gauge(L, nl.catalog_generator("rotation-12", 2))
+    assert g.F is not None
+    C = nl.noether_first_integral(L, g)
+    tree = nl.parse(src, 2)
+    evaluate = nl.dsl.evaluate
+    calls = []
+
+    def counting(e, t, x, v, order=0):
+        calls.append((e == tree, order))
+        return evaluate(e, t, x, v, order=order)
+
+    monkeypatch.setattr(nl.dsl, "evaluate", counting)
+    space = nl.make_space(2, [1.0, 1.0], 2)
+    for n in (10, 100, 1000):
+        calls.clear()
+        x = nl.Curve.from_function(space, nl.Grid(0.0, 1.0, n), lambda t: [t, t * t])
+        nl.verify_conservation(C, x, tol=1e-6)
+        # one order-1 jet of L; one value of T, X1, X2 and F
+        assert sorted(calls) == [(False, 0)] * 4 + [(True, 1)]
+
+
+def per_point_values(C, x):
+    """C at each node of the curve, one call per node: the path
+    ``verify_conservation`` took before first integrals took stacks."""
+    xd = nl.derivative_all(x, 1)
+    return np.array([C(t, x.values[i], xd[i]) for i, t in enumerate(x.grid.nodes)])
+
+
+def assert_stacked_equals_per_point(C, x):
+    stacked = nl.verify_conservation(C, x, tol=1e-6).values
+    single = per_point_values(C, x)
+    assert stacked.shape == single.shape
+    scale = max(1.0, float(np.max(np.abs(single))))
+    assert np.max(np.abs(stacked - single)) <= 1e-14 * scale
+
+
+def random_curve(data, dim, n):
+    space = nl.make_space(dim, np.ones(dim), dim)
+    vector = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim).map(np.array)
+    xa, xb, bump = (data.draw(vector) for _ in range(3))
+    grid = nl.Grid(0.0, 1.0, n)
+    t = grid.nodes[:, None]
+    return nl.Curve(space, grid, xa + (xb - xa) * t + bump * np.sin(np.pi * t))
+
+
+def random_lagrangian(data, dim):
+    coefficient = st.floats(-1.0, 1.0)
+    kin = data.draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim))
+    pot, quartic = data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 1.0))
+    coupling, gyro, drift = (data.draw(coefficient) for _ in range(3))
+    return lagrangian_source(dim, kin, pot, coupling, gyro, quartic, drift)
+
+
+@PROPERTY
+@given(dim=st.integers(1, 3), n=st.integers(4, 120), gauged=st.booleans(), data=st.data())
+def test_stacked_noether_integral_equals_the_per_point_values(dim, n, gauged, data):
+    L = nl.compile_field(random_lagrangian(data, dim), dim)
+    g = nl.catalog_generator(data.draw(st.sampled_from(catalog_names(dim))), dim)
+    if gauged:
+        g = nl.fit_gauge(L, g)
+    assert_stacked_equals_per_point(nl.noether_first_integral(L, g), random_curve(data, dim, n))
+
+
+@PROPERTY
+@given(dim=st.integers(1, 3), n=st.integers(4, 120), data=st.data())
+def test_stacked_problem_file_integral_equals_the_per_point_values(dim, n, data):
+    doc = {
+        "space": {"dim": dim},
+        "interval": {"a": 0.0, "b": 1.0, "n": 4},
+        "lagrangian": random_lagrangian(data, dim),
+        "integrals": {"c": random_lagrangian(data, dim)},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "problem.json"
+        path.write_text(json.dumps(doc))
+        C = load_problem(path).integrals["c"]
+    assert_stacked_equals_per_point(C, random_curve(data, dim, n))
 
 
 def test_find_affine_symmetries_free_particle(free_particle):
