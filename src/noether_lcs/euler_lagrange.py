@@ -55,17 +55,22 @@ class SolverError(RuntimeError):
 
 def _covectors(L: ScalarField, grid: Grid, xs: np.ndarray):
     """Node velocities of the node array xs, and the covectors dL/dx and
-    dL/dv at every node, each from one stacked call."""
+    dL/dv at every node, both read from one order-1 jet."""
     xd = stencil_derivative(xs, grid.h, 1)
-    return xd, L.partial("x", grid.nodes, xs, xd), L.partial("v", grid.nodes, xs, xd)
+    return (xd, *L.partial(("x", "v"), grid.nodes, xs, xd))
+
+
+def _residual(grid: Grid, lx: np.ndarray, lv: np.ndarray) -> np.ndarray:
+    """The Euler-Lagrange residual dL/dx - d/dt dL/dv at the interior nodes,
+    with the momentum derivative by the central stencil."""
+    return lx[1:-1] - (lv[2:] - lv[:-2]) / (2.0 * grid.h)
 
 
 def _interior_residual(L: ScalarField, grid: Grid, xs: np.ndarray):
-    """The Euler-Lagrange residual dL/dx - d/dt dL/dv at the interior nodes,
-    with the momentum derivative by the central stencil; also returns the
+    """The interior Euler-Lagrange residual of the node array xs, and its
     node velocities."""
     xd, lx, lv = _covectors(L, grid, xs)
-    return lx[1:-1] - (lv[2:] - lv[:-2]) / (2.0 * grid.h), xd
+    return _residual(grid, lx, lv), xd
 
 
 def first_variation(L: ScalarField, x: Curve, h: Curve) -> float:
@@ -110,13 +115,12 @@ def el_residual(L: ScalarField, x: Curve, dual_index: Optional[int] = None) -> E
 
 def _interior_jacobian(L, grid, xs, xd):
     """Exact Jacobian of the stacked residual with respect to the interior
-    nodes, in band storage (see ``block_band``).  It is block-pentadiagonal,
-    scalar half-bandwidth 3m - 1: row i reads x_i's jet directly and, through
-    the momentum stencil, the jets at nodes i -+ 1, whose velocity stencils
-    reach nodes i -+ 2 (one-sided at the endpoints, weights -3, 4, -1)."""
-    lxx = L.second_partial("xx", grid.nodes, xs, xd)
-    lxv = L.second_partial("xv", grid.nodes, xs, xd)
-    lvv = L.second_partial("vv", grid.nodes, xs, xd)
+    nodes, in band storage (see ``block_band``), from one order-2 jet.  It is
+    block-pentadiagonal, scalar half-bandwidth 3m - 1: row i reads x_i's jet
+    directly and, through the momentum stencil, the jets at nodes i -+ 1,
+    whose velocity stencils reach nodes i -+ 2 (one-sided at the endpoints,
+    weights -3, 4, -1)."""
+    lxx, lxv, lvv = L.second_partial(("xx", "xv", "vv"), grid.nodes, xs, xd)
     lvx = np.swapaxes(lxv, 1, 2)  # dp_j/dx_j for the momentum p_j = dL/dv
     c = 1.0 / (2.0 * grid.h)
     q = c * c
@@ -133,36 +137,91 @@ def _interior_jacobian(L, grid, xs, xd):
     return block_band({-2: far, -1: down, 0: diag, 1: up, 2: far})
 
 
-def _newton_step(L, grid, space, xs, xd, res):
-    """The full Newton step from the node array xs, with residual res and
-    node velocities xd, by one banded LU solve; None when the Jacobian is
-    singular."""
+def _solve_band(ab, res):
+    """The full Newton step -J^{-1} res for the Jacobian J in band storage
+    ab, by one banded LU solve; None when J is singular."""
     from scipy.linalg import solve_banded
 
-    ab = _interior_jacobian(L, grid, xs, xd)
     u = len(ab) // 2
     try:
         step = solve_banded((u, u), ab, -res.reshape(-1), check_finite=False)
     except np.linalg.LinAlgError:
         return None
-    return step.reshape(grid.n - 1, space.dim)
+    return step.reshape(res.shape)
+
+
+def _newton_step(L, grid, space, xs, xd, res):
+    """The full Newton step from the node array xs, with residual res and
+    node velocities xd; None when the Jacobian is singular."""
+    return _solve_band(_interior_jacobian(L, grid, xs, xd), res)
+
+
+# the stall rule: an interior residual row at most this many eps times the
+# size of the terms that form it is at its roundoff floor
+_FLOOR = 32.0
 
 
 def _step_at_roundoff(step, xs) -> bool:
-    """max|step| <= 100 eps max(1, max|xs|)."""
+    """max|step| <= 100 eps max(1, max|xs|), the normwise roundoff test.  It
+    does not grow with n, but it accepts an iterate whose small rows sit
+    above their own floor while the large rows, at theirs, stall the
+    max-norm line search (a 3-chain with v^4 terms and boundary values near
+    1e3 stalls with one row at 221 eps s_i and a step of 45 eps max|x|)."""
     scale = max(1.0, float(np.max(np.abs(xs))))
     return bool(np.max(np.abs(step)) <= 100.0 * _EPS * scale)
 
 
+def _floor_ratios(grid, xs, lx, lv, res, ab) -> np.ndarray:
+    """|r_i| / (eps s_i) per interior row, a componentwise backward error:
+    s_i = (|J| |x|)_i + |L_x,i| + (|p_{i+1}| + |p_{i-1}|) / (2h), with J the
+    Newton Jacobian in band storage ab and p = dL/dv; the three terms bound
+    the change of r_i when x, L_x and p are each rounded."""
+    terms = np.abs(ab) * np.abs(xs[1:-1]).reshape(-1)
+    u, size = len(ab) // 2, terms.shape[1]
+    jx = np.zeros(size + 2 * u)
+    for k, row in enumerate(terms):
+        jx[k : k + size] += row  # band row k holds J[c + k - u, c] at column c
+    momenta = (np.abs(lv[2:]) + np.abs(lv[:-2])) / (2.0 * grid.h)
+    s = jx[u : u + size].reshape(res.shape) + np.abs(lx[1:-1]) + momenta
+    # s_i = 0 only where L_x,i and both momenta are 0, and then r_i = 0
+    return np.divide(np.abs(res), _EPS * s, out=np.zeros(res.shape), where=res != 0.0)
+
+
 def meets_stopping_rule(L: ScalarField, x: Curve, tol: float) -> bool:
     """Whether ``solve_extremal`` with tolerance ``tol`` stops at the curve
-    x: its residual max-norm is at most ``tol``, or the full Newton step from
-    it is at roundoff (never where the Jacobian is singular)."""
-    res, xd = _interior_residual(L, x.grid, x.values)
+    x: its residual max-norm is at most ``tol``, or x is at its roundoff
+    floor.  That is, every interior residual row has |r_i| <= 32 eps s_i
+    (see ``_floor_ratios``), or the full Newton step is at roundoff (see
+    ``_step_at_roundoff``; never where the Jacobian is singular).  It reads
+    one order-1 and, past ``tol``, one order-2 jet of L."""
+    xd, lx, lv = _covectors(L, x.grid, x.values)
+    res = _residual(x.grid, lx, lv)
     if float(np.max(np.abs(res))) <= tol:
         return True
-    step = _newton_step(L, x.grid, x.space, x.values, xd, res)
+    ab = _interior_jacobian(L, x.grid, x.values, xd)
+    if np.max(_floor_ratios(x.grid, x.values, lx, lv, res, ab)) <= _FLOOR:
+        return True
+    step = _solve_band(ab, res)
     return step is not None and _step_at_roundoff(step, x.values)
+
+
+def _line_search(L, grid, xs, step, norm, lam):
+    """The first trial xs + lam step, lam halved up to 30 times, whose
+    residual max-norm is below ``norm``, with its velocities, covectors and
+    residual; None when no trial is.  It stops at the first trial that
+    rounds to xs: rounding is monotone, so every smaller lam rounds to xs
+    too, and each such trial has xs's own residual."""
+    for _ in range(30):
+        trial = xs.copy()
+        trial[1:-1] += lam * step
+        if np.array_equal(trial, xs):
+            return None
+        xd, lx, lv = _covectors(L, grid, trial)
+        res = _residual(grid, lx, lv)
+        if float(np.max(np.abs(res))) < norm:
+            return trial, xd, lx, lv, res
+        lam *= 0.5
+    return None
 
 
 def solve_extremal(
@@ -174,7 +233,9 @@ def solve_extremal(
 ) -> Curve:
     """Damped Newton iteration on the discretized Euler-Lagrange system; it
     stops at residual max-norm ``cfg.tol``, or where the line search fails
-    and the full step is at roundoff (the residual's floor is eps |x| / h^2)."""
+    at the roundoff floor (see ``meets_stopping_rule``; the floor grows like
+    eps |x| / h^2).  Each residual is one order-1 jet of L and each Jacobian
+    one order-2 jet."""
     if grid.n % 2 != 0:
         raise ValidationError(f"grid N must be even, got {grid.n}")
     m = space.dim
@@ -192,13 +253,15 @@ def solve_extremal(
     xs[-1] = bc.xb
 
     history = []
-    res, xd = _interior_residual(L, grid, xs)
+    xd, lx, lv = _covectors(L, grid, xs)
+    res = _residual(grid, lx, lv)
     for _ in range(cfg.max_iter):
         norm = float(np.max(np.abs(res)))
         history.append(norm)
         if norm <= cfg.tol:
             return Curve(space, grid, xs)
-        step = _newton_step(L, grid, space, xs, xd, res)
+        ab = _interior_jacobian(L, grid, xs, xd)
+        step = _solve_band(ab, res)
         if step is None:
             worst = int(np.argmax(np.max(np.abs(res), axis=1))) + 1
             raise SolverError(
@@ -207,23 +270,21 @@ def solve_extremal(
                 "Lagrangian may fail the Legendre condition there",
                 history,
             )
-        # backtracking on the residual max-norm; the accepted trial's
-        # residual and velocities carry into the next iteration
-        lam = cfg.damping
-        for _ in range(30):
-            trial = xs.copy()
-            trial[1:-1] += lam * step
-            trial_res, trial_xd = _interior_residual(L, grid, trial)
-            if float(np.max(np.abs(trial_res))) < norm:
-                xs, res, xd = trial, trial_res, trial_xd
-                break
-            lam *= 0.5
-        else:
-            if _step_at_roundoff(step, xs):
+        # backtracking on the residual max-norm; the accepted trial's reads
+        # carry into the next iteration
+        accepted = _line_search(L, grid, xs, step, norm, cfg.damping)
+        if accepted is None:
+            ratios = np.max(_floor_ratios(grid, xs, lx, lv, res, ab), axis=1)
+            if np.max(ratios) <= _FLOOR or _step_at_roundoff(step, xs):
                 return Curve(space, grid, xs)
+            worst = int(np.argmax(ratios)) + 1
             raise SolverError(
-                f"line search stalled at residual {norm:.3e}", history
+                f"line search stalled at residual {norm:.3e}; worst at node "
+                f"{worst} (t={grid.nodes[worst]:.6g}), |r_i|/(eps s_i) = "
+                f"{ratios[worst - 1]:.3g}, above the roundoff floor {_FLOOR:g}",
+                history,
             )
+        xs, xd, lx, lv, res = accepted
     norm = float(np.max(np.abs(res)))
     if norm <= cfg.tol:
         return Curve(space, grid, xs)

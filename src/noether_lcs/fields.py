@@ -2,8 +2,9 @@
 
 A ScalarField wraps an evaluator ``L(t, x, v)`` and an optional exact-jet
 engine.  ``jet(t, x, v, order)`` gives the value and every partial up to
-``order`` from one engine call, read block by block; ``__call__``,
-``partial`` and ``second_partial`` each read one block.  Blocks the engine
+``order`` from one engine call, read block by block; ``__call__`` reads the
+value, and ``partial`` and ``second_partial`` read one block, or a tuple of
+blocks (``L.partial(("x", "v"), ...)``) from one jet.  Blocks the engine
 does not give fall back to central finite differences over the engine's
 slots z = (t, x, v), Richardson-extrapolated for a first partial and three-
 or four-point for a second.  Points are one point (scalar t, x and v of
@@ -156,17 +157,26 @@ class ScalarField:
     def __call__(self, t, x, v):
         return self.jet(t, x, v, 0)["value"]
 
-    def partial(self, which: str, t, x, v):
-        """One first partial: 't' (a float at one point), 'x' or 'v'."""
-        if _ORDER.get(which) != 1:
-            raise ValueError(f"unknown partial {which!r}")
-        return self.jet(t, x, v, 1)[which]
+    def _blocks(self, names, order: int, kind: str, t, x, v):
+        """The named blocks of one jet of ``order``: one block for a name,
+        a tuple of blocks for a tuple of names."""
+        single = isinstance(names, str)
+        wanted = (names,) if single else tuple(names)
+        for name in wanted:
+            if _ORDER.get(name) != order:
+                raise ValueError(f"unknown {kind} {name!r}")
+        jet = self.jet(t, x, v, order)
+        return jet[names] if single else tuple(jet[name] for name in wanted)
 
-    def second_partial(self, pair: str, t, x, v):
-        """One second-partial block: 'tt', 'xx', 'xv', 'vx' or 'vv'."""
-        if _ORDER.get(pair) != 2:
-            raise ValueError(f"unknown second partial {pair!r}")
-        return self.jet(t, x, v, 2)[pair]
+    def partial(self, which, t, x, v):
+        """One first partial, 't' (a float at one point), 'x' or 'v'; or, for
+        a tuple of these names, a tuple of the blocks from one jet."""
+        return self._blocks(which, 1, "partial", t, x, v)
+
+    def second_partial(self, pair, t, x, v):
+        """One second-partial block, 'tt', 'xx', 'xv', 'vx' or 'vv'; or, for
+        a tuple of these names, a tuple of the blocks from one jet."""
+        return self._blocks(pair, 2, "second partial", t, x, v)
 
     # -- finite differences at one point --------------------------------
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -170,9 +172,9 @@ def test_newton_iteration_costs_a_fixed_number_of_jet_calls(monkeypatch):
     evaluate = nl.dsl.evaluate
     assemble = nl.euler_lagrange._interior_jacobian
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return evaluate(*args, **kwargs)
+    def counting(e, t, x, v, order=0):
+        calls.append(order)
+        return evaluate(e, t, x, v, order=order)
 
     def counting_jacobian(*args):
         jacobians.append(1)
@@ -186,6 +188,8 @@ def test_newton_iteration_costs_a_fixed_number_of_jet_calls(monkeypatch):
         solve("v1^2/2 + v1^4/12 - x1^2/2", [0.0], [1.0], 0.0, 1.0, n)
         assert jacobians
         assert len(calls) <= 15 * len(jacobians)
+        # each Jacobian reads its xx, xv and vv blocks from one order-2 jet
+        assert calls.count(2) == len(jacobians)
 
 
 def test_newton_carries_the_accepted_trial_residual(monkeypatch, line_space):
@@ -203,9 +207,9 @@ def test_newton_carries_the_accepted_trial_residual(monkeypatch, line_space):
     monkeypatch.setattr(nl.dsl, "evaluate", counting)
     bc = nl.BoundaryConditions([0.0], [1.0])
     nl.solve_extremal(L, bc, nl.Grid(0.0, np.pi / 2, 40), line_space)
-    # dL/dx and dL/dv at the start, the xx, xv and vv Jacobian blocks, and
-    # dL/dx and dL/dv at the one trial
-    assert orders == [1, 1, 2, 2, 2, 1, 1]
+    # one order-1 jet (dL/dx and dL/dv) at the start, one order-2 jet (the
+    # xx, xv and vv Jacobian blocks), and one order-1 jet at the one trial
+    assert orders == [1, 2, 1]
 
 
 def test_newton_iteration_budget_raises_solver_error(line_space):
@@ -235,6 +239,42 @@ def test_newton_stops_at_the_roundoff_floor(line_space):
     assert np.max(np.abs(c.values[:, 0] - 1e4 * np.sin(c.grid.nodes))) <= 1e4 * 1e-5
 
 
+def test_stalled_line_search_stops_at_the_first_trial_that_rounds_to_the_iterate(
+    monkeypatch,
+):
+    # at the x1e4 roundoff floor every trial fails; once xs + lam step rounds
+    # to xs, every smaller lam does too, so the line search stops there
+    # instead of halving lam 30 times
+    orders = []
+    evaluate = nl.dsl.evaluate
+
+    def counting(e, t, x, v, order=0):
+        orders.append(order)
+        return evaluate(e, t, x, v, order=order)
+
+    monkeypatch.setattr(nl.dsl, "evaluate", counting)
+    L, c = solve("(v1^2 - x1^2)/2", [0.0], [1e4], 0.0, np.pi / 2, 200)
+    last_jacobian = len(orders) - orders[::-1].index(2)
+    stalled = orders[last_jacobian:]
+    assert stalled and set(stalled) == {1}
+    assert len(stalled) < 12
+    assert nl.el_residual(L, c).max_norm > 10 * nl.SolverConfig().tol
+
+
+def test_scaled_oscillator_at_its_roundoff_floor_returns_the_closed_form():
+    # boundary values near 1e3 at n=800: the residual's roundoff floor is far
+    # above tol and the line search stalls there, with every interior row
+    # within 32 eps of the size of the terms that form it
+    c, k, xa, xb = 1.155, 0.543, 681.0, 861.0
+    L, x = solve(f"({c}*v1^2 - {k}*x1^2)/2", [xa], [xb], 0.0, 1.0, 800)
+    assert nl.el_residual(L, x).max_norm > 10 * nl.SolverConfig().tol
+    assert nl.meets_stopping_rule(L, x, nl.SolverConfig().tol)
+    w = np.sqrt(k / c)
+    t = x.grid.nodes
+    exact = (xa * np.sin(w * (1.0 - t)) + xb * np.sin(w * t)) / np.sin(w)
+    assert np.max(np.abs(x.values[:, 0] - exact)) <= 2.0 * xb * x.grid.h**2
+
+
 def test_line_search_stall_away_from_roundoff_still_raises(line_space):
     # L_vv = -sin(v) changes sign along the seed, so Newton's direction does
     # not lower the residual; the stalled step is far above roundoff
@@ -244,3 +284,37 @@ def test_line_search_stall_away_from_roundoff_still_raises(line_space):
         nl.solve_extremal(L, nl.BoundaryConditions([0.5], [1.0]), grid, line_space)
     seed = nl.Curve.from_function(line_space, grid, lambda t: [0.5 + 0.5 * t])
     assert not nl.meets_stopping_rule(L, seed, 1e-10)
+
+
+def test_line_search_stall_names_the_worst_node_and_its_backward_error(line_space):
+    L = nl.compile_field("sin(v1) + x1^2", dim=1)
+    grid = nl.Grid(0.0, 1.0, 20)
+    named = (
+        r"line search stalled at residual \S+; worst at node (\d+) \(t=(\S+)\), "
+        r"\|r_i\|/\(eps s_i\) = (\S+), above the roundoff floor 32"
+    )
+    with pytest.raises(nl.SolverError, match=named) as err:
+        nl.solve_extremal(L, nl.BoundaryConditions([0.5], [1.0]), grid, line_space)
+    node, t, ratio = re.search(named, str(err.value)).groups()
+    assert 1 <= int(node) <= grid.n - 1
+    assert float(t) == pytest.approx(grid.nodes[int(node)])
+    assert float(ratio) > 1e10
+
+
+def test_stall_with_small_rows_above_their_floor_returns_when_the_step_is_at_roundoff():
+    # boundary values near 1e3 on a 3-chain with v^4 terms: the max-norm line
+    # search is held up by the large rows while a few small rows sit above
+    # 32 eps s_i; the full Newton step is at roundoff, so the solve returns
+    src = (
+        "1.187*v1^2/2 + 0.15*v1^4/12 - 1.184*x1^2/2 + 0.336*x1*v2"
+        " + 0.824*v2^2/2 + 0.195*v2^4/12 - 1.88*x2^2/2 + 0.336*x2*v3"
+        " + 1.393*v3^2/2 + 0.317*v3^4/12 - 0.989*x3^2/2 + 0.336*x3*v1"
+    )
+    L, x = solve(src, [931.0, -973.0, -98.0], [-517.0, -422.0, -95.0], 0.0, 1.0, 200, dim=3)
+    el = nl.euler_lagrange
+    xd, lx, lv = el._covectors(L, x.grid, x.values)
+    res = el._residual(x.grid, lx, lv)
+    ab = el._interior_jacobian(L, x.grid, x.values, xd)
+    assert np.max(el._floor_ratios(x.grid, x.values, lx, lv, res, ab)) > el._FLOOR
+    assert nl.meets_stopping_rule(L, x, nl.SolverConfig().tol)
+    assert nl.legendre_check(L, x).passed

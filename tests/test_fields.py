@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import noether_lcs as nl
 from noether_lcs.fields import FDConfig
@@ -222,6 +225,66 @@ def _counting_bare(src, dim):
         return compiled.func(t, x, v)
 
     return nl.ScalarField(dim=dim, func=func), calls
+
+
+TUPLE_SOURCES = (
+    "(v1^2 - x1^2)/2 + t*x2*v1 + v2^4/12",
+    "exp(x1)*v2^2/2 + sin(t*v1) - x1*x2",
+    "abs(x1)*v1^2 + x2*v2 + t^2*abs(v2)",
+)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    src=st.sampled_from(TUPLE_SOURCES),
+    engine=st.booleans(),
+    count=st.sampled_from([None, 1, 5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tuple_reads_equal_the_single_block_reads(src, engine, count, seed):
+    # a tuple of block names reads one jet; each block must be bit for bit
+    # the block a single-name read gives, for a compiled field, a field with
+    # no engine, and abs() at its kink rows (which fall back to differences)
+    L = nl.compile_field(src, dim=2)
+    if not engine:
+        L = nl.ScalarField(dim=2, func=L.func)
+    rng = np.random.default_rng(seed)
+    shape = (2,) if count is None else (count, 2)
+    t = rng.uniform(-1.0, 1.0) if count is None else rng.uniform(-1.0, 1.0, count)
+    x, v = rng.uniform(-1.0, 1.0, shape), rng.uniform(-1.0, 1.0, shape)
+    if count is not None:
+        x[::2, 0] = 0.0  # the kink rows of abs(x1)
+        v[1::3, 1] = 0.0  # and of abs(v2)
+    reads = ((L.partial, ("t", "x", "v")), (L.second_partial, ("tt", "xx", "xv", "vx", "vv")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for read, names in reads:
+            for k in range(1, len(names) + 1):
+                together = read(names[:k], t, x, v)
+                assert len(together) == k
+                for name, block in zip(names, together):
+                    assert np.array_equal(block, read(name, t, x, v))
+
+
+def test_tuple_read_is_one_engine_call(monkeypatch):
+    L = nl.compile_field("(v1^2 - x1^2)/2 + x1*v2", dim=2)
+    orders = []
+    evaluate = nl.dsl.evaluate
+
+    def counting(e, t, x, v, order=0):
+        orders.append(order)
+        return evaluate(e, t, x, v, order=order)
+
+    monkeypatch.setattr(nl.dsl, "evaluate", counting)
+    t, x, v = np.zeros(4), np.ones((4, 2)), np.ones((4, 2))
+    L.partial(("x", "v"), t, x, v)
+    L.second_partial(("xx", "xv", "vv"), t, x, v)
+    assert orders == [1, 2]
+    with pytest.raises(ValueError, match="unknown partial 'xx'"):
+        L.partial(("x", "xx"), t, x, v)
+    with pytest.raises(ValueError, match="unknown second partial 'v'"):
+        L.second_partial(("vv", "v"), t, x, v)
+    assert orders == [1, 2]
 
 
 def test_fd_hessian_blocks_are_exactly_symmetric():
