@@ -1,12 +1,16 @@
-"""Golden `solve` outputs: the report and the extremal CSV of each case,
-as `noether-lcs solve` writes them.
+"""Golden outputs of the eight commands: every report and CSV each command
+writes on each case, and each run's exit code.
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
 rewrites every golden file from the package on the path.  A change that
-moves a number regenerates them and says which fields moved.  The report's
-`input` field is the path the problem was given by, so it is replaced by the
-problem's file name; everything else is compared byte for byte.
+moves a number regenerates them and says which fields moved.  Each run's
+files sit in ``<case>/<run>/``, where a run is a command, or
+``noether-<generator>`` and ``verify-<integral>`` for each generator and
+integral of the problem file; ``exit_codes.json`` holds each run's exit code
+(2 where a verdict fails).  A report's `input` field is the path the problem
+was given by, so it is replaced by the problem's file name; everything else
+is compared byte for byte.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -26,37 +31,56 @@ CASES = {
     # a 3-coordinate anharmonic chain at n=200 (no closed form)
     "anharmonic_d3": GOLDEN / "anharmonic_d3.json",
 }
-OUTPUTS = ("solve_report.json", "extremal.csv")
+EXIT_CODES = GOLDEN / "exit_codes.json"
+_PLAIN = ("solve", "legendre", "jacobi", "check-invariance", "find-symmetries", "audit-diff")
 
 
-def render(problem: Path) -> dict:
-    """The normalised bytes of each output of `solve` on ``problem``."""
+def runs(problem: Path) -> dict:
+    """The command line after the problem path of each run, by run name."""
+    spec = json.loads(problem.read_text())
+    out = {name: [name] for name in _PLAIN}
+    for g in sorted(spec.get("generators", {})):
+        out[f"noether-{g}"] = ["noether", "--generator", g]
+    for i in sorted(spec.get("integrals", {})):
+        out[f"verify-{i}"] = ["verify", "--integral", i]
+    return out
+
+
+def render(problem: Path, argv) -> tuple:
+    """The exit code and the normalised bytes of each file of one run."""
     from noether_lcs import cli
 
     with tempfile.TemporaryDirectory() as out:
         quiet = io.StringIO()
         with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
-            code = cli.main(["solve", str(problem), "--out", out])
-        if code != 0:
-            raise RuntimeError(f"solve {problem} exited {code}")
-        files = {name: (Path(out) / name).read_bytes() for name in OUTPUTS}
+            code = cli.main([argv[0], str(problem), *argv[1:], "--out", out])
+        if code not in (0, 2):
+            raise RuntimeError(f"{' '.join(argv)} on {problem} exited {code}")
+        files = {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
     given = f'"input": {json.dumps(str(problem))},'.encode()
-    report = files["solve_report.json"]
-    if report.count(given) != 1:
-        raise RuntimeError(f"no single input field {given!r} in the report")
-    files["solve_report.json"] = report.replace(
+    name = f"{argv[0].replace('-', '_')}_report.json"
+    if files[name].count(given) != 1:
+        raise RuntimeError(f"no single input field {given!r} in {name}")
+    files[name] = files[name].replace(
         given, f'"input": {json.dumps(problem.name)},'.encode()
     )
-    return files
+    return code, files
 
 
 def main() -> int:
+    codes = {}
     for case, problem in CASES.items():
-        folder = GOLDEN / case
-        folder.mkdir(exist_ok=True)
-        for name, data in render(problem).items():
-            (folder / name).write_bytes(data)
-            print(f"wrote {folder / name}")
+        shutil.rmtree(GOLDEN / case, ignore_errors=True)
+        codes[case] = {}
+        for run, argv in runs(problem).items():
+            codes[case][run], files = render(problem, argv)
+            folder = GOLDEN / case / run
+            folder.mkdir(parents=True)
+            for name, data in files.items():
+                (folder / name).write_bytes(data)
+                print(f"wrote {folder / name}")
+    EXIT_CODES.write_text(json.dumps(codes, indent=2) + "\n")
+    print(f"wrote {EXIT_CODES}")
     return 0
 
 
