@@ -31,21 +31,13 @@ class ParseDiagnostic(ValueError):
         super().__init__(f"at offset {offset} near {token!r}: {message}")
 
 
-class _PointError(ArithmeticError):
-    """``rows`` lists the failing points of an evaluated stack (``[0]`` for
-    one point)."""
+class DomainError(ArithmeticError):
+    """Evaluation hit an invalid argument (log/sqrt/division); ``rows`` lists
+    the failing points of an evaluated stack (``[0]`` for one point)."""
 
     def __init__(self, message: str, rows=(0,)):
         super().__init__(message)
         self.rows = np.asarray(rows, dtype=int)
-
-
-class DomainError(_PointError):
-    """Evaluation hit an invalid argument (log/sqrt/division)."""
-
-
-class NonDifferentiableError(_PointError):
-    """abs() evaluated within 1e-12 of its kink; analytic partials unavailable."""
 
 
 # -- expression tree ----------------------------------------------------
@@ -362,10 +354,14 @@ def evaluate(e: Expression, t, x, v, order: int = 0) -> EvalResult:
 
     Takes one point (scalar t, x and v of shape (m,)) or a stack of N points
     (t of shape (N,), x and v of shape (N, m)); the stack is evaluated in one
-    pass over the tree.  An invalid argument raises DomainError, and abs()
-    within 1e-12 of its kink raises NonDifferentiableError when partials are
-    asked for; on a stack both name the first failing point and list every
-    failing row in ``rows``.
+    pass over the tree.  An invalid argument raises DomainError, which on a
+    stack names the first failing point and lists every failing row in
+    ``rows``.  Where partials are asked for and an abs() argument is within
+    1e-12 of its kink, the point has no exact partials: it is listed in
+    ``kinks`` and evaluation goes on, skipping there the checks that only
+    partials need (sqrt at 0, 0 to a positive power) at the nodes after
+    that abs().  On a stack every partial block is NaN at those rows; at
+    one point the result has no partial blocks.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -374,16 +370,18 @@ def evaluate(e: Expression, t, x, v, order: int = 0) -> EvalResult:
     m = x.shape[-1]
     n = 1 + 2 * m
     units = {}
+    # the points where an abs() argument is at its kink; only partials need it
+    kinks = np.zeros(T.shape, dtype=bool) if order else None
 
-    def check(bad, message, values=None, exc=DomainError):
+    def check(bad, message, values=None):
         if not (bad.any() if type(bad) is np.ndarray else bad):
             return
         if not stacked:
-            raise exc(message.format(values))
+            raise DomainError(message.format(values))
         rows = np.flatnonzero(np.broadcast_to(bad, T.shape))
         i = int(rows[0])
         value = None if values is None else np.broadcast_to(values, T.shape)[i]
-        raise exc(
+        raise DomainError(
             message.format(value) + f" at point {i} (t={T[i]}, x={x[i]}, v={v[i]})",
             rows,
         )
@@ -412,11 +410,10 @@ def evaluate(e: Expression, t, x, v, order: int = 0) -> EvalResult:
         u0, ug, uh = u
         if c == 0.0:
             return np.float64(1.0), None, None
-        if order >= 1:
-            if not (c in (1.0, 2.0) or (c > 2.0 and c == int(c))):
-                check(u0 == 0.0, f"0 raised to exponent {c}")
-        elif c < 0.0:
+        if c < 0.0:
             check(u0 == 0.0, f"0 raised to exponent {c}")
+        elif order >= 1 and not (c in (1.0, 2.0) or (c > 2.0 and c == int(c))):
+            check((u0 == 0.0) & ~kinks, f"0 raised to exponent {c}")
         if c != int(c):
             check(u0 < 0.0, f"negative base {{}} with non-integer exponent {c}", u0)
         f0 = u0**c
@@ -434,10 +431,9 @@ def evaluate(e: Expression, t, x, v, order: int = 0) -> EvalResult:
         elif op == "sqrt":
             check(u0 < 0.0, "sqrt of negative value {}", u0)
             if order >= 1:
-                check(u0 == 0.0, "sqrt not differentiable at 0")
+                check((u0 == 0.0) & ~kinks, "sqrt not differentiable at 0")
         elif op == "abs" and order >= 1:
-            kink = np.abs(u0) < 1e-12
-            check(kink, "abs evaluated at its kink", exc=NonDifferentiableError)
+            kinks[...] |= np.abs(u0) < 1e-12
         f0 = _UNARY[op](u0)
         if ug is None:
             return f0, None, None
@@ -511,27 +507,19 @@ def evaluate(e: Expression, t, x, v, order: int = 0) -> EvalResult:
             "xv": _block(h[..., 1 : m + 1, m + 1 :]),
             "vx": _block(h[..., m + 1 :, 1 : m + 1]),
         }
-    return EvalResult(**res)
+    if not order or not np.count_nonzero(kinks):
+        return EvalResult(**res)
+    rows = np.flatnonzero(kinks)
+    if not stacked:
+        return EvalResult(value=res["value"], kinks=rows)
+    for block in (res["d_t"], res["d_x"], res["d_v"], *res.get("d2", {}).values()):
+        block[rows] = np.nan
+    return EvalResult(**res, kinks=rows)
 
 
 def _block(a):
     """A result block as a fresh array, or a float for a scalar at one point."""
     return float(a) if a.ndim == 0 else np.array(a)
-
-
-def _scatter(r: EvalResult, rows, n: int, value, kinks) -> EvalResult:
-    """The partial blocks of ``r``, evaluated on the stack ``rows``, spread to
-    all n rows with NaN elsewhere."""
-
-    def full(b):
-        if b is None:
-            return None
-        out = np.full((n,) + b.shape[1:], np.nan)
-        out[rows] = b
-        return out
-
-    d2 = None if r.d2 is None else {k: full(b) for k, b in r.d2.items()}
-    return EvalResult(value, full(r.d_t), full(r.d_x), full(r.d_v), d2, kinks)
 
 
 class _Jets:
@@ -550,29 +538,14 @@ class _Jets:
         return evaluate(self.expr, t, x, v).value
 
     def __call__(self, t, x, v, order: int) -> EvalResult:
-        try:
-            return evaluate(self.expr, t, x, v, order=order)
-        except NonDifferentiableError as err:
-            kinks = err.rows
-        warnings.warn(
-            "abs() within 1e-12 of its kink; falling back to finite differences",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        value = self.value(t, x, v)
-        if np.ndim(x) == 1:
-            return EvalResult(value=value, kinks=kinks)
-        t = np.asarray(t, dtype=float)
-        smooth = np.ones(len(t), dtype=bool)
-        smooth[kinks] = False
-        while True:
-            rows = np.flatnonzero(smooth)
-            try:
-                r = evaluate(self.expr, t[rows], x[rows], v[rows], order=order)
-                break
-            except NonDifferentiableError as err:
-                smooth[rows[err.rows]] = False
-        return _scatter(r, rows, len(t), value, np.flatnonzero(~smooth))
+        r = evaluate(self.expr, t, x, v, order=order)
+        if r.kinks is not None:
+            warnings.warn(
+                "abs() within 1e-12 of its kink; falling back to finite differences",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        return r
 
 
 def compile_field(source, dim: int) -> ScalarField:

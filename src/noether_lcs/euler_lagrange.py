@@ -66,13 +66,6 @@ def _residual(grid: Grid, lx: np.ndarray, lv: np.ndarray) -> np.ndarray:
     return lx[1:-1] - (lv[2:] - lv[:-2]) / (2.0 * grid.h)
 
 
-def _interior_residual(L: ScalarField, grid: Grid, xs: np.ndarray):
-    """The interior Euler-Lagrange residual of the node array xs, and its
-    node velocities."""
-    xd, lx, lv = _covectors(L, grid, xs)
-    return _residual(grid, lx, lv), xd
-
-
 def first_variation(L: ScalarField, x: Curve, h: Curve) -> float:
     """Simpson quadrature of dL/dx . h + dL/dv . h' along the curve."""
     from scipy.integrate import simpson
@@ -92,24 +85,21 @@ class ELResidual:
     nodes: np.ndarray  # interior node times
     residuals: np.ndarray  # (N-1, dim)
     max_norm: float
-    dual_index: int
 
 
-def el_residual(L: ScalarField, x: Curve, dual_index: Optional[int] = None) -> ELResidual:
+def el_residual(L: ScalarField, x: Curve) -> ELResidual:
     """Pointwise Euler-Lagrange residual dL/dx - d/dt dL/dv at interior nodes.
 
     The time derivative of the momentum uses the same central stencils as the
     curve derivative reconstruction; the summary norm is the max over nodes of
-    the dual seminorm at ``dual_index`` (default: the strongest index).
+    the dual seminorm at the strongest index.
     """
-    if dual_index is None:
-        dual_index = x.space.num_seminorms
-    res, _ = _interior_residual(L, x.grid, x.values)
+    _, lx, lv = _covectors(L, x.grid, x.values)
+    res = _residual(x.grid, lx, lv)
     return ELResidual(
         nodes=x.grid.nodes[1:-1],
         residuals=res,
-        max_norm=float(np.max(dual_seminorm(x.space, dual_index, res))),
-        dual_index=dual_index,
+        max_norm=float(np.max(dual_seminorm(x.space, x.space.num_seminorms, res))),
     )
 
 
@@ -148,12 +138,6 @@ def _solve_band(ab, res):
     except np.linalg.LinAlgError:
         return None
     return step.reshape(res.shape)
-
-
-def _newton_step(L, grid, space, xs, xd, res):
-    """The full Newton step from the node array xs, with residual res and
-    node velocities xd; None when the Jacobian is singular."""
-    return _solve_band(_interior_jacobian(L, grid, xs, xd), res)
 
 
 # the stall rule: an interior residual row at most this many eps times the

@@ -224,8 +224,11 @@ class ScalarField:
 # -- normal-differentiability audit -------------------------------------
 
 
-def default_probe_radii() -> np.ndarray:
-    return np.logspace(-1, -6, 6)
+# the probe radii of the audit, read-only because every audit hands them out
+_PROBE_RADII = np.logspace(-1, -6, 6)
+_PROBE_RADII.flags.writeable = False
+# random directions per seminorm pair, beside the 2k signed unit vectors
+_RANDOM_DIRECTIONS = 8
 
 
 @dataclass(frozen=True)
@@ -250,12 +253,9 @@ def check_normal_differentiability(
     space_dst: Space,
     base_points,
     tol: float,
-    radii=None,
-    num_directions: int = 8,
-    seed: int = 0,
 ) -> DifferentiabilityAudit:
     """Probe the remainder ratio |g(x+h) - g(x) - g'(x)h|^s / |h|_m over a
-    finite sample cloud and shrinking radii.
+    finite sample cloud and the shrinking radii 1e-1 .. 1e-6.
 
     The (s, m) pairs audited are those with m in the finiteness set of the
     candidate derivative at every base point.  A failed audit is a verdict,
@@ -264,9 +264,6 @@ def check_normal_differentiability(
     base_points = [space_src.check_vector(b) for b in base_points]
     if not base_points:
         raise ValueError("need at least one base point")
-    if radii is None:
-        radii = default_probe_radii()
-    radii = np.asarray(radii, dtype=float)
 
     # candidate index pairs: intersection of the finiteness sets over the cloud
     pairs = None
@@ -287,7 +284,7 @@ def check_normal_differentiability(
         return np.atleast_1d(np.asarray(g(z), dtype=float))
 
     g_base = [values(b) for b in base_points] if pairs else []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     ratios = {}
     verdicts = {}
     for (s, m) in sorted(pairs):
@@ -297,14 +294,14 @@ def check_normal_differentiability(
             e = np.zeros(space_src.dim)
             e[i] = 1.0
             dirs.extend([e, -e])
-        for _ in range(num_directions):
+        for _ in range(_RANDOM_DIRECTIONS):
             u = np.zeros(space_src.dim)
             u[:k] = rng.standard_normal(k)
             dirs.append(u)
         # each direction with its seminorm, leaving out the null directions
         dirs = [(u, nu) for u in dirs if (nu := seminorm(space_src, m, u)) != 0.0]
-        worst = np.zeros(len(radii))
-        for ir, r in enumerate(radii):
+        worst = np.zeros(len(_PROBE_RADII))
+        for ir, r in enumerate(_PROBE_RADII):
             for b, gb, A in zip(base_points, g_base, derivs):
                 for u, nu in dirs:
                     h = (r / nu) * u
@@ -315,7 +312,7 @@ def check_normal_differentiability(
         verdicts[(s, m)] = bool(worst[-1] <= tol and worst[-1] <= worst[0] + tol)
     return DifferentiabilityAudit(
         base_points=tuple(base_points),
-        radii=radii,
+        radii=_PROBE_RADII,
         ratios=ratios,
         verdicts=verdicts,
         tol=tol,

@@ -146,16 +146,16 @@ def _inverse_iteration(ab, vals) -> np.ndarray:
     return vecs
 
 
-def jacobi_eigen(
-    ops: JacobiOperators, grid: Grid, k: int, symmetry_tol: float = 1e-6
-) -> List[Tuple[float, Curve]]:
+def jacobi_eigen(ops: JacobiOperators, grid: Grid, k: int) -> List[Tuple[float, Curve]]:
     """k smallest eigenpairs of -d/dt(R h') + P h = lambda h with Dirichlet
     conditions, by the three-point conservative stencil: a block-tridiagonal
     matrix of scalar half-bandwidth 2m - 1, in band storage.
 
     Eigenfunction curves are normalized to unit discrete L2 norm and signed
     so that the largest-magnitude value (the first within 1e-6 relative of
-    it, so that near-ties do not flip with roundoff) is positive.
+    it, so that near-ties do not flip with roundoff) is positive.  A matrix
+    whose asymmetry exceeds 1e-6 of its largest entry raises ValidationError
+    naming the first such node.
     """
     from scipy.linalg import eig_banded
 
@@ -173,7 +173,7 @@ def jacobi_eigen(
     cdev = np.max(np.abs(coupling - np.swapaxes(coupling, 1, 2)), axis=(1, 2))
     dev[:-1] = np.maximum(dev[:-1], cdev)
     scale = max(float(np.max(np.abs(diag))), float(np.max(np.abs(coupling)))) or 1.0
-    bad = np.flatnonzero(dev > symmetry_tol * scale)
+    bad = np.flatnonzero(dev > 1e-6 * scale)
     if bad.size:
         i = int(bad[0]) + 1
         raise ValidationError(

@@ -158,7 +158,7 @@ def load_problem(path, grid_n: Optional[int] = None) -> ProblemFile:
             f = compile_field(src, space.dim)
         except ParseDiagnostic as err:
             raise ProblemError(f"{path}: integral {name!r}: {err}")
-        integrals[name] = FirstIntegral(dim=space.dim, evaluator=f.func, provenance="user")
+        integrals[name] = FirstIntegral(dim=space.dim, evaluator=f.func)
 
     sv = _value(path, doc, "solver", dict, {})
     solver = SolverConfig(

@@ -374,7 +374,6 @@ class FirstIntegral:
 
     dim: int
     evaluator: Callable
-    provenance: str = "user"  # 'noether' | 'user'
 
     def __call__(self, t, x, v):
         """C at one point (a float) or at a stack of points (an array)."""
@@ -398,7 +397,7 @@ def noether_first_integral(L: ScalarField, g: SymmetryGenerator) -> FirstIntegra
             c -= g.F(t, x, v)
         return c
 
-    return FirstIntegral(dim=g.dim, evaluator=evaluator, provenance="noether")
+    return FirstIntegral(dim=g.dim, evaluator=evaluator)
 
 
 def hamiltonian(L: ScalarField, t, x, v):
@@ -461,18 +460,16 @@ def _search_matrix(L: ScalarField, ts, xs, vs) -> np.ndarray:
 
 
 def find_affine_symmetries(
-    L: ScalarField,
-    samples: SamplingConfig = SamplingConfig(),
-    null_threshold: float = 1e-8,
-    verify_tol: float = 1e-6,
-    verify_count: int = 500,
+    L: ScalarField, samples: SamplingConfig = SamplingConfig()
 ) -> List[SymmetryGenerator]:
     """Null-space search over the affine generator ansatz
     T = a0 + a1 t + sum b_i x_i, X_j likewise.
 
     The invariance residual is linear in the generator, so symmetries are the
-    null space of the residual matrix sampled at quasi-random points.  Each
-    candidate is re-verified on a fresh sample set before being returned.
+    null space of the residual matrix sampled at quasi-random points: the
+    right singular vectors with singular values at most 1e-8 of the largest.
+    Each candidate is re-verified by ``check_invariance`` at tolerance 1e-6
+    on 500 fresh samples before being returned.
     """
     dim = L.dim
     per = dim + 2
@@ -480,13 +477,13 @@ def find_affine_symmetries(
     cfg = replace(samples, count=max(samples.count, 3 * n_params))
     M = _search_matrix(L, *cfg.samples(dim))
     _, sing, vt = np.linalg.svd(M, full_matrices=False)
-    cutoff = null_threshold * (sing[0] if len(sing) and sing[0] > 0 else 1.0)
+    cutoff = 1e-8 * (sing[0] if len(sing) and sing[0] > 0 else 1.0)
     null_vectors = [
         vt[i]
         for i in range(n_params)
         if i >= len(sing) or sing[i] <= cutoff
     ]
-    fresh = replace(samples, count=verify_count, seed=samples.seed + 1)
+    fresh = replace(samples, count=500, seed=samples.seed + 1)
     out = []
     for vec in null_vectors:
         vec = vec / np.max(np.abs(vec))
@@ -494,6 +491,6 @@ def find_affine_symmetries(
             affine_generator(dim, vec[:per], vec[per:].reshape(dim, per)),
             coefficients=vec.copy(),
         )
-        if check_invariance(L, g, fresh, tol=verify_tol).passed:
+        if check_invariance(L, g, fresh, tol=1e-6).passed:
             out.append(g)
     return out

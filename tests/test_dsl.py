@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -217,7 +218,10 @@ def test_abs_kink_falls_back_to_fd_with_warning():
     assert L.partial("x", 0.0, np.array([2.0]), np.array([0.0])) == pytest.approx([1.0])
 
 
-def _random_expression(rng, depth):
+_SMOOTH_OPS = ["+", "-", "*", "sin", "cos", "pow", "exp"]
+
+
+def _random_expression(rng, depth, ops=_SMOOTH_OPS):
     if depth == 0 or rng.random() < 0.25:
         kind = rng.integers(0, 4)
         if kind == 0:
@@ -227,14 +231,16 @@ def _random_expression(rng, depth):
         if kind == 2:
             return Var("x", 1)
         return Var("v", 1)
-    op = rng.choice(["+", "-", "*", "sin", "cos", "pow", "exp"])
+    op = rng.choice(ops)
     if op in "+-*":
         return Binary(
-            op, _random_expression(rng, depth - 1), _random_expression(rng, depth - 1)
+            op,
+            _random_expression(rng, depth - 1, ops),
+            _random_expression(rng, depth - 1, ops),
         )
     if op == "pow":
-        return Pow(_random_expression(rng, depth - 1), float(rng.integers(2, 4)))
-    return Unary(op, _random_expression(rng, depth - 1))
+        return Pow(_random_expression(rng, depth - 1, ops), float(rng.integers(2, 4)))
+    return Unary(op, _random_expression(rng, depth - 1, ops))
 
 
 def random_smooth_expression(rng, max_depth=6):
@@ -402,3 +408,81 @@ def test_abs_kink_rows_alone_fall_back_with_one_warning(monkeypatch):
     smooth = [0, 2, 4]
     assert np.array_equal(d_x[smooth, 0], np.sign(x[smooth, 0]) * v[smooth, 0] ** 2)
     assert d_x[[1, 3], 0] == pytest.approx([0.0, 0.0], abs=1e-6)
+
+
+def test_domain_error_after_kink_rows_names_the_row_of_the_stack():
+    # row 0 is at the abs() kink, so its sqrt(0) is skipped; row 2 is not
+    L = compile_field("abs(x1) + sqrt(x2)", 2)
+    x = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(DomainError, match=r"sqrt not differentiable at 0 at point 2 ") as err:
+        L.partial("x", np.zeros(4), x, np.ones((4, 2)))
+    assert list(err.value.rows) == [2]
+
+
+@pytest.mark.parametrize(
+    "src, x1, v1, kinks",
+    [
+        ("abs(x1)*v1^2", [0.0, 1.0, -2.0, 1e-13], [1.0, 2.0, 0.0, 3.0], [0, 3]),
+        ("abs(x1) + abs(v1)", [0.0, 1.0, 1.0, 2.0], [1.0, 0.0, 1.0, 2.0], [0, 1]),
+    ],
+    ids=["one-kinked-node", "two-kinked-nodes"],
+)
+def test_kink_rows_cost_one_evaluate_call(monkeypatch, src, x1, v1, kinks):
+    L = compile_field(src, 1)
+    orders = []
+    evaluate = nl.dsl.evaluate
+
+    def counting(e, t, x, v, order=0):
+        orders.append(order)
+        return evaluate(e, t, x, v, order=order)
+
+    monkeypatch.setattr(nl.dsl, "evaluate", counting)
+    t, x, v = np.zeros(4), np.array(x1)[:, None], np.array(v1)[:, None]
+    with pytest.warns(RuntimeWarning, match="kink") as caught:
+        r = L.jets(t, x, v, 2)
+    assert orders == [2] and len(caught) == 1
+    assert list(r.kinks) == kinks
+    smooth = np.setdiff1d(np.arange(4), kinks)
+    for block in (r.d_t, r.d_x, r.d_v, *r.d2.values()):
+        assert np.isnan(block[kinks]).all() and np.isfinite(block[smooth]).all()
+    assert np.isfinite(r.value).all()
+
+
+_BLOCKS = ("value", "t", "x", "v", "tt", "xx", "xv", "vx", "vv")
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_stacked_jet_with_kink_rows_equals_the_one_point_reads(seed):
+    # abs() of a coordinate times a random tree with abs() nodes of its own,
+    # on a stack whose rows 0 and 2 sit at the kinks of abs(x1) and abs(v1)
+    rng = np.random.default_rng(seed)
+    ops = _SMOOTH_OPS + ["abs", "abs"]
+    kinked = Unary("abs", Var(str(rng.choice(["x", "v"])), 1))
+    expr = Binary(str(rng.choice(["+", "*"])), kinked, _random_expression(rng, 4, ops))
+    L = compile_field(expr, 1)
+    t = rng.uniform(-1, 1, size=5)
+    x, v = rng.uniform(-1, 1, size=(5, 1)), rng.uniform(-1, 1, size=(5, 1))
+    x[[0, 2], 0] = 0.0
+    v[[0, 2], 0] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        jet = L.jet(t, x, v, 2)
+        assert 0 in jet.exact.kinks
+        smooth = np.setdiff1d(np.arange(5), jet.exact.kinks)
+        assume(len(smooth) and np.all(np.isfinite(jet["value"])))
+        stack = {block: jet[block] for block in _BLOCKS}
+        for i in range(5):
+            one = L.jet(t[i], x[i], v[i], 2)
+            for block in _BLOCKS:
+                got, want = np.asarray(stack[block][i]), np.asarray(one[block])
+                if i in smooth or block == "value":
+                    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+                else:
+                    assert got.tobytes() == want.tobytes(), (i, block)

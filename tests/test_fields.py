@@ -340,10 +340,10 @@ def test_audit_evaluates_each_base_point_once(sup_space3):
         return A @ y
 
     audit = nl.check_normal_differentiability(
-        g, lambda y: A, sup_space3, sup_space3, bases, tol=1e-8, num_directions=4
+        g, lambda y: A, sup_space3, sup_space3, bases, tol=1e-8
     )
     at_bases = [y for y in probed if any(np.array_equal(y, b) for b in bases)]
     assert len(at_bases) == len(bases)
     # one more value per (pair, radius, base point, direction)
-    per_pair = [len(audit.radii) * len(bases) * (2 * min(m, 3) + 4) for (_, m) in audit.ratios]
+    per_pair = [len(audit.radii) * len(bases) * (2 * min(m, 3) + 8) for (_, m) in audit.ratios]
     assert len(probed) == len(bases) + sum(per_pair)
