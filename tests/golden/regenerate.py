@@ -30,6 +30,9 @@ CASES = {
     "free_particle": ROOT / "problems" / "free_particle.json",
     # a 3-coordinate anharmonic chain at n=200 (no closed form)
     "anharmonic_d3": GOLDEN / "anharmonic_d3.json",
+    # a 3-coordinate oscillator chain with two equal frequencies, so the
+    # symmetry search meets a two-dimensional null space (time and rotation)
+    "oscillator_d3": GOLDEN / "oscillator_d3.json",
 }
 EXIT_CODES = GOLDEN / "exit_codes.json"
 _PLAIN = ("solve", "legendre", "jacobi", "check-invariance", "find-symmetries", "audit-diff")
