@@ -64,7 +64,7 @@ def canonical_json(report: dict) -> str:
     return json.dumps(_format_value(report), indent=2) + "\n"
 
 
-def _base_report(command: str, prob: ProblemFile, args) -> dict:
+def _base_report(command: str, prob: ProblemFile) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -101,7 +101,7 @@ def cmd_solve(prob: ProblemFile, args):
     out = _outdir(args)
     csv_path = out / "extremal.csv"
     write_curve_csv(curve, csv_path, velocities=args.emit_velocity)
-    report = _base_report("solve", prob, args)
+    report = _base_report("solve", prob)
     report.update(
         {
             "residual_max": res.max_norm,
@@ -117,7 +117,7 @@ def cmd_solve(prob: ProblemFile, args):
 def cmd_legendre(prob: ProblemFile, args):
     curve = _load_curve(prob, args)
     rep = legendre_check(prob.lagrangian, curve, tol=prob.tolerances["legendre"])
-    report = _base_report("legendre", prob, args)
+    report = _base_report("legendre", prob)
     report.update(
         {
             "min_eigenvalue": rep.global_min,
@@ -139,7 +139,7 @@ def cmd_jacobi(prob: ProblemFile, args):
         p = out / f"jacobi_mode_{idx}.csv"
         write_curve_csv(fn, p)
         paths.append(p.name)
-    report = _base_report("jacobi", prob, args)
+    report = _base_report("jacobi", prob)
     report.update(
         {
             "k": args.k,
@@ -160,7 +160,7 @@ def _generator_or_fail(prob: ProblemFile, name: str):
 
 
 def cmd_check_invariance(prob: ProblemFile, args):
-    report = _base_report("check-invariance", prob, args)
+    report = _base_report("check-invariance", prob)
     verdicts = {}
     details = {}
     names = [args.generator] if args.generator else sorted(prob.generators)
@@ -190,7 +190,7 @@ def cmd_noether(prob: ProblemFile, args):
         prob.lagrangian, curve, prob.solver.tol
     )
     cons = verify_conservation(integral, curve, tol=prob.tolerances["conservation"])
-    report = _base_report("noether", prob, args)
+    report = _base_report("noether", prob)
     report.update(
         {
             "generator": args.generator,
@@ -218,7 +218,7 @@ def cmd_verify(prob: ProblemFile, args):
     integral = prob.integrals[args.integral]
     curve = _load_curve(prob, args)
     cons = verify_conservation(integral, curve, tol=prob.tolerances["conservation"])
-    report = _base_report("verify", prob, args)
+    report = _base_report("verify", prob)
     report.update(
         {
             "integral": args.integral,
@@ -235,7 +235,7 @@ def cmd_find_symmetries(prob: ProblemFile, args):
     from .symmetry import find_affine_symmetries
 
     found = find_affine_symmetries(prob.lagrangian, prob.sampling)
-    report = _base_report("find-symmetries", prob, args)
+    report = _base_report("find-symmetries", prob)
     report.update(
         {
             "count": len(found),
@@ -271,7 +271,7 @@ def cmd_audit_diff(prob: ProblemFile, args):
     audit = check_normal_differentiability(
         g, deriv, stacked, scalar, bases, tol=prob.tolerances["audit"]
     )
-    report = _base_report("audit-diff", prob, args)
+    report = _base_report("audit-diff", prob)
     report.update(
         {
             "radii": audit.radii,

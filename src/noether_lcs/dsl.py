@@ -356,12 +356,14 @@ def evaluate(e: Expression, t, x, v, order: int = 0) -> EvalResult:
     (t of shape (N,), x and v of shape (N, m)); the stack is evaluated in one
     pass over the tree.  An invalid argument raises DomainError, which on a
     stack names the first failing point and lists every failing row in
-    ``rows``.  Where partials are asked for and an abs() argument is within
-    1e-12 of its kink, the point has no exact partials: it is listed in
-    ``kinks`` and evaluation goes on, skipping there the checks that only
-    partials need (sqrt at 0, 0 to a positive power) at the nodes after
-    that abs().  On a stack every partial block is NaN at those rows; at
-    one point the result has no partial blocks.
+    ``rows``.  The checks that only partials need apply only where the
+    argument depends on (t, x, v): sqrt at 0, and 0 to a non-integer power
+    c < ``order`` (the partials of u^c stay finite at 0 for c >= order).
+    Where partials are asked for and such an abs() argument is within 1e-12
+    of its kink, the point has no exact partials: it is listed in ``kinks``
+    and evaluation goes on, skipping there those checks at the nodes after
+    that abs().  On a stack every partial block is NaN at those rows; at one
+    point the result has no partial blocks.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -412,7 +414,7 @@ def evaluate(e: Expression, t, x, v, order: int = 0) -> EvalResult:
             return np.float64(1.0), None, None
         if c < 0.0:
             check(u0 == 0.0, f"0 raised to exponent {c}")
-        elif order >= 1 and not (c in (1.0, 2.0) or (c > 2.0 and c == int(c))):
+        elif ug is not None and c < order and c != int(c):
             check((u0 == 0.0) & ~kinks, f"0 raised to exponent {c}")
         if c != int(c):
             check(u0 < 0.0, f"negative base {{}} with non-integer exponent {c}", u0)
@@ -430,9 +432,9 @@ def evaluate(e: Expression, t, x, v, order: int = 0) -> EvalResult:
             check(u0 <= 0.0, "log of non-positive value {}", u0)
         elif op == "sqrt":
             check(u0 < 0.0, "sqrt of negative value {}", u0)
-            if order >= 1:
+            if ug is not None:
                 check((u0 == 0.0) & ~kinks, "sqrt not differentiable at 0")
-        elif op == "abs" and order >= 1:
+        elif op == "abs" and ug is not None:
             kinks[...] |= np.abs(u0) < 1e-12
         f0 = _UNARY[op](u0)
         if ug is None:

@@ -79,20 +79,16 @@ def legendre_check(L: ScalarField, x: Curve, tol: float = 1e-10) -> LegendreRepo
     return LegendreReport(min_eigenvalues=mins, tol=tol, violating_nodes=bad)
 
 
-def spike_variation(x: Curve, node: int, direction=None) -> Curve:
-    """Hat-function variation 4 grid cells wide centered near ``node``,
-    normalized so sup|h| equals the grid spacing.
+def spike_variation(x: Curve, node: int, direction) -> Curve:
+    """Hat-function variation 4 grid cells wide centered near ``node``, along
+    the vector ``direction``, normalized so sup|h| equals the grid spacing.
 
     This realizes the classical witness for a strict Legendre violation: the
     slope stays O(1) while the amplitude shrinks with the mesh, so the R-term
     dominates the second variation.
     """
     grid = x.grid
-    m = x.space.dim
     center = int(np.clip(node, 2, grid.n - 2))
-    if direction is None:
-        direction = np.zeros(m)
-        direction[0] = 1.0
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.max(np.abs(direction))
     prof = np.zeros(grid.n + 1)

@@ -467,30 +467,24 @@ def find_affine_symmetries(
 
     The invariance residual is linear in the generator, so symmetries are the
     null space of the residual matrix sampled at quasi-random points: the
-    right singular vectors with singular values at most 1e-8 of the largest.
-    Each candidate is re-verified by ``check_invariance`` at tolerance 1e-6
-    on 500 fresh samples before being returned.
+    right singular vectors with singular values at most 1e-8 of the largest,
+    each scaled to max-abs 1.  The same matrix on the 500 fresh samples
+    (``seed + 1``) of ``check_invariance`` checks every candidate in one
+    product, and a generator is compiled only for the vectors whose residual
+    there is at most 1e-6.
     """
     dim = L.dim
     per = dim + 2
-    n_params = per * (dim + 1)
-    cfg = replace(samples, count=max(samples.count, 3 * n_params))
-    M = _search_matrix(L, *cfg.samples(dim))
-    _, sing, vt = np.linalg.svd(M, full_matrices=False)
-    cutoff = 1e-8 * (sing[0] if len(sing) and sing[0] > 0 else 1.0)
-    null_vectors = [
-        vt[i]
-        for i in range(n_params)
-        if i >= len(sing) or sing[i] <= cutoff
-    ]
+    cfg = replace(samples, count=max(samples.count, 3 * per * (dim + 1)))
+    _, sing, vt = np.linalg.svd(_search_matrix(L, *cfg.samples(dim)), full_matrices=False)
+    null = vt[sing <= 1e-8 * (sing[0] or 1.0)]
+    null /= np.max(np.abs(null), axis=1, keepdims=True)
     fresh = replace(samples, count=500, seed=samples.seed + 1)
-    out = []
-    for vec in null_vectors:
-        vec = vec / np.max(np.abs(vec))
-        g = replace(
+    residual = np.max(np.abs(_search_matrix(L, *fresh.samples(dim)) @ null.T), axis=0)
+    return [
+        replace(
             affine_generator(dim, vec[:per], vec[per:].reshape(dim, per)),
             coefficients=vec.copy(),
         )
-        if check_invariance(L, g, fresh, tol=1e-6).passed:
-            out.append(g)
-    return out
+        for vec in null[residual <= 1e-6]
+    ]

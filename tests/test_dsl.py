@@ -419,6 +419,37 @@ def test_domain_error_after_kink_rows_names_the_row_of_the_stack():
     assert list(err.value.rows) == [2]
 
 
+@pytest.mark.parametrize("src", ["sqrt(0) + v1^2/2", "0^1.5 + v1^2/2", "abs(1 - 1)*x1 + v1^2/2"])
+def test_a_constant_argument_needs_no_partial_check(src):
+    # sqrt, a power and abs() of a constant have no gradient, so neither the
+    # check at 0 nor the kink mark applies: every partial is exact
+    L = compile_field(src, 1)
+    t, x, v = np.zeros(3), np.array([[0.0], [1.0], [-2.0]]), np.array([[0.5], [1.0], [2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d_x, d_v = L.partial(("x", "v"), t, x, v)
+        (vv,) = L.second_partial(("vv",), t, x, v)
+        assert L.jets(t, x, v, 2).kinks is None
+    assert np.array_equal(d_x, np.zeros((3, 1))) and np.array_equal(d_v, v)
+    assert np.array_equal(vv, np.ones((3, 1, 1)))
+
+
+@pytest.mark.parametrize("c, order", [(2.5, 1), (2.5, 2), (1.5, 1)])
+def test_zero_base_power_with_finite_partials_evaluates(c, order):
+    # d^k/du^k u^c is finite at u = 0 for k <= c, so only c < order is checked
+    r = evaluate(parse(f"x1^{c!r}", 1), 0.0, [0.0], [0.0], order=order)
+    assert r.value == 0.0 and r.d_x[0] == 0.0
+    assert order == 1 or r.d2["xx"][0, 0] == 0.0
+
+
+@pytest.mark.parametrize("c, order", [(1.5, 2), (0.5, 1), (0.5, 2)])
+def test_zero_base_power_below_the_order_raises(c, order):
+    e = parse(f"x1^{c!r}", 1)
+    assert evaluate(e, 0.0, [0.0], [0.0]).value == 0.0
+    with pytest.raises(DomainError, match=rf"0 raised to exponent {c!r}"):
+        evaluate(e, 0.0, [0.0], [0.0], order=order)
+
+
 @pytest.mark.parametrize(
     "src, x1, v1, kinks",
     [

@@ -52,10 +52,12 @@ def heavy_modules_after(argv, out):
     [
         (None, None, None, set()),
         ("check-invariance", "free_particle.json", 2, set()),
+        ("find-symmetries", "free_particle.json", 0, set()),
+        ("audit-diff", "free_particle.json", 0, set()),
         ("jacobi", "oscillator.json", 0, {"scipy.linalg"}),
         ("solve", "free_particle.json", 0, {"scipy.integrate", "scipy.linalg"}),
     ],
-    ids=["import", "check-invariance", "jacobi", "solve"],
+    ids=["import", "check-invariance", "find-symmetries", "audit-diff", "jacobi", "solve"],
 )
 def test_cli_loads_only_the_scipy_modules_its_command_calls(
     tmp_path, command, problem, code, loaded
