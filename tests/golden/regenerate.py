@@ -5,7 +5,9 @@ writes on each case, and each run's exit code.
 
 rewrites every golden file from the package on the path.  A change that
 moves a number regenerates them and says which fields moved.  Each run's
-files sit in ``<case>/<run>/``, where a run is a command, or
+files sit in ``<case>/<run>/``, where a run is a command,
+``legendre-seed-curve`` and ``jacobi-seed-curve`` (the two commands on the
+case's golden ``solve`` curve, read back through ``--seed-curve``), or
 ``noether-<generator>`` and ``verify-<integral>`` for each generator and
 integral of the problem file; ``exit_codes.json`` holds each run's exit code
 (2 where a verdict fails).  A report's `input` field is the path the problem
@@ -38,10 +40,15 @@ EXIT_CODES = GOLDEN / "exit_codes.json"
 _PLAIN = ("solve", "legendre", "jacobi", "check-invariance", "find-symmetries", "audit-diff")
 
 
-def runs(problem: Path) -> dict:
-    """The command line after the problem path of each run, by run name."""
-    spec = json.loads(problem.read_text())
+def runs(case: str) -> dict:
+    """The command line after the problem path of each run, by run name.
+    The ``--seed-curve`` runs read the ``solve`` run's curve, which is
+    written first."""
+    spec = json.loads(CASES[case].read_text())
     out = {name: [name] for name in _PLAIN}
+    seed = str(GOLDEN / case / "solve" / "extremal.csv")
+    for name in ("legendre", "jacobi"):
+        out[f"{name}-seed-curve"] = [name, "--seed-curve", seed]
     for g in sorted(spec.get("generators", {})):
         out[f"noether-{g}"] = ["noether", "--generator", g]
     for i in sorted(spec.get("integrals", {})):
@@ -75,7 +82,7 @@ def main() -> int:
     for case, problem in CASES.items():
         shutil.rmtree(GOLDEN / case, ignore_errors=True)
         codes[case] = {}
-        for run, argv in runs(problem).items():
+        for run, argv in runs(case).items():
             codes[case][run], files = render(problem, argv)
             folder = GOLDEN / case / run
             folder.mkdir(parents=True)

@@ -16,15 +16,15 @@ _spec.loader.exec_module(golden)
 _CODES = json.loads(golden.EXIT_CODES.read_text())
 _RUNS = [
     (case, run)
-    for case, problem in sorted(golden.CASES.items())
-    for run in golden.runs(problem)
+    for case in sorted(golden.CASES)
+    for run in golden.runs(case)
     if run != "solve"
 ]
 
 
 def _check(case, run):
     problem = golden.CASES[case]
-    code, got = golden.render(problem, golden.runs(problem)[run])
+    code, got = golden.render(problem, golden.runs(case)[run])
     assert code == _CODES[case][run]
     folder = golden.GOLDEN / case / run
     assert sorted(got) == sorted(p.name for p in folder.iterdir())
@@ -43,6 +43,6 @@ def test_command_reproduces_the_golden_outputs(case, run):
 
 
 def test_every_run_has_golden_files():
-    assert {c: sorted(golden.runs(p)) for c, p in golden.CASES.items()} == {
+    assert {c: sorted(golden.runs(c)) for c in golden.CASES} == {
         c: sorted(codes) for c, codes in _CODES.items()
     }
