@@ -3,7 +3,9 @@ of the accessory (Jacobi) eigenvalue problem along a candidate curve.
 
 The coefficient operators along the curve are R(t) = d2L/dvdv and
 P(t) = d2L/dxdx - d/dt d2L/dvdx, with the time derivative taken by the same
-stencils used for curve reconstruction.
+stencils used for curve reconstruction.  The accessory matrix is kept in band
+storage, and its k smallest eigenpairs come from a block subspace iteration
+on one banded Cholesky factor, at a cost linear in the number of nodes.
 """
 
 from __future__ import annotations
@@ -14,10 +16,15 @@ from typing import List, Tuple
 import numpy as np
 
 from .curves import Curve, Grid, block_band, derivative_all, stencil_derivative
+from .euler_lagrange import SolverError
 from .fields import ScalarField
 from .spaces import Space, ValidationError
 
 _EPS = np.finfo(float).eps
+_BLOCK_EXTRA = 8  # Jacobi eigensolve block size: max(2k, k + _BLOCK_EXTRA)
+_RESIDUAL_TOL = 64.0  # converged: each wanted |Aq - theta q| <= this eps max|A|
+_MAX_SWEEPS = 100  # then the eigensolve raises SolverError
+_SHIFT_TOL = 2.0**-30  # width of the shift bisection, in units of max|A|
 
 
 @dataclass(frozen=True)
@@ -113,33 +120,61 @@ def negative_second_variation_witness(
     return h, second_variation(L, x, h)
 
 
-def _inverse_iteration(ab, vals) -> np.ndarray:
-    """Unit eigenvectors, as columns, of the symmetric band matrix ab (band
-    storage, see ``block_band``) for its ascending eigenvalues vals: two
-    sweeps of inverse iteration each, as in LAPACK dstein.  Each shift sits a
-    few ulps of max|A| above its eigenvalue and above the shift before it, so
-    no pivot is exactly zero and equal eigenvalues get distinct shifts; each
-    sweep orthogonalizes against the earlier vectors, which separates a
-    cluster.  Start vectors come from a fixed seed."""
-    from scipy.linalg import solve_banded
+def _lowest_eigenpairs(ab, k) -> Tuple[np.ndarray, np.ndarray]:
+    """The k smallest eigenvalues, ascending, and unit eigenvectors (columns)
+    of the symmetric band matrix ab (see ``block_band``): block subspace
+    iteration with Rayleigh-Ritz on one banded Cholesky factor of A - sigma I,
+    from a seeded start block, so equal eigenvalues get the same orthonormal
+    basis of their eigenspace on every run.  sigma is bisected up from a
+    Gershgorin bound to just below the smallest eigenvalue ("A - sigma I
+    factors" is the Sturm test), so the rate of the iteration does not depend
+    on where the spectrum lies.  Each pair has |Aq - theta q| <=
+    _RESIDUAL_TOL eps max|A|, checked with a product by A."""
+    from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, qr, solve_triangular
 
-    u = len(ab) // 2
-    size = ab.shape[1]
-    nudge = 4.0 * _EPS * (float(np.max(np.abs(ab))) or 1.0)
-    rng = np.random.default_rng(0)
-    vecs = np.zeros((size, len(vals)))
-    shift = -np.inf
-    for j, lam in enumerate(vals):
-        shift = max(lam, shift) + nudge
-        shifted = ab.copy()
-        shifted[u] -= shift
-        v = rng.uniform(-1.0, 1.0, size)
-        for _ in range(2):
-            v = solve_banded((u, u), shifted, v, check_finite=False)
-            v -= vecs[:, :j] @ (vecs[:, :j].T @ v)
-            v /= np.linalg.norm(v)
-        vecs[:, j] = v
-    return vecs
+    u, size = len(ab) // 2, ab.shape[1]
+    scale = float(np.max(np.abs(ab))) or 1.0
+    tol = _RESIDUAL_TOL * _EPS * scale
+
+    def factor(sigma):  # lower band Cholesky factor of A - sigma I, or None
+        try:
+            return cholesky_banded(np.vstack([ab[u] - sigma, ab[u + 1 :]]), lower=True)
+        except LinAlgError:
+            return None
+
+    def times_a(x):  # A @ x from the band storage
+        y = ab[u, :, None] * x
+        for d in range(1, u + 1):
+            y[:-d] += ab[u - d, d:, None] * x[d:]
+            y[d:] += ab[u + d, :-d, None] * x[:-d]
+        return y
+
+    # the smallest eigenvalue lies between the Gershgorin bound and the
+    # smallest diagonal entry; one width below the bound, A - sigma I factors
+    radius = np.sum(np.abs(ab), axis=0) - np.abs(ab[u])  # column c of ab is A's column c
+    sigma, hi = float(np.min(ab[u] - radius)) - _SHIFT_TOL * scale, float(np.min(ab[u]))
+    chol = factor(sigma)
+    while hi - sigma > _SHIFT_TOL * scale:
+        mid = 0.5 * (sigma + hi)
+        trial = factor(mid)
+        sigma, hi, chol = (sigma, mid, chol) if trial is None else (mid, hi, trial)
+    p = min(size, max(2 * k, k + _BLOCK_EXTRA))
+    q = qr(np.random.default_rng(0).uniform(-1.0, 1.0, (size, p)), mode="economic")[0]
+    for sweep in range(1, _MAX_SWEEPS + 1):
+        v, t = qr(cho_solve_banded((chol, True), q), mode="economic", check_finite=False)
+        av = q @ solve_triangular(t, np.eye(p))  # (A - sigma I) v, with no product by A
+        theta, y = np.linalg.eigh(v.T @ av)
+        q = v @ y
+        worst = float(np.max(np.linalg.norm(av @ y[:, :k] - q[:, :k] * theta[:k], axis=0)))
+        if worst <= tol:  # av is an estimate: confirm with a product by A
+            lam = sigma + theta[:k]
+            worst = float(np.max(np.linalg.norm(times_a(q[:, :k]) - q[:, :k] * lam, axis=0)))
+            if worst <= tol:
+                return lam, q[:, :k]
+    raise SolverError(
+        f"Jacobi eigensolve for k={k} did not converge in {sweep} sweeps "
+        f"(worst Ritz residual {worst:.3e}, max|A| {scale:.3e})"
+    )
 
 
 def jacobi_eigen(ops: JacobiOperators, grid: Grid, k: int) -> List[Tuple[float, Curve]]:
@@ -151,10 +186,9 @@ def jacobi_eigen(ops: JacobiOperators, grid: Grid, k: int) -> List[Tuple[float, 
     so that the largest-magnitude value (the first within 1e-6 relative of
     it, so that near-ties do not flip with roundoff) is positive.  A matrix
     whose asymmetry exceeds 1e-6 of its largest entry raises ValidationError
-    naming the first such node.
+    naming the first such node; an eigensolve that does not converge raises
+    SolverError.
     """
-    from scipy.linalg import eig_banded
-
     n = grid.n
     m = ops.R.shape[1]
     size = (n - 1) * m
@@ -179,14 +213,10 @@ def jacobi_eigen(ops: JacobiOperators, grid: Grid, k: int) -> List[Tuple[float, 
         )
     diag = 0.5 * (diag + np.swapaxes(diag, 1, 2))
     coupling = 0.5 * (coupling + np.swapaxes(coupling, 1, 2))
-    ab = block_band({-1: coupling, 0: diag, 1: coupling})
-    eigvals = eig_banded(
-        ab[len(ab) // 2 :], lower=True, eigvals_only=True, select="i",
-        select_range=(0, k - 1),
-    )
+    eigvals, eigvecs = _lowest_eigenpairs(block_band({-1: coupling, 0: diag, 1: coupling}), k)
     space = Space(dim=m, weights=np.ones(m), num_seminorms=m)
     out = []
-    for lam, vec in zip(eigvals, _inverse_iteration(ab, eigvals).T):
+    for lam, vec in zip(eigvals, eigvecs.T):
         mag = np.abs(vec)
         sign = np.sign(vec[np.argmax(mag >= (1.0 - 1e-6) * np.max(mag))])
         vals = np.zeros((n + 1, m))

@@ -127,11 +127,17 @@ def random_operators(rng, grid, dim, equal_oscillators):
     dim=st.sampled_from([1, 2, 3]),
     equal_oscillators=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
+    p_shift=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
     data=st.data(),
 )
-def test_banded_jacobi_matches_the_dense_eigensolve(n, dim, equal_oscillators, seed, data):
+def test_banded_jacobi_matches_the_dense_eigensolve(
+    n, dim, equal_oscillators, seed, p_shift, data
+):
     grid = nl.Grid(0.0, 1.0, n)
     R, P = random_operators(np.random.default_rng(seed), grid, dim, equal_oscillators)
+    # P shifted by up to (pi/h)^2: down, many draws are indefinite; up, P
+    # dominates and the wanted eigenvalues sit far from 0 but close together
+    P = P + p_shift * (np.pi / grid.h) ** 2 * np.eye(dim)
     size = (n - 1) * dim
     k = data.draw(st.integers(1, min(size, 6)))
     pairs = nl.jacobi_eigen(nl.JacobiOperators(grid=grid, R=R, P=P), grid, k)
@@ -143,6 +149,10 @@ def test_banded_jacobi_matches_the_dense_eigensolve(n, dim, equal_oscillators, s
     V = np.array([mode.values[1:-1].reshape(-1) for _, mode in pairs]).T
     V /= np.linalg.norm(V, axis=0)
     assert np.max(np.abs(V.T @ V - np.eye(k))) <= 1e-12
+    residual = np.linalg.norm(A @ V - V * got, axis=0)
+    # the eigensolve stops at 64 eps max|A| by its band product; the rest is
+    # room for the roundoff of the dense product
+    assert np.max(residual) <= 80 * np.finfo(float).eps * scale
     # clusters of the dense spectrum: the banded vectors of a cluster must
     # span the dense vectors' subspace (or lie in it, if k cuts the cluster)
     cuts = np.flatnonzero(np.diff(want) > 1e-6 * scale) + 1

@@ -2,11 +2,13 @@
 
 Each case runs a fresh interpreter, because the test process itself has
 long since imported scipy.  Nothing but ``solve`` (Simpson quadrature of the
-action) may load ``scipy.integrate``; the invariance and symmetry commands
-load no scipy at all, and the commands that solve or take eigenvalues load
-``scipy.linalg`` when they call it.  The benchmark's import-split self-test
-reads ``scipy.integrate`` from a ``solve`` process, which the ``solve`` case
-pins.
+action) may load ``scipy.integrate``, which brings ``scipy.sparse`` with it;
+the invariance and symmetry commands load no scipy at all, and the commands
+that solve or take eigenvalues load ``scipy.linalg`` when they call it.  The
+Jacobi eigensolve is built on ``scipy.linalg`` alone: ``scipy.sparse.linalg``
+would cost a cold ``jacobi`` more than the eigensolve itself.  The
+benchmark's import-split self-test reads ``scipy.integrate`` from a ``solve``
+process, which the ``solve`` case pins.
 """
 
 import json
@@ -21,7 +23,7 @@ import noether_lcs
 
 SRC = Path(noether_lcs.__file__).resolve().parents[1]
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
-HEAVY = ("scipy.stats", "scipy.integrate", "scipy.linalg")
+HEAVY = ("scipy.stats", "scipy.integrate", "scipy.linalg", "scipy.sparse")
 
 
 def heavy_modules_after(argv, out):
@@ -55,7 +57,7 @@ def heavy_modules_after(argv, out):
         ("find-symmetries", "free_particle.json", 0, set()),
         ("audit-diff", "free_particle.json", 0, set()),
         ("jacobi", "oscillator.json", 0, {"scipy.linalg"}),
-        ("solve", "free_particle.json", 0, {"scipy.integrate", "scipy.linalg"}),
+        ("solve", "free_particle.json", 0, {"scipy.integrate", "scipy.linalg", "scipy.sparse"}),
     ],
     ids=["import", "check-invariance", "find-symmetries", "audit-diff", "jacobi", "solve"],
 )

@@ -216,3 +216,44 @@ def test_jacobi_modes_take_the_sign_of_their_largest_value():
         target = sign * np.sin(k * grid.nodes)
         target /= np.sqrt(grid.h * np.sum(target**2))
         assert np.max(np.abs(mode.values[:, 0] - target)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    ("length", "n", "p"),
+    [
+        (1.0, 800, (-1.1, -1.0, -0.9)),
+        (1.0, 3200, (-1.1, -1.0, -0.9)),
+        (1.0, 800, (-301.1, -301.0, -300.9)),
+        (1.0, 3200, (-301.1, -301.0, -300.9)),
+        (1.0, 200, (1e4, 1e4, 1e4)),
+        (100.0, 200, (1.0, 1.0, 1.0)),
+    ],
+    ids=["n800", "n3200", "n800-indefinite", "n3200-indefinite", "p1e4", "long"],
+)
+def test_jacobi_eigenvalues_are_exact_to_roundoff(length, n, p):
+    # R = I and a diagonal P decouple the three coordinates into Dirichlet
+    # second differences, whose eigenvalues are exactly
+    # (4/h^2) sin^2(j pi/(2n)) + p_i.  P near -300 makes A indefinite; a
+    # large P, or P = 1 on a long interval, puts the wanted eigenvalues far
+    # above 0 and close together relative to their size
+    grid = nl.Grid(0.0, length, n)
+    p = np.array(p)
+    R = np.repeat(np.eye(3)[None], n + 1, axis=0)
+    P = np.repeat(np.diag(p)[None], n + 1, axis=0)
+    pairs = nl.jacobi_eigen(nl.JacobiOperators(grid=grid, R=R, P=P), grid, 3)
+    j = np.arange(1, 4)[:, None]
+    exact = np.sort(4.0 / grid.h**2 * np.sin(j * np.pi / (2 * n)) ** 2 + p, axis=None)[:3]
+    scale = float(np.max(np.abs(2.0 / grid.h**2 + p)))  # max|A|, on the diagonal
+    got = np.array([lam for lam, _ in pairs])
+    assert np.max(np.abs(got - exact)) <= np.finfo(float).eps * scale
+
+
+def test_jacobi_eigen_raises_rather_than_return_unconverged_pairs(monkeypatch):
+    from noether_lcs import legendre_jacobi
+
+    grid = nl.Grid(0.0, 1.0, 200)
+    ops = nl.constant_operators(grid, 1.0, 0.0)
+    monkeypatch.setattr(legendre_jacobi, "_MAX_SWEEPS", 2)
+    named = r"k=3 did not converge in 2 sweeps \(worst Ritz residual \d\.\d{3}e[+-]\d+"
+    with pytest.raises(nl.SolverError, match=named):
+        nl.jacobi_eigen(ops, grid, 3)
