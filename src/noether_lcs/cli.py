@@ -23,7 +23,7 @@ from . import __version__
 from .curves import Curve, action, read_curve_csv, write_curve_csv
 from .dsl import DomainError
 from .euler_lagrange import SolverError, el_residual, meets_stopping_rule, solve_extremal
-from .fields import check_normal_differentiability
+from .fields import EvaluationError, check_normal_differentiability
 from .legendre_jacobi import (
     jacobi_eigen,
     jacobi_operators,
@@ -83,7 +83,15 @@ def _outdir(args) -> Path:
 
 def _load_curve(prob: ProblemFile, args) -> Curve:
     if args.seed_curve:
-        return read_curve_csv(prob.space, args.seed_curve)
+        curve = read_curve_csv(prob.space, args.seed_curve)
+        c, p = curve.grid, prob.grid
+        near = 1e-9 * (1 + abs(p.b))  # read_curve_csv's tolerance on the nodes
+        if c.n != p.n or abs(c.a - p.a) > near or abs(c.b - p.b) > near:
+            raise ValidationError(
+                f"seed curve does not match the grid: n={c.n} on [{c.a}, {c.b}], "
+                f"problem n={p.n} on [{p.a}, {p.b}]"
+            )
+        return curve
     bc = prob.require_boundary()
     return solve_extremal(prob.lagrangian, bc, prob.grid, prob.space, prob.solver)
 
@@ -338,7 +346,9 @@ def main(argv=None) -> int:
         if args.tol is not None:
             prob.tolerances = {k: args.tol for k in prob.tolerances}
         report, code = _COMMANDS[args.command](prob, args)
-    except (ProblemError, ValidationError, SolverError, DomainError, OSError) as err:
+    except (
+        ProblemError, ValidationError, SolverError, DomainError, EvaluationError, OSError
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     out = _outdir(args)

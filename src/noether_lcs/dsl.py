@@ -395,12 +395,9 @@ def evaluate(e: Expression, t, x, v, order: int = 0) -> EvalResult:
         return f0, _g_times(ug, f1), h
 
     def variable(node):
-        if node.kind == "t":
-            slot, val = 0, T
-        elif node.kind == "x":
-            slot, val = node.index, x[..., node.index - 1]
-        else:
-            slot, val = m + node.index, v[..., node.index - 1]
+        # row i of x.T is column i of a stack, and a scalar at one point
+        slot = m + node.index if node.kind == "v" else node.index
+        val = T if slot == 0 else (v if node.kind == "v" else x).T[node.index - 1]
         if order == 0:
             return val, None, None
         if slot not in units:

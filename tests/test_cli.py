@@ -364,3 +364,64 @@ def test_malformed_problem_values_give_one_error_line(tmp_path, capsys, case, na
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert str(path) in lines[0] and named in lines[0]
+
+
+@pytest.mark.parametrize("command", ["check-invariance", "find-symmetries"])
+def test_non_finite_lagrangian_gives_one_error_line(tmp_path, capsys, command):
+    # exp(exp(10*x1)) overflows at the sampled points with x1 > 0.66
+    doc = json.loads((PROBLEMS / "free_particle.json").read_text())
+    doc["lagrangian"] = "v1^2/2 + exp(exp(10*x1))"
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: non-finite field value at point")
+    assert not list(tmp_path.glob("*_report.json"))
+
+
+@pytest.fixture(scope="module")
+def coarse_oscillator_curve(tmp_path_factory):
+    """The oscillator's extremal solved on 100 intervals, not the file's 200."""
+    out = tmp_path_factory.mktemp("coarse")
+    assert main(["solve", str(PROBLEMS / "oscillator.json"), "--grid-n", "100",
+                 "--out", str(out)]) == 0
+    return out / "extremal.csv"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["legendre"],
+        ["jacobi"],
+        ["noether", "--generator", "time"],
+        ["verify", "--integral", "energy"],
+    ],
+    ids=["legendre", "jacobi", "noether", "verify"],
+)
+def test_seed_curve_on_another_grid_is_an_error(
+    tmp_path, capsys, coarse_oscillator_curve, argv
+):
+    code = main([argv[0], str(PROBLEMS / "oscillator.json"), *argv[1:],
+                 "--seed-curve", str(coarse_oscillator_curve), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == [
+        "error: seed curve does not match the grid: n=100 on [0.0, 1.5707963267948968], "
+        "problem n=200 on [0.0, 1.5707963267948966]"
+    ]
+    assert not list(tmp_path.glob("*_report.json"))
+
+
+def test_seed_curve_on_another_interval_is_an_error(tmp_path, capsys):
+    doc = json.loads((PROBLEMS / "free_particle.json").read_text())
+    doc["interval"]["b"] = 2.0
+    longer = tmp_path / "longer.json"
+    longer.write_text(json.dumps(doc))
+    assert main(["solve", str(longer), "--out", str(tmp_path / "first")]) == 0
+    code = main(["legendre", str(PROBLEMS / "free_particle.json"), "--seed-curve",
+                 str(tmp_path / "first" / "extremal.csv"), "--out", str(tmp_path)])
+    assert code == 1
+    assert "seed curve does not match the grid" in capsys.readouterr().err.splitlines()[-1]

@@ -153,6 +153,132 @@ def test_audit_abs_kink_fails(sup_space3):
     assert not audit.passed
 
 
+def test_audit_names_the_probe_where_g_is_not_finite(sup_space3):
+    # g is finite up to y1 = 0.5: the second base point's probe at radius 0.1
+    # along +e1 reaches y1 = 0.55
+    scalar = nl.make_space(1, [1.0], 1)
+    bases = [np.zeros(3), np.array([0.45, 0.0, 0.0])]
+    named = r"base point 1, radius 0\.1: probe point \[0\.55 "
+    with pytest.raises(nl.fields.EvaluationError, match=named) as err:
+        nl.check_normal_differentiability(
+            lambda y: np.array([np.inf if y[0] > 0.5 else float(y @ y)]),
+            lambda y: (2.0 * y).reshape(1, 3),
+            sup_space3,
+            scalar,
+            bases,
+            tol=1e-4,
+        )
+    assert err.value.index == 1
+
+
+def _radius_major_audit(g, candidate_derivative, space_src, space_dst, base_points, tol):
+    """The audit's ratios and verdicts from one ``seminorm`` per probe,
+    radius by radius over every base point, as the audit computed them
+    before it stacked its probes."""
+    from noether_lcs.spaces import LinearOperator, normal_index, seminorm
+
+    pairs, derivs = None, []
+    for b in base_points:
+        A = candidate_derivative(b)
+        A = A if isinstance(A, LinearOperator) else LinearOperator(np.atleast_2d(A))
+        derivs.append(A)
+        rep = normal_index(space_src, space_dst, A)
+        here = {
+            (s, m)
+            for s in range(1, space_dst.num_seminorms + 1)
+            for m in rep.finite_sources[s]
+        }
+        pairs = here if pairs is None else pairs & here
+
+    def values(z):
+        return np.atleast_1d(np.asarray(g(z), dtype=float))
+
+    g_base = [values(b) for b in base_points] if pairs else []
+    rng = np.random.default_rng(0)
+    radii = np.logspace(-1, -6, 6)
+    ratios, verdicts = {}, {}
+    for (s, m) in sorted(pairs):
+        k = min(m, space_src.dim)
+        dirs = []
+        for i in range(k):
+            e = np.zeros(space_src.dim)
+            e[i] = 1.0
+            dirs.extend([e, -e])
+        for _ in range(8):
+            u = np.zeros(space_src.dim)
+            u[:k] = rng.standard_normal(k)
+            dirs.append(u)
+        dirs = [(u, nu) for u in dirs if (nu := seminorm(space_src, m, u)) != 0.0]
+        worst = np.zeros(len(radii))
+        for ir, r in enumerate(radii):
+            for b, gb, A in zip(base_points, g_base, derivs):
+                for u, nu in dirs:
+                    h = (r / nu) * u
+                    rem = values(b + h) - gb - A.matrix @ h
+                    worst[ir] = max(worst[ir], seminorm(space_dst, s, rem) / r)
+        ratios[(s, m)] = worst
+        verdicts[(s, m)] = bool(worst[-1] <= tol and worst[-1] <= worst[0] + tol)
+    return ratios, verdicts
+
+
+def _audit_map(kind, rng, src, dim_dst):
+    """A map R^dim -> R^dim_dst of the first coordinates of y, at most as
+    many as ``src`` has seminorms, so that some pair is audited, and its
+    candidate derivative: exact for the quadratic and cubic maps; for the
+    map that takes abs() of its last component alone, the one-sided slope,
+    which is wrong at the kink, where only the pairs that see that
+    component fail."""
+    support = np.arange(src.dim) < rng.integers(1, min(src.dim, src.num_seminorms) + 1)
+    C = rng.standard_normal((dim_dst, src.dim)) * support
+    c = rng.standard_normal(dim_dst)
+    if kind == "quadratic":
+        g = lambda y: C @ y + c * float((support * y) @ y)
+        return g, lambda y: C + np.outer(c, 2.0 * support * y)
+    if kind == "cubic":
+        return (lambda y: (C @ y) ** 3), (lambda y: 3.0 * (C @ y)[:, None] ** 2 * C)
+    last = np.arange(dim_dst) == dim_dst - 1
+    g = lambda y: np.where(last, np.abs(C @ y), C @ y)
+    return g, lambda y: np.where(last & (C @ y < 0.0), -1.0, 1.0)[:, None] * C
+
+
+@settings(derandomize=True, database=None, max_examples=90, deadline=None)
+@given(
+    dim_src=st.integers(1, 4),
+    dim_dst=st.integers(1, 3),
+    count_src=st.integers(1, 5),
+    count_dst=st.integers(1, 4),
+    n_bases=st.integers(1, 5),
+    kind=st.sampled_from(["quadratic", "cubic", "abs"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_audit_equals_the_per_probe_loop(
+    dim_src, dim_dst, count_src, count_dst, n_bases, kind, seed
+):
+    rng = np.random.default_rng(seed)
+    src = nl.make_space(dim_src, rng.uniform(0.25, 4.0, dim_src), count_src)
+    dst = nl.make_space(dim_dst, rng.uniform(0.25, 4.0, dim_dst), count_dst)
+    g, deriv = _audit_map(kind, rng, src, dim_dst)
+    bases = list(rng.uniform(-2.0, 2.0, (n_bases, dim_src)))
+    if kind == "abs":
+        bases[0][:] = 0.0  # every coordinate at the kink
+    calls = {"new": 0, "ref": 0}
+
+    def counted(name):
+        def h(y):
+            calls[name] += 1
+            return g(y)
+
+        return h
+
+    audit = nl.check_normal_differentiability(counted("new"), deriv, src, dst, bases, tol=1e-4)
+    ratios, verdicts = _radius_major_audit(counted("ref"), deriv, src, dst, bases, tol=1e-4)
+    assert audit.ratios.keys() == ratios.keys()
+    for pair, worst in ratios.items():
+        assert audit.ratios[pair].tobytes() == worst.tobytes(), pair
+    assert audit.verdicts == verdicts
+    assert calls["new"] == calls["ref"]
+
+
 # -- stacks of points -------------------------------------------------------
 
 
