@@ -102,6 +102,19 @@ def block_band(diagonals: dict) -> np.ndarray:
     return ab
 
 
+def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for the square matrix A in band storage ab (see ``block_band``),
+    x a vector or a stack of columns; the diagonal first, then each pair of
+    off-diagonals d = 1..u, the upper one before the lower."""
+    u = len(ab) // 2
+    a = ab.reshape(ab.shape + (1,) * (x.ndim - 1))
+    y = a[u] * x
+    for d in range(1, u + 1):
+        y[:-d] += a[u - d, d:] * x[d:]
+        y[d:] += a[u + d, :-d] * x[:-d]
+    return y
+
+
 def derivative(curve: Curve, i: int, order: int) -> np.ndarray:
     """Reconstructed derivative of the given order at node i."""
     if not 0 <= i <= curve.grid.n:

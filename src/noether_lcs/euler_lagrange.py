@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import Curve, Grid, block_band, derivative_all, stencil_derivative
+from .curves import Curve, Grid, band_matvec, block_band, derivative_all, stencil_derivative
 from .fields import ScalarField
 from .spaces import Space, ValidationError, dual_seminorm
 
@@ -145,56 +145,38 @@ def _solve_band(ab, res):
 _FLOOR = 32.0
 
 
-def _step_at_roundoff(step, xs) -> bool:
-    """max|step| <= 100 eps max(1, max|xs|), the normwise roundoff test.  It
-    does not grow with n, but it accepts an iterate whose small rows sit
-    above their own floor while the large rows, at theirs, stall the
-    max-norm line search (a 3-chain with v^4 terms and boundary values near
-    1e3 stalls with one row at 221 eps s_i and a step of 45 eps max|x|)."""
-    scale = max(1.0, float(np.max(np.abs(xs))))
-    return bool(np.max(np.abs(step)) <= 100.0 * _EPS * scale)
-
-
 def _floor_ratios(grid, xs, lx, lv, res, ab) -> np.ndarray:
     """|r_i| / (eps s_i) per interior row, a componentwise backward error:
     s_i = (|J| |x|)_i + |L_x,i| + (|p_{i+1}| + |p_{i-1}|) / (2h), with J the
     Newton Jacobian in band storage ab and p = dL/dv; the three terms bound
     the change of r_i when x, L_x and p are each rounded."""
-    terms = np.abs(ab) * np.abs(xs[1:-1]).reshape(-1)
-    u, size = len(ab) // 2, terms.shape[1]
-    jx = np.zeros(size + 2 * u)
-    for k, row in enumerate(terms):
-        jx[k : k + size] += row  # band row k holds J[c + k - u, c] at column c
-    momenta = (np.abs(lv[2:]) + np.abs(lv[:-2])) / (2.0 * grid.h)
-    s = jx[u : u + size].reshape(res.shape) + np.abs(lx[1:-1]) + momenta
+    jx = band_matvec(np.abs(ab), np.abs(xs[1:-1]).reshape(-1)).reshape(res.shape)
+    s = jx + np.abs(lx[1:-1]) + (np.abs(lv[2:]) + np.abs(lv[:-2])) / (2.0 * grid.h)
     # s_i = 0 only where L_x,i and both momenta are 0, and then r_i = 0
     return np.divide(np.abs(res), _EPS * s, out=np.zeros(res.shape), where=res != 0.0)
 
 
 def meets_stopping_rule(L: ScalarField, x: Curve, tol: float) -> bool:
     """Whether ``solve_extremal`` with tolerance ``tol`` stops at the curve
-    x: its residual max-norm is at most ``tol``, or x is at its roundoff
-    floor.  That is, every interior residual row has |r_i| <= 32 eps s_i
-    (see ``_floor_ratios``), or the full Newton step is at roundoff (see
-    ``_step_at_roundoff``; never where the Jacobian is singular).  It reads
-    one order-1 and, past ``tol``, one order-2 jet of L."""
+    x: its residual max-norm is at most ``tol``, or every interior residual
+    row has |r_i| <= 32 eps s_i (see ``_floor_ratios``), its roundoff floor.
+    It reads one order-1 and, past ``tol``, one order-2 jet of L, and makes
+    no linear solve."""
     xd, lx, lv = _covectors(L, x.grid, x.values)
     res = _residual(x.grid, lx, lv)
     if float(np.max(np.abs(res))) <= tol:
         return True
     ab = _interior_jacobian(L, x.grid, x.values, xd)
-    if np.max(_floor_ratios(x.grid, x.values, lx, lv, res, ab)) <= _FLOOR:
-        return True
-    step = _solve_band(ab, res)
-    return step is not None and _step_at_roundoff(step, x.values)
+    return bool(np.max(_floor_ratios(x.grid, x.values, lx, lv, res, ab)) <= _FLOOR)
 
 
-def _line_search(L, grid, xs, step, norm, lam):
+def _line_search(L, grid, xs, step, ab, worst, lam):
     """The first trial xs + lam step, lam halved up to 30 times, whose
-    residual max-norm is below ``norm``, with its velocities, covectors and
-    residual; None when no trial is.  It stops at the first trial that
-    rounds to xs: rounding is monotone, so every smaller lam rounds to xs
-    too, and each such trial has xs's own residual."""
+    largest |r_i| / (eps s_i) (see ``_floor_ratios``; its own s, with the
+    iterate's Jacobian ab) is below ``worst``, the iterate's, with its
+    velocities, covectors and residual; None when no trial is.  It stops at
+    the first trial that rounds to xs: rounding is monotone, so every smaller
+    lam rounds to xs too, and each such trial has xs's own ratios."""
     for _ in range(30):
         trial = xs.copy()
         trial[1:-1] += lam * step
@@ -202,7 +184,7 @@ def _line_search(L, grid, xs, step, norm, lam):
             return None
         xd, lx, lv = _covectors(L, grid, trial)
         res = _residual(grid, lx, lv)
-        if float(np.max(np.abs(res))) < norm:
+        if float(np.max(_floor_ratios(grid, trial, lx, lv, res, ab))) < worst:
             return trial, xd, lx, lv, res
         lam *= 0.5
     return None
@@ -215,11 +197,12 @@ def solve_extremal(
     space: Space,
     cfg: SolverConfig = SolverConfig(),
 ) -> Curve:
-    """Damped Newton iteration on the discretized Euler-Lagrange system; it
-    stops at residual max-norm ``cfg.tol``, or where the line search fails
-    at the roundoff floor (see ``meets_stopping_rule``; the floor grows like
-    eps |x| / h^2).  Each residual is one order-1 jet of L and each Jacobian
-    one order-2 jet."""
+    """Damped Newton iteration on the discretized Euler-Lagrange system, its
+    line search judged by the componentwise backward error (see
+    ``_floor_ratios``).  It stops at residual max-norm ``cfg.tol``, or where
+    the line search stalls with every row at its roundoff floor (see
+    ``meets_stopping_rule``; the floor grows like eps |x| / h^2).  Each
+    residual is one order-1 jet of L and each Jacobian one order-2 jet."""
     if grid.n % 2 != 0:
         raise ValidationError(f"grid N must be even, got {grid.n}")
     m = space.dim
@@ -254,12 +237,12 @@ def solve_extremal(
                 "Lagrangian may fail the Legendre condition there",
                 history,
             )
-        # backtracking on the residual max-norm; the accepted trial's reads
-        # carry into the next iteration
-        accepted = _line_search(L, grid, xs, step, norm, cfg.damping)
+        # backtracking on the largest componentwise backward error; the
+        # accepted trial's reads carry into the next iteration
+        ratios = np.max(_floor_ratios(grid, xs, lx, lv, res, ab), axis=1)
+        accepted = _line_search(L, grid, xs, step, ab, float(np.max(ratios)), cfg.damping)
         if accepted is None:
-            ratios = np.max(_floor_ratios(grid, xs, lx, lv, res, ab), axis=1)
-            if np.max(ratios) <= _FLOOR or _step_at_roundoff(step, xs):
+            if np.max(ratios) <= _FLOOR:
                 return Curve(space, grid, xs)
             worst = int(np.argmax(ratios)) + 1
             raise SolverError(

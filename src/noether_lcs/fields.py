@@ -243,7 +243,7 @@ class DifferentiabilityAudit:
 
     @property
     def passed(self) -> bool:
-        return all(self.verdicts.values())
+        return bool(self.verdicts) and all(self.verdicts.values())
 
 
 def check_normal_differentiability(
@@ -262,8 +262,10 @@ def check_normal_differentiability(
     signed unit vectors of its first k = min(m, dim) coordinates and 8
     seeded random directions in them, at the 6 radii and every base point;
     ``g`` is called once per base point and once per probe, one point each.
-    A failed audit is a verdict, not an error; a non-finite value or
-    remainder raises EvaluationError naming the base point, radius and probe.
+    An audit with no pair fails.  A failed audit is a verdict, not an error;
+    a non-finite candidate derivative raises EvaluationError naming the base
+    point, and a non-finite value or remainder naming the base point, radius
+    and probe.
     """
     base_points = [space_src.check_vector(b) for b in base_points]
     if not base_points:
@@ -272,9 +274,13 @@ def check_normal_differentiability(
     # candidate index pairs: intersection of the finiteness sets over the cloud
     pairs = None
     derivs = []
-    for b in base_points:
+    for j, b in enumerate(base_points):
         A = candidate_derivative(b)
         A = A if isinstance(A, LinearOperator) else LinearOperator(np.atleast_2d(A))
+        if not np.all(np.isfinite(A.matrix)):
+            raise EvaluationError(
+                f"non-finite candidate derivative at base point {j}: {b}", index=j
+            )
         derivs.append(A)
         rep = normal_index(space_src, space_dst, A)
         here = {

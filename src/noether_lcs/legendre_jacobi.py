@@ -15,7 +15,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .curves import Curve, Grid, block_band, derivative_all, stencil_derivative
+from .curves import Curve, Grid, band_matvec, block_band, derivative_all, stencil_derivative
 from .euler_lagrange import SolverError
 from .fields import ScalarField
 from .spaces import Space, ValidationError
@@ -142,13 +142,6 @@ def _lowest_eigenpairs(ab, k) -> Tuple[np.ndarray, np.ndarray]:
         except LinAlgError:
             return None
 
-    def times_a(x):  # A @ x from the band storage
-        y = ab[u, :, None] * x
-        for d in range(1, u + 1):
-            y[:-d] += ab[u - d, d:, None] * x[d:]
-            y[d:] += ab[u + d, :-d, None] * x[:-d]
-        return y
-
     # the smallest eigenvalue lies between the Gershgorin bound and the
     # smallest diagonal entry; one width below the bound, A - sigma I factors
     radius = np.sum(np.abs(ab), axis=0) - np.abs(ab[u])  # column c of ab is A's column c
@@ -168,9 +161,10 @@ def _lowest_eigenpairs(ab, k) -> Tuple[np.ndarray, np.ndarray]:
         worst = float(np.max(np.linalg.norm(av @ y[:, :k] - q[:, :k] * theta[:k], axis=0)))
         if worst <= tol:  # av is an estimate: confirm with a product by A
             lam = sigma + theta[:k]
-            worst = float(np.max(np.linalg.norm(times_a(q[:, :k]) - q[:, :k] * lam, axis=0)))
+            q_k = q[:, :k]
+            worst = float(np.max(np.linalg.norm(band_matvec(ab, q_k) - q_k * lam, axis=0)))
             if worst <= tol:
-                return lam, q[:, :k]
+                return lam, q_k
     raise SolverError(
         f"Jacobi eigensolve for k={k} did not converge in {sweep} sweeps "
         f"(worst Ritz residual {worst:.3e}, max|A| {scale:.3e})"

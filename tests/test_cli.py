@@ -163,6 +163,29 @@ def test_noether_accepts_a_curve_stopped_at_the_roundoff_floor(tmp_path):
     assert code == 0
 
 
+def test_noether_rejects_a_curve_above_tol_and_above_its_floor(tmp_path, oscillator_json):
+    # one node of the solved oscillator moved by d = 1e-9 h^2 lifts its
+    # residual row by d / (2h^2) = 5e-10, between tol and 10 * tol and far
+    # above the row's roundoff floor, so the curve is not an extremal
+    import noether_lcs as nl
+
+    solved = tmp_path / "solved"
+    assert main(["solve", str(oscillator_json), "--out", str(solved)]) == 0
+    space = nl.make_space(1, [1.0], 1)
+    curve = nl.read_curve_csv(space, solved / "extremal.csv")
+    values = curve.values.copy()
+    values[100, 0] += 1e-9 * curve.grid.h**2
+    moved = tmp_path / "moved.csv"
+    nl.write_curve_csv(nl.Curve(space, curve.grid, values), moved)
+    code, report, _ = run(
+        tmp_path, "noether", str(oscillator_json), "--generator", "time",
+        "--seed-curve", str(moved),
+    )
+    assert 1e-10 < report["extremal_residual_max"] <= 1e-9
+    assert report["verdicts"]["extremal"] is False
+    assert code == 2
+
+
 def test_verify_energy(tmp_path, oscillator_json):
     code, report, _ = run(
         tmp_path, "verify", str(oscillator_json), "--integral", "energy"
@@ -366,9 +389,10 @@ def test_malformed_problem_values_give_one_error_line(tmp_path, capsys, case, na
     assert str(path) in lines[0] and named in lines[0]
 
 
-@pytest.mark.parametrize("command", ["check-invariance", "find-symmetries"])
+@pytest.mark.parametrize("command", ["check-invariance", "find-symmetries", "audit-diff"])
 def test_non_finite_lagrangian_gives_one_error_line(tmp_path, capsys, command):
-    # exp(exp(10*x1)) overflows at the sampled points with x1 > 0.66
+    # exp(exp(10*x1)) overflows at the sampled points with x1 > 0.66; the
+    # audit's base points are the first of them
     doc = json.loads((PROBLEMS / "free_particle.json").read_text())
     doc["lagrangian"] = "v1^2/2 + exp(exp(10*x1))"
     path = tmp_path / "overflow.json"
@@ -378,7 +402,10 @@ def test_non_finite_lagrangian_gives_one_error_line(tmp_path, capsys, command):
     assert code == 1
     assert "Traceback" not in err
     lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: non-finite field value at point")
+    # the line names the problem file and the command, as every input error does
+    assert len(lines) == 1
+    what = {"audit-diff": "candidate derivative at base point"}.get(command, "field value at point")
+    assert lines[0].startswith(f"error: {path}: {command}: non-finite {what} 1:")
     assert not list(tmp_path.glob("*_report.json"))
 
 

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import noether_lcs as nl
 
@@ -232,7 +233,7 @@ def test_newton_iteration_budget_raises_solver_error(line_space):
 def test_newton_stops_at_the_roundoff_floor(line_space):
     # boundary values x1e4 lift the residual's roundoff floor (about
     # eps |x| / h^2) above the absolute tolerance: the line search finds no
-    # decrease, and the full Newton step is at roundoff
+    # decrease, and every row is within 32 eps of its scale
     L, c = solve("(v1^2 - x1^2)/2", [0.0], [1e4], 0.0, np.pi / 2, 200)
     assert nl.el_residual(L, c).max_norm > 10 * nl.SolverConfig().tol
     assert nl.meets_stopping_rule(L, c, nl.SolverConfig().tol)
@@ -301,20 +302,92 @@ def test_line_search_stall_names_the_worst_node_and_its_backward_error(line_spac
     assert float(ratio) > 1e10
 
 
+def max_floor_ratio(L, x):
+    """The largest |r_i| / (eps s_i) over the interior rows of x."""
+    el = nl.euler_lagrange
+    xd, lx, lv = el._covectors(L, x.grid, x.values)
+    ab = el._interior_jacobian(L, x.grid, x.values, xd)
+    res = el._residual(x.grid, lx, lv)
+    return float(np.max(el._floor_ratios(x.grid, x.values, lx, lv, res, ab)))
+
+
 def test_stall_with_small_rows_above_their_floor_returns_when_the_step_is_at_roundoff():
-    # boundary values near 1e3 on a 3-chain with v^4 terms: the max-norm line
-    # search is held up by the large rows while a few small rows sit above
-    # 32 eps s_i; the full Newton step is at roundoff, so the solve returns
+    # boundary values near 1e3 on a 3-chain with v^4 terms: the large rows
+    # reach their roundoff floor while a few small rows are still above 32
+    # eps s_i; judged by |r_i| / s_i, the line search brings those down too
     src = (
         "1.187*v1^2/2 + 0.15*v1^4/12 - 1.184*x1^2/2 + 0.336*x1*v2"
         " + 0.824*v2^2/2 + 0.195*v2^4/12 - 1.88*x2^2/2 + 0.336*x2*v3"
         " + 1.393*v3^2/2 + 0.317*v3^4/12 - 0.989*x3^2/2 + 0.336*x3*v1"
     )
     L, x = solve(src, [931.0, -973.0, -98.0], [-517.0, -422.0, -95.0], 0.0, 1.0, 200, dim=3)
-    el = nl.euler_lagrange
-    xd, lx, lv = el._covectors(L, x.grid, x.values)
-    res = el._residual(x.grid, lx, lv)
-    ab = el._interior_jacobian(L, x.grid, x.values, xd)
-    assert np.max(el._floor_ratios(x.grid, x.values, lx, lv, res, ab)) > el._FLOOR
+    assert max_floor_ratio(L, x) <= nl.euler_lagrange._FLOOR
     assert nl.meets_stopping_rule(L, x, nl.SolverConfig().tol)
     assert nl.legendre_check(L, x).passed
+
+
+def test_stalled_3_chain_with_one_row_above_its_floor_now_returns():
+    # node 198's row is still at 51 eps s_i when the large rows reach their
+    # floor; judged by |r_i| / s_i, the line search brings it down too
+    src = (
+        "1.065*v1^2/2 + 0.394*v1^4/12 - 1.12*x1^2/2 + 0.246*x1*v2"
+        " + 0.928*v2^2/2 + 0.347*v2^4/12 - 0.971*x2^2/2 + 0.246*x2*v3"
+        " + 1.092*v3^2/2 + 0.415*v3^4/12 - 1.7*x3^2/2 + 0.246*x3*v1"
+    )
+    L, x = solve(src, [347.0, -660.0, 519.0], [181.0, -708.0, -640.0], 0.0, 1.0, 200, dim=3)
+    assert nl.el_residual(L, x).max_norm > nl.SolverConfig().tol
+    assert max_floor_ratio(L, x) <= nl.euler_lagrange._FLOOR
+    assert nl.meets_stopping_rule(L, x, nl.SolverConfig().tol)
+
+
+def test_seed_curve_with_rows_of_zero_scale_converges(line_space):
+    # away from the bump every term of a row is exactly 0, so s_i = 0 at the
+    # seed; each trial is judged with its own s_i, and the free particle
+    # reaches its straight line in one Newton step
+    L = nl.compile_field("v1^2/2", dim=1)
+    grid = nl.Grid(0.0, 1.0, 40)
+    seed = np.zeros((41, 1))
+    seed[20] = 1.0
+    cfg = nl.SolverConfig(seed_curve=nl.Curve(line_space, grid, seed))
+    x = nl.solve_extremal(L, nl.BoundaryConditions([0.0], [0.0]), grid, line_space, cfg)
+    assert np.max(np.abs(x.values)) <= 1e-12
+
+
+@st.composite
+def chains(draw):
+    """An oscillator or anharmonic chain of dim 1-3, as in the benchmark's
+    generator, with boundary values scaled by 1 to 1e4."""
+    dim = draw(st.integers(1, 3))
+    oscillator = draw(st.booleans())
+
+    def coef(lo, hi):
+        return draw(st.floats(lo, hi).map(lambda z: round(z, 3)))
+
+    c = np.array([coef(0.8, 1.6) for _ in range(dim)])
+    k = np.array([coef(0.5, 2.0) for _ in range(dim)])
+    scale = 10.0 ** draw(st.floats(0.0, 4.0))
+    xa, xb = (np.array([scale * coef(-1.0, 1.0) for _ in range(dim)]) for _ in "ab")
+    if oscillator:
+        terms = [f"({c[i]}*v{i + 1}^2 - {k[i]}*x{i + 1}^2)/2" for i in range(dim)]
+    else:
+        b = coef(0.1, 0.4)
+        terms = [
+            f"{c[i]}*v{i + 1}^2/2 + {coef(0.1, 0.5)}*v{i + 1}^4/12"
+            f" - {k[i]}*x{i + 1}^2/2 + {b}*x{i + 1}*v{(i + 1) % dim + 1}"
+            for i in range(dim)
+        ]
+    n = draw(st.sampled_from([100, 200]))
+    return " + ".join(terms), dim, n, xa, xb, (np.sqrt(k / c) if oscillator else None)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(chains())
+def test_every_returned_curve_meets_the_stopping_rule(chain):
+    src, dim, n, xa, xb, omega = chain
+    L, x = solve(src, xa, xb, 0.0, 1.0, n, dim=dim)
+    assert nl.meets_stopping_rule(L, x, nl.SolverConfig().tol)
+    if omega is not None:
+        t = x.grid.nodes[:, None]
+        exact = (xa * np.sin(omega * (1.0 - t)) + xb * np.sin(omega * t)) / np.sin(omega)
+        amplitude = max(1.0, float(np.max(np.abs(np.concatenate([xa, xb])))))
+        assert np.max(np.abs(x.values - exact)) <= 2.0 * amplitude * x.grid.h**2

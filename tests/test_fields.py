@@ -171,6 +171,34 @@ def test_audit_names_the_probe_where_g_is_not_finite(sup_space3):
     assert err.value.index == 1
 
 
+def test_audit_names_the_base_point_where_the_candidate_derivative_is_not_finite(sup_space3):
+    scalar = nl.make_space(1, [1.0], 1)
+    bases = [np.zeros(3), np.array([0.75, 0.0, 0.0])]
+    with pytest.raises(nl.fields.EvaluationError, match=r"derivative at base point 1: \[0\.75 ") as err:
+        nl.check_normal_differentiability(
+            lambda y: np.array([float(y @ y)]),
+            lambda y: np.array([[np.inf if y[0] > 0.5 else 0.0, 0.0, 0.0]]),
+            sup_space3,
+            scalar,
+            bases,
+            tol=1e-4,
+        )
+    assert err.value.index == 1
+
+
+def test_audit_with_no_pair_fails():
+    # the one source seminorm reads y1 only, so a map that reads y3 is
+    # unbounded in every pair and no pair is audited
+    src = nl.make_space(3, [1.0, 1.0, 1.0], 1)
+    scalar = nl.make_space(1, [1.0], 1)
+    audit = nl.check_normal_differentiability(
+        lambda y: np.array([y[2]]), lambda y: np.array([[0.0, 0.0, 1.0]]), src, scalar,
+        [np.zeros(3)], tol=1e-4,
+    )
+    assert audit.verdicts == {}
+    assert not audit.passed
+
+
 def _radius_major_audit(g, candidate_derivative, space_src, space_dst, base_points, tol):
     """The audit's ratios and verdicts from one ``seminorm`` per probe,
     radius by radius over every base point, as the audit computed them
