@@ -35,6 +35,9 @@ CASES = {
     # a 3-coordinate oscillator chain with two equal frequencies, so the
     # symmetry search meets a two-dimensional null space (time and rotation)
     "oscillator_d3": GOLDEN / "oscillator_d3.json",
+    # a 2-coordinate Lagrangian with sin, cos, exp, log, sqrt and a variable
+    # divisor, so the transcendental rules of the evaluator are pinned too
+    "transcendental_d2": GOLDEN / "transcendental_d2.json",
 }
 EXIT_CODES = GOLDEN / "exit_codes.json"
 _PLAIN = ("solve", "legendre", "jacobi", "check-invariance", "find-symmetries", "audit-diff")
