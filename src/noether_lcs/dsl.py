@@ -1,9 +1,9 @@
 """Small arithmetic expression language over t, x1..xm, v1..vm.
 
 Recursive-descent parser with the precedence chain ^ > unary minus > * / > + -,
-and one evaluator, ``evaluate``, that propagates forward-mode jets (value,
-gradient, Hessian) through the expression tree at one point or at a whole
-stack of points at once.  Compiled fields and the parser's folding of
+and one evaluator, ``evaluate``, that runs a tree compiled once into closures
+and propagates forward-mode jets (value, gradient, Hessian) at one point or
+at a whole stack of points at once.  Compiled fields and the parser's folding of
 constant exponents both go through it.  Exponents of ^ must be constant so
 second partials stay closed-form.
 """
@@ -277,22 +277,24 @@ def to_string(e: Expression) -> str:
 # stack of N points; gradients and Hessians have shapes that broadcast to
 # S + (n,) and S + (n, n).  None stands for an identically zero gradient or
 # Hessian, so constants and linear terms carry no derivative arithmetic, and
-# orders 0 and 1 carry no Hessians at all.
+# orders 0 and 1 carry no Hessians at all.  A tree is compiled once into one
+# closure per node, a tuple r = (step, *captured) run as r[0](r, c), a sixth
+# of a Python closure's memory: steps, slots, unit gradients and constants
+# are fixed then, and subtrees without variables are folded to constants.
 
-
+# op: f, (f', f'') from u0 and f0 (None: negate), invalid-u0 test and message, jet check
 _UNARY = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-}
-_ARITHMETIC = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
+    "neg": (operator.neg, None, None, None, None),
+    "sin": (np.sin, lambda u0, f0: (np.cos(u0), -f0), None, None, None),
+    "cos": (np.cos, lambda u0, f0: (-np.sin(u0), -f0), None, None, None),
+    "exp": (np.exp, lambda u0, f0: (f0, f0), None, None, None),
+    "log": (np.log, lambda u0, f0: (1.0 / u0, -1.0 / u0**2), operator.le,
+            "log of non-positive value {}", None),
+    "sqrt": (np.sqrt, lambda u0, f0: (0.5 / f0, -0.25 / (f0 * u0)), operator.lt,
+             "sqrt of negative value {}",
+             lambda c, u0: _check(c, (u0 == 0.0) & ~c.kinks, "sqrt not differentiable at 0")),
+    "abs": (np.abs, lambda u0, f0: (np.where(u0 > 0.0, 1.0, -1.0), None), None, None,
+            lambda c, u0: np.logical_or(c.kinks, np.abs(u0) < 1e-12, out=c.kinks)),
 }
 
 
@@ -310,10 +312,6 @@ def _minus(a, b):
     if a is None:
         return -b
     return a - b
-
-
-def _neg(a):
-    return None if a is None else -a
 
 
 def _g_times(g, s):
@@ -334,7 +332,153 @@ def _outer(a, b):
     return a[..., :, None] * b[..., None, :]
 
 
-@dataclass(frozen=True, slots=True)
+def _chain(c, f0, ug, uh, f1, f2):  # the jet of f(u) from u's and f', f'' at u
+    h = None
+    if c.order >= 2:
+        h = _plus(_h_times(uh, f1), _h_times(_outer(ug, ug), f2))
+    return f0, _g_times(ug, f1), h
+
+
+def _check(c, bad, message, values=None):
+    """Raise DomainError where ``bad`` holds; a stack's names its first row."""
+    if not (bad.any() if type(bad) is np.ndarray else bad):
+        return
+    if not c.stacked:
+        raise DomainError(message.format(values))
+    rows = np.flatnonzero(np.broadcast_to(bad, c.T.shape))
+    i = int(rows[0])
+    value = None if values is None else np.broadcast_to(values, c.T.shape)[i]
+    where = f" at point {i} (t={c.T[i]}, x={c.x[i]}, v={c.v[i]})"
+    raise DomainError(message.format(value) + where, rows)
+
+
+def _constant(r, c):
+    return (r[1], None, None) if c.order else r[1]
+
+
+def _variable(r, c):  # r = (_variable, column, index, unit gradient)
+    value = c.z[r[1]][r[2]]
+    return (value, r[3], None) if c.order else value
+
+
+def _power(r, c):
+    _, u, p, fractional, zero, negative = r
+    if not (order := c.order) and zero is None:
+        return u[0](u, c) ** p
+    u0, ug, uh = u[0](u, c) if order else (u[0](u, c), None, None)
+    if p == 0.0:
+        return (np.float64(1.0), None, None) if order else np.float64(1.0)
+    if p < 0.0:
+        _check(c, u0 == 0.0, zero)
+    elif fractional and ug is not None and p < order:
+        _check(c, (u0 == 0.0) & ~c.kinks, zero)
+    if fractional:
+        _check(c, u0 < 0.0, negative, u0)
+    f0 = u0**p
+    if ug is None:
+        return (f0, None, None) if order else f0
+    f2 = None if p == 1.0 or order < 2 else p * (p - 1.0) * u0 ** (p - 2.0)
+    return _chain(c, f0, ug, uh, p * u0 ** (p - 1.0), f2)
+
+
+def _unary(r, c):
+    _, u, (f, derivatives, bad, message, mark) = r
+    order = c.order
+    u0, ug, uh = u[0](u, c) if order else (u[0](u, c), None, None)
+    if bad is not None:
+        _check(c, bad(u0, 0.0), message, u0)
+    f0 = f(u0)
+    if ug is None:
+        return (f0, None, None) if order else f0
+    if derivatives is None:
+        return f0, -ug, None if uh is None else -uh
+    if mark is not None:
+        mark(c, u0)
+    return _chain(c, f0, ug, uh, *derivatives(u0, f0))
+
+
+def _sum(r, c):
+    _, a, b, f, both = r
+    if not c.order:
+        return f(a[0](a, c), b[0](b, c))
+    (a0, ag, ah), (b0, bg, bh) = a[0](a, c), b[0](b, c)
+    return f(a0, b0), both(ag, bg), both(ah, bh)
+
+
+def _scaled(r, c):  # u * k or u / k for a constant k, nonzero for /
+    _, u, k, f = r
+    if not c.order:
+        return f(u[0](u, c), k)
+    u0, ug, uh = u[0](u, c)
+    return f(u0, k), None if ug is None else f(ug, k), None if uh is None else f(uh, k)
+
+
+def _product(r, c):
+    _, a, b = r
+    if not c.order:
+        return a[0](a, c) * b[0](b, c)
+    (a0, ag, ah), (b0, bg, bh) = a[0](a, c), b[0](b, c)
+    h = None
+    if c.order >= 2:
+        h = _plus(_h_times(ah, b0), _h_times(bh, a0))
+        h = _plus(_plus(h, _outer(ag, bg)), _outer(bg, ag))
+    return a0 * b0, _plus(_g_times(ag, b0), _g_times(bg, a0)), h
+
+
+def _quotient(r, c):
+    _, a, b = r
+    if not c.order:
+        a0, b0 = a[0](a, c), b[0](b, c)
+        _check(c, b0 == 0.0, "division by zero")
+        return a0 / b0
+    (a0, ag, ah), (b0, bg, bh) = a[0](a, c), b[0](b, c)
+    _check(c, b0 == 0.0, "division by zero")
+    q = a0 / b0
+    g = _minus(ag, _g_times(bg, q))
+    g = None if g is None else g / (b0[:, None] if b0.ndim else b0)
+    h = None
+    if c.order >= 2:
+        h = _minus(_minus(ah, _outer(g, bg)), _outer(bg, g))
+        h = _minus(h, _h_times(bh, q))
+        h = None if h is None else h / (b0[:, None, None] if b0.ndim else b0)
+    return q, g, h
+
+
+def _compile(e, m: int, fold: bool = True) -> tuple:
+    """The closure of the subtree ``e`` over m coordinates.  A subtree without
+    variables becomes a constant, unless it raises DomainError on each call."""
+    kind = type(e)
+    if fold and kind is not Const and not has_variables(e):
+        r, none = _compile(e, m, fold=False), np.zeros(0)
+        try:
+            with np.errstate(all="ignore"):
+                e, kind = Const(r[0](r, _Call(0.0, none, none, 0))), Const
+        except DomainError:
+            return r
+    if kind is Const:
+        return _constant, np.float64(e.value)
+    if kind is Var:
+        unit = (np.arange(1 + 2 * m) == (m + e.index if e.kind == "v" else e.index)) * 1.0
+        return _variable, "txv".index(e.kind), max(e.index - 1, 0), unit
+    if kind is Pow:
+        p, fractional = e.exponent, not float(e.exponent).is_integer()
+        # no message, no check: a positive integer exponent has no domain error
+        zero = f"0 raised to exponent {p}" if p <= 0.0 or fractional else None
+        negative = f"negative base {{}} with non-integer exponent {p}" if fractional else None
+        return _power, _compile(e.base, m), p, fractional, zero, negative
+    if kind is Unary:
+        return _unary, _compile(e.operand, m), _UNARY[e.op]
+    a, b = _compile(e.left, m), _compile(e.right, m)
+    if e.op == "*" and a[0] is _constant:
+        return _scaled, b, a[1], operator.mul
+    if e.op in "*/" and b[0] is _constant and (e.op == "*" or b[1] != 0.0):
+        return _scaled, a, b[1], operator.mul if e.op == "*" else operator.truediv
+    if e.op in "*/":
+        return (_product if e.op == "*" else _quotient), a, b
+    return (_sum, a, b, operator.add, _plus) if e.op == "+" else (_sum, a, b, operator.sub, _minus)
+
+
+@dataclass(slots=True)
 class EvalResult:
     """Value and partials at one point (floats and (m,)/(m, m) arrays), or at
     a stack of N points (the same with a leading N axis)."""
@@ -349,166 +493,56 @@ class EvalResult:
     kinks: Optional[np.ndarray] = None
 
 
-def evaluate(e: Expression, t, x, v, order: int = 0) -> EvalResult:
+class _Call:
+    """What one call hands each closure: the points, the order, the kinks."""
+
+    __slots__ = ("T", "x", "v", "z", "stacked", "order", "kinks")
+
+    def __init__(self, t, x, v, order):
+        self.x, self.v, self.stacked, self.order = x, v, x.ndim == 2, order
+        self.T = T = np.asarray(t, dtype=float) if self.stacked else np.float64(t)
+        # the columns of t, x and v (rows of x.T on a stack), and for partials
+        # the points where an abs() argument is at its kink
+        self.z = ((T,), x.T, v.T) if self.stacked else ((T,), x, v)
+        self.kinks = np.zeros(T.shape, dtype=bool) if order else None
+
+
+@np.errstate(all="ignore")  # a domain check raises instead of a numpy warning
+def evaluate(e, t, x, v, order: int = 0) -> EvalResult:
     """Value of ``e`` with exact partials up to ``order`` (0, 1 or 2).
 
-    Takes one point (scalar t, x and v of shape (m,)) or a stack of N points
-    (t of shape (N,), x and v of shape (N, m)); the stack is evaluated in one
-    pass over the tree.  An invalid argument raises DomainError, which on a
-    stack names the first failing point and lists every failing row in
-    ``rows``.  The checks that only partials need apply only where the
-    argument depends on (t, x, v): sqrt at 0, and 0 to a non-integer power
-    c < ``order`` (the partials of u^c stay finite at 0 for c >= order).
-    Where partials are asked for and such an abs() argument is within 1e-12
-    of its kink, the point has no exact partials: it is listed in ``kinks``
-    and evaluation goes on, skipping there those checks at the nodes after
-    that abs().  On a stack every partial block is NaN at those rows; at one
-    point the result has no partial blocks.
+    ``e`` is a compiled field's engine (``L.jets``) or a tree, compiled for
+    this call.  Takes one point (scalar t, x and v of shape (m,)) or a stack
+    of N points (t of shape (N,), x and v of shape (N, m)); the stack is
+    evaluated in one run of the program.  An invalid argument raises
+    DomainError, which on a stack names the first failing point and lists
+    every failing row in ``rows``.  The checks that only partials need apply
+    only where the argument depends on (t, x, v): sqrt at 0, and 0 to a
+    non-integer power c < ``order`` (the partials of u^c stay finite at 0
+    for c >= order).  Where partials are asked for and such an abs()
+    argument is within 1e-12 of its kink, the point has no exact partials:
+    it is listed in ``kinks`` and evaluation goes on, skipping there those
+    checks at the nodes after that abs().  On a stack every partial block is
+    NaN at those rows; at one point the result has no partial blocks.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    stacked = x.ndim == 2
-    T = np.asarray(t, dtype=float) if stacked else np.float64(t)
-    m = x.shape[-1]
-    n = 1 + 2 * m
-    units = {}
-    # the points where an abs() argument is at its kink; only partials need it
-    kinks = np.zeros(T.shape, dtype=bool) if order else None
-
-    def check(bad, message, values=None):
-        if not (bad.any() if type(bad) is np.ndarray else bad):
-            return
-        if not stacked:
-            raise DomainError(message.format(values))
-        rows = np.flatnonzero(np.broadcast_to(bad, T.shape))
-        i = int(rows[0])
-        value = None if values is None else np.broadcast_to(values, T.shape)[i]
-        raise DomainError(
-            message.format(value) + f" at point {i} (t={T[i]}, x={x[i]}, v={v[i]})",
-            rows,
-        )
-
-    def chain(f0, ug, uh, f1, f2):
-        h = None
-        if order >= 2:
-            h = _plus(_h_times(uh, f1), _h_times(_outer(ug, ug), f2))
-        return f0, _g_times(ug, f1), h
-
-    def variable(node):
-        # row i of x.T is column i of a stack, and a scalar at one point
-        slot = m + node.index if node.kind == "v" else node.index
-        val = T if slot == 0 else (v if node.kind == "v" else x).T[node.index - 1]
-        if order == 0:
-            return val, None, None
-        if slot not in units:
-            units[slot] = np.zeros(n)
-            units[slot][slot] = 1.0
-        return val, units[slot], None
-
-    def power(u, c):
-        u0, ug, uh = u
-        if c == 0.0:
-            return np.float64(1.0), None, None
-        if c < 0.0:
-            check(u0 == 0.0, f"0 raised to exponent {c}")
-        elif ug is not None and c < order and c != int(c):
-            check((u0 == 0.0) & ~kinks, f"0 raised to exponent {c}")
-        if c != int(c):
-            check(u0 < 0.0, f"negative base {{}} with non-integer exponent {c}", u0)
-        f0 = u0**c
-        if ug is None:
-            return f0, None, None
-        f2 = None if c == 1.0 or order < 2 else c * (c - 1.0) * u0 ** (c - 2.0)
-        return chain(f0, ug, uh, c * u0 ** (c - 1.0), f2)
-
-    def unary(op, u):
-        u0, ug, uh = u
-        if op == "neg":
-            return -u0, _neg(ug), _neg(uh)
-        if op == "log":
-            check(u0 <= 0.0, "log of non-positive value {}", u0)
-        elif op == "sqrt":
-            check(u0 < 0.0, "sqrt of negative value {}", u0)
-            if ug is not None:
-                check((u0 == 0.0) & ~kinks, "sqrt not differentiable at 0")
-        elif op == "abs" and ug is not None:
-            kinks[...] |= np.abs(u0) < 1e-12
-        f0 = _UNARY[op](u0)
-        if ug is None:
-            return f0, None, None
-        # first and second derivative of the outer function
-        if op == "sin":
-            f1, f2 = np.cos(u0), -f0
-        elif op == "cos":
-            f1, f2 = -np.sin(u0), -f0
-        elif op == "exp":
-            f1 = f2 = f0
-        elif op == "log":
-            f1, f2 = 1.0 / u0, -1.0 / u0**2
-        elif op == "sqrt":
-            f1, f2 = 0.5 / f0, -0.25 / (f0 * u0)
-        else:
-            f1, f2 = np.where(u0 > 0.0, 1.0, -1.0), None
-        return chain(f0, ug, uh, f1, f2)
-
-    def rec(node):
-        kind = type(node)
-        if kind is Binary:
-            a0, ag, ah = rec(node.left)
-            b0, bg, bh = rec(node.right)
-            op = node.op
-            if op == "/":
-                check(b0 == 0.0, "division by zero")
-            if ag is None and bg is None:
-                return _ARITHMETIC[op](a0, b0), None, None
-            if op == "+":
-                return a0 + b0, _plus(ag, bg), _plus(ah, bh)
-            if op == "-":
-                return a0 - b0, _minus(ag, bg), _minus(ah, bh)
-            if op == "*":
-                h = None
-                if order >= 2:
-                    h = _plus(_h_times(ah, b0), _h_times(bh, a0))
-                    h = _plus(_plus(h, _outer(ag, bg)), _outer(bg, ag))
-                return a0 * b0, _plus(_g_times(ag, b0), _g_times(bg, a0)), h
-            q = a0 / b0
-            g = _minus(ag, _g_times(bg, q))
-            g = None if g is None else g / (b0[:, None] if b0.ndim else b0)
-            h = None
-            if order >= 2:
-                h = _minus(_minus(ah, _outer(g, bg)), _outer(bg, g))
-                h = _minus(h, _h_times(bh, q))
-                h = None if h is None else h / (b0[:, None, None] if b0.ndim else b0)
-            return q, g, h
-        if kind is Var:
-            return variable(node)
-        if kind is Const:
-            return np.float64(node.value), None, None
-        if kind is Pow:
-            return power(rec(node.base), node.exponent)
-        return unary(node.op, rec(node.operand))
-
-    with np.errstate(all="ignore"):
-        val, g, h = rec(e)
-    shape = T.shape
+    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+    m, c = x.shape[-1], _Call(t, x, v, order)
+    r = (e if type(e) is _Jets else _Jets(e, m)).run
+    out, shape, stacked = r[0](r, c), c.T.shape, c.stacked
+    if not order:
+        return EvalResult(np.array(np.broadcast_to(out, shape)) if stacked else float(out))
+    val, g, h = out
     res = {"value": np.array(np.broadcast_to(val, shape)) if stacked else float(val)}
-    if order >= 1:
-        g = np.broadcast_to(0.0 if g is None else g, shape + (n,))
-        res["d_t"] = _block(g[..., 0])
-        res["d_x"] = _block(g[..., 1 : m + 1])
-        res["d_v"] = _block(g[..., m + 1 :])
+    # the slots of t (an index, so d_t and tt are scalars at one point), x and v
+    z = {"t": 0, "x": slice(1, m + 1), "v": slice(m + 1, None)}
+    g = np.broadcast_to(0.0 if g is None else g, shape + (1 + 2 * m,))
+    res.update({f"d_{k}": _block(g[..., z[k]]) for k in "txv"})
     if order >= 2:
-        h = np.broadcast_to(0.0 if h is None else h, shape + (n, n))
-        res["d2"] = {
-            "tt": _block(h[..., 0, 0]),
-            "xx": _block(h[..., 1 : m + 1, 1 : m + 1]),
-            "vv": _block(h[..., m + 1 :, m + 1 :]),
-            "xv": _block(h[..., 1 : m + 1, m + 1 :]),
-            "vx": _block(h[..., m + 1 :, 1 : m + 1]),
-        }
-    if not order or not np.count_nonzero(kinks):
+        h = np.broadcast_to(0.0 if h is None else h, shape + g.shape[-1:] * 2)
+        res["d2"] = {k: _block(h[..., z[k[0]], z[k[1]]]) for k in ("tt", "xx", "vv", "xv", "vx")}
+    if not np.count_nonzero(c.kinks):
         return EvalResult(**res)
-    rows = np.flatnonzero(kinks)
+    rows = np.flatnonzero(c.kinks)
     if not stacked:
         return EvalResult(value=res["value"], kinks=rows)
     for block in (res["d_t"], res["d_x"], res["d_v"], *res.get("d2", {}).values()):
@@ -522,22 +556,22 @@ def _block(a):
 
 
 class _Jets:
-    """Exact-jet engine of a compiled field: one ``evaluate`` call on its
-    tree per request.  Where abs() sits at its kink the partials are
-    unavailable: those rows come back listed in ``kinks``, with one warning
-    per call, and the field makes them by finite differences.  Slotted,
-    because a problem holds many compiled fields."""
+    """Exact-jet engine of a compiled field: its tree ``expr``, compiled once
+    into ``run`` (its root's closure), and one ``evaluate`` call per request.
+    Where abs() sits at its kink the partials are unavailable: those rows
+    come back listed in ``kinks``, with one warning per call, and the field
+    makes them by finite differences.  Slotted: a problem holds many."""
 
-    __slots__ = ("expr",)
+    __slots__ = ("expr", "run")
 
-    def __init__(self, expr):
-        self.expr = expr
+    def __init__(self, expr, dim: int):
+        self.expr, self.run = expr, _compile(expr, dim)
 
     def value(self, t, x, v):
-        return evaluate(self.expr, t, x, v).value
+        return evaluate(self, t, x, v).value
 
     def __call__(self, t, x, v, order: int) -> EvalResult:
-        r = evaluate(self.expr, t, x, v, order=order)
+        r = evaluate(self, t, x, v, order=order)
         if r.kinks is not None:
             warnings.warn(
                 "abs() within 1e-12 of its kink; falling back to finite differences",
@@ -548,10 +582,10 @@ class _Jets:
 
 
 def compile_field(source, dim: int) -> ScalarField:
-    """Turn an expression (string or tree) into a ScalarField with exact
-    analytic partials that answers one point or a stack of points with one
-    ``evaluate`` call.  Near an abs() kink the analytic route is unavailable;
-    those points fall back to finite differences with a warning."""
+    """Compile an expression (string or tree) once into a ScalarField with
+    exact analytic partials that answers one point or a stack of points with
+    one ``evaluate`` call.  Near an abs() kink the analytic route is
+    unavailable; those points fall back to finite differences with a warning."""
     expr = parse(source, dim) if isinstance(source, str) else source
-    jets = _Jets(expr)
+    jets = _Jets(expr, dim)
     return ScalarField(dim=dim, func=jets.value, jets=jets)

@@ -145,12 +145,12 @@ def _solve_band(ab, res):
 _FLOOR = 32.0
 
 
-def _floor_ratios(grid, xs, lx, lv, res, ab) -> np.ndarray:
+def _floor_ratios(grid, xs, lx, lv, res, abs_ab) -> np.ndarray:
     """|r_i| / (eps s_i) per interior row, a componentwise backward error:
-    s_i = (|J| |x|)_i + |L_x,i| + (|p_{i+1}| + |p_{i-1}|) / (2h), with J the
-    Newton Jacobian in band storage ab and p = dL/dv; the three terms bound
-    the change of r_i when x, L_x and p are each rounded."""
-    jx = band_matvec(np.abs(ab), np.abs(xs[1:-1]).reshape(-1)).reshape(res.shape)
+    s_i = (|J| |x|)_i + |L_x,i| + (|p_{i+1}| + |p_{i-1}|) / (2h), with |J| the
+    absolute Newton Jacobian in band storage abs_ab and p = dL/dv; the three
+    terms bound the change of r_i when x, L_x and p are each rounded."""
+    jx = band_matvec(abs_ab, np.abs(xs[1:-1]).reshape(-1)).reshape(res.shape)
     s = jx + np.abs(lx[1:-1]) + (np.abs(lv[2:]) + np.abs(lv[:-2])) / (2.0 * grid.h)
     # s_i = 0 only where L_x,i and both momenta are 0, and then r_i = 0
     return np.divide(np.abs(res), _EPS * s, out=np.zeros(res.shape), where=res != 0.0)
@@ -167,13 +167,13 @@ def meets_stopping_rule(L: ScalarField, x: Curve, tol: float) -> bool:
     if float(np.max(np.abs(res))) <= tol:
         return True
     ab = _interior_jacobian(L, x.grid, x.values, xd)
-    return bool(np.max(_floor_ratios(x.grid, x.values, lx, lv, res, ab)) <= _FLOOR)
+    return bool(np.max(_floor_ratios(x.grid, x.values, lx, lv, res, np.abs(ab))) <= _FLOOR)
 
 
-def _line_search(L, grid, xs, step, ab, worst, lam):
+def _line_search(L, grid, xs, step, abs_ab, worst, lam):
     """The first trial xs + lam step, lam halved up to 30 times, whose
     largest |r_i| / (eps s_i) (see ``_floor_ratios``; its own s, with the
-    iterate's Jacobian ab) is below ``worst``, the iterate's, with its
+    iterate's |J| abs_ab) is below ``worst``, the iterate's, with its
     velocities, covectors and residual; None when no trial is.  It stops at
     the first trial that rounds to xs: rounding is monotone, so every smaller
     lam rounds to xs too, and each such trial has xs's own ratios."""
@@ -184,7 +184,7 @@ def _line_search(L, grid, xs, step, ab, worst, lam):
             return None
         xd, lx, lv = _covectors(L, grid, trial)
         res = _residual(grid, lx, lv)
-        if float(np.max(_floor_ratios(grid, trial, lx, lv, res, ab))) < worst:
+        if float(np.max(_floor_ratios(grid, trial, lx, lv, res, abs_ab))) < worst:
             return trial, xd, lx, lv, res
         lam *= 0.5
     return None
@@ -237,10 +237,11 @@ def solve_extremal(
                 "Lagrangian may fail the Legendre condition there",
                 history,
             )
-        # backtracking on the largest componentwise backward error; the
-        # accepted trial's reads carry into the next iteration
-        ratios = np.max(_floor_ratios(grid, xs, lx, lv, res, ab), axis=1)
-        accepted = _line_search(L, grid, xs, step, ab, float(np.max(ratios)), cfg.damping)
+        # backtracking on the largest componentwise backward error (|J| taken
+        # once per iterate); the accepted trial's reads carry into the next one
+        abs_ab = np.abs(ab)
+        ratios = np.max(_floor_ratios(grid, xs, lx, lv, res, abs_ab), axis=1)
+        accepted = _line_search(L, grid, xs, step, abs_ab, float(np.max(ratios)), cfg.damping)
         if accepted is None:
             if np.max(ratios) <= _FLOOR:
                 return Curve(space, grid, xs)

@@ -84,11 +84,12 @@ def _pick(r, block: str):
     return getattr(r, f"d_{block}") if len(block) == 1 else r.d2[block]
 
 
-def _check_finite(value, t, x, v) -> None:
+def _check_finite(value, t, x, v):
+    """``value``, unless it is not finite somewhere: EvaluationError there."""
     if x.ndim == 1:
         if not math.isfinite(value):
             raise EvaluationError(f"non-finite field value at t={t}, x={x}, v={v}")
-        return
+        return value
     bad = np.flatnonzero(~np.isfinite(value))
     if len(bad):
         i = int(bad[0])
@@ -96,6 +97,7 @@ def _check_finite(value, t, x, v) -> None:
             f"non-finite field value at point {i}: t={t[i]}, x={x[i]}, v={v[i]}",
             index=i,
         )
+    return value
 
 
 class Jet:
@@ -155,7 +157,10 @@ class ScalarField:
         return Jet(self, t, x, v, order, exact)
 
     def __call__(self, t, x, v):
-        return self.jet(t, x, v, 0)["value"]
+        if self.jets is None:
+            return self.jet(t, x, v, 0)["value"]
+        x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+        return _check_finite(self.jets(t, x, v, 0).value, t, x, v)
 
     def _blocks(self, names, order: int, kind: str, t, x, v):
         """The named blocks of one jet of ``order``: one block for a name,

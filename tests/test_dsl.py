@@ -1,4 +1,5 @@
 import math
+import operator
 import warnings
 
 import mpmath
@@ -13,6 +14,8 @@ from noether_lcs.dsl import (
     Binary,
     Const,
     DomainError,
+    EvalResult,
+    Expression,
     ParseDiagnostic,
     Pow,
     Unary,
@@ -221,26 +224,34 @@ def test_abs_kink_falls_back_to_fd_with_warning():
 _SMOOTH_OPS = ["+", "-", "*", "sin", "cos", "pow", "exp"]
 
 
-def _random_expression(rng, depth, ops=_SMOOTH_OPS):
+# exponents of the "pow-" and "pow." ops: negative, and not integers
+_NEGATIVE_EXPONENTS = (-1.0, -2.0, -3.0, -0.5)
+_FRACTIONAL_EXPONENTS = (0.5, 1.5, 2.5, -1.5)
+
+
+def _random_expression(rng, depth, ops=_SMOOTH_OPS, dim=1):
+    """A random tree over t, x1..x<dim>, v1..v<dim>; at dim 1 it draws the
+    same trees from the same generator state as it always did."""
     if depth == 0 or rng.random() < 0.25:
         kind = rng.integers(0, 4)
         if kind == 0:
             return Const(float(np.round(rng.uniform(-2, 2), 3)))
         if kind == 1:
             return Var("t", 0)
-        if kind == 2:
-            return Var("x", 1)
-        return Var("v", 1)
+        index = 1 if dim == 1 else int(rng.integers(1, dim + 1))
+        return Var("x" if kind == 2 else "v", index)
     op = rng.choice(ops)
-    if op in "+-*":
+    if op in "+-*/":
         return Binary(
             op,
-            _random_expression(rng, depth - 1, ops),
-            _random_expression(rng, depth - 1, ops),
+            _random_expression(rng, depth - 1, ops, dim),
+            _random_expression(rng, depth - 1, ops, dim),
         )
-    if op == "pow":
-        return Pow(_random_expression(rng, depth - 1, ops), float(rng.integers(2, 4)))
-    return Unary(op, _random_expression(rng, depth - 1, ops))
+    if op.startswith("pow"):
+        exponents = {"pow-": _NEGATIVE_EXPONENTS, "pow.": _FRACTIONAL_EXPONENTS}
+        c = float(rng.choice(exponents[op])) if op in exponents else float(rng.integers(2, 4))
+        return Pow(_random_expression(rng, depth - 1, ops, dim), c)
+    return Unary(op, _random_expression(rng, depth - 1, ops, dim))
 
 
 def random_smooth_expression(rng, max_depth=6):
@@ -276,6 +287,29 @@ def test_random_expression_partials_match_fd():
             r.d2["vv"][0, 0], abs=5e-4, rel=5e-4
         )
         checked += 1
+
+
+def test_a_compiled_field_builds_its_program_once(monkeypatch):
+    tree = parse("sqrt(1 + v1^2) + v2^2/(2*(1 + x2^2)) - cos(x1)", 2)
+    compiles = []
+    compile_node = nl.dsl._compile
+
+    def counting(e, m, fold=True):
+        compiles.append(e)
+        return compile_node(e, m, fold)
+
+    monkeypatch.setattr(nl.dsl, "_compile", counting)
+    L = compile_field(tree, dim=2)
+    built = len(compiles)
+    # one closure per node, and the tree stays the field's expression
+    assert compiles[0] is tree and L.jets.expr is tree and built == 18
+    t, x, v = np.zeros(4), np.full((4, 2), 0.5), np.ones((4, 2))
+    for _ in range(3):
+        L(0.0, x[0], v[0])
+        L(t, x, v)
+        L.partial(("x", "v"), t, x, v)
+        L.second_partial("vv", 0.0, x[0], v[0])
+    assert len(compiles) == built
 
 
 def test_compile_field_exposes_analytic_blocks():
@@ -517,3 +551,288 @@ def test_stacked_jet_with_kink_rows_equals_the_one_point_reads(seed):
                     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
                 else:
                     assert got.tobytes() == want.tobytes(), (i, block)
+
+
+# -- the compiled program against the tree-walking evaluator ---------------
+#
+# The recursive evaluator that walked the tree on every call, kept verbatim
+# (but for its name) as the reference: the compiled program must give the
+# same bits, the same kink rows and the same DomainError.
+
+_UNARY = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+}
+_ARITHMETIC = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+}
+
+
+def _plus(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a + b
+
+
+def _minus(a, b):
+    if b is None:
+        return a
+    if a is None:
+        return -b
+    return a - b
+
+
+def _neg(a):
+    return None if a is None else -a
+
+
+def _g_times(g, s):
+    """Gradient g scaled point by point by the values s."""
+    return None if g is None else g * (s[:, None] if s.ndim else s)
+
+
+def _h_times(h, s):
+    """Hessian h scaled point by point by the values s."""
+    if h is None or s is None:
+        return None
+    return h * (s[:, None, None] if s.ndim else s)
+
+
+def _outer(a, b):
+    if a is None or b is None:
+        return None
+    return a[..., :, None] * b[..., None, :]
+
+
+
+
+def reference_evaluate(e: Expression, t, x, v, order: int = 0) -> EvalResult:
+    """Value of ``e`` with exact partials up to ``order`` (0, 1 or 2).
+
+    Takes one point (scalar t, x and v of shape (m,)) or a stack of N points
+    (t of shape (N,), x and v of shape (N, m)); the stack is evaluated in one
+    pass over the tree.  An invalid argument raises DomainError, which on a
+    stack names the first failing point and lists every failing row in
+    ``rows``.  The checks that only partials need apply only where the
+    argument depends on (t, x, v): sqrt at 0, and 0 to a non-integer power
+    c < ``order`` (the partials of u^c stay finite at 0 for c >= order).
+    Where partials are asked for and such an abs() argument is within 1e-12
+    of its kink, the point has no exact partials: it is listed in ``kinks``
+    and evaluation goes on, skipping there those checks at the nodes after
+    that abs().  On a stack every partial block is NaN at those rows; at one
+    point the result has no partial blocks.
+    """
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    stacked = x.ndim == 2
+    T = np.asarray(t, dtype=float) if stacked else np.float64(t)
+    m = x.shape[-1]
+    n = 1 + 2 * m
+    units = {}
+    # the points where an abs() argument is at its kink; only partials need it
+    kinks = np.zeros(T.shape, dtype=bool) if order else None
+
+    def check(bad, message, values=None):
+        if not (bad.any() if type(bad) is np.ndarray else bad):
+            return
+        if not stacked:
+            raise DomainError(message.format(values))
+        rows = np.flatnonzero(np.broadcast_to(bad, T.shape))
+        i = int(rows[0])
+        value = None if values is None else np.broadcast_to(values, T.shape)[i]
+        raise DomainError(
+            message.format(value) + f" at point {i} (t={T[i]}, x={x[i]}, v={v[i]})",
+            rows,
+        )
+
+    def chain(f0, ug, uh, f1, f2):
+        h = None
+        if order >= 2:
+            h = _plus(_h_times(uh, f1), _h_times(_outer(ug, ug), f2))
+        return f0, _g_times(ug, f1), h
+
+    def variable(node):
+        # row i of x.T is column i of a stack, and a scalar at one point
+        slot = m + node.index if node.kind == "v" else node.index
+        val = T if slot == 0 else (v if node.kind == "v" else x).T[node.index - 1]
+        if order == 0:
+            return val, None, None
+        if slot not in units:
+            units[slot] = np.zeros(n)
+            units[slot][slot] = 1.0
+        return val, units[slot], None
+
+    def power(u, c):
+        u0, ug, uh = u
+        if c == 0.0:
+            return np.float64(1.0), None, None
+        if c < 0.0:
+            check(u0 == 0.0, f"0 raised to exponent {c}")
+        elif ug is not None and c < order and c != int(c):
+            check((u0 == 0.0) & ~kinks, f"0 raised to exponent {c}")
+        if c != int(c):
+            check(u0 < 0.0, f"negative base {{}} with non-integer exponent {c}", u0)
+        f0 = u0**c
+        if ug is None:
+            return f0, None, None
+        f2 = None if c == 1.0 or order < 2 else c * (c - 1.0) * u0 ** (c - 2.0)
+        return chain(f0, ug, uh, c * u0 ** (c - 1.0), f2)
+
+    def unary(op, u):
+        u0, ug, uh = u
+        if op == "neg":
+            return -u0, _neg(ug), _neg(uh)
+        if op == "log":
+            check(u0 <= 0.0, "log of non-positive value {}", u0)
+        elif op == "sqrt":
+            check(u0 < 0.0, "sqrt of negative value {}", u0)
+            if ug is not None:
+                check((u0 == 0.0) & ~kinks, "sqrt not differentiable at 0")
+        elif op == "abs" and ug is not None:
+            kinks[...] |= np.abs(u0) < 1e-12
+        f0 = _UNARY[op](u0)
+        if ug is None:
+            return f0, None, None
+        # first and second derivative of the outer function
+        if op == "sin":
+            f1, f2 = np.cos(u0), -f0
+        elif op == "cos":
+            f1, f2 = -np.sin(u0), -f0
+        elif op == "exp":
+            f1 = f2 = f0
+        elif op == "log":
+            f1, f2 = 1.0 / u0, -1.0 / u0**2
+        elif op == "sqrt":
+            f1, f2 = 0.5 / f0, -0.25 / (f0 * u0)
+        else:
+            f1, f2 = np.where(u0 > 0.0, 1.0, -1.0), None
+        return chain(f0, ug, uh, f1, f2)
+
+    def rec(node):
+        kind = type(node)
+        if kind is Binary:
+            a0, ag, ah = rec(node.left)
+            b0, bg, bh = rec(node.right)
+            op = node.op
+            if op == "/":
+                check(b0 == 0.0, "division by zero")
+            if ag is None and bg is None:
+                return _ARITHMETIC[op](a0, b0), None, None
+            if op == "+":
+                return a0 + b0, _plus(ag, bg), _plus(ah, bh)
+            if op == "-":
+                return a0 - b0, _minus(ag, bg), _minus(ah, bh)
+            if op == "*":
+                h = None
+                if order >= 2:
+                    h = _plus(_h_times(ah, b0), _h_times(bh, a0))
+                    h = _plus(_plus(h, _outer(ag, bg)), _outer(bg, ag))
+                return a0 * b0, _plus(_g_times(ag, b0), _g_times(bg, a0)), h
+            q = a0 / b0
+            g = _minus(ag, _g_times(bg, q))
+            g = None if g is None else g / (b0[:, None] if b0.ndim else b0)
+            h = None
+            if order >= 2:
+                h = _minus(_minus(ah, _outer(g, bg)), _outer(bg, g))
+                h = _minus(h, _h_times(bh, q))
+                h = None if h is None else h / (b0[:, None, None] if b0.ndim else b0)
+            return q, g, h
+        if kind is Var:
+            return variable(node)
+        if kind is Const:
+            return np.float64(node.value), None, None
+        if kind is Pow:
+            return power(rec(node.base), node.exponent)
+        return unary(node.op, rec(node.operand))
+
+    with np.errstate(all="ignore"):
+        val, g, h = rec(e)
+    shape = T.shape
+    res = {"value": np.array(np.broadcast_to(val, shape)) if stacked else float(val)}
+    if order >= 1:
+        g = np.broadcast_to(0.0 if g is None else g, shape + (n,))
+        res["d_t"] = _block(g[..., 0])
+        res["d_x"] = _block(g[..., 1 : m + 1])
+        res["d_v"] = _block(g[..., m + 1 :])
+    if order >= 2:
+        h = np.broadcast_to(0.0 if h is None else h, shape + (n, n))
+        res["d2"] = {
+            "tt": _block(h[..., 0, 0]),
+            "xx": _block(h[..., 1 : m + 1, 1 : m + 1]),
+            "vv": _block(h[..., m + 1 :, m + 1 :]),
+            "xv": _block(h[..., 1 : m + 1, m + 1 :]),
+            "vx": _block(h[..., m + 1 :, 1 : m + 1]),
+        }
+    if not order or not np.count_nonzero(kinks):
+        return EvalResult(**res)
+    rows = np.flatnonzero(kinks)
+    if not stacked:
+        return EvalResult(value=res["value"], kinks=rows)
+    for block in (res["d_t"], res["d_x"], res["d_v"], *res.get("d2", {}).values()):
+        block[rows] = np.nan
+    return EvalResult(**res, kinks=rows)
+
+
+def _block(a):
+    """A result block as a fresh array, or a float for a scalar at one point."""
+    return float(a) if a.ndim == 0 else np.array(a)
+
+
+def _outcome(e, t, x, v, order, evaluator):
+    """Each field of the result as bytes, or the error's type, text and rows."""
+    try:
+        r = evaluator(e, t, x, v, order=order)
+    except ArithmeticError as err:
+        return type(err).__name__, str(err), getattr(err, "rows", np.zeros(0)).tobytes()
+    blocks = {"value": r.value, "d_t": r.d_t, "d_x": r.d_x, "d_v": r.d_v, "kinks": r.kinks}
+    blocks.update({f"d2.{k}": b for k, b in (r.d2 or {}).items()})
+    return {k: None if b is None else (np.asarray(b).dtype, np.asarray(b).tobytes())
+            for k, b in blocks.items()}
+
+
+def _with_form(rng, form, dim):
+    """A random tree over dim coordinates that holds the given form."""
+    ops = _SMOOTH_OPS + ["/", "log", "sqrt", "abs", "pow-", "pow."]
+    tree = _random_expression(rng, 4, ops, dim)
+    var = Var(str(rng.choice(["x", "v"])), int(rng.integers(1, dim + 1)))
+    if form == "variable-divisor":
+        # zero at the stack's row 2, where the divisor's variable is 0.5
+        return Binary("/", tree, Binary("-", var, Const(0.5)))
+    if form == "log-sqrt-abs":
+        inner = Binary("+", var, _random_expression(rng, 2, ops, dim))
+        log = Unary("log", Binary("+", Const(1.0), Unary("abs", var)))
+        return Binary("*", log, Unary("sqrt", Unary("abs", inner)))
+    exponents = _NEGATIVE_EXPONENTS if form == "negative-exponent" else _FRACTIONAL_EXPONENTS
+    return Binary("+", Pow(Binary("+", var, tree), float(rng.choice(exponents))), tree)
+
+
+_FORMS = ("variable-divisor", "log-sqrt-abs", "negative-exponent", "fractional-exponent")
+
+
+@pytest.mark.parametrize("form", _FORMS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3))
+def test_compiled_program_matches_the_tree_walk_bit_for_bit(form, seed, dim):
+    rng = np.random.default_rng(seed)
+    expr = _with_form(rng, form, dim)
+    n = 5
+    t = rng.uniform(-1, 1, n)
+    x, v = rng.uniform(-2, 2, (n, dim)), rng.uniform(-2, 2, (n, dim))
+    x[1] = v[1] = 0.0  # abs() kinks, sqrt(0), 0 to a power
+    x[2] = v[2] = 0.5  # a zero divisor
+    x[3] = -x[3] ** 2  # negative bases
+    for order in (0, 1, 2):
+        stacks = (t, x, v), (t[:1], x[:1], v[:1])
+        points = [(t[i], x[i], v[i]) for i in range(n)]
+        for args in (*stacks, *points):
+            want = _outcome(expr, *args, order, reference_evaluate)
+            assert _outcome(expr, *args, order, evaluate) == want, (to_string(expr), order, args)

@@ -213,6 +213,36 @@ def test_newton_carries_the_accepted_trial_residual(monkeypatch, line_space):
     assert orders == [1, 2, 1]
 
 
+def test_each_engine_request_is_one_evaluate_call_on_the_compiled_program(
+    monkeypatch, line_space
+):
+    # the counting tests above count dsl.evaluate calls: each jet the Newton
+    # solve asks the engine for is exactly one of them, on the program
+    # compiled with the field, and the solve compiles nothing
+    L = nl.compile_field("v1^2/2 + v1^4/12 - x1^2/2", dim=1)
+    requests, calls = [], []
+    evaluate, request = nl.dsl.evaluate, nl.dsl._Jets.__call__
+
+    def counting_evaluate(e, t, x, v, order=0):
+        calls.append((e, order))
+        return evaluate(e, t, x, v, order=order)
+
+    def counting_request(self, t, x, v, order):
+        requests.append(order)
+        return request(self, t, x, v, order)
+
+    def no_compile(*args):
+        raise AssertionError("compiled during the solve")
+
+    monkeypatch.setattr(nl.dsl, "evaluate", counting_evaluate)
+    monkeypatch.setattr(nl.dsl._Jets, "__call__", counting_request)
+    monkeypatch.setattr(nl.dsl, "_compile", no_compile)
+    bc = nl.BoundaryConditions([0.0], [1.0])
+    nl.solve_extremal(L, bc, nl.Grid(0.0, 1.0, 40), line_space)
+    assert requests and [order for _, order in calls] == requests
+    assert all(e is L.jets for e, _ in calls)
+
+
 def test_newton_iteration_budget_raises_solver_error(line_space):
     # with damping 3 the full step overshoots the linear oscillator and the
     # half step 1.5 is accepted, which halves the residual per iteration
@@ -308,7 +338,7 @@ def max_floor_ratio(L, x):
     xd, lx, lv = el._covectors(L, x.grid, x.values)
     ab = el._interior_jacobian(L, x.grid, x.values, xd)
     res = el._residual(x.grid, lx, lv)
-    return float(np.max(el._floor_ratios(x.grid, x.values, lx, lv, res, ab)))
+    return float(np.max(el._floor_ratios(x.grid, x.values, lx, lv, res, np.abs(ab))))
 
 
 def test_stall_with_small_rows_above_their_floor_returns_when_the_step_is_at_roundoff():

@@ -317,7 +317,7 @@ def test_conservation_reads_each_field_once_at_every_grid_size(monkeypatch):
     calls = []
 
     def counting(e, t, x, v, order=0):
-        calls.append((e == tree, order))
+        calls.append((e.expr == tree, order))
         return evaluate(e, t, x, v, order=order)
 
     monkeypatch.setattr(nl.dsl, "evaluate", counting)
@@ -494,7 +494,7 @@ def test_invariance_residual_asks_each_field_for_one_jet(monkeypatch):
     evaluate = nl.dsl.evaluate
 
     def counting(e, t, x, v, order=0):
-        calls.append((e == tree, order))
+        calls.append((e.expr == tree, order))
         return evaluate(e, t, x, v, order=order)
 
     monkeypatch.setattr(nl.dsl, "evaluate", counting)
@@ -603,7 +603,7 @@ def test_search_matrix_reads_the_lagrangian_through_one_jet(monkeypatch):
     evaluate, compile_field = nl.dsl.evaluate, nl.symmetry.compile_field
 
     def counting_evaluate(e, t, x, v, order=0):
-        if e is tree:
+        if e.expr is tree:
             jets.append(order)
         return evaluate(e, t, x, v, order=order)
 
