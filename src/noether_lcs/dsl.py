@@ -363,7 +363,7 @@ def _variable(r, c):  # r = (_variable, column, index, unit gradient)
 
 def _power(r, c):
     _, u, p, fractional, zero, negative = r
-    if not (order := c.order) and zero is None:
+    if not (order := c.order) and zero is None:  # a positive integer exponent
         return u[0](u, c) ** p
     u0, ug, uh = u[0](u, c) if order else (u[0](u, c), None, None)
     if p == 0.0:
@@ -383,8 +383,7 @@ def _power(r, c):
 
 def _unary(r, c):
     _, u, (f, derivatives, bad, message, mark) = r
-    order = c.order
-    u0, ug, uh = u[0](u, c) if order else (u[0](u, c), None, None)
+    u0, ug, uh = u[0](u, c) if (order := c.order) else (u[0](u, c), None, None)
     if bad is not None:
         _check(c, bad(u0, 0.0), message, u0)
     f0 = f(u0)
@@ -444,38 +443,41 @@ def _quotient(r, c):
     return q, g, h
 
 
-def _compile(e, m: int, fold: bool = True) -> tuple:
-    """The closure of the subtree ``e`` over m coordinates.  A subtree without
-    variables becomes a constant, unless it raises DomainError on each call."""
+def _compile(e, m: int) -> tuple:
+    """The closure of subtree ``e`` over m coordinates, folded if its operands are constants."""
     kind = type(e)
-    if fold and kind is not Const and not has_variables(e):
-        r, none = _compile(e, m, fold=False), np.zeros(0)
-        try:
-            with np.errstate(all="ignore"):
-                e, kind = Const(r[0](r, _Call(0.0, none, none, 0))), Const
-        except DomainError:
-            return r
     if kind is Const:
         return _constant, np.float64(e.value)
     if kind is Var:
-        unit = (np.arange(1 + 2 * m) == (m + e.index if e.kind == "v" else e.index)) * 1.0
+        unit = np.zeros(1 + 2 * m)
+        unit[m + e.index if e.kind == "v" else e.index] = 1.0
         return _variable, "txv".index(e.kind), max(e.index - 1, 0), unit
+    if kind is Binary:
+        operands = a, b = _compile(e.left, m), _compile(e.right, m)
+    else:
+        operands = (u := _compile(e.base if kind is Pow else e.operand, m),)
     if kind is Pow:
         p, fractional = e.exponent, not float(e.exponent).is_integer()
-        # no message, no check: a positive integer exponent has no domain error
         zero = f"0 raised to exponent {p}" if p <= 0.0 or fractional else None
         negative = f"negative base {{}} with non-integer exponent {p}" if fractional else None
-        return _power, _compile(e.base, m), p, fractional, zero, negative
-    if kind is Unary:
-        return _unary, _compile(e.operand, m), _UNARY[e.op]
-    a, b = _compile(e.left, m), _compile(e.right, m)
-    if e.op == "*" and a[0] is _constant:
-        return _scaled, b, a[1], operator.mul
-    if e.op in "*/" and b[0] is _constant and (e.op == "*" or b[1] != 0.0):
-        return _scaled, a, b[1], operator.mul if e.op == "*" else operator.truediv
-    if e.op in "*/":
-        return (_product if e.op == "*" else _quotient), a, b
-    return (_sum, a, b, operator.add, _plus) if e.op == "+" else (_sum, a, b, operator.sub, _minus)
+        r = _power, u, p, fractional, zero, negative
+    elif kind is Unary:
+        r = _unary, u, _UNARY[e.op]
+    elif e.op == "*" and a[0] is _constant:
+        r = _scaled, b, a[1], operator.mul
+    elif e.op in "*/" and b[0] is _constant and (e.op == "*" or b[1] != 0.0):
+        r = _scaled, a, b[1], operator.mul if e.op == "*" else operator.truediv
+    elif e.op in "*/":
+        r = (_product if e.op == "*" else _quotient), a, b
+    else:
+        r = _sum, a, b, *((operator.add, _plus) if e.op == "+" else (operator.sub, _minus))
+    if all(o[0] is _constant for o in operands):
+        try:
+            with np.errstate(all="ignore"):
+                return _constant, np.float64(r[0](r, _Call(0.0, np.zeros(0), np.zeros(0), 0)))
+        except DomainError:
+            pass
+    return r
 
 
 @dataclass(slots=True)
@@ -501,8 +503,7 @@ class _Call:
     def __init__(self, t, x, v, order):
         self.x, self.v, self.stacked, self.order = x, v, x.ndim == 2, order
         self.T = T = np.asarray(t, dtype=float) if self.stacked else np.float64(t)
-        # the columns of t, x and v (rows of x.T on a stack), and for partials
-        # the points where an abs() argument is at its kink
+        # t, x and v by column (rows of x.T on a stack); where abs() is at its kink
         self.z = ((T,), x.T, v.T) if self.stacked else ((T,), x, v)
         self.kinks = np.zeros(T.shape, dtype=bool) if order else None
 

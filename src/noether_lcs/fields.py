@@ -85,7 +85,6 @@ def _pick(r, block: str):
 
 
 def _check_finite(value, t, x, v):
-    """``value``, unless it is not finite somewhere: EvaluationError there."""
     if x.ndim == 1:
         if not math.isfinite(value):
             raise EvaluationError(f"non-finite field value at t={t}, x={x}, v={v}")

@@ -294,9 +294,9 @@ def test_a_compiled_field_builds_its_program_once(monkeypatch):
     compiles = []
     compile_node = nl.dsl._compile
 
-    def counting(e, m, fold=True):
+    def counting(e, m):
         compiles.append(e)
-        return compile_node(e, m, fold)
+        return compile_node(e, m)
 
     monkeypatch.setattr(nl.dsl, "_compile", counting)
     L = compile_field(tree, dim=2)
@@ -611,8 +611,6 @@ def _outer(a, b):
     if a is None or b is None:
         return None
     return a[..., :, None] * b[..., None, :]
-
-
 
 
 def reference_evaluate(e: Expression, t, x, v, order: int = 0) -> EvalResult:
