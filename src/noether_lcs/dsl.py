@@ -534,8 +534,7 @@ def evaluate(e, t, x, v, order: int = 0) -> EvalResult:
         return EvalResult(np.array(np.broadcast_to(out, shape)) if stacked else float(out))
     val, g, h = out
     res = {"value": np.array(np.broadcast_to(val, shape)) if stacked else float(val)}
-    # the slots of t (an index, so d_t and tt are scalars at one point), x and v
-    z = {"t": 0, "x": slice(1, m + 1), "v": slice(m + 1, None)}
+    z = {"t": 0, "x": slice(1, m + 1), "v": slice(m + 1, None)}  # t's an index: scalar d_t, tt
     g = np.broadcast_to(0.0 if g is None else g, shape + (1 + 2 * m,))
     res.update({f"d_{k}": _block(g[..., z[k]]) for k in "txv"})
     if order >= 2:
@@ -563,10 +562,13 @@ class _Jets:
     come back listed in ``kinks``, with one warning per call, and the field
     makes them by finite differences.  Slotted: a problem holds many."""
 
-    __slots__ = ("expr", "run")
+    __slots__ = ("expr", "dim", "run")
 
     def __init__(self, expr, dim: int):
-        self.expr, self.run = expr, _compile(expr, dim)
+        self.expr, self.dim, self.run = expr, dim, _compile(expr, dim)
+
+    def __reduce__(self):  # the closures hold lambdas: pickle the tree, compile again
+        return _Jets, (self.expr, self.dim)
 
     def value(self, t, x, v):
         return evaluate(self, t, x, v).value

@@ -239,8 +239,7 @@ def solve_extremal(
             )
         # backtracking on the largest componentwise backward error (|J| taken
         # once per iterate); the accepted trial's reads carry into the next one
-        abs_ab = np.abs(ab)
-        ratios = np.max(_floor_ratios(grid, xs, lx, lv, res, abs_ab), axis=1)
+        ratios = np.max(_floor_ratios(grid, xs, lx, lv, res, abs_ab := np.abs(ab)), axis=1)
         accepted = _line_search(L, grid, xs, step, abs_ab, float(np.max(ratios)), cfg.damping)
         if accepted is None:
             if np.max(ratios) <= _FLOOR:

@@ -128,9 +128,7 @@ class Jet:
             out = np.array(_pick(r, block))
             for i in r.kinks:
                 out[i] = f._at_point(block, t[i], x[i], v[i])
-        if block == "value":
-            _check_finite(out, t, x, v)
-        return out
+        return _check_finite(out, t, x, v) if block == "value" else out
 
 
 @dataclass(frozen=True, slots=True)

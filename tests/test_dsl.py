@@ -1,5 +1,6 @@
 import math
 import operator
+import pickle
 import warnings
 
 import mpmath
@@ -310,6 +311,17 @@ def test_a_compiled_field_builds_its_program_once(monkeypatch):
         L.partial(("x", "v"), t, x, v)
         L.second_partial("vv", 0.0, x[0], v[0])
     assert len(compiles) == built
+
+
+def test_a_compiled_field_pickles_and_compiles_again():
+    # the program holds lambdas, so a field is pickled as its tree and dim
+    L = compile_field("sin(x1)*cos(v2) + exp(-x2^2) + log(2 + v1^2) + sqrt(1 + abs(x1)) - t/2", 2)
+    M = pickle.loads(pickle.dumps(L))
+    assert M.jets.expr == L.jets.expr and M.jets.dim == 2
+    t, x, v = np.linspace(0.0, 1.0, 4), np.full((4, 2), 0.3), np.full((4, 2), -0.7)
+    for block in ("value", "x", "v", "xx", "xv", "vv"):
+        order = 0 if block == "value" else len(block)
+        assert np.array_equal(M.jet(t, x, v, order)[block], L.jet(t, x, v, order)[block])
 
 
 def test_compile_field_exposes_analytic_blocks():
