@@ -282,19 +282,42 @@ def to_string(e: Expression) -> str:
 # of a Python closure's memory: steps, slots, unit gradients and constants
 # are fixed then, and subtrees without variables are folded to constants.
 
-# op: f, (f', f'') from u0 and f0 (None: negate), invalid-u0 test and message, jet check
+# f' and f'' of each unary function at u, from u and f(u); where they do not
+# exist, sqrt raises and abs lists the points as kinks
+def _d_sin(c, u0, f0):
+    return np.cos(u0), -f0
+
+
+def _d_cos(c, u0, f0):
+    return -np.sin(u0), -f0
+
+
+def _d_exp(c, u0, f0):
+    return f0, f0
+
+
+def _d_log(c, u0, f0):
+    return 1.0 / u0, -1.0 / u0**2
+
+
+def _d_sqrt(c, u0, f0):
+    _check(c, (u0 == 0.0) & ~c.kinks, "sqrt not differentiable at 0")
+    return 0.5 / f0, -0.25 / (f0 * u0)
+
+
+def _d_abs(c, u0, f0):
+    np.logical_or(c.kinks, np.abs(u0) < 1e-12, out=c.kinks)
+    return np.where(u0 > 0.0, 1.0, -1.0), None
+
+
+# op: f, its derivatives, the test of an argument outside its domain and its message
 _UNARY = {
-    "neg": (operator.neg, None, None, None, None),
-    "sin": (np.sin, lambda u0, f0: (np.cos(u0), -f0), None, None, None),
-    "cos": (np.cos, lambda u0, f0: (-np.sin(u0), -f0), None, None, None),
-    "exp": (np.exp, lambda u0, f0: (f0, f0), None, None, None),
-    "log": (np.log, lambda u0, f0: (1.0 / u0, -1.0 / u0**2), operator.le,
-            "log of non-positive value {}", None),
-    "sqrt": (np.sqrt, lambda u0, f0: (0.5 / f0, -0.25 / (f0 * u0)), operator.lt,
-             "sqrt of negative value {}",
-             lambda c, u0: _check(c, (u0 == 0.0) & ~c.kinks, "sqrt not differentiable at 0")),
-    "abs": (np.abs, lambda u0, f0: (np.where(u0 > 0.0, 1.0, -1.0), None), None, None,
-            lambda c, u0: np.logical_or(c.kinks, np.abs(u0) < 1e-12, out=c.kinks)),
+    "sin": (np.sin, _d_sin, None, None),
+    "cos": (np.cos, _d_cos, None, None),
+    "exp": (np.exp, _d_exp, None, None),
+    "log": (np.log, _d_log, operator.le, "log of non-positive value {}"),
+    "sqrt": (np.sqrt, _d_sqrt, operator.lt, "sqrt of negative value {}"),
+    "abs": (np.abs, _d_abs, None, None),
 }
 
 
@@ -361,19 +384,18 @@ def _variable(r, c):  # r = (_variable, column, index, unit gradient)
     return (value, r[3], None) if c.order else value
 
 
-def _power(r, c):
+def _power(r, c):  # zero is None for a positive integer exponent: no checks
     _, u, p, fractional, zero, negative = r
-    if not (order := c.order) and zero is None:  # a positive integer exponent
-        return u[0](u, c) ** p
-    u0, ug, uh = u[0](u, c) if order else (u[0](u, c), None, None)
-    if p == 0.0:
-        return (np.float64(1.0), None, None) if order else np.float64(1.0)
-    if p < 0.0:
-        _check(c, u0 == 0.0, zero)
-    elif fractional and ug is not None and p < order:
-        _check(c, (u0 == 0.0) & ~c.kinks, zero)
-    if fractional:
-        _check(c, u0 < 0.0, negative, u0)
+    u0, ug, uh = u[0](u, c) if (order := c.order) else (u[0](u, c), None, None)
+    if zero is not None:
+        if p == 0.0:
+            return (np.float64(1.0), None, None) if order else np.float64(1.0)
+        if p < 0.0:
+            _check(c, u0 == 0.0, zero)
+        elif fractional and ug is not None and p < order:
+            _check(c, (u0 == 0.0) & ~c.kinks, zero)
+        if fractional:
+            _check(c, u0 < 0.0, negative, u0)
     f0 = u0**p
     if ug is None:
         return (f0, None, None) if order else f0
@@ -382,18 +404,22 @@ def _power(r, c):
 
 
 def _unary(r, c):
-    _, u, (f, derivatives, bad, message, mark) = r
+    _, u, (f, derivatives, outside, message) = r
     u0, ug, uh = u[0](u, c) if (order := c.order) else (u[0](u, c), None, None)
-    if bad is not None:
-        _check(c, bad(u0, 0.0), message, u0)
+    if outside is not None:
+        _check(c, outside(u0, 0.0), message, u0)
     f0 = f(u0)
     if ug is None:
         return (f0, None, None) if order else f0
-    if derivatives is None:
-        return f0, -ug, None if uh is None else -uh
-    if mark is not None:
-        mark(c, u0)
-    return _chain(c, f0, ug, uh, *derivatives(u0, f0))
+    return _chain(c, f0, ug, uh, *derivatives(c, u0, f0))
+
+
+def _negative(r, c):
+    _, u = r
+    if not c.order:
+        return -u[0](u, c)
+    u0, ug, uh = u[0](u, c)
+    return -u0, None if ug is None else -ug, None if uh is None else -uh
 
 
 def _sum(r, c):
@@ -402,14 +428,6 @@ def _sum(r, c):
         return f(a[0](a, c), b[0](b, c))
     (a0, ag, ah), (b0, bg, bh) = a[0](a, c), b[0](b, c)
     return f(a0, b0), both(ag, bg), both(ah, bh)
-
-
-def _scaled(r, c):  # u * k or u / k for a constant k, nonzero for /
-    _, u, k, f = r
-    if not c.order:
-        return f(u[0](u, c), k)
-    u0, ug, uh = u[0](u, c)
-    return f(u0, k), None if ug is None else f(ug, k), None if uh is None else f(uh, k)
 
 
 def _product(r, c):
@@ -424,14 +442,16 @@ def _product(r, c):
     return a0 * b0, _plus(_g_times(ag, b0), _g_times(bg, a0)), h
 
 
-def _quotient(r, c):
-    _, a, b = r
+def _quotient(r, c):  # checked: the divisor is not a nonzero constant
+    _, a, b, checked = r
     if not c.order:
         a0, b0 = a[0](a, c), b[0](b, c)
-        _check(c, b0 == 0.0, "division by zero")
+        if checked:
+            _check(c, b0 == 0.0, "division by zero")
         return a0 / b0
     (a0, ag, ah), (b0, bg, bh) = a[0](a, c), b[0](b, c)
-    _check(c, b0 == 0.0, "division by zero")
+    if checked:
+        _check(c, b0 == 0.0, "division by zero")
     q = a0 / b0
     g = _minus(ag, _g_times(bg, q))
     g = None if g is None else g / (b0[:, None] if b0.ndim else b0)
@@ -461,14 +481,14 @@ def _compile(e, m: int) -> tuple:
         zero = f"0 raised to exponent {p}" if p <= 0.0 or fractional else None
         negative = f"negative base {{}} with non-integer exponent {p}" if fractional else None
         r = _power, u, p, fractional, zero, negative
+    elif kind is Unary and e.op == "neg":
+        r = _negative, u
     elif kind is Unary:
         r = _unary, u, _UNARY[e.op]
-    elif e.op == "*" and a[0] is _constant:
-        r = _scaled, b, a[1], operator.mul
-    elif e.op in "*/" and b[0] is _constant and (e.op == "*" or b[1] != 0.0):
-        r = _scaled, a, b[1], operator.mul if e.op == "*" else operator.truediv
-    elif e.op in "*/":
-        r = (_product if e.op == "*" else _quotient), a, b
+    elif e.op == "*":
+        r = _product, a, b
+    elif e.op == "/":
+        r = _quotient, a, b, b[0] is not _constant or b[1] == 0.0
     else:
         r = _sum, a, b, *((operator.add, _plus) if e.op == "+" else (operator.sub, _minus))
     if all(o[0] is _constant for o in operands):
@@ -533,13 +553,21 @@ def evaluate(e, t, x, v, order: int = 0) -> EvalResult:
     if not order:
         return EvalResult(np.array(np.broadcast_to(out, shape)) if stacked else float(out))
     val, g, h = out
+    n = 1 + 2 * m
     res = {"value": np.array(np.broadcast_to(val, shape)) if stacked else float(val)}
-    z = {"t": 0, "x": slice(1, m + 1), "v": slice(m + 1, None)}  # t's an index: scalar d_t, tt
-    g = np.broadcast_to(0.0 if g is None else g, shape + (1 + 2 * m,))
-    res.update({f"d_{k}": _block(g[..., z[k]]) for k in "txv"})
+    g = np.broadcast_to(0.0 if g is None else g, shape + (n,))
+    res["d_t"] = _block(g[..., 0])
+    res["d_x"] = _block(g[..., 1 : m + 1])
+    res["d_v"] = _block(g[..., m + 1 :])
     if order >= 2:
-        h = np.broadcast_to(0.0 if h is None else h, shape + g.shape[-1:] * 2)
-        res["d2"] = {k: _block(h[..., z[k[0]], z[k[1]]]) for k in ("tt", "xx", "vv", "xv", "vx")}
+        h = np.broadcast_to(0.0 if h is None else h, shape + (n, n))
+        res["d2"] = {
+            "tt": _block(h[..., 0, 0]),
+            "xx": _block(h[..., 1 : m + 1, 1 : m + 1]),
+            "vv": _block(h[..., m + 1 :, m + 1 :]),
+            "xv": _block(h[..., 1 : m + 1, m + 1 :]),
+            "vx": _block(h[..., m + 1 :, 1 : m + 1]),
+        }
     if not np.count_nonzero(c.kinks):
         return EvalResult(**res)
     rows = np.flatnonzero(c.kinks)
@@ -562,13 +590,10 @@ class _Jets:
     come back listed in ``kinks``, with one warning per call, and the field
     makes them by finite differences.  Slotted: a problem holds many."""
 
-    __slots__ = ("expr", "dim", "run")
+    __slots__ = ("expr", "run")
 
     def __init__(self, expr, dim: int):
-        self.expr, self.dim, self.run = expr, dim, _compile(expr, dim)
-
-    def __reduce__(self):  # the closures hold lambdas: pickle the tree, compile again
-        return _Jets, (self.expr, self.dim)
+        self.expr, self.run = expr, _compile(expr, dim)
 
     def value(self, t, x, v):
         return evaluate(self, t, x, v).value

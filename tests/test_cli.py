@@ -409,6 +409,23 @@ def test_non_finite_lagrangian_gives_one_error_line(tmp_path, capsys, command):
     assert not list(tmp_path.glob("*_report.json"))
 
 
+@pytest.mark.parametrize("command", ["check-invariance", "find-symmetries", "audit-diff"])
+@pytest.mark.parametrize("exponent", ["0*1e400", "1e400", "-1e400"])
+def test_an_exponent_that_folds_to_inf_or_nan_gives_one_error_line(
+    tmp_path, capsys, command, exponent
+):
+    doc = json.loads((PROBLEMS / "free_particle.json").read_text())
+    doc["lagrangian"] = f"v1^2/2 + x1^({exponent})"
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: {command}: ")
+
+
 @pytest.fixture(scope="module")
 def coarse_oscillator_curve(tmp_path_factory):
     """The oscillator's extremal solved on 100 intervals, not the file's 200."""

@@ -26,6 +26,7 @@ from noether_lcs.dsl import (
     parse,
     to_string,
 )
+from noether_lcs.fields import EvaluationError
 
 ACCEPT = [
     "v1^2/2",
@@ -214,6 +215,15 @@ def test_division_by_zero():
         evaluate(e, 0.0, [0.0], [0.0])
 
 
+@pytest.mark.parametrize("src", ["x1/0", "x1/(1 - 1)"])
+def test_division_by_a_constant_zero_is_checked_at_every_call(src):
+    # only a nonzero constant divisor goes unchecked
+    e = parse(src, dim=1)
+    for order in (0, 1):
+        with pytest.raises(nl.dsl.DomainError, match="division by zero"):
+            evaluate(e, 0.0, [1.0], [0.0], order=order)
+
+
 def test_abs_kink_falls_back_to_fd_with_warning():
     L = compile_field("abs(x1)", dim=1)
     with pytest.warns(RuntimeWarning, match="kink"):
@@ -313,11 +323,11 @@ def test_a_compiled_field_builds_its_program_once(monkeypatch):
     assert len(compiles) == built
 
 
-def test_a_compiled_field_pickles_and_compiles_again():
-    # the program holds lambdas, so a field is pickled as its tree and dim
+def test_a_compiled_field_pickles_with_its_program():
+    # the program is tuples of module-level functions, arrays and constants
     L = compile_field("sin(x1)*cos(v2) + exp(-x2^2) + log(2 + v1^2) + sqrt(1 + abs(x1)) - t/2", 2)
     M = pickle.loads(pickle.dumps(L))
-    assert M.jets.expr == L.jets.expr and M.jets.dim == 2
+    assert M.jets.expr == L.jets.expr and M.dim == 2
     t, x, v = np.linspace(0.0, 1.0, 4), np.full((4, 2), 0.3), np.full((4, 2), -0.7)
     for block in ("value", "x", "v", "xx", "xv", "vv"):
         order = 0 if block == "value" else len(block)
@@ -494,6 +504,28 @@ def test_zero_base_power_below_the_order_raises(c, order):
     assert evaluate(e, 0.0, [0.0], [0.0]).value == 0.0
     with pytest.raises(DomainError, match=rf"0 raised to exponent {c!r}"):
         evaluate(e, 0.0, [0.0], [0.0], order=order)
+
+
+@pytest.mark.parametrize(
+    "src, x1",
+    [
+        ("x1^(0*1e400)", [-1.0, 0.5]),  # the exponent folds to nan
+        ("x1^(1e400)", [-1.0, 2.0]),  # to inf
+        ("x1^(-1e400)", [-1.0, 0.0]),  # to -inf
+    ],
+)
+def test_an_exponent_that_folds_to_inf_or_nan_is_a_domain_or_evaluation_error(src, x1):
+    # no raw OverflowError or ValueError from the exponent: the CLI prints
+    # DomainError and EvaluationError as one error line
+    L = compile_field(src, 1)
+    for point in x1:
+        with pytest.raises((DomainError, EvaluationError)):
+            L(0.0, np.array([point]), np.array([1.0]))
+    with pytest.raises((DomainError, EvaluationError)):
+        L(np.zeros(2), np.array(x1)[:, None], np.ones((2, 1)))
+    for order in (1, 2):
+        with pytest.raises((DomainError, EvaluationError)):
+            L.jet(0.0, np.array([x1[0]]), np.array([1.0]), order)["value"]
 
 
 @pytest.mark.parametrize(
