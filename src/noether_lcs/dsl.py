@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import ScalarField
+from .fields import ScalarField, slots
 
 
 class ParseDiagnostic(ValueError):
@@ -272,15 +272,17 @@ def to_string(e: Expression) -> str:
 #
 # One evaluator serves every consumer: forward-mode Taylor arithmetic over a
 # stack of points (Griewank & Walther, Evaluating Derivatives, ch. 13).  A
-# jet is a triple (value, gradient, Hessian) over n = 1 + 2m slots ordered
-# t, x1..xm, v1..vm.  Values have shape S = () at one point and S = (N,) on a
-# stack of N points; gradients and Hessians have shapes that broadcast to
-# S + (n,) and S + (n, n).  None stands for an identically zero gradient or
-# Hessian, so constants and linear terms carry no derivative arithmetic, and
-# orders 0 and 1 carry no Hessians at all.  A tree is compiled once into one
-# closure per node, a tuple r = (step, *captured) run as r[0](r, c), a sixth
-# of a Python closure's memory: steps, slots, unit gradients and constants
-# are fixed then, and subtrees without variables are folded to constants.
+# jet is a triple (value, gradient, Hessian) over the n = 1 + 2m slots
+# z = (t, x1..xm, v1..vm) of ``fields.slots``.  Values have shape S = () at
+# one point and S = (N,) on a stack of N points; gradients and Hessians have
+# shapes that broadcast to S + (n,) and S + (n, n), and ``evaluate`` fills
+# the root's to those shapes once.  None stands for an identically zero
+# gradient or Hessian, so constants and linear terms carry no derivative
+# arithmetic, and orders 0 and 1 carry no Hessians at all.  A tree is
+# compiled once into one closure per node, a tuple r = (step, *captured) run
+# as r[0](r, c), a sixth of a Python closure's memory: steps, slots, unit
+# gradients and constants are fixed then, and subtrees without variables are
+# folded to constants.
 
 # f' and f'' of each unary function at u, from u and f(u); where they do not
 # exist, sqrt raises and abs lists the points as kinks
@@ -469,9 +471,9 @@ def _compile(e, m: int) -> tuple:
     if kind is Const:
         return _constant, np.float64(e.value)
     if kind is Var:
-        unit = np.zeros(1 + 2 * m)
-        unit[m + e.index if e.kind == "v" else e.index] = 1.0
-        return _variable, "txv".index(e.kind), max(e.index - 1, 0), unit
+        k, unit = max(e.index - 1, 0), np.zeros(1 + 2 * m)
+        unit[slots(e.kind, m)[k]] = 1.0
+        return _variable, "txv".index(e.kind), k, unit
     if kind is Binary:
         operands = a, b = _compile(e.left, m), _compile(e.right, m)
     else:
@@ -502,16 +504,14 @@ def _compile(e, m: int) -> tuple:
 
 @dataclass(slots=True)
 class EvalResult:
-    """Value and partials at one point (floats and (m,)/(m, m) arrays), or at
-    a stack of N points (the same with a leading N axis)."""
+    """A float value, ``grad`` (1+2m,) from order 1 and ``hess`` (1+2m, 1+2m)
+    at order 2 over the slots z of ``fields.slots``, with a leading axis on a
+    stack.  ``kinks`` lists the rows without exact partials (abs() at its
+    kink): there grad and hess are NaN on a stack and None at one point."""
 
     value: float
-    d_t: Optional[float] = None
-    d_x: Optional[np.ndarray] = None
-    d_v: Optional[np.ndarray] = None
-    d2: Optional[dict] = None  # blocks tt, xx, xv, vx, vv
-    # rows without exact partials (abs() at its kink): NaN in every partial
-    # block of a stack, no partial blocks at one point
+    grad: Optional[np.ndarray] = None
+    hess: Optional[np.ndarray] = None
     kinks: Optional[np.ndarray] = None
 
 
@@ -543,8 +543,7 @@ def evaluate(e, t, x, v, order: int = 0) -> EvalResult:
     for c >= order).  Where partials are asked for and such an abs()
     argument is within 1e-12 of its kink, the point has no exact partials:
     it is listed in ``kinks`` and evaluation goes on, skipping there those
-    checks at the nodes after that abs().  On a stack every partial block is
-    NaN at those rows; at one point the result has no partial blocks.
+    checks at the nodes after that abs() (see ``EvalResult``).
     """
     x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
     m, c = x.shape[-1], _Call(t, x, v, order)
@@ -553,34 +552,18 @@ def evaluate(e, t, x, v, order: int = 0) -> EvalResult:
     if not order:
         return EvalResult(np.array(np.broadcast_to(out, shape)) if stacked else float(out))
     val, g, h = out
+    value = np.array(np.broadcast_to(val, shape)) if stacked else float(val)
+    rows = np.flatnonzero(c.kinks) if c.kinks.any() else None
+    if rows is not None and not stacked:
+        return EvalResult(value, kinks=rows)
+    # the gradient and, at order 2, the Hessian, each filled once
     n = 1 + 2 * m
-    res = {"value": np.array(np.broadcast_to(val, shape)) if stacked else float(val)}
-    g = np.broadcast_to(0.0 if g is None else g, shape + (n,))
-    res["d_t"] = _block(g[..., 0])
-    res["d_x"] = _block(g[..., 1 : m + 1])
-    res["d_v"] = _block(g[..., m + 1 :])
-    if order >= 2:
-        h = np.broadcast_to(0.0 if h is None else h, shape + (n, n))
-        res["d2"] = {
-            "tt": _block(h[..., 0, 0]),
-            "xx": _block(h[..., 1 : m + 1, 1 : m + 1]),
-            "vv": _block(h[..., m + 1 :, m + 1 :]),
-            "xv": _block(h[..., 1 : m + 1, m + 1 :]),
-            "vx": _block(h[..., m + 1 :, 1 : m + 1]),
-        }
-    if not np.count_nonzero(c.kinks):
-        return EvalResult(**res)
-    rows = np.flatnonzero(c.kinks)
-    if not stacked:
-        return EvalResult(value=res["value"], kinks=rows)
-    for block in (res["d_t"], res["d_x"], res["d_v"], *res.get("d2", {}).values()):
-        block[rows] = np.nan
-    return EvalResult(**res, kinks=rows)
-
-
-def _block(a):
-    """A result block as a fresh array, or a float for a scalar at one point."""
-    return float(a) if a.ndim == 0 else np.array(a)
+    partials = [np.array(np.broadcast_to(0.0 if a is None else a, shape + (n,) * k))
+                for k, a in ((1, g), (2, h))[:order]]
+    if rows is not None:
+        for a in partials:
+            a[rows] = np.nan
+    return EvalResult(value, *partials, kinks=rows)
 
 
 class _Jets:

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .curves import Curve, Grid, band_matvec, block_band, derivative_all, stencil_derivative
-from .fields import ScalarField
+from .fields import EvaluationError, ScalarField
 from .spaces import Space, ValidationError, dual_seminorm
 
 _EPS = np.finfo(float).eps
@@ -176,13 +176,18 @@ def _line_search(L, grid, xs, step, abs_ab, worst, lam):
     iterate's |J| abs_ab) is below ``worst``, the iterate's, with its
     velocities, covectors and residual; None when no trial is.  It stops at
     the first trial that rounds to xs: rounding is monotone, so every smaller
-    lam rounds to xs too, and each such trial has xs's own ratios."""
+    lam rounds to xs too, and each such trial has xs's own ratios.  A trial
+    where a jet read is not finite is refused like one with larger ratios."""
     for _ in range(30):
         trial = xs.copy()
         trial[1:-1] += lam * step
         if np.array_equal(trial, xs):
             return None
-        xd, lx, lv = _covectors(L, grid, trial)
+        try:
+            xd, lx, lv = _covectors(L, grid, trial)
+        except EvaluationError:  # L or a partial is not finite there: refused
+            lam *= 0.5
+            continue
         res = _residual(grid, lx, lv)
         if float(np.max(_floor_ratios(grid, trial, lx, lv, res, abs_ab))) < worst:
             return trial, xd, lx, lv, res

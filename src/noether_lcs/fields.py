@@ -4,15 +4,17 @@ A ScalarField wraps an evaluator ``L(t, x, v)`` and an optional exact-jet
 engine.  ``jet(t, x, v, order)`` gives the value and every partial up to
 ``order`` from one engine call, read block by block; ``__call__`` reads the
 value, and ``partial`` and ``second_partial`` read one block, or a tuple of
-blocks (``L.partial(("x", "v"), ...)``) from one jet.  Blocks the engine
-does not give fall back to central finite differences over the engine's
-slots z = (t, x, v), Richardson-extrapolated for a first partial and three-
-or four-point for a second.  Points are one point (scalar t, x and v of
-shape (m,)) or a stack of N points (t of shape (N,), x and v of shape (N, m)); a stack
-gets results with a leading N axis.  A field with an engine (every compiled
-field) hands the whole stack to it; any other field loops over the points.
-The module also hosts a numeric audit of the normal-differentiability
-remainder criterion for maps between truncations.
+blocks (``L.partial(("x", "v"), ...)``) from one jet.  ``BLOCKS`` names the
+blocks and ``slots`` places them in z = (t, x1..xm, v1..vm): a block is
+read from the engine's gradient or Hessian at its slots, or else made by
+central finite differences there, Richardson-extrapolated for a first
+partial and three- or four-point for a second.  Every block handed out is
+finite, or EvaluationError names it and the point.  Points are one point
+(scalar t, x and v of shape (m,)) or a stack of N points (t (N,), x and v
+(N, m)), which gets results with a leading N axis: a field with an engine
+(every compiled field) hands the stack to it, any other loops over it.  The
+module also hosts a numeric audit of the normal-differentiability remainder
+criterion for maps between truncations.
 """
 
 from __future__ import annotations
@@ -72,41 +74,51 @@ def directional_derivative(f, base, h, cfg: FDConfig = DEFAULT_FD):
     return d1
 
 
-# the jet order each block needs; 'xv' has rows indexed by x and columns by
-# v, and 'vx' is its transpose
-_ORDER = {"value": 0, "t": 1, "x": 1, "v": 1, "tt": 2, "xx": 2, "xv": 2, "vx": 2, "vv": 2}
+# The blocks of a jet by name, and the order of the jet that holds each: the
+# value, a one-letter block the slots of that coordinate (``slots``) in the
+# gradient, a two-letter block rows and columns of the Hessian ('xv' has rows
+# indexed by x and columns by v, and 'vx' is its transpose).
+BLOCKS = {"value": 0, "t": 1, "x": 1, "v": 1, "tt": 2, "xx": 2, "xv": 2, "vx": 2, "vv": 2}
 
 
-def _pick(r, block: str):
-    """One block of a ``dsl.EvalResult``."""
-    if block == "value":
-        return r.value
-    return getattr(r, f"d_{block}") if len(block) == 1 else r.d2[block]
+def slots(kind: str, m: int) -> range:
+    """The slots of ``kind`` ('t', 'x' or 'v') in z = (t, x1..xm, v1..vm)."""
+    return range(1) if kind == "t" else range(1, m + 1) if kind == "x" else range(m + 1, 2 * m + 1)
 
 
-def _check_finite(value, t, x, v):
+def _read(block: str, m: int, grad, hess):
+    """Partial ``block`` of grad or hess at its slots (a leading axis on a
+    stack), copied: a contiguous block is quicker to check and to compute
+    with.  t's axis drops out, so 't' and 'tt' are floats at one point."""
+    axes = [(kind, slots(kind, m)) for kind in block]
+    axes = [s[0] if kind == "t" else slice(s.start, s.stop) for kind, s in axes]
+    out = (grad if len(block) == 1 else hess)[(..., *axes)]
+    return float(out) if out.ndim == 0 else np.array(out)
+
+
+def _check_finite(out, block: str, t, x, v):
+    """``out``, or EvaluationError naming the block and the first point where
+    it is not finite."""
+    if math.isfinite(out) if type(out) is float else np.isfinite(out).all():
+        return out
+    what = "value" if block == "value" else f"partial {block!r}"
     if x.ndim == 1:
-        if not math.isfinite(value):
-            raise EvaluationError(f"non-finite field value at t={t}, x={x}, v={v}")
-        return value
-    bad = np.flatnonzero(~np.isfinite(value))
-    if len(bad):
-        i = int(bad[0])
-        raise EvaluationError(
-            f"non-finite field value at point {i}: t={t[i]}, x={x[i]}, v={v[i]}",
-            index=i,
-        )
-    return value
+        raise EvaluationError(f"non-finite field {what} at t={t}, x={x}, v={v}")
+    i = int(np.flatnonzero(~np.isfinite(out).reshape(len(out), -1).all(axis=1))[0])
+    raise EvaluationError(
+        f"non-finite field {what} at point {i}: t={t[i]}, x={x[i]}, v={v[i]}", index=i
+    )
 
 
 class Jet:
     """The value and partials of a field up to ``order`` at one point or a
     stack, from at most one engine call; ``jet[block]`` reads one block (see
-    ``_ORDER`` for the names).  A block the engine did not give (every block
-    of a field without an engine, and the rows where abs() sits at its kink)
-    is made point by point from the field's values when it is read, so only
-    the blocks read cost finite differences.  Reading 'value' raises
-    EvaluationError at a non-finite value and names the point."""
+    ``BLOCKS``).  A block the engine did not give (every block of a field
+    without an engine, and the rows where abs() sits at its kink) is made
+    point by point from the field's values when it is read, so only the
+    blocks read cost finite differences.  The engine's value is checked when
+    the jet is made, each block when it is read, and each value a finite
+    difference takes: EvaluationError names the first point not finite."""
 
     __slots__ = ("field", "t", "x", "v", "order", "exact")
 
@@ -115,20 +127,22 @@ class Jet:
         self.order, self.exact = order, exact
 
     def __getitem__(self, block: str):
-        if block not in _ORDER or _ORDER[block] > self.order:
+        if BLOCKS[block] > self.order:
             raise KeyError(block)
         f, t, x, v, r = self.field, self.t, self.x, self.v, self.exact
-        if r is not None and (block == "value" or r.kinks is None):
-            out = _pick(r, block)
+        if r is not None and block == "value":
+            return r.value  # checked when the jet was made
+        if r is not None and r.kinks is None:
+            out = _read(block, f.dim, r.grad, r.hess)
         elif x.ndim == 1:
             out = f._at_point(block, t, x, v)
         elif r is None:
             out = np.array([f._at_point(block, *p) for p in zip(t, x, v)])
         else:
-            out = np.array(_pick(r, block))
+            out = _read(block, f.dim, r.grad, r.hess)
             for i in r.kinks:
                 out[i] = f._at_point(block, t[i], x[i], v[i])
-        return _check_finite(out, t, x, v) if block == "value" else out
+        return _check_finite(out, block, t, x, v)
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,13 +165,15 @@ class ScalarField:
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         exact = None if self.jets is None else self.jets(t, x, v, order)
+        if exact is not None:
+            _check_finite(exact.value, "value", t, x, v)
         return Jet(self, t, x, v, order, exact)
 
     def __call__(self, t, x, v):
         if self.jets is None:
             return self.jet(t, x, v, 0)["value"]
         x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-        return _check_finite(self.jets(t, x, v, 0).value, t, x, v)
+        return _check_finite(self.jets(t, x, v, 0).value, "value", t, x, v)
 
     def _blocks(self, names, order: int, kind: str, t, x, v):
         """The named blocks of one jet of ``order``: one block for a name,
@@ -165,7 +181,7 @@ class ScalarField:
         single = isinstance(names, str)
         wanted = (names,) if single else tuple(names)
         for name in wanted:
-            if _ORDER.get(name) != order:
+            if BLOCKS.get(name) != order:
                 raise ValueError(f"unknown {kind} {name!r}")
         jet = self.jet(t, x, v, order)
         return jet[names] if single else tuple(jet[name] for name in wanted)
@@ -183,13 +199,13 @@ class ScalarField:
     # -- finite differences at one point --------------------------------
 
     def _at_point(self, block: str, t, x, v):
-        """One block at one point from values of the field alone, over the
-        engine's slots z = (t, x1..xm, v1..vm)."""
+        """One block at one point from values of the field alone: central
+        differences over the block's slots of z = (t, x1..xm, v1..vm), put
+        in a gradient or Hessian and read as the engine's are."""
         if block == "value":
             return float(self.func(t, x, v))
         m = self.dim
         z = np.concatenate([[t], x, v])
-        slots = {"t": [0], "x": range(1, m + 1), "v": range(m + 1, 2 * m + 1)}
 
         def at(*slot_values):
             zs = z.copy()
@@ -197,11 +213,13 @@ class ScalarField:
                 zs[k] = value
             return self(zs[0], zs[1 : m + 1], zs[m + 1 :])
 
-        rows = slots[block[0]]
+        rows = slots(block[0], m)
         if len(block) == 1:
-            grad = [directional_derivative(lambda s: at((k, s)), z[k], 1.0) for k in rows]
-            return grad[0] if block == "t" else np.array(grad)
-        cols = slots[block[1]]
+            grad = np.zeros(len(z))
+            for k in rows:
+                grad[k] = directional_derivative(lambda s: at((k, s)), z[k], 1.0)
+            return _read(block, m, grad, None)
+        cols = slots(block[1], m)
         e = _SECOND_STEP * (1.0 + np.abs(z))
         up, down = z + e, z - e
         f0 = at() if rows == cols else None
@@ -218,9 +236,10 @@ class ScalarField:
 
         # each unordered slot pair once, so 'vx' is 'xv'.T and 'xx', 'vv'
         # are symmetric exactly
-        d2 = {p: second(*p) for p in {(min(i, j), max(i, j)) for i in rows for j in cols}}
-        h = np.array([[d2[min(i, j), max(i, j)] for j in cols] for i in rows])
-        return float(h[0, 0]) if block == "tt" else h
+        hess = np.zeros((len(z), len(z)))
+        for i, j in {(min(i, j), max(i, j)) for i in rows for j in cols}:
+            hess[i, j] = hess[j, i] = second(i, j)
+        return _read(block, m, None, hess)
 
 
 # -- normal-differentiability audit -------------------------------------
@@ -273,16 +292,20 @@ def check_normal_differentiability(
     if not base_points:
         raise ValueError("need at least one base point")
 
+    def not_finite(j, b):
+        return EvaluationError(f"non-finite candidate derivative at base point {j}: {b}", index=j)
+
     # candidate index pairs: intersection of the finiteness sets over the cloud
     pairs = None
     derivs = []
     for j, b in enumerate(base_points):
-        A = candidate_derivative(b)
+        try:  # a field read inside the candidate raises where it is not finite
+            A = candidate_derivative(b)
+        except EvaluationError as err:
+            raise not_finite(j, b) from err
         A = A if isinstance(A, LinearOperator) else LinearOperator(np.atleast_2d(A))
         if not np.all(np.isfinite(A.matrix)):
-            raise EvaluationError(
-                f"non-finite candidate derivative at base point {j}: {b}", index=j
-            )
+            raise not_finite(j, b)
         derivs.append(A)
         rep = normal_index(space_src, space_dst, A)
         here = {

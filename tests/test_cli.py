@@ -426,6 +426,50 @@ def test_an_exponent_that_folds_to_inf_or_nan_gives_one_error_line(
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: {command}: ")
 
 
+@pytest.mark.parametrize("src", ["v1^2/2*exp(1000*x1)", "v1^2/2 + x1^(0*1e400)"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve"],
+        ["noether", "--generator", "time"],
+        ["verify", "--integral", "energy"],
+        ["legendre", "--seed-curve"],
+        ["jacobi", "--seed-curve"],
+    ],
+    ids=["solve", "noether", "verify", "legendre", "jacobi"],
+)
+def test_lagrangian_that_is_not_finite_on_the_curve_gives_one_error_line(
+    tmp_path, capsys, src, argv
+):
+    # the seed curve runs on the file's grid from x1 = 0.5 to 2.0, where
+    # exp(1000*x1) overflows and x1^nan is NaN; no verdict is vacuous
+    import warnings
+
+    import noether_lcs as nl
+
+    doc = json.loads((PROBLEMS / "oscillator.json").read_text())
+    doc["lagrangian"] = src
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    space = nl.make_space(1, [1.0], 1)
+    grid = nl.Grid(doc["interval"]["a"], doc["interval"]["b"], doc["interval"]["n"])
+    seed = tmp_path / "seed.csv"
+    nl.write_curve_csv(nl.Curve.from_function(space, grid, lambda t: [0.5 + 1.5 * t / grid.b]), seed)
+    if argv[-1] == "--seed-curve":
+        argv = argv + [str(seed)]
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([argv[0], str(path), *argv[1:], "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err and "Warning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: {argv[0]}: ")
+    assert not list(out.glob("*_report.json"))
+
+
 @pytest.fixture(scope="module")
 def coarse_oscillator_curve(tmp_path_factory):
     """The oscillator's extremal solved on 100 intervals, not the file's 200."""

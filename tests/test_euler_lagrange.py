@@ -213,6 +213,29 @@ def test_newton_carries_the_accepted_trial_residual(monkeypatch, line_space):
     assert orders == [1, 2, 1]
 
 
+def test_line_search_refuses_a_trial_where_a_jet_is_not_finite(monkeypatch, line_space):
+    # the first trial's jet is made non-finite at one node: the line search
+    # refuses it as a trial with larger ratios and halves the step, as it
+    # does for a NaN residual, and the solve still converges
+    L = nl.compile_field("(v1^2 - x1^2)/2", dim=1)
+    orders = []
+    evaluate = nl.dsl.evaluate
+
+    def overflowing_first_trial(e, t, x, v, order=0):
+        orders.append(order)
+        r = evaluate(e, t, x, v, order=order)
+        if len(orders) == 3:
+            r.value[7] = np.inf
+        return r
+
+    monkeypatch.setattr(nl.dsl, "evaluate", overflowing_first_trial)
+    bc = nl.BoundaryConditions([0.0], [1.0])
+    grid = nl.Grid(0.0, np.pi / 2, 40)
+    curve = nl.solve_extremal(L, bc, grid, line_space)
+    assert orders[:4] == [1, 2, 1, 1]
+    assert nl.meets_stopping_rule(L, curve, nl.SolverConfig().tol)
+
+
 def test_each_engine_request_is_one_evaluate_call_on_the_compiled_program(
     monkeypatch, line_space
 ):

@@ -501,3 +501,101 @@ def test_audit_evaluates_each_base_point_once(sup_space3):
     # one more value per (pair, radius, base point, direction)
     per_pair = [len(audit.radii) * len(bases) * (2 * min(m, 3) + 8) for (_, m) in audit.ratios]
     assert len(probed) == len(bases) + sum(per_pair)
+
+
+# -- one block table: the names, their order and their slots ------------------
+
+
+def _by_table(r, name, m):
+    """Block ``name`` of an EvalResult taken by ``fields.slots``, one axis per
+    letter (t's of length 1)."""
+    if name == "value":
+        return np.asarray(r.value)
+    out = r.grad if len(name) == 1 else r.hess
+    for k, kind in enumerate(name):
+        out = np.take(out, list(nl.fields.slots(kind, m)), axis=out.ndim - len(name) + k)
+    return out
+
+
+def test_every_block_is_the_table_slice_of_the_engine_result():
+    L = nl.compile_field("exp(t/3)*(x1*v2 + v1^2/2) + sin(x2)*v2^2 - x1^2*x2 + t^2*v1", dim=2)
+    t, x, v = _stack(2, count=6, seed=5)
+    for args in [(t[2], x[2], v[2]), (t[:1], x[:1], v[:1]), (t, x, v)]:
+        r = nl.evaluate(L.jets, *args, order=2)
+        jet = L.jet(*args, 2)
+        for name in nl.fields.BLOCKS:
+            got, want = np.asarray(jet[name]), _by_table(r, name, 2)
+            assert got.size == want.size and got.tobytes() == want.tobytes(), name
+    # at one point t and tt stay floats
+    assert type(L.partial("t", t[0], x[0], v[0])) is float
+    assert type(L.second_partial("tt", t[0], x[0], v[0])) is float
+
+
+def test_finite_difference_blocks_land_in_the_slots_of_the_exact_ones():
+    # abs(x1) sits at its kink at rows 1 and 3, where v2 = 0, so there every
+    # partial exists and equals those of x2*v1; they come from differences
+    L = nl.compile_field("abs(x1)*v2^2 + x2*v1", dim=2)
+    smooth = nl.compile_field("x2*v1", dim=2)
+    t, x, v = _stack(2, count=5, seed=11)
+    x[[1, 3], 0] = 0.0
+    v[[1, 3], 1] = 0.0
+    with pytest.warns(RuntimeWarning, match="kink"):
+        jet = L.jet(t, x, v, 2)
+    assert list(jet.exact.kinks) == [1, 3]
+    exact = nl.evaluate(smooth.jets, t, x, v, order=2)
+    for name in nl.fields.BLOCKS:
+        fd = np.asarray(jet[name])[[1, 3]]
+        np.testing.assert_allclose(fd, _by_table(exact, name, 2)[[1, 3]].reshape(fd.shape), atol=1e-6)
+
+
+# -- every block a field hands out is finite ---------------------------------
+
+
+def test_a_non_finite_partial_is_named_with_its_block_and_point():
+    # 5e307*x1^2 is finite at x1 = 1.8, its x-partial 1.8e308 is not
+    L = nl.compile_field("5e307*x1^2 + v1^2/2", dim=1)
+    t, x, v = np.zeros(3), np.array([[0.5], [1.8], [1.0]]), np.ones((3, 1))
+    assert np.isfinite(L(t, x, v)).all()
+    named = r"non-finite field partial 'x' at point 1: t=0\.0, x=\[1\.8\], v=\[1\.\]"
+    with pytest.raises(nl.fields.EvaluationError, match=named) as err:
+        L.partial("x", t, x, v)
+    assert err.value.index == 1
+    assert np.isfinite(L.second_partial("xx", t, x, v)).all()
+    # at one point: 1^nan is 1, but the gradient of x1^nan is NaN in every
+    # slot (NaN times the unit gradient's zeros)
+    L = nl.compile_field("v1^2/2 + x1^(0*1e400)", dim=1)
+    assert L(0.0, [1.0], [2.0]) == 3.0
+    named = r"non-finite field partial 'v' at t=0\.0, x=\[1\.\], v=\[2\.\]"
+    with pytest.raises(nl.fields.EvaluationError, match=named):
+        L.partial(("v", "x"), 0.0, np.array([1.0]), np.array([2.0]))
+
+
+def test_a_block_read_checks_the_value_first():
+    L = nl.compile_field("v1^2/2*exp(1000*x1)", dim=1)
+    x = np.array([[0.5], [0.71], [0.8]])
+    with pytest.raises(nl.fields.EvaluationError, match=r"field value at point 1: ") as err:
+        L.second_partial("vv", np.zeros(3), x, np.ones((3, 1)))
+    assert err.value.index == 1
+
+
+OVERFLOWING = ("v1^2/2*exp(1000*x1)", "v1^2/2 + x1^(0*1e400)")
+
+
+@pytest.mark.parametrize("src", OVERFLOWING)
+def test_overflowing_lagrangians_raise_at_every_read(src, line_space):
+    # on the oscillator's grid, a line from x1 = 0.5 to 2.0: exp(1000*x1)
+    # overflows past x1 = 0.7098, and x1^nan is NaN but at x1 = 1
+    L = nl.compile_field(src, 1)
+    grid = nl.Grid(0.0, np.pi / 2, 200)
+    x = nl.Curve.from_function(line_space, grid, lambda t: [0.5 + 1.5 * t / (np.pi / 2)])
+    bc = nl.BoundaryConditions([0.5], [2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for read in (
+            lambda: nl.legendre_check(L, x),
+            lambda: nl.jacobi_operators(L, x),
+            lambda: nl.el_residual(L, x),
+            lambda: nl.solve_extremal(L, bc, grid, line_space),
+        ):
+            with pytest.raises(nl.fields.EvaluationError, match=r"non-finite field value at point \d+: t="):
+                read()
