@@ -81,17 +81,21 @@ def _outdir(args) -> Path:
     return out
 
 
+def _seed_curve(prob: ProblemFile, args) -> Curve:
+    curve = read_curve_csv(prob.space, args.seed_curve)
+    c, p = curve.grid, prob.grid
+    near = 1e-9 * (1 + abs(p.b))  # read_curve_csv's tolerance on the nodes
+    if c.n != p.n or abs(c.a - p.a) > near or abs(c.b - p.b) > near:
+        raise ValidationError(
+            f"seed curve does not match the grid: n={c.n} on [{c.a}, {c.b}], "
+            f"problem n={p.n} on [{p.a}, {p.b}]"
+        )
+    return curve
+
+
 def _load_curve(prob: ProblemFile, args) -> Curve:
     if args.seed_curve:
-        curve = read_curve_csv(prob.space, args.seed_curve)
-        c, p = curve.grid, prob.grid
-        near = 1e-9 * (1 + abs(p.b))  # read_curve_csv's tolerance on the nodes
-        if c.n != p.n or abs(c.a - p.a) > near or abs(c.b - p.b) > near:
-            raise ValidationError(
-                f"seed curve does not match the grid: n={c.n} on [{c.a}, {c.b}], "
-                f"problem n={p.n} on [{p.a}, {p.b}]"
-            )
-        return curve
+        return _seed_curve(prob, args)
     bc = prob.require_boundary()
     return solve_extremal(prob.lagrangian, bc, prob.grid, prob.space, prob.solver)
 
@@ -102,7 +106,7 @@ def cmd_solve(prob: ProblemFile, args):
     if args.seed_curve:
         from dataclasses import replace
 
-        cfg = replace(cfg, seed_curve=read_curve_csv(prob.space, args.seed_curve))
+        cfg = replace(cfg, seed_curve=_seed_curve(prob, args))
     curve = solve_extremal(prob.lagrangian, bc, prob.grid, prob.space, cfg)
     res = el_residual(prob.lagrangian, curve)
     act = action(prob.lagrangian, curve)

@@ -1,13 +1,13 @@
-"""Second variation, Legendre condition audit, and the Sturm-Liouville form
-of the accessory (Jacobi) eigenvalue problem along a candidate curve.
+"""Second variation, Legendre condition audit, and the accessory (Jacobi)
+eigenvalue problem along a candidate curve.
 
-The coefficient operators along the curve are R(t) = d2L/dvdv and
-P(t) = d2L/dxdx - d/dt d2L/dvdx, with the time derivative taken by the same
-stencils used for curve reconstruction.  The accessory matrix is kept in band
-storage, and its k smallest eigenpairs come from a block subspace iteration
-on one banded Cholesky factor, at a cost linear in the number of nodes.
+Both read one quadratic form, the second variation: the integral of
+h'.R h' + 2 h'.Q h + h.S h, with R = L_vv, Q = L_vx (rows v, columns x) and
+S = L_xx from one order-2 jet of L.  The accessory matrix is the form's cell
+discretization, in band storage; its k smallest eigenpairs come from a block
+subspace iteration on one banded Cholesky factor, at a cost linear in the
+number of nodes.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .curves import Curve, Grid, band_matvec, block_band, derivative_all, stencil_derivative
+from .curves import Curve, Grid, band_matvec, block_band, derivative_all
 from .euler_lagrange import SolverError
 from .fields import ScalarField
 from .spaces import Space, ValidationError
@@ -29,22 +29,23 @@ _SHIFT_TOL = 2.0**-30  # width of the shift bisection, in units of max|A|
 
 @dataclass(frozen=True)
 class JacobiOperators:
-    """Per-node coefficient matrices of the accessory problem."""
+    """Per-node Hessian blocks of L, the coefficients of the second variation."""
 
     grid: Grid
-    R: np.ndarray  # (N+1, dim, dim)
-    P: np.ndarray  # (N+1, dim, dim)
+    R: np.ndarray  # (N+1, dim, dim), L_vv
+    Q: np.ndarray  # (N+1, dim, dim), L_vx: rows v, columns x
+    S: np.ndarray  # (N+1, dim, dim), L_xx
 
 
 def jacobi_operators(L: ScalarField, x: Curve) -> JacobiOperators:
     grid = x.grid
     jet = L.jet(grid.nodes, x.values, derivative_all(x, 1), 2)
-    P = jet["xx"] - stencil_derivative(jet["vx"], grid.h, 1)
-    return JacobiOperators(grid=grid, R=jet["vv"], P=P)
+    return JacobiOperators(grid=grid, R=jet["vv"], Q=jet["vx"], S=jet["xx"])
 
 
 def second_variation(L: ScalarField, x: Curve, h: Curve) -> float:
-    """Simpson quadrature of R h'.h' + P h.h for an endpoint-vanishing h."""
+    """Simpson quadrature of h'.R h' + 2 h'.Q h + h.S h for an
+    endpoint-vanishing h: the second derivative of ``action`` along h."""
     from scipy.integrate import simpson
 
     if x.grid != h.grid:
@@ -53,10 +54,9 @@ def second_variation(L: ScalarField, x: Curve, h: Curve) -> float:
     if np.max(np.abs(h.values[[0, -1]])) > 1e-12 * scale:
         raise ValidationError("variation must vanish at both endpoints")
     ops = jacobi_operators(L, x)
-    hd = derivative_all(h, 1)
-    f = np.einsum("ni,nij,nj->n", hd, ops.R, hd) + np.einsum(
-        "ni,nij,nj->n", h.values, ops.P, h.values
-    )
+    hd, hv = derivative_all(h, 1), h.values
+    f = np.einsum("ni,nij,nj->n", hd, ops.R, hd) + 2.0 * np.einsum("ni,nij,nj->n", hd, ops.Q, hv)
+    f += np.einsum("ni,nij,nj->n", hv, ops.S, hv)
     return float(simpson(f, dx=x.grid.h))
 
 
@@ -171,43 +171,37 @@ def _lowest_eigenpairs(ab, k) -> Tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _sym(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
 def jacobi_eigen(ops: JacobiOperators, grid: Grid, k: int) -> List[Tuple[float, Curve]]:
-    """k smallest eigenpairs of -d/dt(R h') + P h = lambda h with Dirichlet
-    conditions, by the three-point conservative stencil: a block-tridiagonal
-    matrix of scalar half-bandwidth 2m - 1, in band storage.
+    """k smallest eigenpairs, with Dirichlet conditions, of the symmetric
+    block-tridiagonal A (scalar half-bandwidth 2m - 1) for which u.A u is the
+    second variation's cell discretization divided by h: each cell carries
+    the averages of R and Q over its two nodes, the difference quotient and
+    the mean of u; each node carries S.  So R and S enter through their
+    symmetric parts, Q through its symmetric part on the diagonal and its
+    skew part in the couplings.
 
     Eigenfunction curves are normalized to unit discrete L2 norm and signed
     so that the largest-magnitude value (the first within 1e-6 relative of
-    it, so that near-ties do not flip with roundoff) is positive.  A matrix
-    whose asymmetry exceeds 1e-6 of its largest entry raises ValidationError
-    naming the first such node; an eigensolve that does not converge raises
-    SolverError.
+    it, so that near-ties do not flip with roundoff) is positive.  An
+    eigensolve that does not converge raises SolverError.
     """
     n = grid.n
     m = ops.R.shape[1]
     size = (n - 1) * m
     if not 1 <= k <= size:
         raise ValidationError(f"k must be in 1..{size}, got {k}")
-    h2 = grid.h**2
-    rbar = 0.5 * (ops.R[1:] + ops.R[:-1])  # R at the cell midpoints
-    diag = (rbar[:-1] + rbar[1:]) / h2 + ops.P[1:-1]
-    coupling = -(rbar[1:-1] / h2)  # between interior nodes i and i + 1
-    # max |A - A^T| over node i's diagonal block and its coupling to i + 1
-    dev = np.max(np.abs(diag - np.swapaxes(diag, 1, 2)), axis=(1, 2))
-    cdev = np.max(np.abs(coupling - np.swapaxes(coupling, 1, 2)), axis=(1, 2))
-    dev[:-1] = np.maximum(dev[:-1], cdev)
-    scale = max(float(np.max(np.abs(diag))), float(np.max(np.abs(coupling)))) or 1.0
-    bad = np.flatnonzero(dev > 1e-6 * scale)
-    if bad.size:
-        i = int(bad[0]) + 1
-        raise ValidationError(
-            f"assembled accessory matrix is not symmetric at node {i} "
-            f"(t={grid.nodes[i]:.6g}, deviation {dev[i - 1]:.3e}); "
-            "the Lagrangian does not look twice continuously differentiable"
-        )
-    diag = 0.5 * (diag + np.swapaxes(diag, 1, 2))
-    coupling = 0.5 * (coupling + np.swapaxes(coupling, 1, 2))
-    eigvals, eigvecs = _lowest_eigenpairs(block_band({-1: coupling, 0: diag, 1: coupling}), k)
+    h, h2 = grid.h, grid.h**2
+    rbar = _sym(0.5 * (ops.R[1:] + ops.R[:-1]))  # per cell
+    qbar = 0.5 * (ops.Q[1:] + ops.Q[:-1])
+    qsym = _sym(qbar)
+    diag = (rbar[:-1] + rbar[1:]) / h2 + _sym(ops.S[1:-1]) + (qsym[:-1] - qsym[1:]) / h
+    coupling = -(rbar[1:-1] / h2) - (qbar - qsym)[1:-1] / h  # node i to node i + 1
+    band = block_band({-1: np.swapaxes(coupling, 1, 2), 0: diag, 1: coupling})
+    eigvals, eigvecs = _lowest_eigenpairs(band, k)
     space = Space(dim=m, weights=np.ones(m), num_seminorms=m)
     out = []
     for lam, vec in zip(eigvals, eigvecs.T):
@@ -221,8 +215,6 @@ def jacobi_eigen(ops: JacobiOperators, grid: Grid, k: int) -> List[Tuple[float, 
 
 
 def constant_operators(grid: Grid, r: float, p: float, dim: int = 1) -> JacobiOperators:
-    """Convenience constructor for constant scalar R and P coefficients."""
-    eye = np.eye(dim)
-    R = np.repeat(r * eye[None], grid.n + 1, axis=0)
-    P = np.repeat(p * eye[None], grid.n + 1, axis=0)
-    return JacobiOperators(grid=grid, R=R, P=P)
+    """Operators of the form r h'.h' + p h.h: R = rI, Q = 0 and S = pI."""
+    eye = np.repeat(np.eye(dim)[None], grid.n + 1, axis=0)
+    return JacobiOperators(grid=grid, R=r * eye, Q=np.zeros_like(eye), S=p * eye)

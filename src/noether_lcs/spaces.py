@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,14 +93,9 @@ def dual_seminorm(space: Space, p: int, r):
 
 @dataclass(frozen=True)
 class LinearOperator:
-    """Matrix representative of a linear map between truncations.
-
-    ``support_profile[i]`` is the 1-based index of the last nonzero column in
-    row i (0 for an all-zero row).
-    """
+    """Matrix representative of a linear map between truncations."""
 
     matrix: np.ndarray
-    support_profile: tuple = field(init=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -108,11 +103,6 @@ class LinearOperator:
             raise ValidationError("operator matrix must be 2-dimensional")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        profile = []
-        for row in m:
-            nz = np.nonzero(row)[0]
-            profile.append(int(nz[-1]) + 1 if len(nz) else 0)
-        object.__setattr__(self, "support_profile", tuple(profile))
 
 
 def operator_seminorm(
@@ -130,9 +120,8 @@ def operator_seminorm(
         )
     ka = min(p, space_src.dim)
     kb = min(q, space_dst.dim)
-    for i in range(kb):
-        if A.support_profile[i] > ka:
-            return math.inf
+    if np.any(m[:kb, ka:] != 0.0):
+        return math.inf
     # dual of the weighted sup norm: per-row weighted l1 sums
     rows = np.abs(m[:kb, :ka]) / space_src.weights[:ka]
     return float(np.max(space_dst.weights[:kb] * np.sum(rows, axis=1)))

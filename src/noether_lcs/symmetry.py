@@ -24,6 +24,7 @@ beside the strict one.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, List, Optional, Sequence
@@ -32,7 +33,7 @@ import numpy as np
 
 from .curves import Curve, derivative_all
 from .dsl import Binary, Const, Var, compile_field
-from .fields import ScalarField
+from .fields import EvaluationError, ScalarField
 from .spaces import ValidationError
 
 
@@ -302,6 +303,16 @@ class SamplingConfig:
         return ts, xs, vs
 
 
+@contextmanager
+def _naming_samples(phase: str, seed: int):
+    """Name the phase, the sample row and the set's seed in EvaluationError."""
+    try:
+        yield
+    except EvaluationError as err:
+        i = err.index
+        raise EvaluationError(f"{phase} failed at sample {i} (seed {seed}): {err}", index=i)
+
+
 @dataclass(frozen=True)
 class InvarianceReport:
     """``residuals`` and ``max_residual`` include the generator's gauge;
@@ -325,10 +336,11 @@ def check_invariance(
     tol: float = 1e-8,
 ) -> InvarianceReport:
     ts, xs, vs = samples.samples(g.dim)
-    strict_res = invariance_residual(L, replace(g, F=None), ts, xs, vs)
-    res = strict_res
-    if g.F is not None:
-        res = strict_res - total_time_derivative(g.F, ts, xs, vs)
+    with _naming_samples("invariance check", samples.seed):
+        strict_res = invariance_residual(L, replace(g, F=None), ts, xs, vs)
+        res = strict_res
+        if g.F is not None:
+            res = strict_res - total_time_derivative(g.F, ts, xs, vs)
     return InvarianceReport(
         residuals=res,
         max_residual=float(np.max(np.abs(res))),
@@ -476,11 +488,13 @@ def find_affine_symmetries(
     dim = L.dim
     per = dim + 2
     cfg = replace(samples, count=max(samples.count, 3 * per * (dim + 1)))
-    _, sing, vt = np.linalg.svd(_search_matrix(L, *cfg.samples(dim)), full_matrices=False)
+    with _naming_samples("symmetry search", cfg.seed):
+        _, sing, vt = np.linalg.svd(_search_matrix(L, *cfg.samples(dim)), full_matrices=False)
     null = vt[sing <= 1e-8 * (sing[0] or 1.0)]
     null /= np.max(np.abs(null), axis=1, keepdims=True)
     fresh = replace(samples, count=500, seed=samples.seed + 1)
-    residual = np.max(np.abs(_search_matrix(L, *fresh.samples(dim)) @ null.T), axis=0)
+    with _naming_samples("symmetry search check", fresh.seed):
+        residual = np.max(np.abs(_search_matrix(L, *fresh.samples(dim)) @ null.T), axis=0)
     return [
         replace(
             affine_generator(dim, vec[:per], vec[per:].reshape(dim, per)),

@@ -46,20 +46,25 @@ def dense_jacobian(L, grid, xs, xd):
     return jac.reshape((n - 1) * m, (n - 1) * m)
 
 
-def dense_accessory(R, P, grid):
-    """The symmetric accessory matrix of the three-point conservative
-    stencil."""
+def dense_accessory(R, Q, S, grid):
+    """The matrix A of the discrete second variation divided by h, one cell
+    at a time: u.A u is the sum over cells of d.R d + 2 d.Q w, with R and Q
+    the averages over the cell's two nodes, d = (u_{i+1} - u_i)/h and
+    w = (u_i + u_{i+1})/2, plus u_i.S_i u_i over the nodes; u vanishes at
+    both ends."""
     n, m = grid.n, R.shape[1]
-    A = np.zeros((n - 1, m, n - 1, m))
-    for i in range(1, n):
-        r_minus = 0.5 * (R[i] + R[i - 1])
-        r_plus = 0.5 * (R[i] + R[i + 1])
-        A[i - 1, :, i - 1, :] += (r_minus + r_plus) / grid.h**2 + P[i]
-        if i >= 2:
-            A[i - 1, :, i - 2, :] -= r_minus / grid.h**2
-        if i <= n - 2:
-            A[i - 1, :, i, :] -= r_plus / grid.h**2
-    A = A.reshape((n - 1) * m, (n - 1) * m)
+    eye = np.eye(m)
+    D = np.hstack([-eye, eye]) / grid.h  # d from (u_i, u_{i+1})
+    W = np.hstack([eye, eye]) / 2.0  # w from (u_i, u_{i+1})
+    A = np.zeros(((n + 1) * m, (n + 1) * m))
+    for i in range(n):
+        r = 0.5 * (R[i] + R[i + 1])
+        q = 0.5 * (Q[i] + Q[i + 1])
+        cell = slice(i * m, (i + 2) * m)
+        A[cell, cell] += D.T @ r @ D + D.T @ q @ W + W.T @ q.T @ D
+    for i in range(n + 1):
+        A[i * m : (i + 1) * m, i * m : (i + 1) * m] += S[i]
+    A = A[m:-m, m:-m]
     return 0.5 * (A + A.T)
 
 
@@ -107,18 +112,20 @@ def test_banded_newton_step_matches_the_dense_solve(n, dim, data):
 
 
 def random_operators(rng, grid, dim, equal_oscillators):
-    """SPD R and symmetric P per node; with equal_oscillators every block is
-    a multiple of the identity, so every eigenvalue is repeated dim times."""
+    """SPD R, a non-symmetric Q and a symmetric S per node; with
+    equal_oscillators every block is a multiple of the identity, so every
+    eigenvalue is repeated dim times."""
     count = grid.n + 1
     if equal_oscillators:
         eye = np.eye(dim)
         R = rng.uniform(0.5, 2.0, count)[:, None, None] * eye
-        P = rng.uniform(-3.0, 3.0, count)[:, None, None] * eye
-        return R, P
+        S = rng.uniform(-3.0, 3.0, count)[:, None, None] * eye
+        Q = rng.uniform(-3.0, 3.0, count)[:, None, None] * eye
+        return R, Q, S
     A = rng.normal(size=(count, dim, dim))
     B = rng.normal(size=(count, dim, dim))
     R = A @ np.swapaxes(A, 1, 2) + 0.5 * np.eye(dim)
-    return R, B + np.swapaxes(B, 1, 2)
+    return R, 3.0 * rng.normal(size=(count, dim, dim)), B + np.swapaxes(B, 1, 2)
 
 
 @PROPERTY
@@ -134,14 +141,14 @@ def test_banded_jacobi_matches_the_dense_eigensolve(
     n, dim, equal_oscillators, seed, p_shift, data
 ):
     grid = nl.Grid(0.0, 1.0, n)
-    R, P = random_operators(np.random.default_rng(seed), grid, dim, equal_oscillators)
-    # P shifted by up to (pi/h)^2: down, many draws are indefinite; up, P
+    R, Q, S = random_operators(np.random.default_rng(seed), grid, dim, equal_oscillators)
+    # S shifted by up to (pi/h)^2: down, many draws are indefinite; up, S
     # dominates and the wanted eigenvalues sit far from 0 but close together
-    P = P + p_shift * (np.pi / grid.h) ** 2 * np.eye(dim)
+    S = S + p_shift * (np.pi / grid.h) ** 2 * np.eye(dim)
     size = (n - 1) * dim
     k = data.draw(st.integers(1, min(size, 6)))
-    pairs = nl.jacobi_eigen(nl.JacobiOperators(grid=grid, R=R, P=P), grid, k)
-    A = dense_accessory(R, P, grid)
+    pairs = nl.jacobi_eigen(nl.JacobiOperators(grid=grid, R=R, Q=Q, S=S), grid, k)
+    A = dense_accessory(R, Q, S, grid)
     scale = float(np.max(np.abs(A)))
     want, vecs = np.linalg.eigh(A)
     got = np.array([lam for lam, _ in pairs])

@@ -389,23 +389,35 @@ def test_malformed_problem_values_give_one_error_line(tmp_path, capsys, case, na
     assert str(path) in lines[0] and named in lines[0]
 
 
-@pytest.mark.parametrize("command", ["check-invariance", "find-symmetries", "audit-diff"])
-def test_non_finite_lagrangian_gives_one_error_line(tmp_path, capsys, command):
+AT_SAMPLE_1 = "failed at sample 1 (seed 0): non-finite field value at point 1: t="
+
+
+@pytest.mark.parametrize(
+    ("argv", "what"),
+    [
+        (["check-invariance"], f"invariance check {AT_SAMPLE_1}"),
+        (["noether", "--generator", "time"], f"invariance check {AT_SAMPLE_1}"),
+        (["find-symmetries"], f"symmetry search {AT_SAMPLE_1}"),
+        (["audit-diff"], "non-finite candidate derivative at base point 1: ["),
+    ],
+    ids=["check-invariance", "noether", "find-symmetries", "audit-diff"],
+)
+def test_non_finite_lagrangian_gives_one_error_line(tmp_path, capsys, argv, what):
     # exp(exp(10*x1)) overflows at the sampled points with x1 > 0.66; the
-    # audit's base points are the first of them
+    # audit's base points are the first of them.  A row of a sample set is
+    # named with the phase that drew the set and the set's seed
     doc = json.loads((PROBLEMS / "free_particle.json").read_text())
     doc["lagrangian"] = "v1^2/2 + exp(exp(10*x1))"
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))
-    code = main([command, str(path), "--out", str(tmp_path)])
+    code = main([argv[0], str(path), *argv[1:], "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 1
     assert "Traceback" not in err
     lines = err.splitlines()
     # the line names the problem file and the command, as every input error does
     assert len(lines) == 1
-    what = {"audit-diff": "candidate derivative at base point"}.get(command, "field value at point")
-    assert lines[0].startswith(f"error: {path}: {command}: non-finite {what} 1:")
+    assert lines[0].startswith(f"error: {path}: {argv[0]}: {what}")
     assert not list(tmp_path.glob("*_report.json"))
 
 
@@ -424,6 +436,22 @@ def test_an_exponent_that_folds_to_inf_or_nan_gives_one_error_line(
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: {command}: ")
+
+
+def test_jacobi_accepts_a_gyroscopic_term_that_varies_in_time(tmp_path):
+    # L_vx = t at one off-diagonal entry, so no stencil derivative of it is
+    # needed and no symmetry of it is assumed
+    doc = {
+        "space": {"dim": 2, "weights": [1.0, 1.0], "seminorms": 2},
+        "interval": {"a": 0.0, "b": 1.0, "n": 100},
+        "lagrangian": "(v1^2+v2^2)/2 + t*x1*v2",
+        "boundary": {"xa": [0.0, 0.0], "xb": [1.0, 0.5]},
+    }
+    path = tmp_path / "gyroscopic.json"
+    path.write_text(json.dumps(doc))
+    code, report, _ = run(tmp_path, "jacobi", str(path))
+    assert code == 0
+    assert len(report["eigenvalues"]) == 3
 
 
 @pytest.mark.parametrize("src", ["v1^2/2*exp(1000*x1)", "v1^2/2 + x1^(0*1e400)"])
@@ -486,8 +514,9 @@ def coarse_oscillator_curve(tmp_path_factory):
         ["jacobi"],
         ["noether", "--generator", "time"],
         ["verify", "--integral", "energy"],
+        ["solve"],
     ],
-    ids=["legendre", "jacobi", "noether", "verify"],
+    ids=["legendre", "jacobi", "noether", "verify", "solve"],
 )
 def test_seed_curve_on_another_grid_is_an_error(
     tmp_path, capsys, coarse_oscillator_curve, argv
@@ -509,7 +538,12 @@ def test_seed_curve_on_another_interval_is_an_error(tmp_path, capsys):
     longer = tmp_path / "longer.json"
     longer.write_text(json.dumps(doc))
     assert main(["solve", str(longer), "--out", str(tmp_path / "first")]) == 0
-    code = main(["legendre", str(PROBLEMS / "free_particle.json"), "--seed-curve",
-                 str(tmp_path / "first" / "extremal.csv"), "--out", str(tmp_path)])
-    assert code == 1
-    assert "seed curve does not match the grid" in capsys.readouterr().err.splitlines()[-1]
+    capsys.readouterr()
+    for command in ("legendre", "solve"):
+        code = main([command, str(PROBLEMS / "free_particle.json"), "--seed-curve",
+                     str(tmp_path / "first" / "extremal.csv"), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: seed curve does not match the grid: n=200 on [0.0, 2.0], "
+            "problem n=200 on [0.0, 1.0]"
+        ]

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import noether_lcs as nl
+from noether_lcs.problem import load_problem
 
 
 def sine_mode(space, grid, k=1):
@@ -16,7 +19,8 @@ def test_jacobi_operators_free_particle(line_space, free_particle):
     x = nl.Curve.from_function(line_space, grid, lambda t: [t])
     ops = nl.jacobi_operators(free_particle, x)
     assert np.allclose(ops.R, 1.0)
-    assert np.allclose(ops.P, 0.0)
+    assert np.allclose(ops.Q, 0.0)
+    assert np.allclose(ops.S, 0.0)
 
 
 def test_jacobi_operators_oscillator(line_space, oscillator):
@@ -24,7 +28,8 @@ def test_jacobi_operators_oscillator(line_space, oscillator):
     x = nl.Curve.from_function(line_space, grid, lambda t: [np.sin(t)])
     ops = nl.jacobi_operators(oscillator, x)
     assert np.allclose(ops.R, 1.0)
-    assert np.allclose(ops.P, -1.0)
+    assert np.allclose(ops.Q, 0.0)
+    assert np.allclose(ops.S, -1.0)
 
 
 def test_second_variation_free_particle_sine(line_space, free_particle):
@@ -57,6 +62,52 @@ def test_second_variation_matches_action_fd(line_space):
     jm = nl.action(L, nl.Curve(line_space, grid, x.values - eps * h.values)).value
     fd = (jp - 2 * j0 + jm) / eps**2
     assert d2 == pytest.approx(fd, abs=1e-5 * (1 + abs(d2)))
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+MAGNETIC = "(v1^2+v2^2)/2 + (x1*v2 - x2*v1)"  # a charge in a unit magnetic field
+
+
+def second_difference_of_action(L, x, h, eps=1e-4):
+    def at(c):
+        return nl.action(L, nl.Curve(x.space, x.grid, x.values + c * h.values)).value
+
+    return (at(eps) - 2.0 * at(0.0) + at(-eps)) / eps**2
+
+
+def test_second_variation_is_the_second_derivative_of_the_action_under_a_gyroscopic_term():
+    # anharmonic_d3 couples x_i to v_{i+1}, so L_vx is not symmetric; a
+    # variation in x1 and x2 sees the coupling x1*v2
+    prob = load_problem(GOLDEN / "anharmonic_d3.json")
+    x = nl.read_curve_csv(prob.space, GOLDEN / "anharmonic_d3" / "solve" / "extremal.csv")
+    h = nl.Curve.from_function(
+        prob.space, x.grid, lambda t: [np.sin(np.pi * t), t * np.sin(np.pi * t), 0.0]
+    )
+    d2 = nl.second_variation(prob.lagrangian, x, h)
+    assert d2 == pytest.approx(second_difference_of_action(prob.lagrangian, x, h), rel=1e-6)
+    plane = nl.make_space(2, [1.0, 1.0], 2)
+    grid = nl.Grid(0.0, 1.0, 200)
+    L = nl.compile_field(MAGNETIC, 2)
+    x = nl.Curve.from_function(plane, grid, lambda t: [np.sin(t), t**2])
+    h = nl.Curve.from_function(plane, grid, lambda t: [t * (1 - t), t * np.sin(np.pi * t)])
+    d2 = nl.second_variation(L, x, h)
+    assert d2 == pytest.approx(second_difference_of_action(L, x, h), rel=1e-6)
+
+
+def test_jacobi_eigen_matches_the_magnetic_closed_form():
+    # -h'' - 2J h' = lambda h with Dirichlet ends on [0, 1]: each (k pi)^2 - 1
+    # twice; the cell discretization is second order in h
+    plane = nl.make_space(2, [1.0, 1.0], 2)
+    L = nl.compile_field(MAGNETIC, 2)
+    want = np.array([np.pi**2 - 1] * 2 + [4 * np.pi**2 - 1] * 2)
+    errors = []
+    for n in (200, 400):
+        grid = nl.Grid(0.0, 1.0, n)
+        x = nl.Curve(plane, grid, np.zeros((n + 1, 2)))
+        got = np.array([lam for lam, _ in nl.jacobi_eigen(nl.jacobi_operators(L, x), grid, 4)])
+        errors.append(np.max(np.abs(got - want) / want))
+    assert errors[0] <= 1e-4
+    assert errors[1] <= errors[0] / 3
 
 
 def test_second_variation_rejects_nonvanishing_endpoints(line_space, free_particle):
@@ -173,12 +224,18 @@ def test_jacobi_eigen_k_validation():
         nl.jacobi_eigen(ops, grid, 100)
 
 
-def test_jacobi_eigen_rejects_a_non_symmetric_R():
-    grid = nl.Grid(0.0, 1.0, 10)
-    R = np.repeat(np.array([[[1.0, 0.5], [0.0, 1.0]]]), grid.n + 1, axis=0)
-    ops = nl.JacobiOperators(grid=grid, R=R, P=np.zeros_like(R))
-    with pytest.raises(nl.ValidationError, match="not symmetric"):
-        nl.jacobi_eigen(ops, grid, 2)
+def test_jacobi_eigen_of_an_asymmetric_R_is_the_spectrum_of_sym_R():
+    # a quadratic form reads h'.R h' and h.S h only through sym R and sym S
+    grid = nl.Grid(0.0, 1.0, 40)
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(grid.n + 1, 2, 2))
+    sym_R = A @ np.swapaxes(A, 1, 2) + 0.5 * np.eye(2)
+    skew = rng.normal(size=(grid.n + 1, 2, 2))
+    skew -= np.swapaxes(skew, 1, 2)
+    S, Q = np.zeros_like(sym_R), np.zeros_like(sym_R)
+    want = nl.jacobi_eigen(nl.JacobiOperators(grid=grid, R=sym_R, Q=Q, S=S), grid, 4)
+    got = nl.jacobi_eigen(nl.JacobiOperators(grid=grid, R=sym_R + skew, Q=Q, S=S + skew), grid, 4)
+    assert [lam for lam, _ in got] == pytest.approx([lam for lam, _ in want], rel=1e-12)
 
 
 def test_jacobi_eigen_from_solved_oscillator(line_space):
@@ -192,17 +249,6 @@ def test_jacobi_eigen_from_solved_oscillator(line_space):
     lam, _ = nl.jacobi_eigen(ops, grid, 1)[0]
     # -h'' - h = lambda h on [0, pi/2]: smallest eigenvalue 2^2 - 1 = 3
     assert lam == pytest.approx(3.0, abs=0.01)
-
-
-def test_jacobi_eigen_names_the_first_asymmetric_node():
-    grid = nl.Grid(0.0, 1.0, 10)
-    ops = nl.constant_operators(grid, 1.0, 0.0, dim=2)
-    P = ops.P.copy()
-    P[6, 0, 1] = 0.5
-    ops = nl.JacobiOperators(grid=grid, R=ops.R, P=P)
-    named = r"not symmetric at node 6 \(t=0\.6, deviation 5\.000e-01\)"
-    with pytest.raises(nl.ValidationError, match=named):
-        nl.jacobi_eigen(ops, grid, 2)
 
 
 def test_jacobi_modes_take_the_sign_of_their_largest_value():
@@ -231,16 +277,16 @@ def test_jacobi_modes_take_the_sign_of_their_largest_value():
     ids=["n800", "n3200", "n800-indefinite", "n3200-indefinite", "p1e4", "long"],
 )
 def test_jacobi_eigenvalues_are_exact_to_roundoff(length, n, p):
-    # R = I and a diagonal P decouple the three coordinates into Dirichlet
-    # second differences, whose eigenvalues are exactly
-    # (4/h^2) sin^2(j pi/(2n)) + p_i.  P near -300 makes A indefinite; a
-    # large P, or P = 1 on a long interval, puts the wanted eigenvalues far
+    # R = I, Q = 0 and a diagonal S decouple the three coordinates into
+    # Dirichlet second differences, whose eigenvalues are exactly
+    # (4/h^2) sin^2(j pi/(2n)) + p_i.  S near -300 makes A indefinite; a
+    # large S, or S = 1 on a long interval, puts the wanted eigenvalues far
     # above 0 and close together relative to their size
     grid = nl.Grid(0.0, length, n)
     p = np.array(p)
     R = np.repeat(np.eye(3)[None], n + 1, axis=0)
-    P = np.repeat(np.diag(p)[None], n + 1, axis=0)
-    pairs = nl.jacobi_eigen(nl.JacobiOperators(grid=grid, R=R, P=P), grid, 3)
+    S = np.repeat(np.diag(p)[None], n + 1, axis=0)
+    pairs = nl.jacobi_eigen(nl.JacobiOperators(grid=grid, R=R, Q=np.zeros_like(R), S=S), grid, 3)
     j = np.arange(1, 4)[:, None]
     exact = np.sort(4.0 / grid.h**2 * np.sin(j * np.pi / (2 * n)) ** 2 + p, axis=None)[:3]
     scale = float(np.max(np.abs(2.0 / grid.h**2 + p)))  # max|A|, on the diagonal
