@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .curves import Curve, action, read_curve_csv, write_curve_csv
+from .curves import Curve, _check_seed_grid, action, read_curve_csv, write_curve_csv
 from .dsl import DomainError
 from .euler_lagrange import SolverError, el_residual, meets_stopping_rule, solve_extremal
 from .fields import EvaluationError, check_normal_differentiability
@@ -83,13 +83,7 @@ def _outdir(args) -> Path:
 
 def _seed_curve(prob: ProblemFile, args) -> Curve:
     curve = read_curve_csv(prob.space, args.seed_curve)
-    c, p = curve.grid, prob.grid
-    near = 1e-9 * (1 + abs(p.b))  # read_curve_csv's tolerance on the nodes
-    if c.n != p.n or abs(c.a - p.a) > near or abs(c.b - p.b) > near:
-        raise ValidationError(
-            f"seed curve does not match the grid: n={c.n} on [{c.a}, {c.b}], "
-            f"problem n={p.n} on [{p.a}, {p.b}]"
-        )
+    _check_seed_grid(curve.grid, prob.grid)
     return curve
 
 

@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import Curve, Grid, band_matvec, block_band, derivative_all, stencil_derivative
+from .curves import (Curve, Grid, _check_seed_grid, band_matvec, block_band, derivative_all,
+                     stencil_derivative)
 from .fields import EvaluationError, ScalarField
 from .spaces import Space, ValidationError, dual_seminorm
 
@@ -215,6 +216,7 @@ def solve_extremal(
         raise ValidationError("boundary values do not match the space dimension")
 
     if cfg.seed_curve is not None:
+        _check_seed_grid(cfg.seed_curve.grid, grid)
         xs = cfg.seed_curve.values.copy()
         if xs.shape != (grid.n + 1, m):
             raise ValidationError("seed curve does not match the grid")

@@ -315,10 +315,10 @@ def check_normal_differentiability(
         }
         pairs = here if pairs is None else pairs & here
 
-    def values(z):
-        return np.atleast_1d(np.asarray(g(z), dtype=float))
+    def values(points):  # g at each point, one call each: rows of g's values
+        return np.array([g(z) for z in points], dtype=float).reshape(len(points), -1)
 
-    g_base = [values(b) for b in base_points] if pairs else []
+    g_base = values(base_points) if pairs else []
     rng = np.random.default_rng(0)
     ratios = {}
     verdicts = {}
@@ -335,7 +335,8 @@ def check_normal_differentiability(
         worst = np.zeros(len(_PROBE_RADII))
         for j, (b, gb, A) in enumerate(zip(base_points, g_base, derivs)):
             points = b + H
-            rem = np.array([values(z) - gb - A.matrix @ h for z, h in zip(points, H)])
+            # stacked matmul, not H @ A.T or einsum: it rounds as A.matrix @ h per probe
+            rem = (values(points) - gb) - np.matmul(A.matrix, H[..., None])[..., 0]
             bad = np.flatnonzero(~np.isfinite(rem).all(axis=1))
             if len(bad):
                 i = int(bad[0])

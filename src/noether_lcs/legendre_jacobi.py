@@ -21,7 +21,7 @@ from .fields import ScalarField
 from .spaces import Space, ValidationError
 
 _EPS = np.finfo(float).eps
-_BLOCK_EXTRA = 8  # Jacobi eigensolve block size: max(2k, k + _BLOCK_EXTRA)
+_BLOCK_EXTRA = 8  # Jacobi eigensolve block size: min(size, 2k, k + _BLOCK_EXTRA)
 _RESIDUAL_TOL = 64.0  # converged: each wanted |Aq - theta q| <= this eps max|A|
 _MAX_SWEEPS = 100  # then the eigensolve raises SolverError
 _SHIFT_TOL = 2.0**-30  # width of the shift bisection, in units of max|A|
@@ -123,38 +123,46 @@ def negative_second_variation_witness(
 def _lowest_eigenpairs(ab, k) -> Tuple[np.ndarray, np.ndarray]:
     """The k smallest eigenvalues, ascending, and unit eigenvectors (columns)
     of the symmetric band matrix ab (see ``block_band``): block subspace
-    iteration with Rayleigh-Ritz on one banded Cholesky factor of A - sigma I,
-    from a seeded start block, so equal eigenvalues get the same orthonormal
-    basis of their eigenspace on every run.  sigma is bisected up from a
-    Gershgorin bound to just below the smallest eigenvalue ("A - sigma I
-    factors" is the Sturm test), so the rate of the iteration does not depend
-    on where the spectrum lies.  Each pair has |Aq - theta q| <=
-    _RESIDUAL_TOL eps max|A|, checked with a product by A."""
-    from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, qr, solve_triangular
+    iteration with Rayleigh-Ritz on one banded Cholesky factor of A - sigma I
+    (LAPACK pbtrf/pbtrs), from a seeded block of min(size, 2k, k + 8) columns,
+    so equal eigenvalues get the same orthonormal basis of their eigenspace on
+    every run.  sigma is bisected up from a Gershgorin bound to just below the
+    smallest eigenvalue ("A - sigma I factors" is the Sturm test), so the rate
+    does not depend on where the spectrum lies; a shift above the Rayleigh
+    quotient of two inverse-iteration steps, by the bisection's width, cannot
+    factor and is not tried.  Each pair has |Aq - theta q| <= _RESIDUAL_TOL
+    eps max|A|, checked with a product by A."""
+    from scipy.linalg import get_lapack_funcs, qr, solve_triangular
 
+    ab = np.asarray_chkfinite(ab)
     u, size = len(ab) // 2, ab.shape[1]
     scale = float(np.max(np.abs(ab))) or 1.0
     tol = _RESIDUAL_TOL * _EPS * scale
+    pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
+    band = np.array(ab[u:], order="F")  # A's lower band; each shift rewrites row 0
 
     def factor(sigma):  # lower band Cholesky factor of A - sigma I, or None
-        try:
-            return cholesky_banded(np.vstack([ab[u] - sigma, ab[u + 1 :]]), lower=True)
-        except LinAlgError:
-            return None
+        band[0] = ab[u] - sigma
+        chol, info = pbtrf(band, lower=1)
+        return chol if info == 0 else None
 
     # the smallest eigenvalue lies between the Gershgorin bound and the
     # smallest diagonal entry; one width below the bound, A - sigma I factors
     radius = np.sum(np.abs(ab), axis=0) - np.abs(ab[u])  # column c of ab is A's column c
     sigma, hi = float(np.min(ab[u] - radius)) - _SHIFT_TOL * scale, float(np.min(ab[u]))
     chol = factor(sigma)
+    p = min(size, 2 * k, k + _BLOCK_EXTRA)
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, (size, p))
+    x = pbtrs(chol, start[:, 0], lower=1)[0]  # two inverse-iteration steps, then rho
+    x = pbtrs(chol, x / np.linalg.norm(x), lower=1)[0]
+    bound = float(x @ band_matvec(ab, x)) / float(x @ x) + _SHIFT_TOL * scale
     while hi - sigma > _SHIFT_TOL * scale:
         mid = 0.5 * (sigma + hi)
-        trial = factor(mid)
+        trial = None if mid > bound else factor(mid)
         sigma, hi, chol = (sigma, mid, chol) if trial is None else (mid, hi, trial)
-    p = min(size, max(2 * k, k + _BLOCK_EXTRA))
-    q = qr(np.random.default_rng(0).uniform(-1.0, 1.0, (size, p)), mode="economic")[0]
+    q = qr(start, mode="economic")[0]
     for sweep in range(1, _MAX_SWEEPS + 1):
-        v, t = qr(cho_solve_banded((chol, True), q), mode="economic", check_finite=False)
+        v, t = qr(pbtrs(chol, q, lower=1)[0], mode="economic", check_finite=False)
         av = q @ solve_triangular(t, np.eye(p))  # (A - sigma I) v, with no product by A
         theta, y = np.linalg.eigh(v.T @ av)
         q = v @ y

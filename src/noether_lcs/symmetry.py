@@ -367,7 +367,8 @@ def fit_gauge(
         samples, count=max(samples.count, 3 * len(gauge)), seed=samples.seed + 1
     )
     ts, xs, vs = cfg.samples(g.dim)
-    r = invariance_residual(L, replace(g, F=None), ts, xs, vs)
+    with _naming_samples("gauge fit", cfg.seed):
+        r = invariance_residual(L, replace(g, F=None), ts, xs, vs)
     _, A = _monomial_columns(gauge, ts, xs, vs)
     coeffs, *_ = np.linalg.lstsq(A, r, rcond=None)
     return replace(g, F=_polynomial(coeffs, gauge, g.dim))

@@ -406,6 +406,19 @@ def test_seed_curve_with_rows_of_zero_scale_converges(line_space):
     assert np.max(np.abs(x.values)) <= 1e-12
 
 
+def test_seed_curve_on_another_interval_is_an_error(line_space):
+    # same n, so the seed's values have the solve's shape; its interval differs
+    L = nl.compile_field("v1^2/2", dim=1)
+    longer = nl.Grid(0.0, 2.0, 200)
+    seed = nl.Curve.from_function(line_space, longer, lambda t: [t])
+    cfg = nl.SolverConfig(seed_curve=seed)
+    named = re.escape("n=200 on [0.0, 2.0], problem n=200 on [0.0, 1.0]")
+    with pytest.raises(nl.ValidationError, match=named):
+        nl.solve_extremal(
+            L, nl.BoundaryConditions([0.0], [1.0]), nl.Grid(0.0, 1.0, 200), line_space, cfg
+        )
+
+
 @st.composite
 def chains(draw):
     """An oscillator or anharmonic chain of dim 1-3, as in the benchmark's

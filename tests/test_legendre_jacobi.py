@@ -1,10 +1,13 @@
+import contextlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import noether_lcs as nl
 from noether_lcs.problem import load_problem
+from test_banded import random_operators
 
 
 def sine_mode(space, grid, k=1):
@@ -264,32 +267,45 @@ def test_jacobi_modes_take_the_sign_of_their_largest_value():
         assert np.max(np.abs(mode.values[:, 0] - target)) <= 1e-9
 
 
+def near_equal(dim, spread=1e-5):
+    """(c, p) of a chain of dim oscillators whose (c_i, -p_i) differ from
+    (1, 1) by at most ``spread``, shuffled apart, so the lowest dim
+    eigenvalues lie within about 10 spread of each other."""
+    i = np.arange(dim)
+    return 1.0 + spread * (7 * i % dim) / dim, -(1.0 + spread * (5 * i % dim) / dim)
+
+
 @pytest.mark.parametrize(
-    ("length", "n", "p"),
+    ("length", "n", "c", "p"),
     [
-        (1.0, 800, (-1.1, -1.0, -0.9)),
-        (1.0, 3200, (-1.1, -1.0, -0.9)),
-        (1.0, 800, (-301.1, -301.0, -300.9)),
-        (1.0, 3200, (-301.1, -301.0, -300.9)),
-        (1.0, 200, (1e4, 1e4, 1e4)),
-        (100.0, 200, (1.0, 1.0, 1.0)),
+        (1.0, 800, (1.0, 1.0, 1.0), (-1.1, -1.0, -0.9)),
+        (1.0, 3200, (1.0, 1.0, 1.0), (-1.1, -1.0, -0.9)),
+        (1.0, 800, (1.0, 1.0, 1.0), (-301.1, -301.0, -300.9)),
+        (1.0, 3200, (1.0, 1.0, 1.0), (-301.1, -301.0, -300.9)),
+        (1.0, 200, (1.0, 1.0, 1.0), (1e4, 1e4, 1e4)),
+        (100.0, 200, (1.0, 1.0, 1.0), (1.0, 1.0, 1.0)),
+        (1.0, 200, *near_equal(16)),
+        (1.0, 100, *near_equal(32)),
     ],
-    ids=["n800", "n3200", "n800-indefinite", "n3200-indefinite", "p1e4", "long"],
+    ids=["n800", "n3200", "n800-indefinite", "n3200-indefinite", "p1e4", "long",
+         "d16-clustered", "d32-clustered"],
 )
-def test_jacobi_eigenvalues_are_exact_to_roundoff(length, n, p):
-    # R = I, Q = 0 and a diagonal S decouple the three coordinates into
+def test_jacobi_eigenvalues_are_exact_to_roundoff(length, n, c, p):
+    # R = diag(c), Q = 0 and a diagonal S decouple the coordinates into
     # Dirichlet second differences, whose eigenvalues are exactly
-    # (4/h^2) sin^2(j pi/(2n)) + p_i.  S near -300 makes A indefinite; a
+    # (4 c_i/h^2) sin^2(j pi/(2n)) + p_i.  S near -300 makes A indefinite; a
     # large S, or S = 1 on a long interval, puts the wanted eigenvalues far
-    # above 0 and close together relative to their size
+    # above 0 and close together relative to their size; a wide chain of
+    # near-equal oscillators puts many eigenvalues next to the 3 wanted, so
+    # the eigensolve's block of 6 columns meets a dense low spectrum
     grid = nl.Grid(0.0, length, n)
-    p = np.array(p)
-    R = np.repeat(np.eye(3)[None], n + 1, axis=0)
+    c, p = np.array(c), np.array(p)
+    R = np.repeat(np.diag(c)[None], n + 1, axis=0)
     S = np.repeat(np.diag(p)[None], n + 1, axis=0)
     pairs = nl.jacobi_eigen(nl.JacobiOperators(grid=grid, R=R, Q=np.zeros_like(R), S=S), grid, 3)
     j = np.arange(1, 4)[:, None]
-    exact = np.sort(4.0 / grid.h**2 * np.sin(j * np.pi / (2 * n)) ** 2 + p, axis=None)[:3]
-    scale = float(np.max(np.abs(2.0 / grid.h**2 + p)))  # max|A|, on the diagonal
+    exact = np.sort(4.0 * c / grid.h**2 * np.sin(j * np.pi / (2 * n)) ** 2 + p, axis=None)[:3]
+    scale = float(np.max(np.abs(2.0 * c / grid.h**2 + p)))  # max|A|, on the diagonal
     got = np.array([lam for lam, _ in pairs])
     assert np.max(np.abs(got - exact)) <= np.finfo(float).eps * scale
 
@@ -303,3 +319,76 @@ def test_jacobi_eigen_raises_rather_than_return_unconverged_pairs(monkeypatch):
     named = r"k=3 did not converge in 2 sweeps \(worst Ritz residual \d\.\d{3}e[+-]\d+"
     with pytest.raises(nl.SolverError, match=named):
         nl.jacobi_eigen(ops, grid, 3)
+
+
+@contextlib.contextmanager
+def counted_choleskys():
+    """The list of LAPACK pbtrf calls (band Choleskys) made in the block."""
+    import scipy.linalg
+
+    real, calls = scipy.linalg.get_lapack_funcs, []
+
+    def counted(f):
+        def call(*args, **kwargs):
+            calls.append(f)
+            return f(*args, **kwargs)
+
+        return call
+
+    def get_lapack_funcs(names, *args, **kwargs):
+        funcs = real(names, *args, **kwargs)
+        return [counted(f) if name == "pbtrf" else f for name, f in zip(names, funcs)]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.linalg, "get_lapack_funcs", get_lapack_funcs)
+        yield calls
+
+
+def test_the_eigensolve_of_the_d3_oscillator_chain_makes_at_most_16_band_choleskys():
+    # the analyze benchmark's d3 n=800 oscillator (seed 1); a bisection that
+    # factors every shift makes 31 band Choleskys here
+    grid = nl.Grid(0.0, 1.0, 800)
+    c, k = np.array([1.275, 1.127, 1.521]), np.array([1.767, 0.599, 1.548])
+    eye = np.repeat(np.eye(3)[None], grid.n + 1, axis=0)
+    ops = nl.JacobiOperators(grid=grid, R=c * eye, Q=0.0 * eye, S=-k * eye)
+    with counted_choleskys() as calls:
+        pairs = nl.jacobi_eigen(ops, grid, 3)
+    assert 1 <= len(calls) <= 16
+    j = np.arange(1, 4)[:, None]
+    exact = np.sort(4.0 * c / grid.h**2 * np.sin(j * np.pi / (2 * grid.n)) ** 2 - k, axis=None)[:3]
+    scale = float(np.max(2.0 * c / grid.h**2 - k))
+    assert np.max(np.abs(np.array([lam for lam, _ in pairs]) - exact)) <= np.finfo(float).eps * scale
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    n=st.integers(4, 40),
+    dim=st.sampled_from([1, 2, 3]),
+    equal_oscillators=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    p_shift=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+    data=st.data(),
+)
+def test_the_rayleigh_bound_on_the_shift_moves_no_bit(
+    n, dim, equal_oscillators, seed, p_shift, data
+):
+    # with the Rayleigh quotient read as +inf, every bisection step factors
+    # its shift, as before the bound: the pairs must not change in any bit
+    from noether_lcs import legendre_jacobi
+    from noether_lcs.curves import band_matvec
+
+    grid = nl.Grid(0.0, 1.0, n)
+    R, Q, S = random_operators(np.random.default_rng(seed), grid, dim, equal_oscillators)
+    ops = nl.JacobiOperators(grid=grid, R=R, Q=Q, S=S + p_shift * (np.pi / grid.h) ** 2 * np.eye(dim))
+    k = data.draw(st.integers(1, min((n - 1) * dim, 6)))
+    with counted_choleskys() as bounded:
+        want = nl.jacobi_eigen(ops, grid, k)
+    with counted_choleskys() as unbounded, pytest.MonkeyPatch.context() as mp:
+        # the quotient is the eigensolve's one product by a single vector
+        mp.setattr(legendre_jacobi, "band_matvec",
+                   lambda ab, x: np.inf * x if x.ndim == 1 else band_matvec(ab, x))
+        got = nl.jacobi_eigen(ops, grid, k)
+    assert len(unbounded) >= len(bounded)
+    for (lam, mode), (mu, ref) in zip(got, want):
+        assert lam == mu
+        assert mode.values.tobytes() == ref.values.tobytes()

@@ -204,6 +204,16 @@ def test_fit_gauge_keeps_rejecting_non_symmetries(source, gen):
     assert rep.max_residual >= 0.1
 
 
+def test_fit_gauge_names_its_phase_and_seed_where_the_field_is_not_finite():
+    # the fit draws its own sample set, with seed 0 + 1; exp(1000*x1)
+    # overflows at its row 3, the first with x1 above 0.71
+    L = nl.compile_field("v1^2/2*exp(1000*x1)", 1)
+    named = r"^gauge fit failed at sample 3 \(seed 1\): non-finite field value at point 3: t="
+    with pytest.raises(nl.fields.EvaluationError, match=named) as err:
+        nl.fit_gauge(L, nl.catalog_generator("time-translation", 1))
+    assert err.value.index == 3
+
+
 def test_check_invariance_without_gauge_reports_strict_residual(free_particle):
     rep = nl.check_invariance(free_particle, nl.catalog_generator("galilean-1", 1))
     assert rep.strict_max_residual == rep.max_residual
