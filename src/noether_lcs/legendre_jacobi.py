@@ -21,7 +21,7 @@ from .fields import ScalarField
 from .spaces import Space, ValidationError
 
 _EPS = np.finfo(float).eps
-_BLOCK_EXTRA = 8  # Jacobi eigensolve block size: min(size, 2k, k + _BLOCK_EXTRA)
+_BLOCK_EXTRA = 8  # Jacobi eigensolve block size: max(2k, k + _BLOCK_EXTRA)
 _RESIDUAL_TOL = 64.0  # converged: each wanted |Aq - theta q| <= this eps max|A|
 _MAX_SWEEPS = 100  # then the eigensolve raises SolverError
 _SHIFT_TOL = 2.0**-30  # width of the shift bisection, in units of max|A|
@@ -124,8 +124,8 @@ def _lowest_eigenpairs(ab, k) -> Tuple[np.ndarray, np.ndarray]:
     """The k smallest eigenvalues, ascending, and unit eigenvectors (columns)
     of the symmetric band matrix ab (see ``block_band``): block subspace
     iteration with Rayleigh-Ritz on one banded Cholesky factor of A - sigma I
-    (LAPACK pbtrf/pbtrs), from a seeded block of min(size, 2k, k + 8) columns,
-    so equal eigenvalues get the same orthonormal basis of their eigenspace on
+    (LAPACK pbtrf/pbtrs), from a seeded block of max(2k, k + 8) columns, so
+    equal eigenvalues get the same orthonormal basis of their eigenspace on
     every run.  sigma is bisected up from a Gershgorin bound to just below the
     smallest eigenvalue ("A - sigma I factors" is the Sturm test), so the rate
     does not depend on where the spectrum lies; a shift above the Rayleigh
@@ -151,7 +151,7 @@ def _lowest_eigenpairs(ab, k) -> Tuple[np.ndarray, np.ndarray]:
     radius = np.sum(np.abs(ab), axis=0) - np.abs(ab[u])  # column c of ab is A's column c
     sigma, hi = float(np.min(ab[u] - radius)) - _SHIFT_TOL * scale, float(np.min(ab[u]))
     chol = factor(sigma)
-    p = min(size, 2 * k, k + _BLOCK_EXTRA)
+    p = min(size, max(2 * k, k + _BLOCK_EXTRA))
     start = np.random.default_rng(0).uniform(-1.0, 1.0, (size, p))
     x = pbtrs(chol, start[:, 0], lower=1)[0]  # two inverse-iteration steps, then rho
     x = pbtrs(chol, x / np.linalg.norm(x), lower=1)[0]
