@@ -32,7 +32,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .curves import Curve, derivative_all
-from .dsl import Binary, Const, Var, compile_field
+from .dsl import EvalResult
 from .fields import EvaluationError, ScalarField
 from .spaces import ValidationError
 
@@ -40,7 +40,9 @@ from .spaces import ValidationError
 @dataclass(frozen=True)
 class SymmetryGenerator:
     """Pair (T, X) of a scalar and a vector field of (t, x), with an optional
-    gauge F of (t, x); F = None is the strict generator."""
+    gauge F of (t, x); F = None is the strict generator.  An affine generator
+    and a fitted gauge are polynomials (``_Polynomial``), and a generator a
+    problem file writes as expressions has compiled fields."""
 
     dim: int
     T: ScalarField
@@ -60,70 +62,73 @@ class SymmetryGenerator:
                 f"gauge has dim {self.F.dim} for a generator of dim {self.dim}"
             )
 
-    def scaled(self, factor: float) -> "SymmetryGenerator":
-        return SymmetryGenerator(
-            dim=self.dim,
-            T=_scale_field(self.T, factor),
-            X=tuple(_scale_field(c, factor) for c in self.X),
-            name=self.name,
-            F=None if self.F is None else _scale_field(self.F, factor),
-            coefficients=(
-                None if self.coefficients is None else factor * self.coefficients
-            ),
-        )
-
-
-def _scale_field(f: ScalarField, c: float) -> ScalarField:
-    """c times f.  A compiled field is compiled again as the tree c * f, so
-    its partials stay exact; any other field scales its values."""
-    expr = getattr(f.jets, "expr", None)
-    if expr is None:
-        return ScalarField(f.dim, func=lambda t, x, v: c * np.asarray(f.func(t, x, v)))
-    return compile_field(Binary("*", Const(float(c)), expr), f.dim)
-
 
 # -- polynomials in z = (t, x) -------------------------------------------
 
 
 def _monomials(dim: int, degrees) -> list:
-    """The monomials of z = (t, x1..x<dim>) of the given degrees (0, 1, 2) as
-    index tuples into z, by degree and then row-major with i <= j: degrees 0-1
-    span the affine generators, degrees 1-2 the gauge of ``fit_gauge``."""
+    """The monomials z_i z_j of z = (t, x1..x<dim>, 1) of the given degrees
+    (0, 1, 2) as index pairs (i, j) into z, with -1 for its last entry 1: by
+    degree and then row-major with i <= j.  Degrees 0-1 span the affine
+    generators, degrees 1-2 the gauge of ``fit_gauge``; a coefficient vector
+    over this table is a polynomial (``_Polynomial``)."""
     n = dim + 1
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    by_degree = ([()], [(i,) for i in range(n)], pairs)
+    by_degree = ([(-1, -1)], [(i, -1) for i in range(n)], pairs)
     return [mono for d in degrees for mono in by_degree[d]]
 
 
 def _monomial_columns(monomials, ts, xs, vs) -> np.ndarray:
     """The values of the monomials at a stack of samples and their total time
-    derivatives along the curve (z' = (1, v) and the product rule): two
+    derivatives along the curve (z' = (1, v, 0) and the product rule): two
     (N, len(monomials)) arrays."""
-    z = np.column_stack([ts, xs])
-    w = np.column_stack([np.ones_like(ts), vs])
-    out = np.empty((2, len(ts), len(monomials)))
-    for k, mono in enumerate(monomials):
-        val, der = np.ones_like(ts), np.zeros_like(ts)
-        for i in mono:
-            val, der = val * z[:, i], der * z[:, i] + val * w[:, i]
-        out[:, :, k] = val, der
-    return out
+    z = np.column_stack([ts, xs, np.ones_like(ts)])
+    w = np.column_stack([np.ones_like(ts), vs, np.zeros_like(ts)])
+    i, j = np.array(monomials).T
+    return np.stack([z[:, i] * z[:, j], w[:, i] * z[:, j] + z[:, i] * w[:, j]])
+
+
+class _Polynomial:
+    """The ``ScalarField.jets`` engine of sum c_k z_i z_j over a
+    ``_monomials`` table.  Each nonzero term is formed as (c z_i) z_j, where a
+    factor 1 changes no bit, and the terms are added from the left, as the
+    compiled tree of the sum did; the gradient is the product rule's and the
+    Hessian is constant.  The entry 1 of z has a slot past the last, dropped."""
+
+    __slots__ = ("coeffs", "pairs")  # module-level and slotted: it pickles
+
+    def __init__(self, coeffs, monomials):
+        keep = np.flatnonzero(coeffs)
+        self.coeffs = tuple(np.asarray(coeffs, dtype=float)[keep].tolist())
+        self.pairs = tuple(monomials[k] for k in keep.tolist())
+
+    def value(self, t, x, v):
+        return self(t, x, v, 0).value
+
+    def __call__(self, t, x, v, order: int) -> EvalResult:
+        x = np.asarray(x, dtype=float)
+        z = (np.asarray(t, dtype=float) if x.ndim == 2 else np.float64(t), *x.T, 1.0)
+        shape, val = z[0].shape, np.float64(0.0)
+        grad = np.zeros(shape + (2 * x.shape[-1] + 2,)) if order else None
+        hess = np.zeros(grad.shape[-1:] * 2) if order > 1 else None
+        for k, (c, (i, j)) in enumerate(zip(self.coeffs, self.pairs)):
+            term = (ci := c * z[i]) * z[j]
+            val = term if k == 0 else val + term
+            if order:
+                grad[..., i] += ci + ci if i == j else c * z[j]
+                if i != j:
+                    grad[..., j] += ci
+            if order > 1:
+                np.add.at(hess, ([i, j], [j, i]), c)  # unbuffered: c + c on the diagonal
+        val = np.full(shape, val) if shape else float(val)
+        if order > 1:
+            hess = np.full(shape + hess[:-1, :-1].shape, hess[:-1, :-1])
+        return EvalResult(val, None if grad is None else grad[..., :-1], hess)
 
 
 def _polynomial(coeffs, monomials, dim: int) -> ScalarField:
-    """sum c_k m_k, compiled from its DSL tree: the terms Const(c),
-    Const(c)*z_i and (Const(c)*z_i)*z_j, without the zero ones, added from
-    the left."""
-    z = [Var("t", 0)] + [Var("x", i) for i in range(1, dim + 1)]
-    tree = None
-    for c, mono in zip(coeffs, monomials):
-        if c == 0.0:
-            continue
-        term = Const(float(c))
-        for i in mono:
-            term = Binary("*", term, z[i])
-        tree = term if tree is None else Binary("+", tree, term)
-    return compile_field(Const(0.0) if tree is None else tree, dim)
+    jets = _Polynomial(coeffs, monomials)
+    return ScalarField(dim, func=jets.value, jets=jets)
 
 
 def affine_generator(
@@ -135,9 +140,11 @@ def affine_generator(
     ``x_coeffs`` is a (dim, dim+2) array with the same layout per component.
     """
     t_coeffs = np.asarray(t_coeffs, dtype=float)
-    x_coeffs = np.asarray(x_coeffs, dtype=float).reshape(dim, dim + 2)
     if t_coeffs.shape != (dim + 2,):
         raise ValidationError(f"T coefficient vector must have length {dim + 2}")
+    x_coeffs = np.asarray(x_coeffs, dtype=float)
+    if x_coeffs.shape != (dim, dim + 2):
+        raise ValidationError(f"X coefficient table must have shape ({dim}, {dim + 2})")
     affine = _monomials(dim, (0, 1))
     return SymmetryGenerator(
         dim=dim,
@@ -155,9 +162,9 @@ def catalog_generator(name: str, dim: int) -> SymmetryGenerator:
         t[0] = 1.0
     elif name == "dilation":
         t[1] = 1.0
-    elif name.startswith("space-translation"):
+    elif name == "space-translation" or name.startswith("space-translation-"):
         x[_axis(name, "space-translation", "translation", dim) - 1, 0] = 1.0
-    elif name.startswith("galilean"):
+    elif name == "galilean" or name.startswith("galilean-"):
         x[_axis(name, "galilean", "boost", dim) - 1, 1] = 1.0  # X_axis = t
     elif name.startswith("rotation-"):
         digits = name[len("rotation-"):]
@@ -483,8 +490,8 @@ def find_affine_symmetries(
     right singular vectors with singular values at most 1e-8 of the largest,
     each scaled to max-abs 1.  The same matrix on the 500 fresh samples
     (``seed + 1``) of ``check_invariance`` checks every candidate in one
-    product, and a generator is compiled only for the vectors whose residual
-    there is at most 1e-6.
+    product; each vector whose residual there is at most 1e-6 is returned as
+    a generator over its coefficients, with nothing compiled.
     """
     dim = L.dim
     per = dim + 2

@@ -69,7 +69,14 @@ def render(problem: Path, argv) -> tuple:
             code = cli.main([argv[0], str(problem), *argv[1:], "--out", out])
         if code not in (0, 2):
             raise RuntimeError(f"{' '.join(argv)} on {problem} exited {code}")
-        files = {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
+        return code, normalised(problem, argv, out)
+
+
+def normalised(problem: Path, argv, out) -> dict:
+    """The bytes of each file a run wrote to ``out``, by name, with the
+    report's ``input`` field, the path the problem was given by, replaced by
+    the problem's file name."""
+    files = {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
     given = f'"input": {json.dumps(str(problem))},'.encode()
     name = f"{argv[0].replace('-', '_')}_report.json"
     if files[name].count(given) != 1:
@@ -77,7 +84,7 @@ def render(problem: Path, argv) -> tuple:
     files[name] = files[name].replace(
         given, f'"input": {json.dumps(problem.name)},'.encode()
     )
-    return code, files
+    return files
 
 
 def main() -> int:

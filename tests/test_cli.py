@@ -347,6 +347,8 @@ def _malformed(doc, case):
         doc["tolerances"] = {"audit": "big"}
     elif case == "galilean-x":
         doc["generators"]["boost"] = "galilean-x"
+    elif case in ("galilean2", "space-translation2"):
+        doc["generators"]["g"] = case
     elif case == "solver-not-an-object":
         doc["solver"] = 5
     elif case == "weights":
@@ -370,6 +372,8 @@ def _malformed(doc, case):
         ("seed-negative", "'seed'"),
         ("audit", "'audit'"),
         ("galilean-x", "'boost'"),
+        ("galilean2", "generator 'g': unknown catalog generator 'galilean2'"),
+        ("space-translation2", "generator 'g': unknown catalog generator 'space-translation2'"),
         ("solver-not-an-object", "'solver'"),
         ("weights", "'weights'"),
         ("generator-not-an-object", "generator 'g'"),

@@ -1,4 +1,5 @@
 import json
+import pickle
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -8,8 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import noether_lcs as nl
+from noether_lcs.dsl import Binary, Const, Var
 from noether_lcs.problem import load_problem
-from noether_lcs.symmetry import _halton, _search_matrix
+from noether_lcs.symmetry import (
+    _halton,
+    _monomial_columns,
+    _monomials,
+    _polynomial,
+    _search_matrix,
+)
 from test_banded import lagrangian_source
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -59,6 +67,19 @@ def test_catalog_axis_must_be_an_integer(name):
         nl.catalog_generator(name, 2)
 
 
+@pytest.mark.parametrize("name", ["galilean2", "space-translation2", "galileanx"])
+def test_catalog_family_is_bare_or_followed_by_a_dash_and_axis(name):
+    with pytest.raises(nl.ValidationError, match=f"unknown catalog generator '{name}'"):
+        nl.catalog_generator(name, 2)
+
+
+def test_affine_generator_names_the_shape_it_expects():
+    with pytest.raises(nl.ValidationError, match=r"X coefficient table must have shape \(2, 4\)"):
+        nl.affine_generator(2, [0, 1, 0, 0], [[0, 0, 1]])
+    with pytest.raises(nl.ValidationError, match="T coefficient vector must have length 4"):
+        nl.affine_generator(2, [0, 1], [[0, 0, 1]])
+
+
 def test_generator_dimension_mismatch():
     T = nl.catalog_generator("time-translation", 2).T
     with pytest.raises(nl.ValidationError):
@@ -69,6 +90,97 @@ def test_total_time_derivative_affine():
     g = nl.affine_generator(1, [0.0, 1.0, 2.0], np.zeros((1, 3)))
     # T = t + 2 x1, so T' = 1 + 2 v1
     assert nl.total_time_derivative(g.T, 0.5, [1.0], [3.0]) == pytest.approx(7.0)
+
+
+def tree_polynomial(coeffs, monomials, dim):
+    """sum c_k m_k compiled from its DSL tree, the reference of the
+    coefficient engine: the terms Const(c), Const(c)*z_i and
+    (Const(c)*z_i)*z_j, without the zero ones, added from the left (a
+    monomial's index -1 is a factor 1, left out)."""
+    z = [Var("t", 0)] + [Var("x", i) for i in range(1, dim + 1)]
+    tree = None
+    for c, mono in zip(coeffs, monomials):
+        if c == 0.0:
+            continue
+        term = Const(float(c))
+        for i in mono:
+            if i >= 0:
+                term = Binary("*", term, z[i])
+        tree = term if tree is None else Binary("+", tree, term)
+    return nl.compile_field(Const(0.0) if tree is None else tree, dim)
+
+
+@PROPERTY
+@given(
+    dim=st.integers(1, 4),
+    degrees=st.sampled_from([(0, 1), (1, 2)]),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_polynomial_engine_equals_the_compiled_tree(dim, degrees, n, seed):
+    # the value bit for bit, and every partial equal as a float: where the
+    # tree's program multiplies c < 0 by a unit vector's 0 it can carry a
+    # -0.0 that the engine, adding only the nonzero products, carries as 0.0
+    rng = np.random.default_rng(seed)
+    monomials = _monomials(dim, degrees)
+    k = len(monomials)
+    coeffs = rng.uniform(-1.0, 1.0, k) * 10.0 ** rng.integers(-3, 4, k)
+    coeffs[rng.random(k) < 0.3] = 0.0
+    t, x, v = (rng.uniform(-2.0, 2.0, shape) for shape in (n, (n, dim), (n, dim)))
+    t[rng.random(n) < 0.2] = 0.0
+    x[rng.random((n, dim)) < 0.2] = 0.0
+    engine, tree = _polynomial(coeffs, monomials, dim), tree_polynomial(coeffs, monomials, dim)
+    for point in ((t, x, v), (t[0], x[0], v[0])):
+        for order in (0, 1, 2):
+            got, want = engine.jets(*point, order), tree.jets(*point, order)
+            assert type(got.value) is type(want.value)
+            assert np.asarray(got.value).tobytes() == np.asarray(want.value).tobytes()
+            for a, b in ((got.grad, want.grad), (got.hess, want.hess)):
+                assert type(a) is type(b)
+                if b is not None:
+                    assert a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+            assert got.kinks is None and want.kinks is None
+
+
+def loop_monomial_columns(monomials, ts, xs, vs):
+    """The monomials' values and total time derivatives along the curve by
+    the product rule, one factor of z = (t, x) at a time: the reference of
+    the vectorised columns."""
+    z, w = np.column_stack([ts, xs]), np.column_stack([np.ones_like(ts), vs])
+    out = np.empty((2, len(ts), len(monomials)))
+    for k, mono in enumerate(monomials):
+        val, der = np.ones_like(ts), np.zeros_like(ts)
+        for i in mono:
+            if i >= 0:
+                val, der = val * z[:, i], der * z[:, i] + val * w[:, i]
+        out[:, :, k] = val, der
+    return out
+
+
+@PROPERTY
+@given(dim=st.integers(1, 4), seed=st.integers(0, 1000))
+def test_monomial_columns_equal_the_product_rule_loop(dim, seed):
+    ts, xs, vs = nl.SamplingConfig(count=30, seed=seed).samples(dim)
+    xs[0], vs[1] = 0.0, 0.0
+    monomials = _monomials(dim, (0, 1, 2))
+    got = _monomial_columns(monomials, ts, xs, vs)
+    want = loop_monomial_columns(monomials, ts, xs, vs)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_catalog_and_gauged_generators_survive_pickling():
+    L = nl.compile_field("v1^2/2 + v2^2/2 - x1*x2 + t*v1", dim=2)
+    ts, xs, vs = nl.SamplingConfig(count=20).samples(2)
+    for g in (
+        nl.catalog_generator("rotation-12", 2),
+        nl.fit_gauge(L, nl.catalog_generator("galilean-2", 2)),
+    ):
+        h = pickle.loads(pickle.dumps(g))
+        assert h.name == g.name and (h.F is None) == (g.F is None)
+        fields = [(g.T, h.T), *zip(g.X, h.X)] + ([(g.F, h.F)] if g.F else [])
+        for a, b in fields:
+            assert np.array_equal(a(ts, xs, vs), b(ts, xs, vs))
+            assert a(ts[0], xs[0], vs[0]) == b(ts[0], xs[0], vs[0])
 
 
 def test_extended_generator_boost():
@@ -128,10 +240,15 @@ def test_invariance_dilation_kepler_style():
     assert rep.passed
 
 
+# the coefficients of galilean-1 at dim 1: T = 0, X = t
+BOOST_T, BOOST_X = np.zeros(3), np.array([[0.0, 1.0, 0.0]])
+
+
 def test_invariance_residual_linear_in_generator(free_particle):
     g = nl.catalog_generator("galilean-1", 1)
+    g3 = nl.affine_generator(1, 3.0 * BOOST_T, 3.0 * BOOST_X)
     r1 = nl.invariance_residual(free_particle, g, 0.3, [1.0], [2.0])
-    r2 = nl.invariance_residual(free_particle, g.scaled(3.0), 0.3, [1.0], [2.0])
+    r2 = nl.invariance_residual(free_particle, g3, 0.3, [1.0], [2.0])
     assert r2 == pytest.approx(3.0 * r1)
 
 
@@ -139,8 +256,10 @@ def test_invariance_residual_linear_in_gauged_generator(free_particle):
     # F = t x1: the gauged residual is v1 - (x1 + t v1) = 0.4 at this point
     g = nl.catalog_generator("galilean-1", 1)
     g = nl.SymmetryGenerator(dim=1, T=g.T, X=g.X, F=nl.compile_field("t*x1", 1))
+    g3 = nl.affine_generator(1, 3.0 * BOOST_T, 3.0 * BOOST_X)
+    g3 = nl.SymmetryGenerator(dim=1, T=g3.T, X=g3.X, F=nl.compile_field("3*t*x1", 1))
     r1 = nl.invariance_residual(free_particle, g, 0.3, [1.0], [2.0])
-    r2 = nl.invariance_residual(free_particle, g.scaled(3.0), 0.3, [1.0], [2.0])
+    r2 = nl.invariance_residual(free_particle, g3, 0.3, [1.0], [2.0])
     assert r1 == pytest.approx(0.4)
     assert r2 == pytest.approx(3.0 * r1)
 
@@ -322,22 +441,34 @@ def test_conservation_reads_each_field_once_at_every_grid_size(monkeypatch):
     g = nl.fit_gauge(L, nl.catalog_generator("rotation-12", 2))
     assert g.F is not None
     C = nl.noether_first_integral(L, g)
-    tree = nl.parse(src, 2)
-    evaluate = nl.dsl.evaluate
-    calls = []
-
-    def counting(e, t, x, v, order=0):
-        calls.append((e.expr == tree, order))
-        return evaluate(e, t, x, v, order=order)
-
-    monkeypatch.setattr(nl.dsl, "evaluate", counting)
+    calls = count_jets(monkeypatch, nl.parse(src, 2))
     space = nl.make_space(2, [1.0, 1.0], 2)
     for n in (10, 100, 1000):
         calls.clear()
         x = nl.Curve.from_function(space, nl.Grid(0.0, 1.0, n), lambda t: [t, t * t])
         nl.verify_conservation(C, x, tol=1e-6)
         # one order-1 jet of L; one value of T, X1, X2 and F
-        assert sorted(calls) == [(False, 0)] * 4 + [(True, 1)]
+        assert sorted(calls) == [("L", 1)] + [("polynomial", 0)] * 4
+
+
+def count_jets(monkeypatch, tree):
+    """Record each engine request as (who, order): "L" for the compiled
+    field of ``tree``, "dsl" for any other compiled field and "polynomial"
+    for a generator polynomial."""
+    calls = []
+    evaluate, polynomial = nl.dsl.evaluate, nl.symmetry._Polynomial.__call__
+
+    def counting_evaluate(e, t, x, v, order=0):
+        calls.append(("L" if e.expr == tree else "dsl", order))
+        return evaluate(e, t, x, v, order=order)
+
+    def counting_polynomial(self, t, x, v, order):
+        calls.append(("polynomial", order))
+        return polynomial(self, t, x, v, order)
+
+    monkeypatch.setattr(nl.dsl, "evaluate", counting_evaluate)
+    monkeypatch.setattr(nl.symmetry._Polynomial, "__call__", counting_polynomial)
+    return calls
 
 
 def per_point_values(C, x):
@@ -458,31 +589,7 @@ def test_found_generators_keep_their_coefficients(free_particle):
     for g in gens:
         gauged = nl.fit_gauge(free_particle, g)
         assert np.array_equal(gauged.coefficients, g.coefficients)
-        assert np.array_equal(g.scaled(2.5).coefficients, 2.5 * g.coefficients)
     assert nl.catalog_generator("dilation", 1).coefficients is None
-
-
-def test_scaled_compiled_field_keeps_exact_second_partials(monkeypatch):
-    from noether_lcs.symmetry import _scale_field
-
-    def no_fd(*args, **kwargs):
-        raise AssertionError("finite-difference Hessian reached")
-
-    monkeypatch.setattr(nl.ScalarField, "_at_point", no_fd)
-    f = nl.compile_field("x1^2*v2 + sin(t)*x2*v1^2 + t^3", dim=2)
-    scaled = _scale_field(f, -1.5)
-    rng = np.random.default_rng(4)
-    ts = rng.uniform(-1, 1, 5)
-    xs, vs = rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, (5, 2))
-    for pair in ("tt", "xx", "xv", "vx", "vv"):
-        assert np.array_equal(
-            scaled.second_partial(pair, ts, xs, vs),
-            -1.5 * f.second_partial(pair, ts, xs, vs),
-        )
-        assert np.array_equal(
-            scaled.second_partial(pair, ts[0], xs[0], vs[0]),
-            -1.5 * f.second_partial(pair, ts[0], xs[0], vs[0]),
-        )
 
 
 def test_stacked_invariance_residual_matches_per_sample():
@@ -499,20 +606,12 @@ def test_invariance_residual_asks_each_field_for_one_jet(monkeypatch):
     src = "v1^2/2 + v2^2/2 - x1*x2 + t*v1"
     L = nl.compile_field(src, dim=2)
     g = nl.catalog_generator("rotation-12", 2)
-    tree = nl.parse(src, 2)
-    calls = []
-    evaluate = nl.dsl.evaluate
-
-    def counting(e, t, x, v, order=0):
-        calls.append((e.expr == tree, order))
-        return evaluate(e, t, x, v, order=order)
-
-    monkeypatch.setattr(nl.dsl, "evaluate", counting)
+    calls = count_jets(monkeypatch, nl.parse(src, 2))
     ts, xs, vs = nl.SamplingConfig(count=40).samples(2)
     nl.invariance_residual(L, g, ts, xs, vs)
-    assert [order for is_L, order in calls if is_L] == [1]
+    assert [order for who, order in calls if who == "L"] == [1]
     # and one order-1 jet of T and of each X component
-    assert sorted(calls) == [(False, 1)] * 3 + [(True, 1)]
+    assert sorted(calls) == [("L", 1)] + [("polynomial", 1)] * 3
 
 
 def test_gauged_check_asks_the_lagrangian_for_one_jet(free_particle, monkeypatch):
@@ -610,30 +709,29 @@ def test_search_matrix_reads_the_lagrangian_through_one_jet(monkeypatch):
     L = nl.compile_field(src, dim)
     tree = L.jets.expr
     jets, compiles = [], []
-    evaluate, compile_field = nl.dsl.evaluate, nl.symmetry.compile_field
+    evaluate, compile_node = nl.dsl.evaluate, nl.dsl._compile
 
     def counting_evaluate(e, t, x, v, order=0):
         if e.expr is tree:
             jets.append(order)
         return evaluate(e, t, x, v, order=order)
 
-    def counting_compile(source, d):
-        compiles.append(source)
-        return compile_field(source, d)
+    def counting_compile(e, m):
+        compiles.append(e)
+        return compile_node(e, m)
 
     monkeypatch.setattr(nl.dsl, "evaluate", counting_evaluate)
-    monkeypatch.setattr(nl.symmetry, "compile_field", counting_compile)
+    monkeypatch.setattr(nl.dsl, "_compile", counting_compile)
     ts, xs, vs = nl.SamplingConfig(count=60).samples(dim)
     _search_matrix(L, ts, xs, vs)
     assert jets == [1] and compiles == []
     # the search: that one jet, then one more on the fresh samples that
-    # check every candidate, and one compiled generator (dim + 1 fields) per
-    # vector returned
+    # check every candidate; the generators it returns are coefficient
+    # tables, so nothing is compiled
     jets.clear()
     found = nl.find_affine_symmetries(L)
     assert len(found) == 4  # time translation and the three rotations
-    assert jets == [1, 1]
-    assert len(compiles) == (dim + 1) * len(found)
+    assert jets == [1, 1] and compiles == []
 
 
 def search_verdicts(L, samples=nl.SamplingConfig()):
