@@ -104,14 +104,17 @@ def block_band(diagonals: dict) -> np.ndarray:
 
 def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A @ x for the square matrix A in band storage ab (see ``block_band``),
-    x a vector or a stack of columns; the diagonal first, then each pair of
-    off-diagonals d = 1..u, the upper one before the lower."""
+    x a vector or an (N, k) stack of columns; the diagonal first, then each
+    pair of off-diagonals d = 1..u, the upper one before the lower.  A stack
+    is multiplied one contiguous column at a time, so each column has the
+    bits of the vector's product."""
+    if x.ndim == 2:
+        return np.array([band_matvec(ab, col) for col in np.ascontiguousarray(x.T)]).T
     u = len(ab) // 2
-    a = ab.reshape(ab.shape + (1,) * (x.ndim - 1))
-    y = a[u] * x
+    y = ab[u] * x
     for d in range(1, u + 1):
-        y[:-d] += a[u - d, d:] * x[d:]
-        y[d:] += a[u + d, :-d] * x[:-d]
+        y[:-d] += ab[u - d, d:] * x[d:]
+        y[d:] += ab[u + d, :-d] * x[:-d]
     return y
 
 

@@ -21,10 +21,10 @@ from .fields import ScalarField
 from .spaces import Space, ValidationError
 
 _EPS = np.finfo(float).eps
-_BLOCK_EXTRA = 8  # Jacobi eigensolve block size: max(2k, k + _BLOCK_EXTRA)
+_BLOCK_EXTRA = 8  # Jacobi eigensolve block size: min(2k, k + _BLOCK_EXTRA)
 _RESIDUAL_TOL = 64.0  # converged: each wanted |Aq - theta q| <= this eps max|A|
 _MAX_SWEEPS = 100  # then the eigensolve raises SolverError
-_SHIFT_TOL = 2.0**-30  # width of the shift bisection, in units of max|A|
+_SHIFT_TOL = 2.0**-30  # first shift below the Gershgorin bound, in units of max|A|
 
 
 @dataclass(frozen=True)
@@ -123,15 +123,15 @@ def negative_second_variation_witness(
 def _lowest_eigenpairs(ab, k) -> Tuple[np.ndarray, np.ndarray]:
     """The k smallest eigenvalues, ascending, and unit eigenvectors (columns)
     of the symmetric band matrix ab (see ``block_band``): block subspace
-    iteration with Rayleigh-Ritz on one banded Cholesky factor of A - sigma I
-    (LAPACK pbtrf/pbtrs), from a seeded block of max(2k, k + 8) columns, so
-    equal eigenvalues get the same orthonormal basis of their eigenspace on
-    every run.  sigma is bisected up from a Gershgorin bound to just below the
-    smallest eigenvalue ("A - sigma I factors" is the Sturm test), so the rate
-    does not depend on where the spectrum lies; a shift above the Rayleigh
-    quotient of two inverse-iteration steps, by the bisection's width, cannot
-    factor and is not tried.  Each pair has |Aq - theta q| <= _RESIDUAL_TOL
-    eps max|A|, checked with a product by A."""
+    iteration with Rayleigh-Ritz on a banded Cholesky factor of A - sigma I
+    (LAPACK pbtrf/pbtrs), from a seeded block of min(2k, k + 8) columns
+    (Bathe), so equal eigenvalues get the same orthonormal basis of their
+    eigenspace on every run.  sigma starts just below a Gershgorin bound and,
+    until the lowest pair converges, each sweep moves it up to the lowest
+    Ritz value less its residual, a lower bound of some eigenvalue.  "A -
+    sigma I factors" (the Sturm test) certifies sigma < lambda_1, and a move
+    that does not factor is halved, down to 16 eps max|A|.  Each pair has
+    |Aq - theta q| <= _RESIDUAL_TOL eps max|A|, checked with a product by A."""
     from scipy.linalg import get_lapack_funcs, qr, solve_triangular
 
     ab = np.asarray_chkfinite(ab)
@@ -146,33 +146,32 @@ def _lowest_eigenpairs(ab, k) -> Tuple[np.ndarray, np.ndarray]:
         chol, info = pbtrf(band, lower=1)
         return chol if info == 0 else None
 
-    # the smallest eigenvalue lies between the Gershgorin bound and the
-    # smallest diagonal entry; one width below the bound, A - sigma I factors
     radius = np.sum(np.abs(ab), axis=0) - np.abs(ab[u])  # column c of ab is A's column c
-    sigma, hi = float(np.min(ab[u] - radius)) - _SHIFT_TOL * scale, float(np.min(ab[u]))
+    sigma = float(np.min(ab[u] - radius)) - _SHIFT_TOL * scale
     chol = factor(sigma)
-    p = min(size, max(2 * k, k + _BLOCK_EXTRA))
-    start = np.random.default_rng(0).uniform(-1.0, 1.0, (size, p))
-    x = pbtrs(chol, start[:, 0], lower=1)[0]  # two inverse-iteration steps, then rho
-    x = pbtrs(chol, x / np.linalg.norm(x), lower=1)[0]
-    bound = float(x @ band_matvec(ab, x)) / float(x @ x) + _SHIFT_TOL * scale
-    while hi - sigma > _SHIFT_TOL * scale:
-        mid = 0.5 * (sigma + hi)
-        trial = None if mid > bound else factor(mid)
-        sigma, hi, chol = (sigma, mid, chol) if trial is None else (mid, hi, trial)
-    q = qr(start, mode="economic")[0]
+    p = min(size, 2 * k, k + _BLOCK_EXTRA)
+    q = qr(np.random.default_rng(0).uniform(-1.0, 1.0, (size, p)), mode="economic")[0]
     for sweep in range(1, _MAX_SWEEPS + 1):
         v, t = qr(pbtrs(chol, q, lower=1)[0], mode="economic", check_finite=False)
         av = q @ solve_triangular(t, np.eye(p))  # (A - sigma I) v, with no product by A
         theta, y = np.linalg.eigh(v.T @ av)
         q = v @ y
-        worst = float(np.max(np.linalg.norm(av @ y[:, :k] - q[:, :k] * theta[:k], axis=0)))
+        res = np.linalg.norm(av @ y[:, :k] - q[:, :k] * theta[:k], axis=0)
+        worst = float(np.max(res))
         if worst <= tol:  # av is an estimate: confirm with a product by A
             lam = sigma + theta[:k]
             q_k = q[:, :k]
             worst = float(np.max(np.linalg.norm(band_matvec(ab, q_k) - q_k * lam, axis=0)))
             if worst <= tol:
                 return lam, q_k
+        # sigma stays once pair 1 has converged: nearer lambda_1 the others stall
+        move = float(theta[0] - res[0]) if res[0] > tol else 0.0
+        while move > tol / 4:
+            trial = factor(sigma + move)
+            if trial is not None:
+                sigma, chol = sigma + move, trial
+                break
+            move /= 2
     raise SolverError(
         f"Jacobi eigensolve for k={k} did not converge in {sweep} sweeps "
         f"(worst Ritz residual {worst:.3e}, max|A| {scale:.3e})"

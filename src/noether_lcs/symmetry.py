@@ -66,16 +66,24 @@ class SymmetryGenerator:
 # -- polynomials in z = (t, x) -------------------------------------------
 
 
-def _monomials(dim: int, degrees) -> list:
+@lru_cache
+def _monomials(dim: int, degrees: tuple) -> tuple:
     """The monomials z_i z_j of z = (t, x1..x<dim>, 1) of the given degrees
     (0, 1, 2) as index pairs (i, j) into z, with -1 for its last entry 1: by
     degree and then row-major with i <= j.  Degrees 0-1 span the affine
     generators, degrees 1-2 the gauge of ``fit_gauge``; a coefficient vector
-    over this table is a polynomial (``_Polynomial``)."""
+    over this table is a polynomial (``_Polynomial``).  Cached, so every
+    generator of a search shares one table: the table is a tuple."""
     n = dim + 1
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    by_degree = ([(-1, -1)], [(i, -1) for i in range(n)], pairs)
-    return [mono for d in degrees for mono in by_degree[d]]
+    table = []
+    for d in degrees:
+        if d == 0:
+            table.append((-1, -1))
+        elif d == 1:
+            table += [(i, -1) for i in range(n)]
+        else:
+            table += [(i, j) for i in range(n) for j in range(i, n)]
+    return tuple(table)
 
 
 def _monomial_columns(monomials, ts, xs, vs) -> np.ndarray:

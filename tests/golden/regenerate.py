@@ -3,8 +3,10 @@ writes on each case, and each run's exit code.
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-rewrites every golden file from the package on the path.  A change that
-moves a number regenerates them and says which fields moved.  Each run's
+rewrites every golden file from the package on the path, and for each file
+whose bytes changed prints how many of its numbers moved and their largest
+relative change.  A change that moves a number regenerates them and says
+which fields moved.  Each run's
 files sit in ``<case>/<run>/``, where a run is a command,
 ``legendre-seed-curve`` and ``jacobi-seed-curve`` (the two commands on the
 case's golden ``solve`` curve, read back through ``--seed-curve``), or
@@ -20,6 +22,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
+import re
 import shutil
 import sys
 import tempfile
@@ -40,6 +44,8 @@ CASES = {
     "transcendental_d2": GOLDEN / "transcendental_d2.json",
 }
 EXIT_CODES = GOLDEN / "exit_codes.json"
+# a decimal number that is not part of a name such as x1 or mode_2
+_NUMBER = re.compile(rb"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 _PLAIN = ("solve", "legendre", "jacobi", "check-invariance", "find-symmetries", "audit-diff")
 
 
@@ -87,9 +93,31 @@ def normalised(problem: Path, argv, out) -> dict:
     return files
 
 
+def moved(old, new: bytes) -> str:
+    """What a rewrite changed in a file: nothing, the count of its numbers
+    that moved and their largest change relative to the old value, or a
+    note that more than its numbers changed."""
+    if old is None:
+        return " (new file)"
+    if old == new:
+        return ""
+    if _NUMBER.sub(b"#", old) != _NUMBER.sub(b"#", new):
+        return ": more than its numbers changed"
+    pairs = [(float(a), float(b)) for a, b in zip(_NUMBER.findall(old), _NUMBER.findall(new))
+             if a != b]
+    worst = max((abs(b - a) / abs(a) if a else math.inf for a, b in pairs), default=0.0)
+    return f": {len(pairs)} numbers moved, largest relative change {worst:.3g}"
+
+
+def write(path: Path, data: bytes, old) -> None:
+    path.write_bytes(data)
+    print(f"wrote {path}{moved(old, data)}")
+
+
 def main() -> int:
     codes = {}
     for case, problem in CASES.items():
+        old = {p: p.read_bytes() for p in (GOLDEN / case).rglob("*") if p.is_file()}
         shutil.rmtree(GOLDEN / case, ignore_errors=True)
         codes[case] = {}
         for run, argv in runs(case).items():
@@ -97,10 +125,9 @@ def main() -> int:
             folder = GOLDEN / case / run
             folder.mkdir(parents=True)
             for name, data in files.items():
-                (folder / name).write_bytes(data)
-                print(f"wrote {folder / name}")
-    EXIT_CODES.write_text(json.dumps(codes, indent=2) + "\n")
-    print(f"wrote {EXIT_CODES}")
+                write(folder / name, data, old.get(folder / name))
+    old = EXIT_CODES.read_bytes() if EXIT_CODES.exists() else None
+    write(EXIT_CODES, (json.dumps(codes, indent=2) + "\n").encode(), old)
     return 0
 
 

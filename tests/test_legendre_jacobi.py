@@ -285,9 +285,10 @@ def near_equal(dim, spread=1e-5):
         (1.0, 200, *near_equal(16)),
         (1.0, 100, *near_equal(32)),
         (1.0, 200, *near_equal(16, spread=1e-6)),
+        (1.0, 200, *near_equal(64, spread=1e-6)),
     ],
     ids=["n800", "n3200", "n800-indefinite", "n3200-indefinite", "p1e4", "long",
-         "d16-clustered", "d32-clustered", "d16-clustered-1e-6"],
+         "d16-clustered", "d32-clustered", "d16-clustered-1e-6", "d64-clustered-1e-6"],
 )
 def test_jacobi_eigenvalues_are_exact_to_roundoff(length, n, c, p):
     # R = diag(c), Q = 0 and a diagonal S decouple the coordinates into
@@ -321,40 +322,55 @@ def test_jacobi_eigen_raises_rather_than_return_unconverged_pairs(monkeypatch):
 
 
 @contextlib.contextmanager
-def counted_choleskys():
-    """The list of LAPACK pbtrf calls (band Choleskys) made in the block."""
+def counted_band_calls():
+    """The LAPACK band Cholesky factorizations (pbtrf) and solves (pbtrs)
+    made in the block, by name; the eigensolve makes one solve per sweep."""
     import scipy.linalg
 
-    real, calls = scipy.linalg.get_lapack_funcs, []
+    real, calls = scipy.linalg.get_lapack_funcs, {"pbtrf": [], "pbtrs": []}
 
-    def counted(f):
+    def counted(f, name):
         def call(*args, **kwargs):
-            calls.append(f)
+            calls[name].append(f)
             return f(*args, **kwargs)
 
         return call
 
     def get_lapack_funcs(names, *args, **kwargs):
         funcs = real(names, *args, **kwargs)
-        return [counted(f) if name == "pbtrf" else f for name, f in zip(names, funcs)]
+        return [counted(f, name) if name in calls else f for name, f in zip(names, funcs)]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scipy.linalg, "get_lapack_funcs", get_lapack_funcs)
         yield calls
 
 
-def test_the_eigensolve_of_the_d3_oscillator_chain_makes_at_most_16_band_choleskys():
-    # the analyze benchmark's d3 n=800 oscillator (seed 1); a bisection that
-    # factors every shift makes 31 band Choleskys here
+def test_the_eigensolve_of_the_d3_oscillator_chain_makes_at_most_6_band_choleskys():
+    # the analyze benchmark's d3 n=800 oscillator (seed 1): the Gershgorin
+    # factor and a few moves of the shift toward the lowest Ritz value
     grid = nl.Grid(0.0, 1.0, 800)
     c, k = np.array([1.275, 1.127, 1.521]), np.array([1.767, 0.599, 1.548])
     eye = np.repeat(np.eye(3)[None], grid.n + 1, axis=0)
     ops = nl.JacobiOperators(grid=grid, R=c * eye, Q=0.0 * eye, S=-k * eye)
-    with counted_choleskys() as calls:
+    with counted_band_calls() as calls:
         pairs = nl.jacobi_eigen(ops, grid, 3)
-    assert 1 <= len(calls) <= 16
+    assert 1 <= len(calls["pbtrf"]) <= 6
     j = np.arange(1, 4)[:, None]
     exact = np.sort(4.0 * c / grid.h**2 * np.sin(j * np.pi / (2 * grid.n)) ** 2 - k, axis=None)[:3]
     scale = float(np.max(2.0 * c / grid.h**2 - k))
     assert np.max(np.abs(np.array([lam for lam, _ in pairs]) - exact)) <= np.finfo(float).eps * scale
 
+
+@pytest.mark.parametrize(("dim", "n"), [(16, 400), (64, 200)])
+@pytest.mark.parametrize("spread", [1e-1, 1e-6])
+def test_clustered_chains_converge_within_25_sweeps(dim, n, spread):
+    # at spread 1e-6 the 64 lowest eigenvalues lie within 1e-5 of each other,
+    # about 1e-10 max|A|: only a shift that follows the Ritz values into the
+    # cluster separates them in the inverted spectrum.  These take 11 to 22
+    grid = nl.Grid(0.0, 1.0, n)
+    c, p = near_equal(dim, spread)
+    R = np.repeat(np.diag(c)[None], n + 1, axis=0)
+    S = np.repeat(np.diag(p)[None], n + 1, axis=0)
+    with counted_band_calls() as calls:
+        nl.jacobi_eigen(nl.JacobiOperators(grid=grid, R=R, Q=np.zeros_like(R), S=S), grid, 3)
+    assert 1 <= len(calls["pbtrs"]) <= 25
