@@ -86,11 +86,12 @@ def stencil_derivative(values: np.ndarray, h: float, order: int) -> np.ndarray:
 
 
 def block_band(diagonals: dict) -> np.ndarray:
-    """LAPACK band storage ab[u + r - c, c] = A[r, c], as read by
-    ``scipy.linalg.solve_banded((u, u), ab, b)``, of a square matrix of
-    m x m blocks.  ``diagonals[d]`` stacks the blocks of block diagonal d in
-    order (block row I holds one at block column I + d); the scalar
-    half-bandwidth is u = (max |d| + 1) m - 1 = (len(ab) - 1) / 2."""
+    """LAPACK band storage ab[u + r - c, c] = A[r, c] of a square matrix of
+    m x m blocks, read by gbsv below u fill rows, as in the Newton step and
+    ``scipy.linalg.solve_banded((u, u), ab, b)``.  ``diagonals[d]`` stacks
+    the blocks of block diagonal d in order (block row I holds one at block
+    column I + d); the scalar half-bandwidth is
+    u = (max |d| + 1) m - 1 = (len(ab) - 1) / 2."""
     nb, m = len(diagonals[0]), diagonals[0].shape[1]
     u = (max(abs(d) for d in diagonals) + 1) * m - 1
     ab = np.zeros((2 * u + 1, nb * m))

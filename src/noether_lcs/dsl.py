@@ -276,13 +276,14 @@ def to_string(e: Expression) -> str:
 # z = (t, x1..xm, v1..vm) of ``fields.slots``.  Values have shape S = () at
 # one point and S = (N,) on a stack of N points; gradients and Hessians have
 # shapes that broadcast to S + (n,) and S + (n, n), and ``evaluate`` fills
-# the root's to those shapes once.  None stands for an identically zero
-# gradient or Hessian, so constants and linear terms carry no derivative
-# arithmetic, and orders 0 and 1 carry no Hessians at all.  A tree is
-# compiled once into one closure per node, a tuple r = (step, *captured) run
-# as r[0](r, c), a sixth of a Python closure's memory: steps, slots, unit
-# gradients and constants are fixed then, and subtrees without variables are
-# folded to constants.
+# the root's to those shapes once; u^2 has the constant f'' = 2, so the
+# Hessian of a quadratic form stays one (n, n) matrix until then.  None
+# stands for an identically zero gradient or Hessian, so constants and linear
+# terms carry no derivative arithmetic, and orders 0 and 1 no Hessians.  A
+# tree is compiled once into one closure per node, a tuple r = (step,
+# *captured) run as r[0](r, c), a sixth of a Python closure's memory: steps,
+# slots, unit gradients and constants are fixed then, and subtrees without
+# variables are folded to constants.
 
 # f' and f'' of each unary function at u, from u and f(u); where they do not
 # exist, sqrt raises and abs lists the points as kinks
@@ -401,7 +402,10 @@ def _power(r, c):  # zero is None for a positive integer exponent: no checks
     f0 = u0**p
     if ug is None:
         return (f0, None, None) if order else f0
-    f2 = None if p == 1.0 or order < 2 else p * (p - 1.0) * u0 ** (p - 2.0)
+    if p == 2.0:  # u^0 is 1 for every u, NaN and inf too: f'' = 2 is one scalar
+        f2 = np.float64(2.0)
+    else:
+        f2 = None if p == 1.0 or order < 2 else p * (p - 1.0) * u0 ** (p - 2.0)
     return _chain(c, f0, ug, uh, p * u0 ** (p - 1.0), f2)
 
 

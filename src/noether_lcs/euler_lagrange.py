@@ -130,15 +130,18 @@ def _interior_jacobian(L, grid, xs, xd):
 
 def _solve_band(ab, res):
     """The full Newton step -J^{-1} res for the Jacobian J in band storage
-    ab, by one banded LU solve; None when J is singular."""
-    from scipy.linalg import solve_banded
+    ab, by one banded LU solve, LAPACK gbsv as ``scipy.linalg.solve_banded``
+    calls it; None when J is singular."""
+    from scipy.linalg import get_lapack_funcs
 
     u = len(ab) // 2
-    try:
-        step = solve_banded((u, u), ab, -res.reshape(-1), check_finite=False)
-    except np.linalg.LinAlgError:
-        return None
-    return step.reshape(res.shape)
+    lu = np.zeros((3 * u + 1, ab.shape[1]), order="F")  # u fill rows above ab
+    lu[u:] = ab
+    gbsv = get_lapack_funcs("gbsv", (lu,))
+    step, info = gbsv(u, u, lu, -res.reshape(-1), overwrite_ab=1, overwrite_b=1)[2:]
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gbsv")
+    return None if info else step.reshape(res.shape)
 
 
 # the stall rule: an interior residual row at most this many eps times the

@@ -101,6 +101,7 @@ def _check_finite(out, block: str, t, x, v):
     it is not finite."""
     if math.isfinite(out) if type(out) is float else np.isfinite(out).all():
         return out
+    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
     what = "value" if block == "value" else f"partial {block!r}"
     if x.ndim == 1:
         raise EvaluationError(f"non-finite field {what} at t={t}, x={x}, v={v}")
@@ -153,7 +154,8 @@ class ScalarField:
     ``jets(t, x, v, order)`` returns a ``dsl.EvalResult``: the value and
     every partial up to ``order`` (0, 1 or 2) at one point or a whole stack,
     with the rows that have no exact partials listed in ``kinks``.  Without
-    an engine every partial is a finite difference of ``func``.
+    an engine every partial is a finite difference of ``func``; with one,
+    ``func`` is the engine's value, which answers a stack too.
     """
 
     dim: int
@@ -172,8 +174,7 @@ class ScalarField:
     def __call__(self, t, x, v):
         if self.jets is None:
             return self.jet(t, x, v, 0)["value"]
-        x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-        return _check_finite(self.jets(t, x, v, 0).value, "value", t, x, v)
+        return _check_finite(self.func(t, x, v), "value", t, x, v)
 
     def _blocks(self, names, order: int, kind: str, t, x, v):
         """The named blocks of one jet of ``order``: one block for a name,

@@ -120,25 +120,44 @@ def negative_second_variation_witness(
     return h, second_variation(L, x, h)
 
 
+def _qr_step(lapack, size, p):
+    """Q and R^-1 of (size, p) blocks a, overwritten, by the calls of ``lapack``
+    = (geqrf, orgqr, trtrs) that ``scipy.linalg.qr(a, mode="economic")`` and
+    ``solve_triangular(R, I)`` make, so with their bits; qr's work sizes
+    depend on (size, p) alone, so they are queried once."""
+    geqrf, orgqr, trtrs = lapack
+    z, eye = np.zeros((size, p)), np.eye(p)
+    lwork = int(geqrf(z, lwork=-1)[-2][0]), int(orgqr(z, z[0], lwork=-1)[-2][0])
+
+    def qr(a):
+        f, tau = geqrf(a, lwork=lwork[0], overwrite_a=1)[:2]
+        # R = triu(f[:p]) is C-ordered, so solve_triangular hands trtrs R.T
+        r_inv = trtrs(np.triu(f[:p]).T, eye, lower=1, trans=1)[0]
+        return orgqr(f, tau, lwork=lwork[1], overwrite_a=1)[0], r_inv
+
+    return qr
+
+
 def _lowest_eigenpairs(ab, k) -> Tuple[np.ndarray, np.ndarray]:
     """The k smallest eigenvalues, ascending, and unit eigenvectors (columns)
     of the symmetric band matrix ab (see ``block_band``): block subspace
     iteration with Rayleigh-Ritz on a banded Cholesky factor of A - sigma I
-    (LAPACK pbtrf/pbtrs), from a seeded block of min(2k, k + 8) columns
-    (Bathe), so equal eigenvalues get the same orthonormal basis of their
-    eigenspace on every run.  sigma starts just below a Gershgorin bound and,
-    until the lowest pair converges, each sweep moves it up to the lowest
-    Ritz value less its residual, a lower bound of some eigenvalue.  "A -
-    sigma I factors" (the Sturm test) certifies sigma < lambda_1, and a move
-    that does not factor is halved, down to 16 eps max|A|.  Each pair has
-    |Aq - theta q| <= _RESIDUAL_TOL eps max|A|, checked with a product by A."""
-    from scipy.linalg import get_lapack_funcs, qr, solve_triangular
+    (LAPACK pbtrf/pbtrs and ``_qr_step``), from a seeded block of
+    min(2k, k + 8) columns (Bathe), so equal eigenvalues get the same
+    orthonormal basis of their eigenspace on every run.  sigma starts just
+    below a Gershgorin bound and, until the lowest pair converges, each sweep
+    moves it up to the lowest Ritz value less its residual, a lower bound of
+    some eigenvalue.  "A - sigma I factors" (the Sturm test) certifies
+    sigma < lambda_1, and a move that does not factor is halved, down to
+    16 eps max|A|.  Each pair has |Aq - theta q| <= _RESIDUAL_TOL eps max|A|,
+    checked with a product by A."""
+    from scipy.linalg import get_lapack_funcs
 
     ab = np.asarray_chkfinite(ab)
     u, size = len(ab) // 2, ab.shape[1]
     scale = float(np.max(np.abs(ab))) or 1.0
     tol = _RESIDUAL_TOL * _EPS * scale
-    pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
+    pbtrf, pbtrs, *lapack = get_lapack_funcs(("pbtrf", "pbtrs", "geqrf", "orgqr", "trtrs"), (ab,))
     band = np.array(ab[u:], order="F")  # A's lower band; each shift rewrites row 0
 
     def factor(sigma):  # lower band Cholesky factor of A - sigma I, or None
@@ -150,10 +169,11 @@ def _lowest_eigenpairs(ab, k) -> Tuple[np.ndarray, np.ndarray]:
     sigma = float(np.min(ab[u] - radius)) - _SHIFT_TOL * scale
     chol = factor(sigma)
     p = min(size, 2 * k, k + _BLOCK_EXTRA)
-    q = qr(np.random.default_rng(0).uniform(-1.0, 1.0, (size, p)), mode="economic")[0]
+    qr = _qr_step(lapack, size, p)
+    q = qr(np.random.default_rng(0).uniform(-1.0, 1.0, (size, p)))[0]
     for sweep in range(1, _MAX_SWEEPS + 1):
-        v, t = qr(pbtrs(chol, q, lower=1)[0], mode="economic", check_finite=False)
-        av = q @ solve_triangular(t, np.eye(p))  # (A - sigma I) v, with no product by A
+        v, r_inv = qr(pbtrs(chol, q, lower=1)[0])
+        av = q @ r_inv  # (A - sigma I) v, with no product by A
         theta, y = np.linalg.eigh(v.T @ av)
         q = v @ y
         res = np.linalg.norm(av @ y[:, :k] - q[:, :k] * theta[:k], axis=0)

@@ -2,15 +2,20 @@
 
 The dense matrices are assembled here, entry by entry from the stencils, and
 solved with numpy's dense routines; the package itself only builds bands.
+The package's direct LAPACK calls are checked bit for bit against the scipy
+wrappers that make the same calls.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import LinAlgError, get_lapack_funcs, solve_banded, solve_triangular
+from scipy.linalg import qr as scipy_qr
 
 import noether_lcs as nl
 from noether_lcs.curves import band_matvec
 from noether_lcs.euler_lagrange import _covectors, _interior_jacobian, _residual, _solve_band
+from noether_lcs.legendre_jacobi import _qr_step
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -207,3 +212,58 @@ def assert_jacobi_matches_the_dense_eigensolve(n, dim, equal_oscillators, seed, 
             break
         cos = np.linalg.svd(vecs[:, cluster].T @ V[:, mine], compute_uv=False)
         assert 1.0 - np.min(cos) <= 1e-10
+
+
+# The Newton step and the eigensolve call LAPACK themselves; scipy's wrappers
+# stay here as the reference paths, compared bit for bit.
+
+
+@PROPERTY
+@given(
+    u=st.integers(2, 6),
+    m=st.integers(1, 3),
+    blocks=st.integers(1, 12),
+    singular=st.sampled_from([None, "row", "column"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_newton_step_is_solve_bandeds_bit_for_bit(u, m, blocks, singular, seed):
+    # the half-bandwidth u = 3m - 1 of the Newton Jacobian is at least 2, where
+    # solve_banded calls gbsv; it divides instead for one unknown
+    assume(m * blocks >= 2)
+    size = m * blocks
+    rng = np.random.default_rng(seed)
+    ab = rng.normal(size=(2 * u + 1, size)) * 10.0 ** rng.integers(-3, 4, (2 * u + 1, size))
+    j = int(rng.integers(size))
+    if singular == "column":  # column j of A is zero
+        ab[:, j] = 0.0
+    elif singular == "row":  # row j of A, A[j, c] = ab[u + j - c, c], is zero
+        c = np.arange(max(j - u, 0), min(j + u + 1, size))
+        ab[u + j - c, c] = 0.0
+    res = rng.normal(size=(blocks, m))
+    try:
+        want = solve_banded((u, u), ab, -res.reshape(-1), check_finite=False)
+    except LinAlgError:
+        want = None
+    step = _solve_band(ab, res)
+    assert (want is None) == (singular is not None)
+    if want is None:
+        assert step is None
+    else:
+        assert step.shape == res.shape and step.tobytes() == want.tobytes()
+
+
+@PROPERTY
+# p reaches past 128, where LAPACK's QR turns blocked and its work size sets the bits
+@given(size=st.integers(1, 200), p=st.integers(1, 160), seed=st.integers(0, 2**32 - 1))
+def test_the_eigensolve_qr_step_is_scipys_qr_and_triangular_solve_bit_for_bit(size, p, seed):
+    p = min(p, size)
+    rng = np.random.default_rng(seed)
+    qr = _qr_step(get_lapack_funcs(("geqrf", "orgqr", "trtrs"), (np.zeros(1),)), size, p)
+    # one step serves every block of its shape, in either memory order (pbtrs
+    # hands it Fortran-ordered blocks)
+    for order in ("F", "C"):
+        a = rng.uniform(-1.0, 1.0, (size, p)) * 10.0 ** rng.integers(-3, 4, p)
+        want_q, want_r = scipy_qr(a, mode="economic")
+        q, r_inv = qr(np.array(a, order=order))
+        assert q.shape == want_q.shape and q.tobytes() == want_q.tobytes()
+        assert r_inv.tobytes() == solve_triangular(want_r, np.eye(p)).tobytes()

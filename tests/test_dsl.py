@@ -857,3 +857,57 @@ def test_compiled_program_matches_the_tree_walk_bit_for_bit(form, seed, dim):
         for args in (*stacks, *points):
             want = _outcome(expr, *args, order, reference_evaluate)
             assert _outcome(expr, *args, order, evaluate) == want, (to_string(expr), order, args)
+
+
+def _program_root(field, t, x, v, order=2):
+    """The root's (value, gradient, Hessian) of a compiled field's program on
+    a stack, before ``evaluate`` fills them to the stack's shapes."""
+    from noether_lcs.dsl import _Call
+
+    r = field.jets.run
+    with np.errstate(all="ignore"):
+        return r[0](r, _Call(t, x, v, order))
+
+
+@pytest.mark.parametrize(
+    "src, per_point",
+    [("(1.2*v1^2 - 0.7*x1^2)/2 + 0.3*x1*v2", False), ("v1^4", True), ("x1*v1^2", True)],
+)
+def test_a_quadratic_forms_hessian_stays_one_matrix_until_the_root_fill(src, per_point):
+    N, m = 7, 2
+    n = 1 + 2 * m
+    rng = np.random.default_rng(0)
+    t, x, v = rng.uniform(-1, 1, N), rng.uniform(-1, 1, (N, m)), rng.uniform(-1, 1, (N, m))
+    field = compile_field(src, m)
+    hess = _program_root(field, t, x, v)[2]
+    assert hess.shape == ((N,) if per_point else ()) + (n, n)
+    r = evaluate(field.jets, t, x, v, order=2)
+    assert r.hess.shape == (N, n, n)
+    assert r.hess.tobytes() == np.broadcast_to(hess, (N, n, n)).tobytes()
+
+
+_SQUARES = [
+    "v1^2/2 - x1^2",
+    "(1.2*v1^2 - 0.7*x1^2)/2 + 0.3*x1*v2",
+    "(x1 + v1)^2*x2 - (t*v2)^2",
+    "(x1^2 + v2)^2/(1 + v1^2)",
+    "sin(x1)^2 + exp(v1^2) - (-x2)^2",
+    "-(x2 - v1)^2*v1^4",
+]
+_SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.5, -2.0]
+
+
+@pytest.mark.parametrize("src", _SQUARES)
+def test_squares_at_nan_inf_and_negative_zero_match_the_tree_walk_bit_for_bit(src):
+    # every pair of the special values as (x1, v1), the others cycled in x2, v2
+    pairs = [(a, b) for a in _SPECIAL for b in _SPECIAL]
+    k = len(_SPECIAL)
+    x = np.array([[a, _SPECIAL[(i + 2) % k]] for i, (a, _) in enumerate(pairs)])
+    v = np.array([[b, _SPECIAL[(i + 5) % k]] for i, (_, b) in enumerate(pairs)])
+    t = np.linspace(-1.0, 1.0, len(pairs))
+    expr = parse(src, 2)
+    for order in (0, 1, 2):
+        points = [(t[i], x[i], v[i]) for i in range(len(pairs))]
+        for args in ((t, x, v), *points):
+            want = _outcome(expr, *args, order, reference_evaluate)
+            assert _outcome(expr, *args, order, evaluate) == want, (src, order, args)

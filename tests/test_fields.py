@@ -645,3 +645,23 @@ def test_overflowing_lagrangians_raise_at_every_read(src, line_space):
         ):
             with pytest.raises(nl.fields.EvaluationError, match=r"non-finite field value at point \d+: t="):
                 read()
+
+
+def test_a_one_point_call_of_a_field_with_an_engine_calls_func_once():
+    L = nl.compile_field("v1^2/2*exp(1000*x1)", 1)
+    calls = []
+
+    def func(t, x, v):
+        calls.append(x)
+        return L.func(t, x, v)
+
+    def jets(t, x, v, order):
+        raise AssertionError("a value needs no jet")
+
+    field = nl.ScalarField(dim=1, func=func, jets=jets)
+    assert field(0.0, [0.5], [1.0]) == L(0.0, [0.5], [1.0])
+    assert calls == [[0.5]]  # x is handed on as given, not converted first
+    # a value that is not finite names the point as arrays
+    with pytest.raises(nl.fields.EvaluationError) as err:
+        field(0.0, [2.0], [1.0])
+    assert str(err.value) == "non-finite field value at t=0.0, x=[2.], v=[1.]"
