@@ -14,7 +14,6 @@ from .spaces import (
     normal_index,
 )
 from .fields import (
-    FDConfig,
     ScalarField,
     DifferentiabilityAudit,
     directional_derivative,
@@ -23,7 +22,6 @@ from .fields import (
 from .curves import (
     Grid,
     Curve,
-    ActionReport,
     derivative,
     derivative_all,
     curve_seminorm_c1,
@@ -58,7 +56,6 @@ from .symmetry import (
     SymmetryGenerator,
     SamplingConfig,
     InvarianceReport,
-    FirstIntegral,
     ConservationReport,
     affine_generator,
     catalog_generator,

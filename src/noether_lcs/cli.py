@@ -111,8 +111,8 @@ def cmd_solve(prob: ProblemFile, args):
     report.update(
         {
             "residual_max": res.max_norm,
-            "action_value": act.value,
-            "quadrature": act.rule,
+            "action_value": act,
+            "quadrature": "simpson",
             "outputs": {"extremal_csv": csv_path.name},
             "verdicts": {"converged": True},
         }

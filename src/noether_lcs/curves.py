@@ -2,8 +2,9 @@
 
 First and second derivatives use second-order central stencils at interior
 nodes and second-order one-sided stencils at the endpoints, so polynomial
-curves of degree <= 2 are reconstructed exactly at interior nodes.  The action
-functional is composite Simpson quadrature over the grid.
+curves of degree <= 2 are reconstructed exactly at interior nodes.  ``simpson``
+is the one quadrature rule: the action and the first and second variations
+all integrate with it.
 """
 
 from __future__ import annotations
@@ -144,30 +145,32 @@ def curve_seminorm_c2(curve: Curve, p: int) -> float:
     return float(acc + sup_a)
 
 
-@dataclass(frozen=True)
-class ActionReport:
-    value: float
-    rule: str
-    node_count: int
+def simpson(f: np.ndarray, grid: Grid) -> float:
+    """Composite Simpson quadrature over the grid of the node values f,
+    which needs an even N."""
+    from scipy.integrate import simpson as scipy_simpson
 
-
-def action(L: ScalarField, curve: Curve) -> ActionReport:
-    """Simpson quadrature of L(t, x, x') along the curve."""
-    from scipy.integrate import simpson
-
-    grid = curve.grid
     if grid.n % 2 != 0:
         raise ValidationError(f"Simpson quadrature needs an even N, got {grid.n}")
+    return float(scipy_simpson(f, dx=grid.h))
+
+
+def along(f: ScalarField, curve: Curve, phase: str):
+    """f(t, x, x') at every node of the curve in one call on the stack; an
+    EvaluationError there is re-raised naming the phase and the node."""
+    grid = curve.grid
     try:
-        f = L(grid.nodes, curve.values, derivative_all(curve, 1))
+        return f(grid.nodes, curve.values, derivative_all(curve, 1))
     except EvaluationError as err:
         i = err.index
-        raise EvaluationError(
-            f"integrand failed at node {i} (t={grid.nodes[i]}): {err}", index=i
-        )
-    return ActionReport(
-        value=float(simpson(f, dx=grid.h)), rule="simpson", node_count=grid.n + 1
-    )
+        if i is None:
+            raise
+        raise EvaluationError(f"{phase} failed at node {i} (t={grid.nodes[i]}): {err}", index=i)
+
+
+def action(L: ScalarField, curve: Curve) -> float:
+    """Simpson quadrature of L(t, x, x') along the curve."""
+    return simpson(along(L, curve, "integrand"), curve.grid)
 
 
 # -- CSV interchange ----------------------------------------------------
@@ -190,9 +193,14 @@ def write_curve_csv(curve: Curve, path, velocities: bool = False) -> None:
 
 
 def read_curve_csv(space: Space, path) -> Curve:
+    """The curve in a CSV of columns t, x1..xm and any more after them; a file
+    that is not such a table is a ValidationError naming the path and the
+    line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"{path}: line 1: empty file, expected a CSV header")
         cols = [name for name in header if name.startswith("x")]
         if len(cols) != space.dim:
             raise ValidationError(
@@ -200,8 +208,15 @@ def read_curve_csv(space: Space, path) -> Curve:
             )
         ts, rows = [], []
         for row in reader:
-            ts.append(float(row[0]))
-            rows.append([float(z) for z in row[1 : space.dim + 1]])
+            try:
+                if len(row) <= space.dim:
+                    raise ValueError(f"{len(row)} cells, need t and {space.dim} coordinates")
+                ts.append(float(row[0]))
+                rows.append([float(z) for z in row[1 : space.dim + 1]])
+            except ValueError as err:
+                raise ValidationError(f"{path}: line {reader.line_num}: {err}") from None
+    if not ts:
+        raise ValidationError(f"{path}: no rows after the header")
     ts = np.asarray(ts)
     n = len(ts) - 1
     grid = Grid(a=float(ts[0]), b=float(ts[-1]), n=n)

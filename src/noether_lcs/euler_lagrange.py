@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .curves import (Curve, Grid, _check_seed_grid, band_matvec, block_band, derivative_all,
-                     stencil_derivative)
+                     simpson, stencil_derivative)
 from .fields import EvaluationError, ScalarField
 from .spaces import Space, ValidationError, dual_seminorm
 
@@ -69,14 +69,12 @@ def _residual(grid: Grid, lx: np.ndarray, lv: np.ndarray) -> np.ndarray:
 
 def first_variation(L: ScalarField, x: Curve, h: Curve) -> float:
     """Simpson quadrature of dL/dx . h + dL/dv . h' along the curve."""
-    from scipy.integrate import simpson
-
     if x.grid != h.grid or x.space.dim != h.space.dim:
         raise ValidationError("curve and variation must share grid and space")
     _, lx, lv = _covectors(L, x.grid, x.values)
     hd = derivative_all(h, 1)
     f = np.einsum("ni,ni->n", lx, h.values) + np.einsum("ni,ni->n", lv, hd)
-    return float(simpson(f, dx=x.grid.h))
+    return simpson(f, x.grid)
 
 
 @dataclass(frozen=True)

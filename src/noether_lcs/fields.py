@@ -2,19 +2,20 @@
 
 A ScalarField wraps an evaluator ``L(t, x, v)`` and an optional exact-jet
 engine.  ``jet(t, x, v, order)`` gives the value and every partial up to
-``order`` from one engine call, read block by block; ``__call__`` reads the
-value, and ``partial`` and ``second_partial`` read one block, or a tuple of
-blocks (``L.partial(("x", "v"), ...)``) from one jet.  ``BLOCKS`` names the
-blocks and ``slots`` places them in z = (t, x1..xm, v1..vm): a block is
-read from the engine's gradient or Hessian at its slots, or else made by
-central finite differences there, Richardson-extrapolated for a first
-partial and three- or four-point for a second.  Every block handed out is
-finite, or EvaluationError names it and the point.  Points are one point
-(scalar t, x and v of shape (m,)) or a stack of N points (t (N,), x and v
-(N, m)), which gets results with a leading N axis: a field with an engine
-(every compiled field) hands the stack to it, any other loops over it.  The
-module also hosts a numeric audit of the normal-differentiability remainder
-criterion for maps between truncations.
+``order`` from one engine call, read block by block; ``__call__`` is one
+call of the evaluator, and ``partial`` and ``second_partial`` read one
+block, or a tuple of blocks (``L.partial(("x", "v"), ...)``) from one jet.
+``BLOCKS`` names the blocks and ``slots`` places them in
+z = (t, x1..xm, v1..vm): a block is read from the engine's gradient or
+Hessian at its slots, or else made by central finite differences there,
+Richardson-extrapolated for a first partial and three- or four-point for a
+second.  Every block handed out is finite, or EvaluationError names it and
+the point.  Points are one point (scalar t, x and v of shape (m,)) or a
+stack of N points (t (N,), x and v (N, m)), which gets results with a
+leading N axis.  Every evaluator and engine answers both; a finite
+difference probes one point per call.  The module also hosts a numeric
+audit of the normal-differentiability remainder criterion for maps between
+truncations.
 """
 
 from __future__ import annotations
@@ -39,26 +40,18 @@ class EvaluationError(RuntimeError):
         self.index = index
 
 
-@dataclass(frozen=True)
-class FDConfig:
-    """The base step of ``directional_derivative``, scaled by
-    (1 + max |base|); it balances truncation against roundoff for a first
-    derivative."""
-
-    step: float = _EPS ** (1.0 / 3.0)
-
-
-DEFAULT_FD = FDConfig()
 # the base step of a second difference, scaled per slot by (1 + |z_k|)
 _SECOND_STEP = _EPS**0.25
 
 
-def directional_derivative(f, base, h, cfg: FDConfig = DEFAULT_FD):
+def directional_derivative(f, base, h, step: float = _EPS ** (1.0 / 3.0)):
     """Derivative of f at ``base`` along ``h`` by Richardson-extrapolated
-    central differences; works for scalar- and vector-valued f."""
+    central differences; works for scalar- and vector-valued f.  The base
+    ``step``, scaled by (1 + max |base|), balances truncation against
+    roundoff for a first derivative."""
     base = np.asarray(base, dtype=float)
     h = np.asarray(h, dtype=float)
-    eps = cfg.step * (1.0 + float(np.max(np.abs(base))))
+    eps = step * (1.0 + float(np.max(np.abs(base))))
 
     def probe(e):
         val = np.asarray(f(base + e * h), dtype=float)
@@ -114,7 +107,8 @@ def _check_finite(out, block: str, t, x, v):
 class Jet:
     """The value and partials of a field up to ``order`` at one point or a
     stack, from at most one engine call; ``jet[block]`` reads one block (see
-    ``BLOCKS``).  A block the engine did not give (every block of a field
+    ``BLOCKS``).  The value of a field without an engine is one call of
+    ``func``.  A partial the engine did not give (every partial of a field
     without an engine, and the rows where abs() sits at its kink) is made
     point by point from the field's values when it is read, so only the
     blocks read cost finite differences.  The engine's value is checked when
@@ -131,8 +125,8 @@ class Jet:
         if BLOCKS[block] > self.order:
             raise KeyError(block)
         f, t, x, v, r = self.field, self.t, self.x, self.v, self.exact
-        if r is not None and block == "value":
-            return r.value  # checked when the jet was made
+        if block == "value":  # the engine's was checked when the jet was made
+            return f(t, x, v) if r is None else r.value
         if r is not None and r.kinks is None:
             out = _read(block, f.dim, r.grad, r.hess)
         elif x.ndim == 1:
@@ -148,14 +142,14 @@ class Jet:
 
 @dataclass(frozen=True, slots=True)
 class ScalarField:
-    """Evaluator ``func(t, x, v)`` at one point with an optional exact-jet
-    engine.
+    """Evaluator ``func(t, x, v)`` at one point or a stack, with an optional
+    exact-jet engine.
 
     ``jets(t, x, v, order)`` returns a ``dsl.EvalResult``: the value and
     every partial up to ``order`` (0, 1 or 2) at one point or a whole stack,
     with the rows that have no exact partials listed in ``kinks``.  Without
     an engine every partial is a finite difference of ``func``; with one,
-    ``func`` is the engine's value, which answers a stack too.
+    ``func`` is the engine's value.
     """
 
     dim: int
@@ -172,8 +166,6 @@ class ScalarField:
         return Jet(self, t, x, v, order, exact)
 
     def __call__(self, t, x, v):
-        if self.jets is None:
-            return self.jet(t, x, v, 0)["value"]
         return _check_finite(self.func(t, x, v), "value", t, x, v)
 
     def _blocks(self, names, order: int, kind: str, t, x, v):
@@ -203,8 +195,6 @@ class ScalarField:
         """One block at one point from values of the field alone: central
         differences over the block's slots of z = (t, x1..xm, v1..vm), put
         in a gradient or Hessian and read as the engine's are."""
-        if block == "value":
-            return float(self.func(t, x, v))
         m = self.dim
         z = np.concatenate([[t], x, v])
 

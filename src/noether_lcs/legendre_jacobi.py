@@ -15,7 +15,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .curves import Curve, Grid, band_matvec, block_band, derivative_all
+from .curves import Curve, Grid, band_matvec, block_band, derivative_all, simpson
 from .euler_lagrange import SolverError
 from .fields import ScalarField
 from .spaces import Space, ValidationError
@@ -46,8 +46,6 @@ def jacobi_operators(L: ScalarField, x: Curve) -> JacobiOperators:
 def second_variation(L: ScalarField, x: Curve, h: Curve) -> float:
     """Simpson quadrature of h'.R h' + 2 h'.Q h + h.S h for an
     endpoint-vanishing h: the second derivative of ``action`` along h."""
-    from scipy.integrate import simpson
-
     if x.grid != h.grid:
         raise ValidationError("curve and variation must share the grid")
     scale = float(np.max(np.abs(h.values))) or 1.0
@@ -57,7 +55,7 @@ def second_variation(L: ScalarField, x: Curve, h: Curve) -> float:
     hd, hv = derivative_all(h, 1), h.values
     f = np.einsum("ni,nij,nj->n", hd, ops.R, hd) + 2.0 * np.einsum("ni,nij,nj->n", hd, ops.Q, hv)
     f += np.einsum("ni,nij,nj->n", hv, ops.S, hv)
-    return float(simpson(f, dx=x.grid.h))
+    return simpson(f, x.grid)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .dsl import compile_field, has_variables, parse, ParseDiagnostic
 from .euler_lagrange import BoundaryConditions, SolverConfig
 from .fields import ScalarField
 from .spaces import Space, ValidationError, make_space
-from .symmetry import SamplingConfig, SymmetryGenerator, catalog_generator, FirstIntegral
+from .symmetry import SamplingConfig, SymmetryGenerator, catalog_generator
 
 
 class ProblemError(ValueError):
@@ -38,7 +38,7 @@ class ProblemFile:
     lagrangian_source: str
     boundary: Optional[BoundaryConditions]
     generators: Dict[str, SymmetryGenerator]
-    integrals: Dict[str, FirstIntegral]
+    integrals: Dict[str, ScalarField]
     solver: SolverConfig
     tolerances: Dict[str, float]
     sampling: SamplingConfig
@@ -153,12 +153,12 @@ def load_problem(path, grid_n: Optional[int] = None) -> ProblemFile:
             raise ProblemError(f"{path}: generator {name!r}: {err}")
 
     integrals = {}
-    for name, src in _value(path, doc, "integrals", dict, {}).items():
+    section = _value(path, doc, "integrals", dict, {})
+    for name in section:
         try:
-            f = compile_field(src, space.dim)
+            integrals[name] = compile_field(_value(path, section, name, str), space.dim)
         except ParseDiagnostic as err:
             raise ProblemError(f"{path}: integral {name!r}: {err}")
-        integrals[name] = FirstIntegral(dim=space.dim, evaluator=f.func)
 
     sv = _value(path, doc, "solver", dict, {})
     solver = SolverConfig(

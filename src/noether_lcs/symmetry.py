@@ -27,11 +27,11 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .curves import Curve, derivative_all
+from .curves import Curve, along
 from .dsl import EvalResult
 from .fields import EvaluationError, ScalarField
 from .spaces import ValidationError
@@ -392,40 +392,24 @@ def fit_gauge(
 # -- first integrals ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FirstIntegral:
-    """Scalar quantity C(t, x, v) with a conservation-verification contract.
-
-    ``evaluator(t, x, v)`` takes one point (scalar t, x and v of shape
-    (dim,)) or a stack of N points (t of shape (N,), x and v of shape
-    (N, dim)) and gives a scalar or an (N,) array."""
-
-    dim: int
-    evaluator: Callable
-
-    def __call__(self, t, x, v):
-        """C at one point (a float) or at a stack of points (an array)."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        out = self.evaluator(t, x, v)
-        return float(out) if x.ndim == 1 else np.asarray(out, dtype=float)
-
-
-def noether_first_integral(L: ScalarField, g: SymmetryGenerator) -> FirstIntegral:
+def noether_first_integral(L: ScalarField, g: SymmetryGenerator) -> ScalarField:
     """C = [L - dL/dv . v] T + dL/dv . X - F, without the F term when the
-    generator has no gauge: one order-1 jet of L and one value of each
-    generator field, at one point or a stack."""
+    generator has no gauge: a field without an engine whose value is one
+    order-1 jet of L and one value of each generator field, a float at one
+    point and an (N,) array on a stack."""
 
     def evaluator(t, x, v):
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
         lj = L.jet(t, x, v, 1)
         lv = lj["v"]
         X = np.stack([comp(t, x, v) for comp in g.X], axis=-1)
         c = (lj["value"] - _dot(lv, v)) * g.T(t, x, v) + _dot(lv, X)
         if g.F is not None:
             c -= g.F(t, x, v)
-        return c
+        return float(c) if x.ndim == 1 else c
 
-    return FirstIntegral(dim=g.dim, evaluator=evaluator)
+    return ScalarField(g.dim, func=evaluator)
 
 
 def hamiltonian(L: ScalarField, t, x, v):
@@ -451,14 +435,14 @@ class ConservationReport:
         return self.relative_deviation <= self.tol
 
 
-def verify_conservation(C: FirstIntegral, x: Curve, tol: float) -> ConservationReport:
+def verify_conservation(C: ScalarField, x: Curve, tol: float) -> ConservationReport:
     """Evaluate C along the curve with reconstructed velocities, in one call
     on the stack of nodes, and measure the spread around the mean."""
-    vals = C(x.grid.nodes, x.values, derivative_all(x, 1))
+    vals = np.asarray(along(C, x, "first integral"), dtype=float)
     if vals.shape != (x.grid.n + 1,):
         raise ValidationError(
             f"first integral gave shape {vals.shape} on a stack of "
-            f"{x.grid.n + 1} nodes, expected ({x.grid.n + 1},): its evaluator "
+            f"{x.grid.n + 1} nodes, expected ({x.grid.n + 1},): its func "
             f"must take t (N,), x and v (N, {C.dim}) and return (N,)"
         )
     mean = float(np.mean(vals))

@@ -183,9 +183,9 @@ def test_criterion_6_second_variation_identity():
         vals[:, 0] = mode
         h = nl.Curve(x.space, grid, vals)
         d2 = nl.second_variation(L, x, h)
-        j0 = nl.action(L, x).value
-        jp = nl.action(L, nl.Curve(x.space, grid, x.values + eps * vals)).value
-        jm = nl.action(L, nl.Curve(x.space, grid, x.values - eps * vals)).value
+        j0 = nl.action(L, x)
+        jp = nl.action(L, nl.Curve(x.space, grid, x.values + eps * vals))
+        jm = nl.action(L, nl.Curve(x.space, grid, x.values - eps * vals))
         fd = (jp - 2 * j0 + jm) / eps**2
         ok &= abs(d2 - fd) <= 1e-4 * (1 + abs(d2))
     record("6 second-variation identity", ok)
@@ -230,7 +230,7 @@ def test_criterion_8_derivative_engine():
     errs = []
     for step in (2e-2, 1e-2):
         est = nl.directional_derivative(
-            f, np.array([0.3]), np.array([1.0]), nl.fields.FDConfig(step=step)
+            f, np.array([0.3]), np.array([1.0]), step=step
         )
         errs.append(abs(est - exact))
     ok &= errs[0] / max(errs[1], 1e-300) >= 8.0

@@ -357,6 +357,8 @@ def _malformed(doc, case):
         doc["generators"]["g"] = 5
     elif case == "generator-x-not-a-list":
         doc["generators"]["g"] = {"T": "1", "X": "x1"}
+    elif case == "integral-not-a-string":
+        doc["integrals"]["momentum"] = [1]
     return doc
 
 
@@ -378,6 +380,7 @@ def _malformed(doc, case):
         ("weights", "'weights'"),
         ("generator-not-an-object", "generator 'g'"),
         ("generator-x-not-a-list", "generator 'g'"),
+        ("integral-not-a-string", "integral 'momentum'"),
     ],
 )
 def test_malformed_problem_values_give_one_error_line(tmp_path, capsys, case, named):
@@ -500,6 +503,55 @@ def test_lagrangian_that_is_not_finite_on_the_curve_gives_one_error_line(
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: {argv[0]}: ")
     assert not list(out.glob("*_report.json"))
+
+
+def test_integral_that_is_not_finite_on_the_curve_gives_one_error_line(tmp_path, capsys):
+    # exp(1000*x1) overflows where the oscillator's extremal passes x1 = 0.7098
+    doc = json.loads((PROBLEMS / "oscillator.json").read_text())
+    doc["integrals"]["blow-up"] = "exp(1000*x1)"
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main(["verify", str(path), "--integral", "blow-up", "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        f"error: {path}: verify: first integral failed at node 101 (t=0.79325"
+    )
+    assert "non-finite field value at point 101" in lines[0]
+    assert not list(out.glob("*_report.json"))
+
+
+def test_numeric_problem_file_integral_is_a_constant(tmp_path):
+    doc = json.loads((PROBLEMS / "free_particle.json").read_text())
+    doc["integrals"]["five"] = 5
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps(doc))
+    code, report, _ = run(tmp_path, "verify", str(path), "--integral", "five")
+    assert code == 0
+    assert report["conserved_mean"] == 5.0 and report["conserved_max_deviation"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "text,where",
+    [
+        ("", "line 1: empty file, expected a CSV header"),
+        ("t,x1\n", "no rows after the header"),
+        ("t,x1\n0.0,0.0\n0.5,abc\n", "line 3: could not convert string to float: 'abc'"),
+        ("t,x1\n0.0,0.0\n0.5\n1.0,1.0\n", "line 3: 1 cells, need t and 1 coordinates"),
+    ],
+    ids=["empty", "header-only", "not-a-number", "short-row"],
+)
+def test_malformed_seed_curve_gives_one_error_line(tmp_path, capsys, text, where):
+    seed = tmp_path / "seed.csv"
+    seed.write_text(text)
+    code = main(["legendre", str(PROBLEMS / "free_particle.json"), "--seed-curve", str(seed),
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == [f"error: {seed}: {where}"]
+    assert not list(tmp_path.glob("*_report.json"))
 
 
 @pytest.fixture(scope="module")

@@ -72,19 +72,19 @@ def test_c1_seminorm_below_c2(line_space):
 def test_action_constant_lagrangian(line_space):
     L = nl.compile_field("1", dim=1)
     c = line_curve(line_space, nl.Grid(0.0, 1.0, 10))
-    assert nl.action(L, c).value == pytest.approx(1.0)
+    assert nl.action(L, c) == pytest.approx(1.0)
 
 
 def test_action_kinetic(line_space, free_particle):
     c = line_curve(line_space, nl.Grid(0.0, 1.0, 10))
-    assert nl.action(free_particle, c).value == pytest.approx(0.5, abs=1e-12)
+    assert nl.action(free_particle, c) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_action_sine(line_space, free_particle):
     grid = nl.Grid(0.0, np.pi, 200)
     c = nl.Curve.from_function(line_space, grid, lambda t: [np.sin(t)])
     # accuracy is limited by the second-order velocity reconstruction
-    assert nl.action(free_particle, c).value == pytest.approx(np.pi / 4, abs=1e-4)
+    assert nl.action(free_particle, c) == pytest.approx(np.pi / 4, abs=1e-4)
 
 
 def test_action_requires_even_n(line_space, free_particle):
@@ -93,16 +93,25 @@ def test_action_requires_even_n(line_space, free_particle):
         nl.action(free_particle, c)
 
 
+def test_variations_need_an_even_n_as_the_action_does(line_space, free_particle):
+    grid = nl.Grid(0.0, 1.0, 7)
+    x = nl.Curve.from_function(line_space, grid, lambda t: [t])
+    h = nl.Curve.from_function(line_space, grid, lambda t: [t * (1.0 - t)])
+    for variation in (nl.first_variation, nl.second_variation):
+        with pytest.raises(nl.ValidationError, match="needs an even N, got 7"):
+            variation(free_particle, x, h)
+
+
 def test_action_fourth_order_convergence(line_space):
     L = nl.compile_field("exp(x1)*v1^2", dim=1)
     reference = None
     errs = []
     exact = nl.action(
         L, nl.Curve.from_function(line_space, nl.Grid(0.0, 1.0, 2000), lambda t: [np.sin(t)])
-    ).value
+    )
     for n in (50, 100):
         c = nl.Curve.from_function(line_space, nl.Grid(0.0, 1.0, n), lambda t: [np.sin(t)])
-        errs.append(abs(nl.action(L, c).value - exact))
+        errs.append(abs(nl.action(L, c) - exact))
     assert errs[0] / errs[1] >= 3.5  # limited by the O(h^2) velocity stencils
 
 

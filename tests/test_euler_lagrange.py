@@ -48,8 +48,8 @@ def test_first_variation_matches_action_fd(line_space):
     h = nl.Curve.from_function(line_space, grid, lambda t: [t * (1 - t)])
     fv = nl.first_variation(L, x, h)
     eps = 1e-5
-    jp = nl.action(L, nl.Curve(line_space, grid, x.values + eps * h.values)).value
-    jm = nl.action(L, nl.Curve(line_space, grid, x.values - eps * h.values)).value
+    jp = nl.action(L, nl.Curve(line_space, grid, x.values + eps * h.values))
+    jm = nl.action(L, nl.Curve(line_space, grid, x.values - eps * h.values))
     assert abs(fv - (jp - jm) / (2 * eps)) <= 1e-5 * (1 + abs(fv))
 
 

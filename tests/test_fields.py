@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import noether_lcs as nl
-from noether_lcs.fields import FDConfig
 from test_banded import lagrangian_source
 
 
@@ -103,7 +102,7 @@ def test_richardson_halving_reduces_error():
     exact = np.cos(0.4) * np.exp(0.2) + 0.5 * np.sin(0.4) * np.exp(0.2)
     ratios = []
     for eps in (2e-2, 1e-2, 5e-3):
-        est = nl.directional_derivative(f, base, h, FDConfig(step=eps))
+        est = nl.directional_derivative(f, base, h, step=eps)
         ratios.append(abs(est - exact))
     assert ratios[0] / max(ratios[1], 1e-300) >= 8.0
     assert ratios[1] / max(ratios[2], 1e-300) >= 8.0
@@ -665,3 +664,16 @@ def test_a_one_point_call_of_a_field_with_an_engine_calls_func_once():
     with pytest.raises(nl.fields.EvaluationError) as err:
         field(0.0, [2.0], [1.0])
     assert str(err.value) == "non-finite field value at t=0.0, x=[2.], v=[1.]"
+
+
+def test_the_value_of_a_field_without_an_engine_is_one_func_call_on_a_stack():
+    bare, calls = _counting_bare("v1^2/2*exp(1000*x1)", 1)
+    compiled = nl.compile_field("v1^2/2*exp(1000*x1)", 1)
+    ts, xs, vs = np.zeros(3), np.array([[0.1], [0.2], [0.3]]), np.ones((3, 1))
+    for read in (lambda x: bare(ts, x, vs), lambda x: bare.jet(ts, x, vs, 1)["value"]):
+        calls.clear()
+        assert np.array_equal(read(xs), compiled(ts, xs, vs))
+        assert len(calls) == 1
+        with pytest.raises(nl.fields.EvaluationError, match="non-finite field value at point 1") as err:
+            read(np.array([[0.1], [0.8], [0.3]]))
+        assert err.value.index == 1

@@ -58,9 +58,9 @@ def test_second_variation_matches_action_fd(line_space):
     h = nl.Curve.from_function(line_space, grid, lambda t: [t * (1 - t)])
     d2 = nl.second_variation(L, x, h)
     eps = 1e-4
-    j0 = nl.action(L, x).value
-    jp = nl.action(L, nl.Curve(line_space, grid, x.values + eps * h.values)).value
-    jm = nl.action(L, nl.Curve(line_space, grid, x.values - eps * h.values)).value
+    j0 = nl.action(L, x)
+    jp = nl.action(L, nl.Curve(line_space, grid, x.values + eps * h.values))
+    jm = nl.action(L, nl.Curve(line_space, grid, x.values - eps * h.values))
     fd = (jp - 2 * j0 + jm) / eps**2
     assert d2 == pytest.approx(fd, abs=1e-5 * (1 + abs(d2)))
 
@@ -71,7 +71,7 @@ MAGNETIC = "(v1^2+v2^2)/2 + (x1*v2 - x2*v1)"  # a charge in a unit magnetic fiel
 
 def second_difference_of_action(L, x, h, eps=1e-4):
     def at(c):
-        return nl.action(L, nl.Curve(x.space, x.grid, x.values + c * h.values)).value
+        return nl.action(L, nl.Curve(x.space, x.grid, x.values + c * h.values))
 
     return (at(eps) - 2.0 * at(0.0) + at(-eps)) / eps**2
 

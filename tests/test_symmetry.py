@@ -402,7 +402,7 @@ def test_conservation_energy_on_oscillator(line_space, oscillator):
 def test_conservation_fails_for_nonconserved_quantity(line_space):
     grid = nl.Grid(0.0, 1.0, 100)
     x = nl.Curve.from_function(line_space, grid, lambda t: [t * t])
-    C = nl.FirstIntegral(dim=1, evaluator=lambda t, xx, vv: vv[..., 0])
+    C = nl.ScalarField(dim=1, func=lambda t, xx, vv: vv[..., 0])
     rep = nl.verify_conservation(C, x, tol=1e-6)
     # v = 2t sweeps [0, 2]: mean 1, max deviation 1, relative deviation 1/2
     assert not rep.passed
@@ -423,9 +423,31 @@ def test_conservation_rejects_an_evaluator_without_the_stack_contract(
 ):
     grid = nl.Grid(0.0, 1.0, 100)
     x = nl.Curve.from_function(line_space, grid, lambda t: [t * t])
-    C = nl.FirstIntegral(dim=1, evaluator=evaluator)
+    C = nl.ScalarField(dim=1, func=evaluator)
     with pytest.raises(nl.ValidationError, match=rf"shape {shape} .*expected \(101,\)"):
         nl.verify_conservation(C, x, tol=1e-6)
+
+
+def test_conservation_names_the_node_where_the_integral_overflows(line_space):
+    # exp(1000*x1) overflows past x1 = 0.7098, so first at node 71 of x = t
+    x = nl.Curve.from_function(line_space, nl.Grid(0.0, 1.0, 100), lambda t: [t])
+    C = nl.compile_field("exp(1000*x1)", 1)
+    with pytest.raises(nl.fields.EvaluationError, match=r"first integral failed at node 71 \(t=0\.71") as err:
+        nl.verify_conservation(C, x, tol=1e-6)
+    assert err.value.index == 71
+
+
+def test_conservation_passes_on_an_error_that_names_no_node(line_space):
+    # v = 0 for t <= 0.5, where abs(v1) sits at its kink and L_v is a finite
+    # difference; its one-point probe at v1 = +6e-6 overflows
+    grid = nl.Grid(0.0, 1.0, 100)
+    x = nl.Curve.from_function(line_space, grid, lambda t: [-max(t - 0.5, 0.0) ** 2])
+    L = nl.compile_field("v1^2/2 + abs(v1)*exp(1e20*v1)", 1)
+    C = nl.noether_first_integral(L, nl.catalog_generator("time-translation", 1))
+    with pytest.raises(nl.fields.EvaluationError, match=r"^non-finite field value at t=0\.0, x=\[-0\.\], v=") as err:
+        with pytest.warns(RuntimeWarning, match="kink"):
+            nl.verify_conservation(C, x, tol=1e-6)
+    assert err.value.index is None
 
 
 def test_first_integral_is_a_float_at_a_point_and_an_array_at_a_stack(oscillator):
