@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .curves import Curve, _check_seed_grid, action, read_curve_csv, write_curve_csv
+from .curves import Curve, _check_grid, action, read_curve_csv, write_curve_csv
 from .dsl import DomainError
 from .euler_lagrange import SolverError, el_residual, meets_stopping_rule, solve_extremal
 from .fields import EvaluationError, check_normal_differentiability
@@ -29,7 +29,7 @@ from .legendre_jacobi import (
     jacobi_operators,
     legendre_check,
 )
-from .problem import ProblemError, ProblemFile, load_problem
+from .problem import ProblemError, ProblemFile, load_problem, positive
 from .spaces import ValidationError, make_space
 from .symmetry import (
     check_invariance,
@@ -83,7 +83,7 @@ def _outdir(args) -> Path:
 
 def _seed_curve(prob: ProblemFile, args) -> Curve:
     curve = read_curve_csv(prob.space, args.seed_curve)
-    _check_seed_grid(curve.grid, prob.grid)
+    _check_grid(curve.grid, prob.grid)
     return curve
 
 
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("problem", help="path to the JSON problem file")
         p.add_argument("--out", default=".", help="output directory for reports/CSV")
         p.add_argument("--grid-n", type=int, default=None, help="override interval count")
-        p.add_argument("--tol", type=float, default=None, help="override all verdict tolerances")
+        p.add_argument("--tol", type=positive, default=None, help="override all verdict tolerances")
         if name in ("solve", "legendre", "jacobi", "noether", "verify"):  # read a curve
             p.add_argument("--seed-curve", default=None, help="CSV curve to start from / analyze")
         if name == "solve":

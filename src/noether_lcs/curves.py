@@ -225,10 +225,10 @@ def read_curve_csv(space: Space, path) -> Curve:
     return Curve(space, grid, np.asarray(rows))
 
 
-def _check_seed_grid(c: Grid, p: Grid) -> None:
+def _check_grid(c: Grid, p: Grid, what: str = "seed curve", of: str = "problem") -> None:
     near = 1e-9 * (1 + abs(p.b))  # read_curve_csv's tolerance on the nodes
     if c.n != p.n or abs(c.a - p.a) > near or abs(c.b - p.b) > near:
         raise ValidationError(
-            f"seed curve does not match the grid: n={c.n} on [{c.a}, {c.b}], "
-            f"problem n={p.n} on [{p.a}, {p.b}]"
+            f"{what} does not match the grid: n={c.n} on [{c.a}, {c.b}], "
+            f"{of} n={p.n} on [{p.a}, {p.b}]"
         )

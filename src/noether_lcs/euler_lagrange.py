@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import (Curve, Grid, _check_seed_grid, band_matvec, block_band, derivative_all,
+from .curves import (Curve, Grid, _check_grid, band_matvec, block_band, derivative_all,
                      simpson, stencil_derivative)
 from .fields import EvaluationError, ScalarField
 from .spaces import Space, ValidationError, dual_seminorm
@@ -38,11 +38,10 @@ class BoundaryConditions:
 class SolverConfig:
     tol: float = 1e-10
     max_iter: int = 50
-    damping: float = 1.0
     seed_curve: Optional[Curve] = None
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValidationError("solver tolerance must be positive")
         if self.max_iter < 1:
             raise ValidationError("need at least one Newton iteration")
@@ -172,28 +171,26 @@ def meets_stopping_rule(L: ScalarField, x: Curve, tol: float) -> bool:
     return bool(np.max(_floor_ratios(x.grid, x.values, lx, lv, res, np.abs(ab))) <= _FLOOR)
 
 
-def _line_search(L, grid, xs, step, abs_ab, worst, lam):
-    """The first trial xs + lam step, lam halved up to 30 times, whose
+def _line_search(L, grid, xs, step, abs_ab, worst):
+    """The first trial xs + 2^-k step, k = 0, 1, ..., 29, whose
     largest |r_i| / (eps s_i) (see ``_floor_ratios``; its own s, with the
     iterate's |J| abs_ab) is below ``worst``, the iterate's, with its
     velocities, covectors and residual; None when no trial is.  It stops at
     the first trial that rounds to xs: rounding is monotone, so every smaller
-    lam rounds to xs too, and each such trial has xs's own ratios.  A trial
+    step rounds to xs too, and each such trial has xs's own ratios.  A trial
     where a jet read is not finite is refused like one with larger ratios."""
-    for _ in range(30):
+    for k in range(30):
         trial = xs.copy()
-        trial[1:-1] += lam * step
+        trial[1:-1] += 0.5**k * step
         if np.array_equal(trial, xs):
             return None
         try:
             xd, lx, lv = _covectors(L, grid, trial)
         except EvaluationError:  # L or a partial is not finite there: refused
-            lam *= 0.5
             continue
         res = _residual(grid, lx, lv)
         if float(np.max(_floor_ratios(grid, trial, lx, lv, res, abs_ab))) < worst:
             return trial, xd, lx, lv, res
-        lam *= 0.5
     return None
 
 
@@ -217,7 +214,7 @@ def solve_extremal(
         raise ValidationError("boundary values do not match the space dimension")
 
     if cfg.seed_curve is not None:
-        _check_seed_grid(cfg.seed_curve.grid, grid)
+        _check_grid(cfg.seed_curve.grid, grid)
         xs = cfg.seed_curve.values.copy()
         if xs.shape != (grid.n + 1, m):
             raise ValidationError("seed curve does not match the grid")
@@ -248,7 +245,7 @@ def solve_extremal(
         # backtracking on the largest componentwise backward error (|J| taken
         # once per iterate); the accepted trial's reads carry into the next one
         ratios = np.max(_floor_ratios(grid, xs, lx, lv, res, abs_ab := np.abs(ab)), axis=1)
-        accepted = _line_search(L, grid, xs, step, abs_ab, float(np.max(ratios)), cfg.damping)
+        accepted = _line_search(L, grid, xs, step, abs_ab, float(np.max(ratios)))
         if accepted is None:
             if np.max(ratios) <= _FLOOR:
                 return Curve(space, grid, xs)

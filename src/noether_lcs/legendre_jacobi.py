@@ -15,7 +15,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .curves import Curve, Grid, band_matvec, block_band, derivative_all, simpson
+from .curves import Curve, Grid, _check_grid, band_matvec, block_band, derivative_all, simpson
 from .euler_lagrange import SolverError
 from .fields import ScalarField
 from .spaces import Space, ValidationError
@@ -212,8 +212,10 @@ def jacobi_eigen(ops: JacobiOperators, grid: Grid, k: int) -> List[Tuple[float, 
     Eigenfunction curves are normalized to unit discrete L2 norm and signed
     so that the largest-magnitude value (the first within 1e-6 relative of
     it, so that near-ties do not flip with roundoff) is positive.  An
-    eigensolve that does not converge raises SolverError.
+    eigensolve that does not converge raises SolverError.  ``grid``, which
+    gives h, must be ops.grid up to the tolerance of a grid read from CSV.
     """
+    _check_grid(ops.grid, grid, "operators' grid", "jacobi_eigen grid")
     n = grid.n
     m = ops.R.shape[1]
     size = (n - 1) * m

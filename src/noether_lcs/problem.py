@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from functools import partial
+import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -35,7 +35,6 @@ class ProblemFile:
     space: Space
     grid: Grid
     lagrangian: ScalarField
-    lagrangian_source: str
     boundary: Optional[BoundaryConditions]
     generators: Dict[str, SymmetryGenerator]
     integrals: Dict[str, ScalarField]
@@ -57,19 +56,27 @@ DEFAULT_TOLERANCES = {
 }
 
 
-_vector = partial(np.asarray, dtype=float)
+def _finite(value) -> float:
+    """A ``kind`` for ``_value``: a float that is neither NaN nor infinite."""
+    x = float(value)
+    if not -math.inf < x < math.inf:
+        raise ValueError(f"{x} is not finite")
+    return x
 
 
-def _value(path, section: dict, key: str, kind, default=None):
-    """``kind(section[key])``, or ``kind(default)`` when the key is absent; a
-    missing key without a default, or a value ``kind`` rejects, is a
-    ProblemError naming the file and the key."""
-    if key not in section and default is None:
-        raise ProblemError(f"{path}: missing required key {key!r}")
-    try:
-        return kind(section.get(key, default))
-    except (TypeError, ValueError):
-        raise ProblemError(f"{path}: malformed value {section[key]!r} for key {key!r}") from None
+def positive(value) -> float:
+    """A finite float > 0: the kind of every tolerance, ``--tol`` included."""
+    x = float(value)
+    if not 0 < x < math.inf:
+        raise ValueError(f"{x} is not finite and positive")
+    return x
+
+
+def _finite_vector(value) -> np.ndarray:
+    v = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{v} is not finite")
+    return v
 
 
 def _int_at_least(low: int):
@@ -84,113 +91,104 @@ def _int_at_least(low: int):
     return kind
 
 
+# each key an optional section may set, and its kind; a key the file leaves
+# out keeps the default of SolverConfig, DEFAULT_TOLERANCES or SamplingConfig
+_SECTIONS = {
+    "solver": {"tol": positive, "max_iter": _int_at_least(1)},
+    "tolerances": dict.fromkeys(DEFAULT_TOLERANCES, positive),
+    "sampling": {"x_radius": _finite, "v_radius": _finite,
+                 "count": _int_at_least(1), "seed": _int_at_least(0)},
+}
+
+
+def _value(section: dict, key: str, kind, default=None):
+    """``kind(section[key])``, or ``kind(default)`` when the key is absent; a
+    missing key without a default, or a value ``kind`` rejects, is a
+    ValidationError naming the key."""
+    if key not in section and default is None:
+        raise ValidationError(f"missing required key {key!r}")
+    try:
+        return kind(section.get(key, default))
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"malformed value {section[key]!r} for key {key!r}") from None
+
+
+def _section(doc: dict, name: str) -> dict:
+    """The keys the file sets in the optional section ``name``, each read by
+    its kind in ``_SECTIONS``; a key the section does not have is an error."""
+    section, kinds = _value(doc, name, dict, {}), _SECTIONS[name]
+    if unknown := sorted(section.keys() - kinds.keys()):
+        raise ValidationError(f"unknown key {unknown[0]!r} in {name!r}; it takes {sorted(kinds)}")
+    return {key: _value(section, key, kinds[key]) for key in section}
+
+
+def _generator(spec, name: str, dim: int) -> SymmetryGenerator:
+    """A generator given as a catalog name or as an object with T and X,
+    expressions in t and x."""
+    if isinstance(spec, str):
+        return catalog_generator(spec, dim)
+    if not isinstance(spec, dict):
+        raise ValidationError(f"must be a catalog name or an object with T and X, got {spec!r}")
+    trees = [parse(_value(spec, "T", str, "0"), dim)]
+    x_exprs = spec.get("X", ["0"] * dim)
+    if not isinstance(x_exprs, list) or len(x_exprs) != dim:
+        raise ValidationError(f"needs a list of {dim} X components")
+    trees += [parse(str(s), dim) for s in x_exprs]
+    if any(has_variables(e, "v") for e in trees):
+        raise ValidationError(f"T and X are fields of (t, x) and may not use v1..v{dim}")
+    t_field, *x_fields = (compile_field(e, dim) for e in trees)
+    return SymmetryGenerator(dim=dim, T=t_field, X=tuple(x_fields), name=name)
+
+
 def load_problem(path, grid_n: Optional[int] = None) -> ProblemFile:
     path = Path(path)
     raw = path.read_bytes()
-    digest = hashlib.sha256(raw).hexdigest()
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a JSONDecodeError, or bytes no UTF encoding reads
         raise ProblemError(f"{path}: not valid JSON ({err})")
 
+    where = ""  # the generator or integral being read, for the error message
     try:
-        sp = _value(path, doc, "space", dict)
-        dim = _value(path, sp, "dim", int)
-        space = make_space(
-            dim=dim,
-            weights=_value(path, sp, "weights", _vector, [1.0] * dim),
-            num_seminorms=_value(path, sp, "seminorms", int, dim),
-        )
-        iv = _value(path, doc, "interval", dict)
-        n = int(grid_n) if grid_n is not None else _value(path, iv, "n", int)
+        if not isinstance(doc, dict):
+            raise ValidationError(f"a problem file is a JSON object, got {doc!r}")
+        sp = _value(doc, "space", dict)
+        dim = _value(sp, "dim", int)
+        weights = _value(sp, "weights", _finite_vector, [1.0] * dim)
+        space = make_space(dim, weights, _value(sp, "seminorms", int, dim))
+        iv = _value(doc, "interval", dict)
+        n = int(grid_n) if grid_n is not None else _value(iv, "n", int)
         if n % 2 != 0 or n < 4:
-            raise ProblemError(f"interval n must be even and >= 4, got {n}")
-        grid = Grid(a=_value(path, iv, "a", float), b=_value(path, iv, "b", float), n=n)
-        lagrangian_source = _value(path, doc, "lagrangian", str)
-        lagrangian = compile_field(lagrangian_source, space.dim)
+            raise ValidationError(f"interval n must be even and >= 4, got {n}")
+        grid = Grid(a=_value(iv, "a", _finite), b=_value(iv, "b", _finite), n=n)
+        lagrangian = compile_field(_value(doc, "lagrangian", str), dim)
+
+        boundary = None
+        if "boundary" in doc:
+            bnd = _value(doc, "boundary", dict)
+            xa, xb = (_value(bnd, k, _finite_vector) for k in ("xa", "xb"))
+            if xa.shape != (dim,) or xb.shape != (dim,):
+                raise ValidationError(f"boundary vectors must have length {dim}")
+            boundary = BoundaryConditions(xa=xa, xb=xb)
+
+        solver = SolverConfig(**_section(doc, "solver"))
+        tolerances = {**DEFAULT_TOLERANCES, **_section(doc, "tolerances")}
+        sampling = SamplingConfig(t_range=(grid.a, grid.b), **_section(doc, "sampling"))
+
+        generators = {}
+        for name, spec in _value(doc, "generators", dict, {}).items():
+            where = f"generator {name!r}: "
+            generators[name] = _generator(spec, name, dim)
+        integrals = {}
+        section = _value(doc, "integrals", dict, {})
+        for name in section:
+            where = f"integral {name!r}: "
+            integrals[name] = compile_field(_value(section, name, str), dim)
     except (ValidationError, ParseDiagnostic) as err:
-        raise ProblemError(f"{path}: {err}")
-
-    boundary = None
-    if "boundary" in doc:
-        bnd = _value(path, doc, "boundary", dict)
-        xa, xb = (_value(path, bnd, k, _vector) for k in ("xa", "xb"))
-        if xa.shape != (space.dim,) or xb.shape != (space.dim,):
-            raise ProblemError(
-                f"{path}: boundary vectors must have length {space.dim}"
-            )
-        boundary = BoundaryConditions(xa=xa, xb=xb)
-
-    generators = {}
-    for name, spec in _value(path, doc, "generators", dict, {}).items():
-        try:
-            if isinstance(spec, str):
-                generators[name] = catalog_generator(spec, space.dim)
-            elif not isinstance(spec, dict):
-                raise ProblemError(
-                    f"{path}: generator {name!r} must be a catalog name or an "
-                    f"object with T and X, got {spec!r}"
-                )
-            else:
-                trees = [parse(_value(path, spec, "T", str, "0"), space.dim)]
-                x_exprs = spec.get("X", ["0"] * space.dim)
-                if not isinstance(x_exprs, list) or len(x_exprs) != space.dim:
-                    raise ProblemError(
-                        f"{path}: generator {name!r} needs a list of "
-                        f"{space.dim} X components"
-                    )
-                trees += [parse(str(s), space.dim) for s in x_exprs]
-                if any(has_variables(e, "v") for e in trees):
-                    raise ProblemError(
-                        f"{path}: generator {name!r}: T and X are fields of (t, x) "
-                        f"and may not use v1..v{space.dim}"
-                    )
-                t_field, *x_fields = (compile_field(e, space.dim) for e in trees)
-                generators[name] = SymmetryGenerator(
-                    dim=space.dim, T=t_field, X=tuple(x_fields), name=name
-                )
-        except (ValidationError, ParseDiagnostic) as err:
-            raise ProblemError(f"{path}: generator {name!r}: {err}")
-
-    integrals = {}
-    section = _value(path, doc, "integrals", dict, {})
-    for name in section:
-        try:
-            integrals[name] = compile_field(_value(path, section, name, str), space.dim)
-        except ParseDiagnostic as err:
-            raise ProblemError(f"{path}: integral {name!r}: {err}")
-
-    sv = _value(path, doc, "solver", dict, {})
-    solver = SolverConfig(
-        tol=_value(path, sv, "tol", float, 1e-10),
-        max_iter=_value(path, sv, "max_iter", int, 50),
-        damping=_value(path, sv, "damping", float, 1.0),
-    )
-
-    tolerances = dict(DEFAULT_TOLERANCES)
-    tol_doc = _value(path, doc, "tolerances", dict, {})
-    tolerances.update({k: _value(path, tol_doc, k, float) for k in tol_doc})
-
-    sm = _value(path, doc, "sampling", dict, {})
-    sampling = SamplingConfig(
-        t_range=(grid.a, grid.b),
-        x_radius=_value(path, sm, "x_radius", float, 2.0),
-        v_radius=_value(path, sm, "v_radius", float, 2.0),
-        count=_value(path, sm, "count", _int_at_least(1), 200),
-        seed=_value(path, sm, "seed", _int_at_least(0), 0),
-    )
+        raise ProblemError(f"{path}: {where}{err}") from None
 
     return ProblemFile(
-        path=path,
-        digest=digest,
-        space=space,
-        grid=grid,
-        lagrangian=lagrangian,
-        lagrangian_source=lagrangian_source,
-        boundary=boundary,
-        generators=generators,
-        integrals=integrals,
-        solver=solver,
-        tolerances=tolerances,
-        sampling=sampling,
+        path=path, digest=hashlib.sha256(raw).hexdigest(), space=space, grid=grid,
+        lagrangian=lagrangian, boundary=boundary, generators=generators,
+        integrals=integrals, solver=solver, tolerances=tolerances, sampling=sampling,
     )

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from noether_lcs.cli import main
+from noether_lcs.euler_lagrange import SolverConfig
+from noether_lcs.problem import DEFAULT_TOLERANCES, load_problem
+from noether_lcs.symmetry import SamplingConfig
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -85,6 +88,74 @@ def test_legendre_violation_exit_code(tmp_path):
     code, report, _ = run(tmp_path, "legendre", str(path))
     assert code == 2
     assert not report["verdicts"]["legendre"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_tol_flag_must_be_finite_and_positive(tmp_path, capsys, tol):
+    # a NaN tolerance made every comparison pass: the concave -v1^2/2 passed
+    # the Legendre check with exit 0
+    doc = {
+        "space": {"dim": 1},
+        "interval": {"a": 0.0, "b": 1.0, "n": 40},
+        "lagrangian": "-v1^2/2",
+        "boundary": {"xa": [0.0], "xb": [0.0]},
+    }
+    path = tmp_path / "concave.json"
+    path.write_text(json.dumps(doc))
+    code, report, _ = run(tmp_path, "legendre", str(path), "--tol", tol)
+    assert code == 1 and report is None
+    assert f"argument --tol: invalid positive value: '{tol}'" in capsys.readouterr().err
+
+
+def test_tol_flag_overrides_every_tolerance(tmp_path, oscillator_json):
+    code, report, _ = run(tmp_path, "verify", str(oscillator_json), "--integral", "energy")
+    assert code == 0
+    assert report["conserved_relative_deviation"] > 1e-300
+    code, report, _ = run(
+        tmp_path, "verify", str(oscillator_json), "--integral", "energy", "--tol", "1e-300"
+    )
+    assert code == 2 and not report["verdicts"]["conservation"]
+    assert report["tolerances"] == dict.fromkeys(
+        ["audit", "conservation", "invariance", "legendre"], 1e-300
+    )
+
+
+def test_explicit_generator_matches_its_catalog_twin(tmp_path):
+    doc = {
+        "space": {"dim": 2},
+        "interval": {"a": 0.0, "b": 1.0, "n": 200},
+        "lagrangian": "(v1^2 + v2^2 - x1^2 - x2^2)/2",
+        "boundary": {"xa": [1.0, 0.0], "xb": [0.5, 0.8]},
+        "generators": {"rot": {"T": "0", "X": ["-x2", "x1"]}, "rot12": "rotation-12"},
+    }
+    path = tmp_path / "isotropic.json"
+    path.write_text(json.dumps(doc))
+    code, report, _ = run(tmp_path / "inv", "check-invariance", str(path))
+    assert code == 0 and report["verdicts"] == {"rot": True, "rot12": True}
+    reports = {}
+    for name in ("rot", "rot12"):
+        code, reports[name], _ = run(tmp_path / name, "noether", str(path), "--generator", name)
+        assert code == 0
+        reports[name].pop("generator")
+    assert reports["rot"] == reports["rot12"]
+
+
+def test_problem_sections_pass_on_only_the_keys_the_file_sets(tmp_path):
+    doc = json.loads((PROBLEMS / "oscillator.json").read_text())
+    prob = load_problem(PROBLEMS / "oscillator.json")
+    assert prob.solver == SolverConfig()
+    assert prob.tolerances == DEFAULT_TOLERANCES
+    t_range = (0.0, doc["interval"]["b"])
+    assert prob.sampling == SamplingConfig(t_range=t_range)
+    doc["solver"] = {"max_iter": 7}
+    doc["tolerances"] = {"audit": 0.5}
+    doc["sampling"] = {"count": 9, "v_radius": 3.0}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    prob = load_problem(path)
+    assert prob.solver == SolverConfig(max_iter=7)
+    assert prob.tolerances == {**DEFAULT_TOLERANCES, "audit": 0.5}
+    assert prob.sampling == SamplingConfig(t_range=t_range, count=9, v_radius=3.0)
 
 
 def test_jacobi(tmp_path, free_particle_json):
@@ -261,6 +332,15 @@ def test_malformed_json_exit_code(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_problem_file_that_is_not_text_gives_one_error_line(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{")  # a UTF-16 byte order mark, then half a character
+    code = main(["solve", str(path), "--out", str(tmp_path)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert lines[0].startswith(f"error: {path}: not valid JSON")
+
+
 def test_bad_lagrangian_exit_code(tmp_path, capsys):
     doc = {
         "space": {"dim": 1},
@@ -359,6 +439,30 @@ def _malformed(doc, case):
         doc["generators"]["g"] = {"T": "1", "X": "x1"}
     elif case == "integral-not-a-string":
         doc["integrals"]["momentum"] = [1]
+    elif case == "tolerance-nan":
+        doc["tolerances"] = {"legendre": float("nan")}
+    elif case == "b-infinite":
+        doc["interval"]["b"] = float("inf")
+    elif case == "n-infinite":
+        doc["interval"]["n"] = float("inf")
+    elif case == "n-odd":
+        doc["interval"]["n"] = 5
+    elif case == "boundary-nan":
+        doc["boundary"]["xa"] = [float("nan")]
+    elif case == "solver-tol-negative":
+        doc["solver"] = {"tol": -1}
+    elif case == "max-iter-zero":
+        doc["solver"] = {"max_iter": 0}
+    elif case == "radius-infinite":
+        doc["sampling"] = {"x_radius": float("inf")}
+    elif case == "unknown-tolerance":
+        doc["tolerances"] = {"invariant": 1e-3}
+    elif case == "unknown-solver-key":
+        doc["solver"] = {"damping": 3.0}
+    elif case == "unknown-sampling-key":
+        doc["sampling"] = {"radius": 1.0}
+    elif case == "not-an-object":
+        doc = [doc]
     return doc
 
 
@@ -381,6 +485,18 @@ def _malformed(doc, case):
         ("generator-not-an-object", "generator 'g'"),
         ("generator-x-not-a-list", "generator 'g'"),
         ("integral-not-a-string", "integral 'momentum'"),
+        ("tolerance-nan", "'legendre'"),
+        ("b-infinite", "'b'"),
+        ("n-infinite", "'n'"),
+        ("n-odd", "interval n must be even"),
+        ("boundary-nan", "'xa'"),
+        ("solver-tol-negative", "'tol'"),
+        ("max-iter-zero", "'max_iter'"),
+        ("radius-infinite", "'x_radius'"),
+        ("unknown-tolerance", "unknown key 'invariant' in 'tolerances'"),
+        ("unknown-solver-key", "unknown key 'damping' in 'solver'"),
+        ("unknown-sampling-key", "unknown key 'radius' in 'sampling'"),
+        ("not-an-object", "a problem file is a JSON object"),
     ],
 )
 def test_malformed_problem_values_give_one_error_line(tmp_path, capsys, case, named):

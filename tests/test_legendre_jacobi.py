@@ -225,6 +225,23 @@ def test_jacobi_eigen_k_validation():
         nl.jacobi_eigen(ops, grid, 100)
 
 
+@pytest.mark.parametrize("other", [nl.Grid(0.0, 2.0, 100), nl.Grid(0.0, 1.0, 50)])
+def test_jacobi_eigen_rejects_a_grid_that_is_not_the_operators(other):
+    # h is read from the grid argument: on [0, 2] the spectrum of the [0, 1]
+    # operators came out 4 times too small
+    ops = nl.constant_operators(nl.Grid(0.0, 1.0, 100), 1.0, 0.0)
+    with pytest.raises(nl.ValidationError, match=r"n=100 on \[0.0, 1.0\].*jacobi_eigen grid"):
+        nl.jacobi_eigen(ops, other, 2)
+
+
+def test_jacobi_eigen_accepts_a_grid_whose_end_differs_in_the_last_bit():
+    # a grid read back from CSV ends within roundoff of the problem's
+    ops = nl.constant_operators(nl.Grid(0.0, 1.0, 100), 1.0, 0.0)
+    near = nl.Grid(0.0, np.nextafter(1.0, 2.0), 100)
+    lam = [ev for ev, _ in nl.jacobi_eigen(ops, near, 2)]
+    assert lam == pytest.approx([ev for ev, _ in nl.jacobi_eigen(ops, ops.grid, 2)], rel=1e-12)
+
+
 def test_jacobi_eigen_of_an_asymmetric_R_is_the_spectrum_of_sym_R():
     # a quadratic form reads h'.R h' and h.S h only through sym R and sym S
     grid = nl.Grid(0.0, 1.0, 40)
