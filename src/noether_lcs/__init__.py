@@ -16,7 +16,6 @@ from .spaces import (
 from .fields import (
     ScalarField,
     DifferentiabilityAudit,
-    directional_derivative,
     check_normal_differentiability,
 )
 from .curves import (

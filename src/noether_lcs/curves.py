@@ -163,8 +163,6 @@ def along(f: ScalarField, curve: Curve, phase: str):
         return f(grid.nodes, curve.values, derivative_all(curve, 1))
     except EvaluationError as err:
         i = err.index
-        if i is None:
-            raise
         raise EvaluationError(f"{phase} failed at node {i} (t={grid.nodes[i]}): {err}", index=i)
 
 

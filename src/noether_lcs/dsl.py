@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import operator
 import re
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,8 +31,9 @@ class ParseDiagnostic(ValueError):
 
 
 class DomainError(ArithmeticError):
-    """Evaluation hit an invalid argument (log/sqrt/division); ``rows`` lists
-    the failing points of an evaluated stack (``[0]`` for one point)."""
+    """Evaluation hit an invalid argument (log, sqrt, division, or a partial
+    that does not exist, such as that of abs at 0); ``rows`` lists the
+    failing points of an evaluated stack (``[0]`` for one point)."""
 
     def __init__(self, message: str, rows=(0,)):
         super().__init__(message)
@@ -286,7 +286,7 @@ def to_string(e: Expression) -> str:
 # variables are folded to constants.
 
 # f' and f'' of each unary function at u, from u and f(u); where they do not
-# exist, sqrt raises and abs lists the points as kinks
+# exist, sqrt and abs raise
 def _d_sin(c, u0, f0):
     return np.cos(u0), -f0
 
@@ -304,12 +304,12 @@ def _d_log(c, u0, f0):
 
 
 def _d_sqrt(c, u0, f0):
-    _check(c, (u0 == 0.0) & ~c.kinks, "sqrt not differentiable at 0")
+    _check(c, u0 == 0.0, "sqrt not differentiable at 0")
     return 0.5 / f0, -0.25 / (f0 * u0)
 
 
 def _d_abs(c, u0, f0):
-    np.logical_or(c.kinks, np.abs(u0) < 1e-12, out=c.kinks)
+    _check(c, u0 == 0.0, "abs not differentiable at 0")
     return np.where(u0 > 0.0, 1.0, -1.0), None
 
 
@@ -396,7 +396,7 @@ def _power(r, c):  # zero is None for a positive integer exponent: no checks
         if p < 0.0:
             _check(c, u0 == 0.0, zero)
         elif fractional and ug is not None and p < order:
-            _check(c, (u0 == 0.0) & ~c.kinks, zero)
+            _check(c, u0 == 0.0, zero)
         if fractional:
             _check(c, u0 < 0.0, negative, u0)
     f0 = u0**p
@@ -510,26 +510,23 @@ def _compile(e, m: int) -> tuple:
 class EvalResult:
     """A float value, ``grad`` (1+2m,) from order 1 and ``hess`` (1+2m, 1+2m)
     at order 2 over the slots z of ``fields.slots``, with a leading axis on a
-    stack.  ``kinks`` lists the rows without exact partials (abs() at its
-    kink): there grad and hess are NaN on a stack and None at one point."""
+    stack."""
 
     value: float
     grad: Optional[np.ndarray] = None
     hess: Optional[np.ndarray] = None
-    kinks: Optional[np.ndarray] = None
 
 
 class _Call:
-    """What one call hands each closure: the points, the order, the kinks."""
+    """What one call hands each closure: the points and the order."""
 
-    __slots__ = ("T", "x", "v", "z", "stacked", "order", "kinks")
+    __slots__ = ("T", "x", "v", "z", "stacked", "order")
 
     def __init__(self, t, x, v, order):
         self.x, self.v, self.stacked, self.order = x, v, x.ndim == 2, order
         self.T = T = np.asarray(t, dtype=float) if self.stacked else np.float64(t)
-        # t, x and v by column (rows of x.T on a stack); where abs() is at its kink
+        # t, x and v by column (rows of x.T on a stack)
         self.z = ((T,), x.T, v.T) if self.stacked else ((T,), x, v)
-        self.kinks = np.zeros(T.shape, dtype=bool) if order else None
 
 
 @np.errstate(all="ignore")  # a domain check raises instead of a numpy warning
@@ -542,12 +539,9 @@ def evaluate(e, t, x, v, order: int = 0) -> EvalResult:
     evaluated in one run of the program.  An invalid argument raises
     DomainError, which on a stack names the first failing point and lists
     every failing row in ``rows``.  The checks that only partials need apply
-    only where the argument depends on (t, x, v): sqrt at 0, and 0 to a
-    non-integer power c < ``order`` (the partials of u^c stay finite at 0
-    for c >= order).  Where partials are asked for and such an abs()
-    argument is within 1e-12 of its kink, the point has no exact partials:
-    it is listed in ``kinks`` and evaluation goes on, skipping there those
-    checks at the nodes after that abs() (see ``EvalResult``).
+    only where the argument depends on (t, x, v): sqrt and abs at 0, and 0
+    to a non-integer power c < ``order`` (the partials of u^c stay finite at
+    0 for c >= order).
     """
     x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
     m, c = x.shape[-1], _Call(t, x, v, order)
@@ -557,25 +551,17 @@ def evaluate(e, t, x, v, order: int = 0) -> EvalResult:
         return EvalResult(np.array(np.broadcast_to(out, shape)) if stacked else float(out))
     val, g, h = out
     value = np.array(np.broadcast_to(val, shape)) if stacked else float(val)
-    rows = np.flatnonzero(c.kinks) if c.kinks.any() else None
-    if rows is not None and not stacked:
-        return EvalResult(value, kinks=rows)
     # the gradient and, at order 2, the Hessian, each filled once
     n = 1 + 2 * m
     partials = [np.array(np.broadcast_to(0.0 if a is None else a, shape + (n,) * k))
                 for k, a in ((1, g), (2, h))[:order]]
-    if rows is not None:
-        for a in partials:
-            a[rows] = np.nan
-    return EvalResult(value, *partials, kinks=rows)
+    return EvalResult(value, *partials)
 
 
 class _Jets:
     """Exact-jet engine of a compiled field: its tree ``expr``, compiled once
     into ``run`` (its root's closure), and one ``evaluate`` call per request.
-    Where abs() sits at its kink the partials are unavailable: those rows
-    come back listed in ``kinks``, with one warning per call, and the field
-    makes them by finite differences.  Slotted: a problem holds many."""
+    Slotted: a problem holds many."""
 
     __slots__ = ("expr", "run")
 
@@ -586,21 +572,14 @@ class _Jets:
         return evaluate(self, t, x, v).value
 
     def __call__(self, t, x, v, order: int) -> EvalResult:
-        r = evaluate(self, t, x, v, order=order)
-        if r.kinks is not None:
-            warnings.warn(
-                "abs() within 1e-12 of its kink; falling back to finite differences",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return r
+        return evaluate(self, t, x, v, order=order)
 
 
 def compile_field(source, dim: int) -> ScalarField:
     """Compile an expression (string or tree) once into a ScalarField with
     exact analytic partials that answers one point or a stack of points with
-    one ``evaluate`` call.  Near an abs() kink the analytic route is
-    unavailable; those points fall back to finite differences with a warning."""
+    one ``evaluate`` call.  Where a partial does not exist (sqrt or abs at 0,
+    and 0 to a small non-integer power), asking for it raises DomainError."""
     expr = parse(source, dim) if isinstance(source, str) else source
     jets = _Jets(expr, dim)
     return ScalarField(dim=dim, func=jets.value, jets=jets)

@@ -1,4 +1,4 @@
-"""Scalar fields on [a,b] x E x E and their numeric differentiation.
+"""Scalar fields on [a,b] x E x E and their exact partials.
 
 A ScalarField wraps an evaluator ``L(t, x, v)`` and an optional exact-jet
 engine.  ``jet(t, x, v, order)`` gives the value and every partial up to
@@ -7,15 +7,13 @@ call of the evaluator, and ``partial`` and ``second_partial`` read one
 block, or a tuple of blocks (``L.partial(("x", "v"), ...)``) from one jet.
 ``BLOCKS`` names the blocks and ``slots`` places them in
 z = (t, x1..xm, v1..vm): a block is read from the engine's gradient or
-Hessian at its slots, or else made by central finite differences there,
-Richardson-extrapolated for a first partial and three- or four-point for a
-second.  Every block handed out is finite, or EvaluationError names it and
-the point.  Points are one point (scalar t, x and v of shape (m,)) or a
+Hessian at its slots.  A field without an engine has values and no
+partials.  Every block handed out is finite, or EvaluationError names it
+and the point.  Points are one point (scalar t, x and v of shape (m,)) or a
 stack of N points (t (N,), x and v (N, m)), which gets results with a
-leading N axis.  Every evaluator and engine answers both; a finite
-difference probes one point per call.  The module also hosts a numeric
-audit of the normal-differentiability remainder criterion for maps between
-truncations.
+leading N axis; every evaluator and engine answers both.  The module also
+hosts a numeric audit of the normal-differentiability remainder criterion
+for maps between truncations.
 """
 
 from __future__ import annotations
@@ -28,8 +26,6 @@ import numpy as np
 
 from .spaces import Space, LinearOperator, normal_index, seminorm
 
-_EPS = np.finfo(float).eps
-
 
 class EvaluationError(RuntimeError):
     """A field produced a non-finite value at the reported point; ``index``
@@ -38,33 +34,6 @@ class EvaluationError(RuntimeError):
     def __init__(self, message: str, index: Optional[int] = None):
         super().__init__(message)
         self.index = index
-
-
-# the base step of a second difference, scaled per slot by (1 + |z_k|)
-_SECOND_STEP = _EPS**0.25
-
-
-def directional_derivative(f, base, h, step: float = _EPS ** (1.0 / 3.0)):
-    """Derivative of f at ``base`` along ``h`` by Richardson-extrapolated
-    central differences; works for scalar- and vector-valued f.  The base
-    ``step``, scaled by (1 + max |base|), balances truncation against
-    roundoff for a first derivative."""
-    base = np.asarray(base, dtype=float)
-    h = np.asarray(h, dtype=float)
-    eps = step * (1.0 + float(np.max(np.abs(base))))
-
-    def probe(e):
-        val = np.asarray(f(base + e * h), dtype=float)
-        if not np.all(np.isfinite(val)):
-            raise EvaluationError(f"non-finite evaluation at {base + e * h}")
-        return val
-
-    d1 = (probe(eps) - probe(-eps)) / (2.0 * eps)
-    d2 = (probe(eps / 2.0) - probe(-eps / 2.0)) / eps
-    d1 = (4.0 * d2 - d1) / 3.0
-    if d1.ndim == 0:
-        return float(d1)
-    return d1
 
 
 # The blocks of a jet by name, and the order of the jet that holds each: the
@@ -108,12 +77,9 @@ class Jet:
     """The value and partials of a field up to ``order`` at one point or a
     stack, from at most one engine call; ``jet[block]`` reads one block (see
     ``BLOCKS``).  The value of a field without an engine is one call of
-    ``func``.  A partial the engine did not give (every partial of a field
-    without an engine, and the rows where abs() sits at its kink) is made
-    point by point from the field's values when it is read, so only the
-    blocks read cost finite differences.  The engine's value is checked when
-    the jet is made, each block when it is read, and each value a finite
-    difference takes: EvaluationError names the first point not finite."""
+    ``func``, and reading a partial of one is a TypeError.  The engine's
+    value is checked when the jet is made and each block when it is read:
+    EvaluationError names the first point not finite."""
 
     __slots__ = ("field", "t", "x", "v", "order", "exact")
 
@@ -127,17 +93,9 @@ class Jet:
         f, t, x, v, r = self.field, self.t, self.x, self.v, self.exact
         if block == "value":  # the engine's was checked when the jet was made
             return f(t, x, v) if r is None else r.value
-        if r is not None and r.kinks is None:
-            out = _read(block, f.dim, r.grad, r.hess)
-        elif x.ndim == 1:
-            out = f._at_point(block, t, x, v)
-        elif r is None:
-            out = np.array([f._at_point(block, *p) for p in zip(t, x, v)])
-        else:
-            out = _read(block, f.dim, r.grad, r.hess)
-            for i in r.kinks:
-                out[i] = f._at_point(block, t[i], x[i], v[i])
-        return _check_finite(out, block, t, x, v)
+        if r is None:
+            raise TypeError(f"a field without an exact-jet engine has no partial {block!r}")
+        return _check_finite(_read(block, f.dim, r.grad, r.hess), block, t, x, v)
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,10 +104,9 @@ class ScalarField:
     exact-jet engine.
 
     ``jets(t, x, v, order)`` returns a ``dsl.EvalResult``: the value and
-    every partial up to ``order`` (0, 1 or 2) at one point or a whole stack,
-    with the rows that have no exact partials listed in ``kinks``.  Without
-    an engine every partial is a finite difference of ``func``; with one,
-    ``func`` is the engine's value.
+    every partial up to ``order`` (0, 1 or 2) at one point or a whole stack.
+    With an engine, ``func`` is the engine's value; without one, the field
+    has values and no partials.
     """
 
     dim: int
@@ -188,49 +145,6 @@ class ScalarField:
         """One second-partial block, 'tt', 'xx', 'xv', 'vx' or 'vv'; or, for
         a tuple of these names, a tuple of the blocks from one jet."""
         return self._blocks(pair, 2, "second partial", t, x, v)
-
-    # -- finite differences at one point --------------------------------
-
-    def _at_point(self, block: str, t, x, v):
-        """One block at one point from values of the field alone: central
-        differences over the block's slots of z = (t, x1..xm, v1..vm), put
-        in a gradient or Hessian and read as the engine's are."""
-        m = self.dim
-        z = np.concatenate([[t], x, v])
-
-        def at(*slot_values):
-            zs = z.copy()
-            for k, value in slot_values:
-                zs[k] = value
-            return self(zs[0], zs[1 : m + 1], zs[m + 1 :])
-
-        rows = slots(block[0], m)
-        if len(block) == 1:
-            grad = np.zeros(len(z))
-            for k in rows:
-                grad[k] = directional_derivative(lambda s: at((k, s)), z[k], 1.0)
-            return _read(block, m, grad, None)
-        cols = slots(block[1], m)
-        e = _SECOND_STEP * (1.0 + np.abs(z))
-        up, down = z + e, z - e
-        f0 = at() if rows == cols else None
-
-        def second(i, j):
-            if i == j:
-                return (at((i, up[i])) - 2.0 * f0 + at((i, down[i]))) / e[i] ** 2
-            return (
-                at((i, up[i]), (j, up[j]))
-                - at((i, up[i]), (j, down[j]))
-                - at((i, down[i]), (j, up[j]))
-                + at((i, down[i]), (j, down[j]))
-            ) / (4.0 * e[i] * e[j])
-
-        # each unordered slot pair once, so 'vx' is 'xv'.T and 'xx', 'vv'
-        # are symmetric exactly
-        hess = np.zeros((len(z), len(z)))
-        for i, j in {(min(i, j), max(i, j)) for i in rows for j in cols}:
-            hess[i, j] = hess[j, i] = second(i, j)
-        return _read(block, m, None, hess)
 
 
 # -- normal-differentiability audit -------------------------------------

@@ -80,12 +80,13 @@ def _finite_vector(value) -> np.ndarray:
 
 
 def _int_at_least(low: int):
-    """A ``kind`` for ``_value``: an int that is at least ``low``."""
+    """A ``kind`` for ``_value``: a whole number, as an int, that is at
+    least ``low``; 1.7 or "3" is rejected, not truncated or parsed."""
 
     def kind(value):
         n = int(value)
-        if n < low:
-            raise ValueError(f"{n} < {low}")
+        if n != value or n < low:
+            raise ValueError(f"{value!r} is not a whole number >= {low}")
         return n
 
     return kind
@@ -153,11 +154,11 @@ def load_problem(path, grid_n: Optional[int] = None) -> ProblemFile:
         if not isinstance(doc, dict):
             raise ValidationError(f"a problem file is a JSON object, got {doc!r}")
         sp = _value(doc, "space", dict)
-        dim = _value(sp, "dim", int)
+        dim = _value(sp, "dim", _int_at_least(1))
         weights = _value(sp, "weights", _finite_vector, [1.0] * dim)
-        space = make_space(dim, weights, _value(sp, "seminorms", int, dim))
+        space = make_space(dim, weights, _value(sp, "seminorms", _int_at_least(1), dim))
         iv = _value(doc, "interval", dict)
-        n = int(grid_n) if grid_n is not None else _value(iv, "n", int)
+        n = int(grid_n) if grid_n is not None else _value(iv, "n", _int_at_least(4))
         if n % 2 != 0 or n < 4:
             raise ValidationError(f"interval n must be even and >= 4, got {n}")
         grid = Grid(a=_value(iv, "a", _finite), b=_value(iv, "b", _finite), n=n)

@@ -394,9 +394,9 @@ def fit_gauge(
 
 def noether_first_integral(L: ScalarField, g: SymmetryGenerator) -> ScalarField:
     """C = [L - dL/dv . v] T + dL/dv . X - F, without the F term when the
-    generator has no gauge: a field without an engine whose value is one
-    order-1 jet of L and one value of each generator field, a float at one
-    point and an (N,) array on a stack."""
+    generator has no gauge: a field without an engine, so with values and no
+    partials, whose value is one order-1 jet of L and one value of each
+    generator field, a float at one point and an (N,) array on a stack."""
 
     def evaluator(t, x, v):
         x = np.asarray(x, dtype=float)

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+import fd
 import noether_lcs as nl
 from test_dsl import random_smooth_expression
 from test_spaces import brute_force_operator_seminorm
@@ -222,14 +223,14 @@ def test_criterion_8_derivative_engine():
             dim=1, func=lambda tt, xx, vv: nl.evaluate(expr, tt, xx, vv).value
         )
         for which, want in zip("txv", r.grad):
-            got = np.atleast_1d(plain.partial(which, t, x, v))[0]
+            got = np.atleast_1d(fd.block(plain, which, t, x, v))[0]
             ok &= abs(got - want) <= 1e-6 * (1 + abs(want))
         checked += 1
     f = lambda y: float(np.sin(y[0]) * np.exp(y[0]))
     exact = (np.cos(0.3) + np.sin(0.3)) * np.exp(0.3)
     errs = []
     for step in (2e-2, 1e-2):
-        est = nl.directional_derivative(
+        est = fd.directional_derivative(
             f, np.array([0.3]), np.array([1.0]), step=step
         )
         errs.append(abs(est - exact))

@@ -447,6 +447,15 @@ def _malformed(doc, case):
         doc["interval"]["n"] = float("inf")
     elif case == "n-odd":
         doc["interval"]["n"] = 5
+    elif case == "n-fraction":
+        doc["interval"]["n"] = 40.9
+    elif case == "n-string":
+        doc["interval"]["n"] = "200"
+    elif case == "dim-fraction":
+        doc["space"]["dim"] = 1.7
+        doc["interval"]["n"] = 40.9
+    elif case == "seminorms-fraction":
+        doc["space"]["seminorms"] = 1.5
     elif case == "boundary-nan":
         doc["boundary"]["xa"] = [float("nan")]
     elif case == "solver-tol-negative":
@@ -489,6 +498,10 @@ def _malformed(doc, case):
         ("b-infinite", "'b'"),
         ("n-infinite", "'n'"),
         ("n-odd", "interval n must be even"),
+        ("n-fraction", "malformed value 40.9 for key 'n'"),
+        ("n-string", "malformed value '200' for key 'n'"),
+        ("dim-fraction", "malformed value 1.7 for key 'dim'"),
+        ("seminorms-fraction", "malformed value 1.5 for key 'seminorms'"),
         ("boundary-nan", "'xa'"),
         ("solver-tol-negative", "'tol'"),
         ("max-iter-zero", "'max_iter'"),
@@ -618,6 +631,24 @@ def test_lagrangian_that_is_not_finite_on_the_curve_gives_one_error_line(
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: {argv[0]}: ")
+    assert not list(out.glob("*_report.json"))
+
+
+@pytest.mark.parametrize("command", ["solve", "legendre"])
+def test_abs_at_zero_on_the_curve_gives_one_error_line(tmp_path, capsys, command):
+    # x(a) = 0, so abs(x1) has no partials at the first node of the initial
+    # curve; no verdict is made from a derivative that does not exist
+    doc = json.loads((PROBLEMS / "free_particle.json").read_text())
+    doc["lagrangian"] = "v1^2/2 + abs(x1)"
+    path = tmp_path / "abs.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main([command, str(path), "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert lines == [
+        f"error: {path}: {command}: abs not differentiable at 0 at point 0 (t=0.0, x=[0.], v=[1.])"
+    ]
     assert not list(out.glob("*_report.json"))
 
 

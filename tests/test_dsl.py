@@ -10,6 +10,7 @@ import sympy as sp
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import fd
 import noether_lcs as nl
 from noether_lcs.dsl import (
     Binary,
@@ -221,12 +222,18 @@ def test_division_by_a_constant_zero_is_checked_at_every_call(src):
             evaluate(e, 0.0, [1.0], [0.0], order=order)
 
 
-def test_abs_kink_falls_back_to_fd_with_warning():
+def test_a_partial_of_abs_at_zero_is_a_domain_error():
+    # abs has no derivative at 0: every partial read raises, as sqrt's does,
+    # while the value is exact
     L = compile_field("abs(x1)", dim=1)
-    with pytest.warns(RuntimeWarning, match="kink"):
-        L.partial("x", 0.0, np.array([0.0]), np.array([0.0]))
-    # away from the kink the analytic sign is exact
+    assert L(0.0, np.array([0.0]), np.array([0.0])) == 0.0
+    for read, name in ((L.partial, "x"), (L.partial, "t"), (L.second_partial, "vv")):
+        with pytest.raises(DomainError, match=r"^abs not differentiable at 0$") as err:
+            read(name, 0.0, np.array([0.0]), np.array([0.0]))
+        assert list(err.value.rows) == [0]
+    # away from 0 the analytic sign is exact
     assert L.partial("x", 0.0, np.array([2.0]), np.array([0.0])) == pytest.approx([1.0])
+    assert L.partial("x", 0.0, np.array([-1e-300]), np.array([0.0])) == pytest.approx([-1.0])
 
 
 _SMOOTH_OPS = ["+", "-", "*", "sin", "cos", "pow", "exp"]
@@ -267,9 +274,9 @@ def random_smooth_expression(rng, max_depth=6):
 
 
 def test_random_expression_partials_match_fd():
-    # differential testing: exact jet partials against the FD engine
+    # differential testing: exact jet partials against finite differences
+    # of the values
     rng = np.random.default_rng(101)
-    fd = nl.ScalarField  # FD path comes from a field without analytic partials
     checked = 0
     while checked < 200:
         expr = random_smooth_expression(rng)
@@ -283,15 +290,11 @@ def test_random_expression_partials_match_fd():
         grads = np.r_[r.grad, r.hess[1, 1], r.hess[2, 2]]
         if not np.all(np.isfinite(grads)) or np.max(np.abs(grads)) > 1e4:
             continue
-        plain = fd(dim=1, func=lambda tt, xx, vv: nl.evaluate(expr, tt, xx, vv).value)
-        assert plain.partial("t", t, x, v) == pytest.approx(r.grad[0], abs=1e-6, rel=1e-6)
-        assert plain.partial("x", t, x, v)[0] == pytest.approx(
-            r.grad[1], abs=1e-6, rel=1e-6
-        )
-        assert plain.partial("v", t, x, v)[0] == pytest.approx(
-            r.grad[2], abs=1e-6, rel=1e-6
-        )
-        assert plain.second_partial("vv", t, x, v)[0, 0] == pytest.approx(
+        plain = nl.ScalarField(dim=1, func=lambda tt, xx, vv: nl.evaluate(expr, tt, xx, vv).value)
+        assert fd.block(plain, "t", t, x, v) == pytest.approx(r.grad[0], abs=1e-6, rel=1e-6)
+        assert fd.block(plain, "x", t, x, v)[0] == pytest.approx(r.grad[1], abs=1e-6, rel=1e-6)
+        assert fd.block(plain, "v", t, x, v)[0] == pytest.approx(r.grad[2], abs=1e-6, rel=1e-6)
+        assert fd.block(plain, "vv", t, x, v)[0, 0] == pytest.approx(
             r.hess[2, 2], abs=5e-4, rel=5e-4
         )
         checked += 1
@@ -437,32 +440,32 @@ def test_stacked_domain_error_names_the_failing_point():
         L(np.zeros(3), x[:3], np.zeros((3, 1)))
 
 
-def test_abs_kink_rows_alone_fall_back_with_one_warning(monkeypatch):
+def test_abs_at_zero_names_the_rows_of_the_stack_and_near_zero_is_exact():
+    # x1 == 0 (and -0.0) has no partials; 1e-13, however close, has exact ones
     L = compile_field("abs(x1)*v1^2", dim=1)
-    t = np.zeros(5)
-    x = np.array([[2.0], [0.0], [-3.0], [1e-13], [0.5]])
-    v = np.array([[1.5], [2.0], [-1.0], [3.0], [0.5]])
-    probed = []
-    at_point = nl.ScalarField._at_point
-
-    def spy(self, block, t, x, v):
-        probed.append(float(x[0]))
-        return at_point(self, block, t, x, v)
-
-    monkeypatch.setattr(nl.ScalarField, "_at_point", spy)
-    with pytest.warns(RuntimeWarning, match="kink") as caught:
-        d_x = L.partial("x", t, x, v)
-    assert len(caught) == 1
-    assert probed == [0.0, 1e-13]
-    smooth = [0, 2, 4]
-    assert np.array_equal(d_x[smooth, 0], np.sign(x[smooth, 0]) * v[smooth, 0] ** 2)
-    assert d_x[[1, 3], 0] == pytest.approx([0.0, 0.0], abs=1e-6)
+    t = np.zeros(6)
+    x = np.array([[2.0], [0.0], [-3.0], [1e-13], [0.5], [-0.0]])
+    v = np.array([[1.5], [2.0], [-1.0], [3.0], [0.5], [1.0]])
+    named = r"^abs not differentiable at 0 at point 1 \(t=0\.0, x=\[0\.\], v=\[2\.\]\)$"
+    for order in (1, 2):
+        with pytest.raises(DomainError, match=named) as err:
+            L.jet(t, x, v, order)
+        assert list(err.value.rows) == [1, 5]
+    assert np.array_equal(L(t, x, v), np.abs(x[:, 0]) * v[:, 0] ** 2)
+    smooth = [0, 2, 3, 4]
+    d_x = L.partial("x", t[smooth], x[smooth], v[smooth])
+    assert np.array_equal(d_x[:, 0], np.sign(x[smooth, 0]) * v[smooth, 0] ** 2)
 
 
 def test_domain_error_after_kink_rows_names_the_row_of_the_stack():
-    # row 0 is at the abs() kink, so its sqrt(0) is skipped; row 2 is not
+    # the program checks abs(x1) before sqrt(x2): a stack with rows at both
+    # raises for abs, naming its row; without it, for sqrt at row 2
     L = compile_field("abs(x1) + sqrt(x2)", 2)
     x = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(DomainError, match=r"abs not differentiable at 0 at point 0 ") as err:
+        L.partial("x", np.zeros(4), x, np.ones((4, 2)))
+    assert list(err.value.rows) == [0]
+    x[0] = 1.0
     with pytest.raises(DomainError, match=r"sqrt not differentiable at 0 at point 2 ") as err:
         L.partial("x", np.zeros(4), x, np.ones((4, 2)))
     assert list(err.value.rows) == [2]
@@ -470,15 +473,14 @@ def test_domain_error_after_kink_rows_names_the_row_of_the_stack():
 
 @pytest.mark.parametrize("src", ["sqrt(0) + v1^2/2", "0^1.5 + v1^2/2", "abs(1 - 1)*x1 + v1^2/2"])
 def test_a_constant_argument_needs_no_partial_check(src):
-    # sqrt, a power and abs() of a constant have no gradient, so neither the
-    # check at 0 nor the kink mark applies: every partial is exact
+    # sqrt, a power and abs() of a constant have no gradient, so their
+    # checks at 0 do not apply: every partial is exact
     L = compile_field(src, 1)
     t, x, v = np.zeros(3), np.array([[0.0], [1.0], [-2.0]]), np.array([[0.5], [1.0], [2.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         d_x, d_v = L.partial(("x", "v"), t, x, v)
         (vv,) = L.second_partial(("vv",), t, x, v)
-        assert L.jets(t, x, v, 2).kinks is None
     assert np.array_equal(d_x, np.zeros((3, 1))) and np.array_equal(d_v, v)
     assert np.array_equal(vv, np.ones((3, 1, 1)))
 
@@ -522,14 +524,16 @@ def test_an_exponent_that_folds_to_inf_or_nan_is_a_domain_or_evaluation_error(sr
 
 
 @pytest.mark.parametrize(
-    "src, x1, v1, kinks",
+    "src, x1, v1, rows",
     [
-        ("abs(x1)*v1^2", [0.0, 1.0, -2.0, 1e-13], [1.0, 2.0, 0.0, 3.0], [0, 3]),
-        ("abs(x1) + abs(v1)", [0.0, 1.0, 1.0, 2.0], [1.0, 0.0, 1.0, 2.0], [0, 1]),
+        ("abs(x1)*v1^2", [0.0, 1.0, -2.0, 1e-13], [1.0, 2.0, 0.0, 3.0], [0]),
+        ("abs(x1) + abs(v1)", [1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 2.0], [1, 3]),
     ],
     ids=["one-kinked-node", "two-kinked-nodes"],
 )
-def test_kink_rows_cost_one_evaluate_call(monkeypatch, src, x1, v1, kinks):
+def test_kink_rows_cost_one_evaluate_call(monkeypatch, src, x1, v1, rows):
+    # no retry and no second path: the one call raises at the first abs()
+    # whose argument is 0 on some row, naming that node's rows
     L = compile_field(src, 1)
     orders = []
     evaluate = nl.dsl.evaluate
@@ -540,14 +544,13 @@ def test_kink_rows_cost_one_evaluate_call(monkeypatch, src, x1, v1, kinks):
 
     monkeypatch.setattr(nl.dsl, "evaluate", counting)
     t, x, v = np.zeros(4), np.array(x1)[:, None], np.array(v1)[:, None]
-    with pytest.warns(RuntimeWarning, match="kink") as caught:
-        r = L.jets(t, x, v, 2)
-    assert orders == [2] and len(caught) == 1
-    assert list(r.kinks) == kinks
-    smooth = np.setdiff1d(np.arange(4), kinks)
-    for block in (r.grad, r.hess):
-        assert np.isnan(block[kinks]).all() and np.isfinite(block[smooth]).all()
-    assert np.isfinite(r.value).all()
+    with pytest.raises(DomainError, match=rf"^abs not differentiable at 0 at point {rows[0]} "):
+        L.jets(t, x, v, 2)
+    assert orders == [2]
+    with pytest.raises(DomainError) as err:
+        L.jets(t, x, v, 1)
+    assert list(err.value.rows) == rows and orders == [2, 1]
+    assert np.isfinite(L(t, x, v)).all()
 
 
 _BLOCKS = ("value", "t", "x", "v", "tt", "xx", "xv", "vx", "vv")
@@ -563,7 +566,9 @@ _BLOCKS = ("value", "t", "x", "v", "tt", "xx", "xv", "vx", "vv")
 @given(seed=st.integers(0, 2**32 - 1))
 def test_stacked_jet_with_kink_rows_equals_the_one_point_reads(seed):
     # abs() of a coordinate times a random tree with abs() nodes of its own,
-    # on a stack whose rows 0 and 2 sit at the kinks of abs(x1) and abs(v1)
+    # on a stack whose rows 0 and 2 sit at the kinks of abs(x1) and abs(v1):
+    # the stack raises as the one-point reads of those rows do, and the
+    # stack of the other rows gives their one-point blocks
     rng = np.random.default_rng(seed)
     ops = _SMOOTH_OPS + ["abs", "abs"]
     kinked = Unary("abs", Var(str(rng.choice(["x", "v"])), 1))
@@ -575,28 +580,31 @@ def test_stacked_jet_with_kink_rows_equals_the_one_point_reads(seed):
     v[[0, 2], 0] = 0.0
     # a jet raises EvaluationError where the value is not finite
     assume(np.all(np.isfinite(evaluate(expr, t, x, v).value)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        jet = L.jet(t, x, v, 2)
-        assert 0 in jet.exact.kinks
-        smooth = np.setdiff1d(np.arange(5), jet.exact.kinks)
-        assume(len(smooth))
-        stack = {block: jet[block] for block in _BLOCKS}
-        for i in range(5):
-            one = L.jet(t[i], x[i], v[i], 2)
-            for block in _BLOCKS:
-                got, want = np.asarray(stack[block][i]), np.asarray(one[block])
-                if i in smooth or block == "value":
-                    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
-                else:
-                    assert got.tobytes() == want.tobytes(), (i, block)
+    with pytest.raises(DomainError, match=r"^abs not differentiable at 0 at point 0 ") as err:
+        L.jet(t, x, v, 2)
+    assert list(err.value.rows) == [0, 2]
+    for i in (0, 2):
+        with pytest.raises(DomainError, match=r"^abs not differentiable at 0$"):
+            L.jet(t[i], x[i], v[i], 2)
+    smooth = [1, 3, 4]
+    try:  # a random abs() node may meet 0 too, as abs(x1 - x1) does everywhere
+        jet = L.jet(t[smooth], x[smooth], v[smooth], 2)
+    except DomainError:
+        assume(False)
+    stack = {block: jet[block] for block in _BLOCKS}
+    for k, i in enumerate(smooth):
+        one = L.jet(t[i], x[i], v[i], 2)
+        for block in _BLOCKS:
+            got, want = np.asarray(stack[block][k]), np.asarray(one[block])
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
 # -- the compiled program against the tree-walking evaluator ---------------
 #
 # The recursive evaluator that walked the tree on every call, kept verbatim
-# (but for its name) as the reference: the compiled program must give the
-# same bits, the same kink rows and the same DomainError.
+# (but for its name and its abs rule, which checks 0 as sqrt's does) as the
+# reference: the compiled program must give the same bits and the same
+# DomainError.
 
 _UNARY = {
     "sin": np.sin,
@@ -662,11 +670,7 @@ def reference_evaluate(e: Expression, t, x, v, order: int = 0) -> EvalResult:
     ``rows``.  The checks that only partials need apply only where the
     argument depends on (t, x, v): sqrt at 0, and 0 to a non-integer power
     c < ``order`` (the partials of u^c stay finite at 0 for c >= order).
-    Where partials are asked for and such an abs() argument is within 1e-12
-    of its kink, the point has no exact partials: it is listed in ``kinks``
-    and evaluation goes on, skipping there those checks at the nodes after
-    that abs().  On a stack every partial block is NaN at those rows; at one
-    point the result has no partial blocks.
+    abs at 0 has no partials either, and is checked as sqrt is.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -675,8 +679,6 @@ def reference_evaluate(e: Expression, t, x, v, order: int = 0) -> EvalResult:
     m = x.shape[-1]
     n = 1 + 2 * m
     units = {}
-    # the points where an abs() argument is at its kink; only partials need it
-    kinks = np.zeros(T.shape, dtype=bool) if order else None
 
     def check(bad, message, values=None):
         if not (bad.any() if type(bad) is np.ndarray else bad):
@@ -715,7 +717,7 @@ def reference_evaluate(e: Expression, t, x, v, order: int = 0) -> EvalResult:
         if c < 0.0:
             check(u0 == 0.0, f"0 raised to exponent {c}")
         elif ug is not None and c < order and c != int(c):
-            check((u0 == 0.0) & ~kinks, f"0 raised to exponent {c}")
+            check(u0 == 0.0, f"0 raised to exponent {c}")
         if c != int(c):
             check(u0 < 0.0, f"negative base {{}} with non-integer exponent {c}", u0)
         f0 = u0**c
@@ -733,9 +735,9 @@ def reference_evaluate(e: Expression, t, x, v, order: int = 0) -> EvalResult:
         elif op == "sqrt":
             check(u0 < 0.0, "sqrt of negative value {}", u0)
             if ug is not None:
-                check((u0 == 0.0) & ~kinks, "sqrt not differentiable at 0")
+                check(u0 == 0.0, "sqrt not differentiable at 0")
         elif op == "abs" and ug is not None:
-            kinks[...] |= np.abs(u0) < 1e-12
+            check(u0 == 0.0, "abs not differentiable at 0")
         f0 = _UNARY[op](u0)
         if ug is None:
             return f0, None, None
@@ -799,14 +801,7 @@ def reference_evaluate(e: Expression, t, x, v, order: int = 0) -> EvalResult:
         res["grad"] = np.array(np.broadcast_to(0.0 if g is None else g, shape + (n,)))
     if order >= 2:
         res["hess"] = np.array(np.broadcast_to(0.0 if h is None else h, shape + (n, n)))
-    if not order or not np.count_nonzero(kinks):
-        return EvalResult(**res)
-    rows = np.flatnonzero(kinks)
-    if not stacked:
-        return EvalResult(value=res["value"], kinks=rows)
-    for name in ("grad", "hess")[:order]:
-        res[name][rows] = np.nan
-    return EvalResult(**res, kinks=rows)
+    return EvalResult(**res)
 
 
 def _outcome(e, t, x, v, order, evaluator):
@@ -815,7 +810,7 @@ def _outcome(e, t, x, v, order, evaluator):
         r = evaluator(e, t, x, v, order=order)
     except ArithmeticError as err:
         return type(err).__name__, str(err), getattr(err, "rows", np.zeros(0)).tobytes()
-    blocks = {"value": r.value, "grad": r.grad, "hess": r.hess, "kinks": r.kinks}
+    blocks = {"value": r.value, "grad": r.grad, "hess": r.hess}
     return {k: None if b is None else (np.asarray(b).dtype, np.asarray(b).tobytes())
             for k, b in blocks.items()}
 
@@ -848,7 +843,7 @@ def test_compiled_program_matches_the_tree_walk_bit_for_bit(form, seed, dim):
     n = 5
     t = rng.uniform(-1, 1, n)
     x, v = rng.uniform(-2, 2, (n, dim)), rng.uniform(-2, 2, (n, dim))
-    x[1] = v[1] = 0.0  # abs() kinks, sqrt(0), 0 to a power
+    x[1] = v[1] = 0.0  # abs(0), sqrt(0), 0 to a power
     x[2] = v[2] = 0.5  # a zero divisor
     x[3] = -x[3] ** 2  # negative bases
     for order in (0, 1, 2):

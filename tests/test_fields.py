@@ -4,26 +4,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fd
 import noether_lcs as nl
 from test_banded import lagrangian_source
 
 
 def test_directional_derivative_quadratic():
     f = lambda y: float(y @ y)
-    assert nl.directional_derivative(f, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]) == pytest.approx(
+    assert fd.directional_derivative(f, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]) == pytest.approx(
         2.0, abs=1e-8
     )
 
 
 def test_directional_derivative_constant():
-    assert nl.directional_derivative(lambda y: 3.25, [0.3, 0.4], [1.0, -1.0]) == pytest.approx(
+    assert fd.directional_derivative(lambda y: 3.25, [0.3, 0.4], [1.0, -1.0]) == pytest.approx(
         0.0, abs=1e-12
     )
 
 
 def test_directional_derivative_product():
     f = lambda y: float(y[0] * y[1])
-    val = nl.directional_derivative(f, [2.0, 3.0], [1.0, 1.0])
+    val = fd.directional_derivative(f, [2.0, 3.0], [1.0, 1.0])
     assert val == pytest.approx(5.0, abs=1e-8)
     # brute-force check at a fixed small step
     eps = 1e-5
@@ -35,7 +36,7 @@ def test_directional_derivative_product():
 
 def test_directional_derivative_vector_valued():
     f = lambda y: y**2
-    out = nl.directional_derivative(f, np.array([1.0, 2.0]), np.array([1.0, 0.0]))
+    out = fd.directional_derivative(f, np.array([1.0, 2.0]), np.array([1.0, 0.0]))
     assert out == pytest.approx([2.0, 0.0], abs=1e-8)
 
 
@@ -43,7 +44,7 @@ def test_directional_derivative_vector_valued():
 def test_directional_derivative_propagates_nonfinite():
     f = lambda y: float(np.log(y[0]))
     with pytest.raises(nl.fields.EvaluationError):
-        nl.directional_derivative(f, [0.0], [1.0])
+        fd.directional_derivative(f, [0.0], [1.0])
 
 
 def test_partial_L_kinetic(free_particle):
@@ -54,10 +55,7 @@ def test_partial_L_kinetic(free_particle):
 def test_partial_L_oscillator_fd_agrees(oscillator):
     analytic = oscillator.partial("x", 0.0, [2.0], [0.0])
     assert analytic == pytest.approx([-2.0])
-    bare = nl.ScalarField(dim=1, func=oscillator.func)
-    assert bare.partial("x", 0.0, np.array([2.0]), np.array([0.0])) == pytest.approx(
-        [-2.0], abs=1e-8
-    )
+    assert fd.block(oscillator, "x", 0.0, [2.0], [0.0]) == pytest.approx([-2.0], abs=1e-8)
 
 
 def test_second_partial_kinetic(free_particle):
@@ -73,8 +71,7 @@ def test_second_partial_weighted_kinetic():
     L = nl.compile_field("(1*v1^2 + 2*v2^2 + 3*v3^2)/2", dim=3)
     hess = L.second_partial("vv", 0.0, np.zeros(3), np.ones(3))
     assert hess == pytest.approx(np.diag([1.0, 2.0, 3.0]))
-    bare = nl.ScalarField(dim=3, func=L.func)
-    fd_hess = bare.second_partial("vv", 0.0, np.zeros(3), np.ones(3))
+    fd_hess = fd.block(L, "vv", 0.0, np.zeros(3), np.ones(3))
     assert fd_hess == pytest.approx(hess, abs=1e-5)
     assert np.max(np.abs(fd_hess - fd_hess.T)) <= 1e-6
 
@@ -84,14 +81,13 @@ def test_analytic_vs_fd_on_catalog_random_points():
     catalog = ["v1^2/2", "(v1^2 - x1^2)/2", "v1^4/4", "exp(t)*v1^2"]
     for src in catalog:
         L = nl.compile_field(src, dim=1)
-        bare = nl.ScalarField(dim=1, func=L.func)
         for _ in range(25):
             t = float(rng.uniform(0, 1))
             x = rng.uniform(-1, 1, size=1)
             v = rng.uniform(-1, 1, size=1)
             for which in ("t", "x", "v"):
                 a = np.atleast_1d(L.partial(which, t, x, v))
-                b = np.atleast_1d(bare.partial(which, t, x, v))
+                b = np.atleast_1d(fd.block(L, which, t, x, v))
                 assert np.max(np.abs(a - b)) <= 1e-6 * (1 + np.max(np.abs(a)))
 
 
@@ -102,7 +98,7 @@ def test_richardson_halving_reduces_error():
     exact = np.cos(0.4) * np.exp(0.2) + 0.5 * np.sin(0.4) * np.exp(0.2)
     ratios = []
     for eps in (2e-2, 1e-2, 5e-3):
-        est = nl.directional_derivative(f, base, h, step=eps)
+        est = fd.directional_derivative(f, base, h, step=eps)
         ratios.append(abs(est - exact))
     assert ratios[0] / max(ratios[1], 1e-300) >= 8.0
     assert ratios[1] / max(ratios[2], 1e-300) >= 8.0
@@ -369,18 +365,25 @@ def _every_block(L, t, x, v):
     return out + [L.second_partial(p, t, x, v) for p in ("tt", "xx", "xv", "vx", "vv")]
 
 
+def _every_fd_block(L, t, x, v):
+    """``_every_block`` with each partial made by finite differences."""
+    names = ("t", "x", "v", "tt", "xx", "xv", "vx", "vv")
+    return [L(t, x, v)] + [fd.block(L, name, t, x, v) for name in names]
+
+
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "fd"])
 def test_stacked_calls_match_point_by_point_calls(compiled):
+    # the stacked reads against the same reads one point at a time, or
+    # against finite differences of the values one point at a time
     L = nl.compile_field("exp(t/3)*(x1*v2 + v1^2/2) + sin(x2)*v2^2 - x1^2*x2", dim=2)
-    if not compiled:
-        L = nl.ScalarField(dim=2, func=L.func)
     t, x, v = _stack(2)
     stacked = _every_block(L, t, x, v)
-    rows = [_every_block(L, t[i], x[i], v[i]) for i in range(len(t))]
+    by_point = _every_block if compiled else _every_fd_block
+    rows = [by_point(L, t[i], x[i], v[i]) for i in range(len(t))]
+    tolerance = dict(rtol=1e-12, atol=0.0) if compiled else dict(rtol=1e-6, atol=1e-6)
     for k, block in enumerate(stacked):
         assert block.shape[0] == len(t)
-        by_point = np.array([r[k] for r in rows])
-        np.testing.assert_allclose(block, by_point, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(block, np.array([r[k] for r in rows]), **tolerance)
 
 
 def test_compiled_field_answers_a_stack_with_one_evaluation(monkeypatch):
@@ -433,36 +436,43 @@ TUPLE_SOURCES = (
 )
 
 
+def _outcome(read, names, t, x, v):
+    """The blocks a read gives, or the DomainError's text and rows."""
+    try:
+        return read(names, t, x, v)
+    except nl.dsl.DomainError as err:
+        return str(err), list(err.rows)
+
+
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(
     src=st.sampled_from(TUPLE_SOURCES),
-    engine=st.booleans(),
     count=st.sampled_from([None, 1, 5]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_tuple_reads_equal_the_single_block_reads(src, engine, count, seed):
+def test_tuple_reads_equal_the_single_block_reads(src, count, seed):
     # a tuple of block names reads one jet; each block must be bit for bit
-    # the block a single-name read gives, for a compiled field, a field with
-    # no engine, and abs() at its kink rows (which fall back to differences)
+    # the block a single-name read gives, and where abs() sits at 0 the
+    # tuple read raises the DomainError each single read raises
     L = nl.compile_field(src, dim=2)
-    if not engine:
-        L = nl.ScalarField(dim=2, func=L.func)
     rng = np.random.default_rng(seed)
     shape = (2,) if count is None else (count, 2)
     t = rng.uniform(-1.0, 1.0) if count is None else rng.uniform(-1.0, 1.0, count)
     x, v = rng.uniform(-1.0, 1.0, shape), rng.uniform(-1.0, 1.0, shape)
     if count is not None:
-        x[::2, 0] = 0.0  # the kink rows of abs(x1)
-        v[1::3, 1] = 0.0  # and of abs(v2)
+        x[::2, 0] = 0.0  # where abs(x1) has no partials
+        v[1::3, 1] = 0.0  # and abs(v2)
     reads = ((L.partial, ("t", "x", "v")), (L.second_partial, ("tt", "xx", "xv", "vx", "vv")))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for read, names in reads:
-            for k in range(1, len(names) + 1):
-                together = read(names[:k], t, x, v)
-                assert len(together) == k
-                for name, block in zip(names, together):
-                    assert np.array_equal(block, read(name, t, x, v))
+    for read, names in reads:
+        for k in range(1, len(names) + 1):
+            together = _outcome(read, names[:k], t, x, v)
+            singles = [_outcome(read, name, t, x, v) for name in names[:k]]
+            if isinstance(together[0], str):
+                assert all(single == together for single in singles)
+                continue
+            assert len(together) == k
+            for block, single in zip(together, singles):
+                assert np.array_equal(block, single)
 
 
 def test_tuple_read_is_one_engine_call(monkeypatch):
@@ -491,14 +501,14 @@ def test_fd_hessian_blocks_are_exactly_symmetric():
     exact = nl.compile_field("exp(x1*v3)*sin(t*x2) + v1*v2*x3^2 - x1*x2*x3", 3)
     t, x, v = _stack(3, count=4, seed=9)
     for point in [(t[0], x[0], v[0]), (t, x, v)]:
-        xv = bare.second_partial("xv", *point)
-        assert np.array_equal(bare.second_partial("vx", *point), np.swapaxes(xv, -1, -2))
+        xv = fd.block(bare, "xv", *point)
+        assert np.array_equal(fd.block(bare, "vx", *point), np.swapaxes(xv, -1, -2))
         for pair in ("xx", "vv"):
-            h = bare.second_partial(pair, *point)
+            h = fd.block(bare, pair, *point)
             assert np.array_equal(h, np.swapaxes(h, -1, -2))
         for pair in ("xx", "xv", "vv"):
             np.testing.assert_allclose(
-                bare.second_partial(pair, *point),
+                fd.block(bare, pair, *point),
                 exact.second_partial(pair, *point),
                 atol=1e-6,
             )
@@ -523,9 +533,8 @@ def test_fd_blocks_cost_a_fixed_number_of_field_values(dim):
         "vx": 4 * m * m,
     }
     for block, count in expected.items():
-        read = bare.partial if len(block) == 1 else bare.second_partial
         calls.clear()
-        read(block, t[0], x[0], v[0])
+        fd.block(bare, block, t[0], x[0], v[0])
         assert len(calls) == count, block
 
 
@@ -577,20 +586,15 @@ def test_every_block_is_the_table_slice_of_the_engine_result():
 
 
 def test_finite_difference_blocks_land_in_the_slots_of_the_exact_ones():
-    # abs(x1) sits at its kink at rows 1 and 3, where v2 = 0, so there every
-    # partial exists and equals those of x2*v1; they come from differences
-    L = nl.compile_field("abs(x1)*v2^2 + x2*v1", dim=2)
-    smooth = nl.compile_field("x2*v1", dim=2)
+    # every slot and slot pair of z = (t, x1, x2, v1, v2) has its own partial,
+    # so a difference placed in the wrong slot would not match
+    L = nl.compile_field("exp(t/3)*(x1*v2 + v1^2/2) + sin(x2)*v2^2 - x1^2*x2 + t^2*v1", dim=2)
     t, x, v = _stack(2, count=5, seed=11)
-    x[[1, 3], 0] = 0.0
-    v[[1, 3], 1] = 0.0
-    with pytest.warns(RuntimeWarning, match="kink"):
-        jet = L.jet(t, x, v, 2)
-    assert list(jet.exact.kinks) == [1, 3]
-    exact = nl.evaluate(smooth.jets, t, x, v, order=2)
-    for name in nl.fields.BLOCKS:
-        fd = np.asarray(jet[name])[[1, 3]]
-        np.testing.assert_allclose(fd, _by_table(exact, name, 2)[[1, 3]].reshape(fd.shape), atol=1e-6)
+    exact = nl.evaluate(L.jets, t, x, v, order=2)
+    for name in nl.fields.BLOCKS.keys() - {"value"}:
+        differenced = fd.block(L, name, t, x, v)
+        want = _by_table(exact, name, 2).reshape(differenced.shape)
+        np.testing.assert_allclose(differenced, want, rtol=1e-6, atol=1e-6, err_msg=name)
 
 
 # -- every block a field hands out is finite ---------------------------------
@@ -677,3 +681,19 @@ def test_the_value_of_a_field_without_an_engine_is_one_func_call_on_a_stack():
         with pytest.raises(nl.fields.EvaluationError, match="non-finite field value at point 1") as err:
             read(np.array([[0.1], [0.8], [0.3]]))
         assert err.value.index == 1
+
+
+def test_a_partial_of_a_field_without_an_engine_is_an_error_that_says_so():
+    bare, _ = _counting_bare("v1^2/2 - x1^2", 1)
+    ts, xs, vs = np.zeros(3), np.ones((3, 1)), np.ones((3, 1))
+    for point in ((0.0, [1.0], [1.0]), (ts, xs, vs)):
+        for read, names in ((bare.partial, ("t", "x", "v")), (bare.second_partial, ("xv", "vv"))):
+            for name in (*names, names):
+                first = names[0] if name == names else name
+                with pytest.raises(TypeError, match=f"without an exact-jet engine has no partial '{first}'"):
+                    read(name, *point)
+        assert bare.jet(*point, 2)["value"] == pytest.approx(0.5 - 1.0)
+    # a first integral is such a field
+    C = nl.noether_first_integral(bare, nl.catalog_generator("time-translation", 1))
+    with pytest.raises(TypeError, match="no partial 'v'"):
+        C.partial("v", ts, xs, vs)

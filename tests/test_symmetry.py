@@ -139,7 +139,6 @@ def test_polynomial_engine_equals_the_compiled_tree(dim, degrees, n, seed):
                 assert type(a) is type(b)
                 if b is not None:
                     assert a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
-            assert got.kinks is None and want.kinks is None
 
 
 def loop_monomial_columns(monomials, ts, xs, vs):
@@ -437,17 +436,16 @@ def test_conservation_names_the_node_where_the_integral_overflows(line_space):
     assert err.value.index == 71
 
 
-def test_conservation_passes_on_an_error_that_names_no_node(line_space):
-    # v = 0 for t <= 0.5, where abs(v1) sits at its kink and L_v is a finite
-    # difference; its one-point probe at v1 = +6e-6 overflows
+def test_conservation_raises_where_abs_in_the_lagrangian_has_no_partials(line_space):
+    # v = 0 for t < 0.5, where abs(v1) has no derivative: L_v, which the
+    # first integral reads, is a DomainError naming the first such node
     grid = nl.Grid(0.0, 1.0, 100)
     x = nl.Curve.from_function(line_space, grid, lambda t: [-max(t - 0.5, 0.0) ** 2])
     L = nl.compile_field("v1^2/2 + abs(v1)*exp(1e20*v1)", 1)
     C = nl.noether_first_integral(L, nl.catalog_generator("time-translation", 1))
-    with pytest.raises(nl.fields.EvaluationError, match=r"^non-finite field value at t=0\.0, x=\[-0\.\], v=") as err:
-        with pytest.warns(RuntimeWarning, match="kink"):
-            nl.verify_conservation(C, x, tol=1e-6)
-    assert err.value.index is None
+    with pytest.raises(nl.dsl.DomainError, match=r"^abs not differentiable at 0 at point 0 \(t=0\.0,") as err:
+        nl.verify_conservation(C, x, tol=1e-6)
+    assert list(err.value.rows) == list(range(50))
 
 
 def test_first_integral_is_a_float_at_a_point_and_an_array_at_a_stack(oscillator):
