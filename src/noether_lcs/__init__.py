@@ -29,7 +29,7 @@ from .curves import (
     read_curve_csv,
     write_curve_csv,
 )
-from .dsl import parse, evaluate, to_string, compile_field, ParseDiagnostic
+from .dsl import parse, evaluate, compile_field, ParseDiagnostic
 from .euler_lagrange import (
     BoundaryConditions,
     SolverConfig,

@@ -1,12 +1,14 @@
 """Command-line front end.
 
 One structured problem file per run, given as the single positional argument;
-flags only override tolerances and grids.  Reports are deterministic JSON
-(fixed key order, floats at 17 significant digits); curves travel as CSV with
-columns t, x1..xm (velocities appended with --emit-velocity).
+of the file's settings, flags override only the grid (--grid-n).  Reports are
+deterministic JSON (fixed key order, each float as Python's shortest
+round-trip repr); curves travel as CSV with columns t, x1..xm (velocities
+appended with --emit-velocity).
 
 Exit codes: 0 all verdicts passed (and after --help or --version), 2 a
-mathematical verdict failed, 1 a usage, input or solver error.
+mathematical verdict failed, 1 a usage, input, evaluation or solver error,
+printed as one line ``error: <file>: <command>: <message>``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .curves import Curve, _check_grid, action, read_curve_csv, write_curve_csv
-from .dsl import DomainError
 from .euler_lagrange import SolverError, el_residual, meets_stopping_rule, solve_extremal
 from .fields import EvaluationError, check_normal_differentiability
 from .legendre_jacobi import (
@@ -29,7 +30,7 @@ from .legendre_jacobi import (
     jacobi_operators,
     legendre_check,
 )
-from .problem import ProblemError, ProblemFile, load_problem, positive
+from .problem import ProblemError, ProblemFile, load_problem
 from .spaces import ValidationError, make_space
 from .symmetry import (
     check_invariance,
@@ -41,12 +42,9 @@ SCHEMA_VERSION = 1
 
 
 def _format_value(obj):
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return float(format(obj, ".17g"))
-    if isinstance(obj, (np.floating,)):
-        return _format_value(float(obj))
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        return ("inf" if obj > 0 else "-inf") if math.isinf(obj) else obj
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -316,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("problem", help="path to the JSON problem file")
         p.add_argument("--out", default=".", help="output directory for reports/CSV")
         p.add_argument("--grid-n", type=int, default=None, help="override interval count")
-        p.add_argument("--tol", type=positive, default=None, help="override all verdict tolerances")
         if name in ("solve", "legendre", "jacobi", "noether", "verify"):  # read a curve
             p.add_argument("--seed-curve", default=None, help="CSV curve to start from / analyze")
         if name == "solve":
@@ -339,13 +336,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         prob = load_problem(args.problem, grid_n=args.grid_n)
-        if args.tol is not None:
-            prob.tolerances = {k: args.tol for k in prob.tolerances}
         report, code = _COMMANDS[args.command](prob, args)
-    except (ProblemError, ValidationError, SolverError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (DomainError, EvaluationError) as err:  # their messages name no file
+    except (ProblemError, ValidationError, SolverError, EvaluationError, OSError) as err:
         print(f"error: {args.problem}: {args.command}: {err}", file=sys.stderr)
         return 1
     out = _outdir(args)

@@ -157,13 +157,14 @@ def simpson(f: np.ndarray, grid: Grid) -> float:
 
 def along(f: ScalarField, curve: Curve, phase: str):
     """f(t, x, x') at every node of the curve in one call on the stack; an
-    EvaluationError there is re-raised naming the phase and the node."""
+    EvaluationError there is re-raised, its type, rows and index kept,
+    naming the phase and the node."""
     grid = curve.grid
     try:
         return f(grid.nodes, curve.values, derivative_all(curve, 1))
     except EvaluationError as err:
         i = err.index
-        raise EvaluationError(f"{phase} failed at node {i} (t={grid.nodes[i]}): {err}", index=i)
+        raise err.prefixed(f"{phase} failed at node {i} (t={grid.nodes[i]}): ")
 
 
 def action(L: ScalarField, curve: Curve) -> float:

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import ScalarField, slots
+from .fields import EvalResult, EvaluationError, ScalarField, _where, slots
 
 
 class ParseDiagnostic(ValueError):
@@ -30,13 +30,14 @@ class ParseDiagnostic(ValueError):
         super().__init__(f"at offset {offset} near {token!r}: {message}")
 
 
-class DomainError(ArithmeticError):
+class DomainError(EvaluationError):
     """Evaluation hit an invalid argument (log, sqrt, division, or a partial
     that does not exist, such as that of abs at 0); ``rows`` lists the
-    failing points of an evaluated stack (``[0]`` for one point)."""
+    failing points of an evaluated stack (``[0]`` for one point), and
+    ``index`` is the first of them on a stack, None at one point."""
 
-    def __init__(self, message: str, rows=(0,)):
-        super().__init__(message)
+    def __init__(self, message: str, rows=(0,), index: Optional[int] = None):
+        super().__init__(message, index)
         self.rows = np.asarray(rows, dtype=int)
 
 
@@ -217,57 +218,6 @@ def _fold_constant(e: Expression) -> float:
     return float(evaluate(e, 0.0, (), ()).value)
 
 
-# -- pretty printer -----------------------------------------------------
-
-_PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "neg": 25, "^": 30}
-
-
-def _prec(e: Expression) -> int:
-    if isinstance(e, Binary):
-        return _PREC[e.op]
-    if isinstance(e, Unary):
-        return _PREC["neg"] if e.op == "neg" else 100
-    if isinstance(e, Pow):
-        return _PREC["^"]
-    return 100
-
-
-def _num(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
-
-
-def to_string(e: Expression) -> str:
-    """Canonical rendering; reparsing the output reproduces the string."""
-    if isinstance(e, Const):
-        return _num(e.value)
-    if isinstance(e, Var):
-        return "t" if e.kind == "t" else f"{e.kind}{e.index}"
-    if isinstance(e, Unary):
-        inner = to_string(e.operand)
-        if e.op == "neg":
-            if _prec(e.operand) < _PREC["^"] and not isinstance(e.operand, Unary):
-                inner = f"({inner})"
-            return f"-{inner}"
-        return f"{e.op}({inner})"
-    if isinstance(e, Pow):
-        base = to_string(e.base)
-        if _prec(e.base) <= _PREC["^"]:
-            base = f"({base})"
-        exp = _num(e.exponent)
-        if e.exponent < 0:
-            exp = f"({exp})"
-        return f"{base}^{exp}"
-    left = to_string(e.left)
-    right = to_string(e.right)
-    if _prec(e.left) < _PREC[e.op]:
-        left = f"({left})"
-    if _prec(e.right) <= _PREC[e.op]:
-        right = f"({right})"
-    return f"{left}{e.op}{right}"
-
-
 # -- evaluation ---------------------------------------------------------
 #
 # One evaluator serves every consumer: forward-mode Taylor arithmetic over a
@@ -366,16 +316,17 @@ def _chain(c, f0, ug, uh, f1, f2):  # the jet of f(u) from u's and f', f'' at u
 
 
 def _check(c, bad, message, values=None):
-    """Raise DomainError where ``bad`` holds; a stack's names its first row."""
+    """Raise DomainError where ``bad`` holds, naming the point, or a stack's
+    first failing row; a constant folded at parse or compile time, a call
+    with no coordinates, has no point to name."""
     if not (bad.any() if type(bad) is np.ndarray else bad):
         return
     if not c.stacked:
-        raise DomainError(message.format(values))
+        raise DomainError(message.format(values) + (_where(c.T, c.x, c.v) if c.x.size else ""))
     rows = np.flatnonzero(np.broadcast_to(bad, c.T.shape))
     i = int(rows[0])
     value = None if values is None else np.broadcast_to(values, c.T.shape)[i]
-    where = f" at point {i} (t={c.T[i]}, x={c.x[i]}, v={c.v[i]})"
-    raise DomainError(message.format(value) + where, rows)
+    raise DomainError(message.format(value) + _where(c.T, c.x, c.v, i), rows, i)
 
 
 def _constant(r, c):
@@ -506,17 +457,6 @@ def _compile(e, m: int) -> tuple:
     return r
 
 
-@dataclass(slots=True)
-class EvalResult:
-    """A float value, ``grad`` (1+2m,) from order 1 and ``hess`` (1+2m, 1+2m)
-    at order 2 over the slots z of ``fields.slots``, with a leading axis on a
-    stack."""
-
-    value: float
-    grad: Optional[np.ndarray] = None
-    hess: Optional[np.ndarray] = None
-
-
 class _Call:
     """What one call hands each closure: the points and the order."""
 
@@ -568,9 +508,6 @@ class _Jets:
     def __init__(self, expr, dim: int):
         self.expr, self.run = expr, _compile(expr, dim)
 
-    def value(self, t, x, v):
-        return evaluate(self, t, x, v).value
-
     def __call__(self, t, x, v, order: int) -> EvalResult:
         return evaluate(self, t, x, v, order=order)
 
@@ -581,5 +518,4 @@ def compile_field(source, dim: int) -> ScalarField:
     one ``evaluate`` call.  Where a partial does not exist (sqrt or abs at 0,
     and 0 to a small non-integer power), asking for it raises DomainError."""
     expr = parse(source, dim) if isinstance(source, str) else source
-    jets = _Jets(expr, dim)
-    return ScalarField(dim=dim, func=jets.value, jets=jets)
+    return ScalarField(dim, _Jets(expr, dim))

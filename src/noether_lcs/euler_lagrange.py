@@ -178,7 +178,8 @@ def _line_search(L, grid, xs, step, abs_ab, worst):
     velocities, covectors and residual; None when no trial is.  It stops at
     the first trial that rounds to xs: rounding is monotone, so every smaller
     step rounds to xs too, and each such trial has xs's own ratios.  A trial
-    where a jet read is not finite is refused like one with larger ratios."""
+    where a jet read fails, not finite or outside L's domain (an
+    EvaluationError), is refused like one with larger ratios."""
     for k in range(30):
         trial = xs.copy()
         trial[1:-1] += 0.5**k * step
@@ -186,7 +187,7 @@ def _line_search(L, grid, xs, step, abs_ab, worst):
             return None
         try:
             xd, lx, lv = _covectors(L, grid, trial)
-        except EvaluationError:  # L or a partial is not finite there: refused
+        except EvaluationError:  # L or a partial fails there: refused
             continue
         res = _residual(grid, lx, lv)
         if float(np.max(_floor_ratios(grid, trial, lx, lv, res, abs_ab))) < worst:

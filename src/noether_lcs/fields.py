@@ -1,19 +1,20 @@
 """Scalar fields on [a,b] x E x E and their exact partials.
 
-A ScalarField wraps an evaluator ``L(t, x, v)`` and an optional exact-jet
-engine.  ``jet(t, x, v, order)`` gives the value and every partial up to
-``order`` from one engine call, read block by block; ``__call__`` is one
-call of the evaluator, and ``partial`` and ``second_partial`` read one
-block, or a tuple of blocks (``L.partial(("x", "v"), ...)``) from one jet.
-``BLOCKS`` names the blocks and ``slots`` places them in
-z = (t, x1..xm, v1..vm): a block is read from the engine's gradient or
-Hessian at its slots.  A field without an engine has values and no
-partials.  Every block handed out is finite, or EvaluationError names it
-and the point.  Points are one point (scalar t, x and v of shape (m,)) or a
-stack of N points (t (N,), x and v (N, m)), which gets results with a
-leading N axis; every evaluator and engine answers both.  The module also
-hosts a numeric audit of the normal-differentiability remainder criterion
-for maps between truncations.
+A ScalarField is its exact-jet engine ``jets(t, x, v, order)``, which
+returns an ``EvalResult``: the value and every partial up to ``order``.
+``jet(t, x, v, order)`` reads that one engine call block by block;
+``__call__`` is the engine's value at order 0, and ``partial`` and
+``second_partial`` read one block, or a tuple of blocks
+(``L.partial(("x", "v"), ...)``) from one jet.  ``BLOCKS`` names the blocks
+and ``slots`` places them in z = (t, x1..xm, v1..vm): a block is read from
+the engine's gradient or Hessian at its slots.  Every block handed out is
+finite, or EvaluationError names it and the point; a failure at a point is
+an EvaluationError (``dsl.DomainError`` is one), and ``_where`` writes the
+point into its message.  Points are one point (scalar t, x and v of shape
+(m,)) or a stack of N points (t (N,), x and v (N, m)), which gets results
+with a leading N axis; every engine answers both.  The module also hosts a
+numeric audit of the normal-differentiability remainder criterion for maps
+between truncations.
 """
 
 from __future__ import annotations
@@ -28,12 +29,28 @@ from .spaces import Space, LinearOperator, normal_index, seminorm
 
 
 class EvaluationError(RuntimeError):
-    """A field produced a non-finite value at the reported point; ``index``
-    is that point's row when a stack was evaluated."""
+    """A field failed at a point: its value or a partial is not finite, or
+    (``dsl.DomainError``) an argument is outside a function's domain;
+    ``index`` is the failing row when a stack was evaluated, else None."""
 
     def __init__(self, message: str, index: Optional[int] = None):
         super().__init__(message)
         self.index = index
+
+    def prefixed(self, prefix: str) -> "EvaluationError":
+        """This error, its type, rows and index kept, with ``prefix`` (the
+        phase and the point the caller knows) before its message."""
+        self.args = (prefix + str(self),)
+        return self
+
+
+def _where(t, x, v, i: Optional[int] = None) -> str:
+    """The text naming a failing point: `` at t=.., x=.., v=..`` for one
+    point, `` at point i (t=.., x=.., v=..)`` for row i of a stack."""
+    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+    if i is None:
+        return f" at t={t}, x={x}, v={v}"
+    return f" at point {i} (t={t[i]}, x={x[i]}, v={v[i]})"
 
 
 # The blocks of a jet by name, and the order of the jet that holds each: the
@@ -46,6 +63,17 @@ BLOCKS = {"value": 0, "t": 1, "x": 1, "v": 1, "tt": 2, "xx": 2, "xv": 2, "vx": 2
 def slots(kind: str, m: int) -> range:
     """The slots of ``kind`` ('t', 'x' or 'v') in z = (t, x1..xm, v1..vm)."""
     return range(1) if kind == "t" else range(1, m + 1) if kind == "x" else range(m + 1, 2 * m + 1)
+
+
+@dataclass(slots=True)
+class EvalResult:
+    """What an engine returns: a float value, ``grad`` (1+2m,) from order 1
+    and ``hess`` (1+2m, 1+2m) at order 2 over the slots z of ``slots``, with
+    a leading axis on a stack."""
+
+    value: float
+    grad: Optional[np.ndarray] = None
+    hess: Optional[np.ndarray] = None
 
 
 def _read(block: str, m: int, grad, hess):
@@ -63,23 +91,18 @@ def _check_finite(out, block: str, t, x, v):
     it is not finite."""
     if math.isfinite(out) if type(out) is float else np.isfinite(out).all():
         return out
-    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
     what = "value" if block == "value" else f"partial {block!r}"
-    if x.ndim == 1:
-        raise EvaluationError(f"non-finite field {what} at t={t}, x={x}, v={v}")
-    i = int(np.flatnonzero(~np.isfinite(out).reshape(len(out), -1).all(axis=1))[0])
-    raise EvaluationError(
-        f"non-finite field {what} at point {i}: t={t[i]}, x={x[i]}, v={v[i]}", index=i
-    )
+    i = None
+    if np.ndim(x) == 2:
+        i = int(np.flatnonzero(~np.isfinite(out).reshape(len(out), -1).all(axis=1))[0])
+    raise EvaluationError(f"non-finite field {what}{_where(t, x, v, i)}", index=i)
 
 
 class Jet:
     """The value and partials of a field up to ``order`` at one point or a
-    stack, from at most one engine call; ``jet[block]`` reads one block (see
-    ``BLOCKS``).  The value of a field without an engine is one call of
-    ``func``, and reading a partial of one is a TypeError.  The engine's
-    value is checked when the jet is made and each block when it is read:
-    EvaluationError names the first point not finite."""
+    stack, from one engine call; ``jet[block]`` reads one block (see
+    ``BLOCKS``).  The value is checked when the jet is made and each block
+    when it is read: EvaluationError names the first point not finite."""
 
     __slots__ = ("field", "t", "x", "v", "order", "exact")
 
@@ -90,40 +113,34 @@ class Jet:
     def __getitem__(self, block: str):
         if BLOCKS[block] > self.order:
             raise KeyError(block)
-        f, t, x, v, r = self.field, self.t, self.x, self.v, self.exact
-        if block == "value":  # the engine's was checked when the jet was made
-            return f(t, x, v) if r is None else r.value
-        if r is None:
-            raise TypeError(f"a field without an exact-jet engine has no partial {block!r}")
-        return _check_finite(_read(block, f.dim, r.grad, r.hess), block, t, x, v)
+        r = self.exact
+        if block == "value":  # checked when the jet was made
+            return r.value
+        out = _read(block, self.field.dim, r.grad, r.hess)
+        return _check_finite(out, block, self.t, self.x, self.v)
 
 
 @dataclass(frozen=True, slots=True)
 class ScalarField:
-    """Evaluator ``func(t, x, v)`` at one point or a stack, with an optional
-    exact-jet engine.
-
-    ``jets(t, x, v, order)`` returns a ``dsl.EvalResult``: the value and
-    every partial up to ``order`` (0, 1 or 2) at one point or a whole stack.
-    With an engine, ``func`` is the engine's value; without one, the field
-    has values and no partials.
-    """
+    """A field of (t, x, v) given by its exact-jet engine: ``jets(t, x, v,
+    order)`` returns an ``EvalResult``, the value and every partial up to
+    ``order`` (0, 1 or 2) at one point or a whole stack.  An engine may
+    answer only order 0 and raise TypeError above it, as a first integral's
+    does: such a field has values and no partials."""
 
     dim: int
-    func: Callable
-    jets: Optional[Callable] = None
+    jets: Callable
 
     def jet(self, t, x, v, order: int) -> Jet:
         """The value and every partial up to ``order`` from one engine call."""
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        exact = None if self.jets is None else self.jets(t, x, v, order)
-        if exact is not None:
-            _check_finite(exact.value, "value", t, x, v)
+        exact = self.jets(t, x, v, order)
+        _check_finite(exact.value, "value", t, x, v)
         return Jet(self, t, x, v, order, exact)
 
     def __call__(self, t, x, v):
-        return _check_finite(self.func(t, x, v), "value", t, x, v)
+        return _check_finite(self.jets(t, x, v, 0).value, "value", t, x, v)
 
     def _blocks(self, names, order: int, kind: str, t, x, v):
         """The named blocks of one jet of ``order``: one block for a name,
@@ -190,27 +207,25 @@ def check_normal_differentiability(
     ``g`` is called once per base point and once per probe, one point each.
     An audit with no pair fails.  A failed audit is a verdict, not an error;
     a non-finite candidate derivative raises EvaluationError naming the base
-    point, and a non-finite value or remainder naming the base point, radius
-    and probe.
+    point, as does an EvaluationError raised inside the candidate, re-raised
+    with the base point before its message; a non-finite value or remainder
+    names the base point, radius and probe.
     """
     base_points = [space_src.check_vector(b) for b in base_points]
     if not base_points:
         raise ValueError("need at least one base point")
 
-    def not_finite(j, b):
-        return EvaluationError(f"non-finite candidate derivative at base point {j}: {b}", index=j)
-
     # candidate index pairs: intersection of the finiteness sets over the cloud
     pairs = None
     derivs = []
     for j, b in enumerate(base_points):
-        try:  # a field read inside the candidate raises where it is not finite
+        try:  # a field read inside the candidate fails at a point
             A = candidate_derivative(b)
         except EvaluationError as err:
-            raise not_finite(j, b) from err
+            raise err.prefixed(f"candidate derivative failed at base point {j} ({b}): ")
         A = A if isinstance(A, LinearOperator) else LinearOperator(np.atleast_2d(A))
         if not np.all(np.isfinite(A.matrix)):
-            raise not_finite(j, b)
+            raise EvaluationError(f"non-finite candidate derivative at base point {j}: {b}", index=j)
         derivs.append(A)
         rep = normal_index(space_src, space_dst, A)
         here = {

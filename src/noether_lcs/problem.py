@@ -1,8 +1,8 @@
 """Structured problem files: one JSON document describes the space, the grid,
 the Lagrangian, boundary values, named generators, and named first integrals.
 
-The file is the experiment; command-line flags only override tolerances and
-grids.
+The file is the experiment; of its settings, the command line overrides only
+the grid's interval count (``--grid-n``).
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def _finite(value) -> float:
 
 
 def positive(value) -> float:
-    """A finite float > 0: the kind of every tolerance, ``--tol`` included."""
+    """A finite float > 0: the kind of every tolerance."""
     x = float(value)
     if not 0 < x < math.inf:
         raise ValueError(f"{x} is not finite and positive")
@@ -147,7 +147,7 @@ def load_problem(path, grid_n: Optional[int] = None) -> ProblemFile:
     try:
         doc = json.loads(raw)
     except ValueError as err:  # a JSONDecodeError, or bytes no UTF encoding reads
-        raise ProblemError(f"{path}: not valid JSON ({err})")
+        raise ProblemError(f"not valid JSON ({err})")
 
     where = ""  # the generator or integral being read, for the error message
     try:
@@ -186,7 +186,7 @@ def load_problem(path, grid_n: Optional[int] = None) -> ProblemFile:
             where = f"integral {name!r}: "
             integrals[name] = compile_field(_value(section, name, str), dim)
     except (ValidationError, ParseDiagnostic) as err:
-        raise ProblemError(f"{path}: {where}{err}") from None
+        raise ProblemError(f"{where}{err}") from None
 
     return ProblemFile(
         path=path, digest=hashlib.sha256(raw).hexdigest(), space=space, grid=grid,

@@ -32,8 +32,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .curves import Curve, along
-from .dsl import EvalResult
-from .fields import EvaluationError, ScalarField
+from .fields import EvalResult, EvaluationError, ScalarField
 from .spaces import ValidationError
 
 
@@ -110,9 +109,6 @@ class _Polynomial:
         self.coeffs = tuple(np.asarray(coeffs, dtype=float)[keep].tolist())
         self.pairs = tuple(monomials[k] for k in keep.tolist())
 
-    def value(self, t, x, v):
-        return self(t, x, v, 0).value
-
     def __call__(self, t, x, v, order: int) -> EvalResult:
         x = np.asarray(x, dtype=float)
         z = (np.asarray(t, dtype=float) if x.ndim == 2 else np.float64(t), *x.T, 1.0)
@@ -134,11 +130,6 @@ class _Polynomial:
         return EvalResult(val, None if grad is None else grad[..., :-1], hess)
 
 
-def _polynomial(coeffs, monomials, dim: int) -> ScalarField:
-    jets = _Polynomial(coeffs, monomials)
-    return ScalarField(dim, func=jets.value, jets=jets)
-
-
 def affine_generator(
     dim: int, t_coeffs: Sequence[float], x_coeffs, name: str = ""
 ) -> SymmetryGenerator:
@@ -156,8 +147,8 @@ def affine_generator(
     affine = _monomials(dim, (0, 1))
     return SymmetryGenerator(
         dim=dim,
-        T=_polynomial(t_coeffs, affine, dim),
-        X=tuple(_polynomial(row, affine, dim) for row in x_coeffs),
+        T=ScalarField(dim, _Polynomial(t_coeffs, affine)),
+        X=tuple(ScalarField(dim, _Polynomial(row, affine)) for row in x_coeffs),
         name=name,
     )
 
@@ -320,12 +311,12 @@ class SamplingConfig:
 
 @contextmanager
 def _naming_samples(phase: str, seed: int):
-    """Name the phase, the sample row and the set's seed in EvaluationError."""
+    """Name the phase, the sample row and the set's seed in an
+    EvaluationError, re-raised with its type, rows and index."""
     try:
         yield
     except EvaluationError as err:
-        i = err.index
-        raise EvaluationError(f"{phase} failed at sample {i} (seed {seed}): {err}", index=i)
+        raise err.prefixed(f"{phase} failed at sample {err.index} (seed {seed}): ")
 
 
 @dataclass(frozen=True)
@@ -386,7 +377,7 @@ def fit_gauge(
         r = invariance_residual(L, replace(g, F=None), ts, xs, vs)
     _, A = _monomial_columns(gauge, ts, xs, vs)
     coeffs, *_ = np.linalg.lstsq(A, r, rcond=None)
-    return replace(g, F=_polynomial(coeffs, gauge, g.dim))
+    return replace(g, F=ScalarField(g.dim, _Polynomial(coeffs, gauge)))
 
 
 # -- first integrals ----------------------------------------------------
@@ -394,11 +385,14 @@ def fit_gauge(
 
 def noether_first_integral(L: ScalarField, g: SymmetryGenerator) -> ScalarField:
     """C = [L - dL/dv . v] T + dL/dv . X - F, without the F term when the
-    generator has no gauge: a field without an engine, so with values and no
-    partials, whose value is one order-1 jet of L and one value of each
-    generator field, a float at one point and an (N,) array on a stack."""
+    generator has no gauge: a field whose engine answers order 0 only, so
+    with values and no partials (a TypeError).  Its value is one order-1 jet
+    of L and one value of each generator field, a float at one point and an
+    (N,) array on a stack."""
 
-    def evaluator(t, x, v):
+    def jets(t, x, v, order):
+        if order:
+            raise TypeError("a first integral has no partials")
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         lj = L.jet(t, x, v, 1)
@@ -407,9 +401,9 @@ def noether_first_integral(L: ScalarField, g: SymmetryGenerator) -> ScalarField:
         c = (lj["value"] - _dot(lv, v)) * g.T(t, x, v) + _dot(lv, X)
         if g.F is not None:
             c -= g.F(t, x, v)
-        return float(c) if x.ndim == 1 else c
+        return EvalResult(float(c) if x.ndim == 1 else c)
 
-    return ScalarField(g.dim, func=evaluator)
+    return ScalarField(g.dim, jets)
 
 
 def hamiltonian(L: ScalarField, t, x, v):
@@ -437,13 +431,15 @@ class ConservationReport:
 
 def verify_conservation(C: ScalarField, x: Curve, tol: float) -> ConservationReport:
     """Evaluate C along the curve with reconstructed velocities, in one call
-    on the stack of nodes, and measure the spread around the mean."""
+    on the stack of nodes, and measure the spread around the mean.  C's
+    engine must give an (N,) value on a stack, or ValidationError names the
+    shape; an EvaluationError is re-raised naming the node (see ``along``)."""
     vals = np.asarray(along(C, x, "first integral"), dtype=float)
     if vals.shape != (x.grid.n + 1,):
         raise ValidationError(
             f"first integral gave shape {vals.shape} on a stack of "
-            f"{x.grid.n + 1} nodes, expected ({x.grid.n + 1},): its func "
-            f"must take t (N,), x and v (N, {C.dim}) and return (N,)"
+            f"{x.grid.n + 1} nodes, expected ({x.grid.n + 1},): its engine "
+            f"must take t (N,), x and v (N, {C.dim}) and give a value (N,)"
         )
     mean = float(np.mean(vals))
     max_dev = float(np.max(np.abs(vals - mean)))

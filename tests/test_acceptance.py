@@ -214,16 +214,14 @@ def test_criterion_8_derivative_engine():
         v = rng.uniform(-1, 1, size=1)
         try:
             r = nl.evaluate(expr, t, x, v, order=1)
-        except ArithmeticError:
+        except nl.dsl.DomainError:
             continue
         grads = np.r_[r.value, r.grad]
         if not np.all(np.isfinite(grads)) or np.max(np.abs(grads)) > 1e4:
             continue
-        plain = nl.ScalarField(
-            dim=1, func=lambda tt, xx, vv: nl.evaluate(expr, tt, xx, vv).value
-        )
+        field = nl.compile_field(expr, 1)
         for which, want in zip("txv", r.grad):
-            got = np.atleast_1d(fd.block(plain, which, t, x, v))[0]
+            got = np.atleast_1d(fd.block(field, which, t, x, v))[0]
             ok &= abs(got - want) <= 1e-6 * (1 + abs(want))
         checked += 1
     f = lambda y: float(np.sin(y[0]) * np.exp(y[0]))

@@ -236,6 +236,18 @@ def test_line_search_refuses_a_trial_where_a_jet_is_not_finite(monkeypatch, line
     assert nl.meets_stopping_rule(L, curve, nl.SolverConfig().tol)
 
 
+def test_line_search_refuses_a_trial_outside_the_domain_of_the_lagrangian(line_space):
+    # the extremal stays above x = 0.2, but a full Newton step of an early
+    # iterate takes x1 below 0 at some nodes, where log(x1) has no value:
+    # the trial is refused as a non-finite one is, and the step halved
+    L = nl.compile_field("v1^2/2 + 30*x1*log(x1)", dim=1)
+    bc = nl.BoundaryConditions([0.2], [3.0])
+    curve = nl.solve_extremal(L, bc, nl.Grid(0.0, 1.0, 200), line_space)
+    assert nl.el_residual(L, curve).max_norm <= nl.SolverConfig().tol
+    assert nl.meets_stopping_rule(L, curve, nl.SolverConfig().tol)
+    assert curve.values.min() == 0.2
+
+
 def test_each_engine_request_is_one_evaluate_call_on_the_compiled_program(
     monkeypatch, line_space
 ):

@@ -199,8 +199,8 @@ def _radius_major_audit(g, candidate_derivative, space_src, space_dst, base_poin
     """The audit's ratios and verdicts from one remainder g(b + h) - g(b) - A h
     and one ``seminorm`` per probe, radius by radius over every base point,
     as the audit computed them before it stacked its probes; where a
-    candidate derivative, a value or a remainder is not finite, the
-    EvaluationError the audit raises first."""
+    candidate derivative, a value or a remainder is not finite, or the
+    candidate raises, the EvaluationError the audit raises first."""
     from noether_lcs.fields import EvaluationError
     from noether_lcs.spaces import LinearOperator, normal_index, seminorm
 
@@ -208,11 +208,11 @@ def _radius_major_audit(g, candidate_derivative, space_src, space_dst, base_poin
     for j, b in enumerate(base_points):
         try:
             A = candidate_derivative(b)
-            A = A if isinstance(A, LinearOperator) else LinearOperator(np.atleast_2d(A))
-            finite = bool(np.all(np.isfinite(A.matrix)))
-        except EvaluationError:
-            finite = False
-        if not finite:
+        except EvaluationError as err:
+            err.args = (f"candidate derivative failed at base point {j} ({b}): {err}",)
+            raise
+        A = A if isinstance(A, LinearOperator) else LinearOperator(np.atleast_2d(A))
+        if not np.all(np.isfinite(A.matrix)):
             raise EvaluationError(f"non-finite candidate derivative at base point {j}: {b}", index=j)
         derivs.append(A)
         rep = normal_index(space_src, space_dst, A)
@@ -416,17 +416,19 @@ def test_stacked_non_finite_value_names_the_point(line_space):
 # -- finite differences over the slots (t, x, v) -----------------------------
 
 
-def _counting_bare(src, dim):
-    """A field without an engine over a compiled field's values, and the list
-    its value calls are recorded in."""
+def _counting_values(src, dim):
+    """A field over a compiled field's engine that answers values only, as a
+    first integral's does, and the list its value calls are recorded in."""
     compiled = nl.compile_field(src, dim)
     calls = []
 
-    def func(t, x, v):
+    def jets(t, x, v, order):
+        if order:
+            raise TypeError("this field has no partials")
         calls.append(1)
-        return compiled.func(t, x, v)
+        return compiled.jets(t, x, v, 0)
 
-    return nl.ScalarField(dim=dim, func=func), calls
+    return nl.ScalarField(dim, jets), calls
 
 
 TUPLE_SOURCES = (
@@ -497,7 +499,7 @@ def test_tuple_read_is_one_engine_call(monkeypatch):
 
 
 def test_fd_hessian_blocks_are_exactly_symmetric():
-    bare, _ = _counting_bare("exp(x1*v3)*sin(t*x2) + v1*v2*x3^2 - x1*x2*x3", 3)
+    bare, _ = _counting_values("exp(x1*v3)*sin(t*x2) + v1*v2*x3^2 - x1*x2*x3", 3)
     exact = nl.compile_field("exp(x1*v3)*sin(t*x2) + v1*v2*x3^2 - x1*x2*x3", 3)
     t, x, v = _stack(3, count=4, seed=9)
     for point in [(t[0], x[0], v[0]), (t, x, v)]:
@@ -517,7 +519,7 @@ def test_fd_hessian_blocks_are_exactly_symmetric():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_fd_blocks_cost_a_fixed_number_of_field_values(dim):
     src = " + ".join(f"sin(t*x{i})*v{i}^2 + x{i}*v{(i % dim) + 1}" for i in range(1, dim + 1))
-    bare, calls = _counting_bare(src, dim)
+    bare, calls = _counting_values(src, dim)
     t, x, v = _stack(dim, count=1, seed=dim)
     m = dim
     # Richardson probes 4 values per first partial; a Hessian block costs
@@ -605,7 +607,7 @@ def test_a_non_finite_partial_is_named_with_its_block_and_point():
     L = nl.compile_field("5e307*x1^2 + v1^2/2", dim=1)
     t, x, v = np.zeros(3), np.array([[0.5], [1.8], [1.0]]), np.ones((3, 1))
     assert np.isfinite(L(t, x, v)).all()
-    named = r"non-finite field partial 'x' at point 1: t=0\.0, x=\[1\.8\], v=\[1\.\]"
+    named = r"non-finite field partial 'x' at point 1 \(t=0\.0, x=\[1\.8\], v=\[1\.\]\)$"
     with pytest.raises(nl.fields.EvaluationError, match=named) as err:
         L.partial("x", t, x, v)
     assert err.value.index == 1
@@ -622,7 +624,7 @@ def test_a_non_finite_partial_is_named_with_its_block_and_point():
 def test_a_block_read_checks_the_value_first():
     L = nl.compile_field("v1^2/2*exp(1000*x1)", dim=1)
     x = np.array([[0.5], [0.71], [0.8]])
-    with pytest.raises(nl.fields.EvaluationError, match=r"field value at point 1: ") as err:
+    with pytest.raises(nl.fields.EvaluationError, match=r"field value at point 1 \(t=") as err:
         L.second_partial("vv", np.zeros(3), x, np.ones((3, 1)))
     assert err.value.index == 1
 
@@ -646,35 +648,33 @@ def test_overflowing_lagrangians_raise_at_every_read(src, line_space):
             lambda: nl.el_residual(L, x),
             lambda: nl.solve_extremal(L, bc, grid, line_space),
         ):
-            with pytest.raises(nl.fields.EvaluationError, match=r"non-finite field value at point \d+: t="):
+            with pytest.raises(nl.fields.EvaluationError, match=r"non-finite field value at point \d+ \(t="):
                 read()
 
 
-def test_a_one_point_call_of_a_field_with_an_engine_calls_func_once():
+def test_a_one_point_value_is_one_order_0_engine_call():
     L = nl.compile_field("v1^2/2*exp(1000*x1)", 1)
     calls = []
 
-    def func(t, x, v):
-        calls.append(x)
-        return L.func(t, x, v)
-
     def jets(t, x, v, order):
-        raise AssertionError("a value needs no jet")
+        calls.append((x, order))
+        return L.jets(t, x, v, order)
 
-    field = nl.ScalarField(dim=1, func=func, jets=jets)
+    field = nl.ScalarField(1, jets)
     assert field(0.0, [0.5], [1.0]) == L(0.0, [0.5], [1.0])
-    assert calls == [[0.5]]  # x is handed on as given, not converted first
+    assert calls == [([0.5], 0)]  # x is handed on as given, not converted first
     # a value that is not finite names the point as arrays
     with pytest.raises(nl.fields.EvaluationError) as err:
         field(0.0, [2.0], [1.0])
     assert str(err.value) == "non-finite field value at t=0.0, x=[2.], v=[1.]"
+    assert err.value.index is None
 
 
-def test_the_value_of_a_field_without_an_engine_is_one_func_call_on_a_stack():
-    bare, calls = _counting_bare("v1^2/2*exp(1000*x1)", 1)
+def test_the_value_of_a_field_is_one_engine_call_on_a_stack():
+    bare, calls = _counting_values("v1^2/2*exp(1000*x1)", 1)
     compiled = nl.compile_field("v1^2/2*exp(1000*x1)", 1)
     ts, xs, vs = np.zeros(3), np.array([[0.1], [0.2], [0.3]]), np.ones((3, 1))
-    for read in (lambda x: bare(ts, x, vs), lambda x: bare.jet(ts, x, vs, 1)["value"]):
+    for read in (lambda x: bare(ts, x, vs), lambda x: bare.jet(ts, x, vs, 0)["value"]):
         calls.clear()
         assert np.array_equal(read(xs), compiled(ts, xs, vs))
         assert len(calls) == 1
@@ -683,17 +683,57 @@ def test_the_value_of_a_field_without_an_engine_is_one_func_call_on_a_stack():
         assert err.value.index == 1
 
 
-def test_a_partial_of_a_field_without_an_engine_is_an_error_that_says_so():
-    bare, _ = _counting_bare("v1^2/2 - x1^2", 1)
+def test_a_partial_of_a_first_integral_is_a_type_error():
+    # nothing reads a first integral's partials: its engine answers order 0
+    L = nl.compile_field("v1^2/2 - x1^2", 1)
+    C = nl.noether_first_integral(L, nl.catalog_generator("time-translation", 1))
     ts, xs, vs = np.zeros(3), np.ones((3, 1)), np.ones((3, 1))
     for point in ((0.0, [1.0], [1.0]), (ts, xs, vs)):
-        for read, names in ((bare.partial, ("t", "x", "v")), (bare.second_partial, ("xv", "vv"))):
+        # C = L - v L_v = (1/2 - 1) - 1
+        assert np.all(C(*point) == -1.5) and np.all(C.jet(*point, 0)["value"] == -1.5)
+        for read, names in ((C.partial, ("t", "x", "v")), (C.second_partial, ("xv", "vv"))):
             for name in (*names, names):
-                first = names[0] if name == names else name
-                with pytest.raises(TypeError, match=f"without an exact-jet engine has no partial '{first}'"):
+                with pytest.raises(TypeError, match="^a first integral has no partials$"):
                     read(name, *point)
-        assert bare.jet(*point, 2)["value"] == pytest.approx(0.5 - 1.0)
-    # a first integral is such a field
-    C = nl.noether_first_integral(bare, nl.catalog_generator("time-translation", 1))
-    with pytest.raises(TypeError, match="no partial 'v'"):
-        C.partial("v", ts, xs, vs)
+        with pytest.raises(TypeError, match="has no partials"):
+            C.jet(*point, 1)
+
+
+def test_a_one_point_domain_error_names_t_x_and_v():
+    L = nl.compile_field("v1^2/2 + log(x1)", 1)
+    for read in (L, lambda *p: L.partial("x", *p), lambda *p: L.jet(*p, 2)):
+        with pytest.raises(nl.dsl.DomainError) as err:
+            read(0.25, np.array([-0.5]), np.array([2.0]))
+        assert str(err.value) == "log of non-positive value -0.5 at t=0.25, x=[-0.5], v=[2.]"
+        assert err.value.index is None and list(err.value.rows) == [0]
+        assert isinstance(err.value, nl.fields.EvaluationError)
+
+
+def test_action_names_the_node_where_the_integrand_leaves_its_domain(line_space):
+    # x = 0.5 - t crosses 0 at t = 0.5, node 50 of 100: log's domain ends there
+    L = nl.compile_field("v1^2/2 + log(x1)", 1)
+    x = nl.Curve.from_function(line_space, nl.Grid(0.0, 1.0, 100), lambda t: [0.5 - t])
+    named = r"^integrand failed at node 50 \(t=0\.5\): log of non-positive value 0\.0 at point 50 "
+    with pytest.raises(nl.dsl.DomainError, match=named) as err:
+        nl.action(L, x)
+    assert err.value.index == 50 and list(err.value.rows) == list(range(50, 101))
+
+
+def test_audit_re_raises_a_domain_error_of_the_candidate_with_its_base_point(sup_space3):
+    # the candidate reads L_x of log(x1), which has no value at x1 <= 0
+    L = nl.compile_field("log(x1) + x2*x3", 3)
+    scalar = nl.make_space(1, [1.0], 1)
+    bases = [np.array([1.0, 0.0, 0.0]), np.array([-0.5, 0.0, 0.0])]
+    named = (r"^candidate derivative failed at base point 1 \(\[-0\.5  0\.   0\. \]\): "
+             r"log of non-positive value -0\.5 at t=0\.0, x=\[-0\.5  0\.   0\. \], v=")
+    with pytest.raises(nl.dsl.DomainError, match=named) as err:
+        nl.check_normal_differentiability(
+            lambda y: np.array([L(0.0, y, y)]),
+            lambda y: L.partial("x", 0.0, y, y).reshape(1, 3),
+            sup_space3,
+            scalar,
+            bases,
+            tol=1e-4,
+        )
+    assert "non-finite" not in str(err.value)
+    assert err.value.index is None and list(err.value.rows) == [0]

@@ -11,11 +11,12 @@ from hypothesis import given, settings, strategies as st
 import noether_lcs as nl
 from noether_lcs.dsl import Binary, Const, Var
 from noether_lcs.problem import load_problem
+from noether_lcs.fields import EvalResult
 from noether_lcs.symmetry import (
+    _Polynomial,
     _halton,
     _monomial_columns,
     _monomials,
-    _polynomial,
     _search_matrix,
 )
 from test_banded import lagrangian_source
@@ -129,10 +130,10 @@ def test_polynomial_engine_equals_the_compiled_tree(dim, degrees, n, seed):
     t, x, v = (rng.uniform(-2.0, 2.0, shape) for shape in (n, (n, dim), (n, dim)))
     t[rng.random(n) < 0.2] = 0.0
     x[rng.random((n, dim)) < 0.2] = 0.0
-    engine, tree = _polynomial(coeffs, monomials, dim), tree_polynomial(coeffs, monomials, dim)
+    engine, tree = _Polynomial(coeffs, monomials), tree_polynomial(coeffs, monomials, dim)
     for point in ((t, x, v), (t[0], x[0], v[0])):
         for order in (0, 1, 2):
-            got, want = engine.jets(*point, order), tree.jets(*point, order)
+            got, want = engine(*point, order), tree.jets(*point, order)
             assert type(got.value) is type(want.value)
             assert np.asarray(got.value).tobytes() == np.asarray(want.value).tobytes()
             for a, b in ((got.grad, want.grad), (got.hess, want.hess)):
@@ -326,10 +327,24 @@ def test_fit_gauge_names_its_phase_and_seed_where_the_field_is_not_finite():
     # the fit draws its own sample set, with seed 0 + 1; exp(1000*x1)
     # overflows at its row 3, the first with x1 above 0.71
     L = nl.compile_field("v1^2/2*exp(1000*x1)", 1)
-    named = r"^gauge fit failed at sample 3 \(seed 1\): non-finite field value at point 3: t="
+    named = r"^gauge fit failed at sample 3 \(seed 1\): non-finite field value at point 3 \(t="
     with pytest.raises(nl.fields.EvaluationError, match=named) as err:
         nl.fit_gauge(L, nl.catalog_generator("time-translation", 1))
     assert err.value.index == 3
+
+
+def test_check_invariance_names_its_phase_and_seed_where_the_field_leaves_its_domain():
+    # log(x1) at the first sample, x1 = -1.78: a DomainError keeps its type,
+    # rows and index under the phase, as an overflow there does
+    L = nl.compile_field("v1^2/2 + log(x1)", 1)
+    _, xs, _ = nl.SamplingConfig().samples(1)
+    with pytest.raises(nl.dsl.DomainError) as err:
+        nl.check_invariance(L, nl.catalog_generator("time-translation", 1))
+    assert str(err.value).startswith(
+        "invariance check failed at sample 0 (seed 0): log of non-positive value -1.78434495258544"
+    )
+    assert err.value.index == 0
+    assert list(err.value.rows) == list(np.flatnonzero(xs[:, 0] <= 0.0))
 
 
 def test_check_invariance_without_gauge_reports_strict_residual(free_particle):
@@ -398,10 +413,15 @@ def test_conservation_energy_on_oscillator(line_space, oscillator):
     assert rep.mean == pytest.approx(-0.5, abs=1e-3)
 
 
+def values_only(func):
+    """A field of dim 1 whose engine gives the value ``func(t, x, v)``."""
+    return nl.ScalarField(1, lambda t, x, v, order: EvalResult(func(t, x, v)))
+
+
 def test_conservation_fails_for_nonconserved_quantity(line_space):
     grid = nl.Grid(0.0, 1.0, 100)
     x = nl.Curve.from_function(line_space, grid, lambda t: [t * t])
-    C = nl.ScalarField(dim=1, func=lambda t, xx, vv: vv[..., 0])
+    C = values_only(lambda t, xx, vv: vv[..., 0])
     rep = nl.verify_conservation(C, x, tol=1e-6)
     # v = 2t sweeps [0, 2]: mean 1, max deviation 1, relative deviation 1/2
     assert not rep.passed
@@ -422,7 +442,7 @@ def test_conservation_rejects_an_evaluator_without_the_stack_contract(
 ):
     grid = nl.Grid(0.0, 1.0, 100)
     x = nl.Curve.from_function(line_space, grid, lambda t: [t * t])
-    C = nl.ScalarField(dim=1, func=evaluator)
+    C = values_only(evaluator)
     with pytest.raises(nl.ValidationError, match=rf"shape {shape} .*expected \(101,\)"):
         nl.verify_conservation(C, x, tol=1e-6)
 
@@ -443,9 +463,11 @@ def test_conservation_raises_where_abs_in_the_lagrangian_has_no_partials(line_sp
     x = nl.Curve.from_function(line_space, grid, lambda t: [-max(t - 0.5, 0.0) ** 2])
     L = nl.compile_field("v1^2/2 + abs(v1)*exp(1e20*v1)", 1)
     C = nl.noether_first_integral(L, nl.catalog_generator("time-translation", 1))
-    with pytest.raises(nl.dsl.DomainError, match=r"^abs not differentiable at 0 at point 0 \(t=0\.0,") as err:
+    named = (r"^first integral failed at node 0 \(t=0\.0\): "
+             r"abs not differentiable at 0 at point 0 \(t=0\.0,")
+    with pytest.raises(nl.dsl.DomainError, match=named) as err:
         nl.verify_conservation(C, x, tol=1e-6)
-    assert list(err.value.rows) == list(range(50))
+    assert list(err.value.rows) == list(range(50)) and err.value.index == 0
 
 
 def test_first_integral_is_a_float_at_a_point_and_an_array_at_a_stack(oscillator):
