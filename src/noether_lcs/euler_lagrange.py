@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _lapack
 from .curves import (Curve, Grid, _check_grid, band_matvec, block_band, derivative_all,
                      simpson, stencil_derivative)
 from .fields import EvaluationError, ScalarField
@@ -127,14 +128,12 @@ def _interior_jacobian(L, grid, xs, xd):
 
 def _solve_band(ab, res):
     """The full Newton step -J^{-1} res for the Jacobian J in band storage
-    ab, by one banded LU solve, LAPACK gbsv as ``scipy.linalg.solve_banded``
-    calls it; None when J is singular."""
-    from scipy.linalg import get_lapack_funcs
-
+    ab, by one banded LU solve, LAPACK gbsv (from ``_lapack``) as
+    ``scipy.linalg.solve_banded`` calls it; None when J is singular."""
     u = len(ab) // 2
     lu = np.zeros((3 * u + 1, ab.shape[1]), order="F")  # u fill rows above ab
     lu[u:] = ab
-    gbsv = get_lapack_funcs("gbsv", (lu,))
+    (gbsv,) = _lapack.routines("gbsv")
     step, info = gbsv(u, u, lu, -res.reshape(-1), overwrite_ab=1, overwrite_b=1)[2:]
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of gbsv")

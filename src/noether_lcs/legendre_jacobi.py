@@ -15,6 +15,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from . import _lapack
 from .curves import Curve, Grid, _check_grid, band_matvec, block_band, derivative_all, simpson
 from .euler_lagrange import SolverError
 from .fields import ScalarField
@@ -140,8 +141,8 @@ def _lowest_eigenpairs(ab, k) -> Tuple[np.ndarray, np.ndarray]:
     """The k smallest eigenvalues, ascending, and unit eigenvectors (columns)
     of the symmetric band matrix ab (see ``block_band``): block subspace
     iteration with Rayleigh-Ritz on a banded Cholesky factor of A - sigma I
-    (LAPACK pbtrf/pbtrs and ``_qr_step``), from a seeded block of
-    min(2k, k + 8) columns (Bathe), so equal eigenvalues get the same
+    (LAPACK pbtrf/pbtrs from ``_lapack``, and ``_qr_step``), from a seeded
+    block of min(2k, k + 8) columns (Bathe), so equal eigenvalues get the same
     orthonormal basis of their eigenspace on every run.  sigma starts just
     below a Gershgorin bound and, until the lowest pair converges, each sweep
     moves it up to the lowest Ritz value less its residual, a lower bound of
@@ -149,13 +150,11 @@ def _lowest_eigenpairs(ab, k) -> Tuple[np.ndarray, np.ndarray]:
     sigma < lambda_1, and a move that does not factor is halved, down to
     16 eps max|A|.  Each pair has |Aq - theta q| <= _RESIDUAL_TOL eps max|A|,
     checked with a product by A."""
-    from scipy.linalg import get_lapack_funcs
-
     ab = np.asarray_chkfinite(ab)
     u, size = len(ab) // 2, ab.shape[1]
     scale = float(np.max(np.abs(ab))) or 1.0
     tol = _RESIDUAL_TOL * _EPS * scale
-    pbtrf, pbtrs, *lapack = get_lapack_funcs(("pbtrf", "pbtrs", "geqrf", "orgqr", "trtrs"), (ab,))
+    pbtrf, pbtrs, *lapack = _lapack.routines("pbtrf", "pbtrs", "geqrf", "orgqr", "trtrs")
     band = np.array(ab[u:], order="F")  # A's lower band; each shift rewrites row 0
 
     def factor(sigma):  # lower band Cholesky factor of A - sigma I, or None

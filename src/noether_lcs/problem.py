@@ -19,7 +19,7 @@ import numpy as np
 from .curves import Grid
 from .dsl import compile_field, has_variables, parse, ParseDiagnostic
 from .euler_lagrange import BoundaryConditions, SolverConfig
-from .fields import ScalarField
+from .fields import EvaluationError, ScalarField
 from .spaces import Space, ValidationError, make_space
 from .symmetry import SamplingConfig, SymmetryGenerator, catalog_generator
 
@@ -185,7 +185,7 @@ def load_problem(path, grid_n: Optional[int] = None) -> ProblemFile:
         for name in section:
             where = f"integral {name!r}: "
             integrals[name] = compile_field(_value(section, name, str), dim)
-    except (ValidationError, ParseDiagnostic) as err:
+    except (ValidationError, ParseDiagnostic, EvaluationError) as err:
         raise ProblemError(f"{where}{err}") from None
 
     return ProblemFile(

@@ -9,10 +9,11 @@ wrappers that make the same calls.
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.linalg import LinAlgError, get_lapack_funcs, solve_banded, solve_triangular
+from scipy.linalg import LinAlgError, solve_banded, solve_triangular
 from scipy.linalg import qr as scipy_qr
 
 import noether_lcs as nl
+from noether_lcs import _lapack
 from noether_lcs.curves import band_matvec
 from noether_lcs.euler_lagrange import _covectors, _interior_jacobian, _residual, _solve_band
 from noether_lcs.legendre_jacobi import _qr_step
@@ -258,7 +259,7 @@ def test_the_newton_step_is_solve_bandeds_bit_for_bit(u, m, blocks, singular, se
 def test_the_eigensolve_qr_step_is_scipys_qr_and_triangular_solve_bit_for_bit(size, p, seed):
     p = min(p, size)
     rng = np.random.default_rng(seed)
-    qr = _qr_step(get_lapack_funcs(("geqrf", "orgqr", "trtrs"), (np.zeros(1),)), size, p)
+    qr = _qr_step(_lapack.routines("geqrf", "orgqr", "trtrs"), size, p)
     # one step serves every block of its shape, in either memory order (pbtrs
     # hands it Fortran-ordered blocks)
     for order in ("F", "C"):

@@ -409,8 +409,12 @@ def _malformed(doc, case):
         doc["generators"]["g"] = 5
     elif case == "generator-x-not-a-list":
         doc["generators"]["g"] = {"T": "1", "X": "x1"}
+    elif case == "generator-folds-outside-its-domain":
+        doc["generators"]["g"] = {"T": "x1^(log(0-1))", "X": ["0"]}
     elif case == "integral-not-a-string":
         doc["integrals"]["momentum"] = [1]
+    elif case == "integral-folds-outside-its-domain":
+        doc["integrals"]["momentum"] = "v1^(log(0-1))"
     elif case == "tolerance-nan":
         doc["tolerances"] = {"legendre": float("nan")}
     elif case == "b-infinite":
@@ -465,7 +469,9 @@ def _malformed(doc, case):
         ("weights", "'weights'"),
         ("generator-not-an-object", "generator 'g'"),
         ("generator-x-not-a-list", "generator 'g'"),
+        ("generator-folds-outside-its-domain", "generator 'g': log of non-positive value -1.0"),
         ("integral-not-a-string", "integral 'momentum'"),
+        ("integral-folds-outside-its-domain", "integral 'momentum': log of non-positive value"),
         ("tolerance-nan", "'legendre'"),
         ("b-infinite", "'b'"),
         ("n-infinite", "'n'"),

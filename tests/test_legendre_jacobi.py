@@ -342,9 +342,9 @@ def test_jacobi_eigen_raises_rather_than_return_unconverged_pairs(monkeypatch):
 def counted_band_calls():
     """The LAPACK band Cholesky factorizations (pbtrf) and solves (pbtrs)
     made in the block, by name; the eigensolve makes one solve per sweep."""
-    import scipy.linalg
+    from noether_lcs import _lapack
 
-    real, calls = scipy.linalg.get_lapack_funcs, {"pbtrf": [], "pbtrs": []}
+    real, calls = _lapack.routines, {"pbtrf": [], "pbtrs": []}
 
     def counted(f, name):
         def call(*args, **kwargs):
@@ -353,12 +353,12 @@ def counted_band_calls():
 
         return call
 
-    def get_lapack_funcs(names, *args, **kwargs):
-        funcs = real(names, *args, **kwargs)
-        return [counted(f, name) if name in calls else f for name, f in zip(names, funcs)]
+    def routines(*names):
+        funcs = real(*names)
+        return tuple(counted(f, name) if name in calls else f for name, f in zip(names, funcs))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scipy.linalg, "get_lapack_funcs", get_lapack_funcs)
+        mp.setattr(_lapack, "routines", routines)
         yield calls
 
 
