@@ -4,8 +4,6 @@ Noether first integrals."""
 
 from .spaces import (
     Space,
-    LinearOperator,
-    NormalIndexReport,
     ValidationError,
     make_space,
     seminorm,

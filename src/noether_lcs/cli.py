@@ -6,9 +6,12 @@ deterministic JSON (fixed key order, each float as Python's shortest
 round-trip repr); curves travel as CSV with columns t, x1..xm (velocities
 appended with --emit-velocity).
 
-Exit codes: 0 all verdicts passed (and after --help or --version), 2 a
-mathematical verdict failed, 1 a usage, input, evaluation or solver error,
-printed as one line ``error: <file>: <command>: <message>``.
+Each command returns only its own report fields, its ``verdicts`` among
+them; ``main`` puts the common frame (schema, command, input, grid,
+tolerances) in front, writes the report, and derives the exit code from the
+verdicts.  Exit codes: 0 all verdicts passed (and after --help or
+--version), 2 a mathematical verdict failed, 1 a usage, input, evaluation or
+solver error, printed as one line ``error: <file>: <command>: <message>``.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from .legendre_jacobi import (
     jacobi_operators,
     legendre_check,
 )
-from .problem import ProblemError, ProblemFile, load_problem
-from .spaces import ValidationError, make_space
+from .problem import ProblemFile, load_problem
+from .spaces import Space, ValidationError
 from .symmetry import (
     check_invariance,
     noether_first_integral,
@@ -105,32 +108,24 @@ def cmd_solve(prob: ProblemFile, args):
     out = _outdir(args)
     csv_path = out / "extremal.csv"
     write_curve_csv(curve, csv_path, velocities=args.emit_velocity)
-    report = _base_report("solve", prob)
-    report.update(
-        {
-            "residual_max": res.max_norm,
-            "action_value": act,
-            "quadrature": "simpson",
-            "outputs": {"extremal_csv": csv_path.name},
-            "verdicts": {"converged": True},
-        }
-    )
-    return report, 0
+    return {
+        "residual_max": res.max_norm,
+        "action_value": act,
+        "quadrature": "simpson",
+        "outputs": {"extremal_csv": csv_path.name},
+        "verdicts": {"converged": True},
+    }
 
 
 def cmd_legendre(prob: ProblemFile, args):
     curve = _load_curve(prob, args)
     rep = legendre_check(prob.lagrangian, curve, tol=prob.tolerances["legendre"])
-    report = _base_report("legendre", prob)
-    report.update(
-        {
-            "min_eigenvalue": rep.global_min,
-            "per_node_min": rep.min_eigenvalues,
-            "violating_nodes": list(rep.violating_nodes),
-            "verdicts": {"legendre": rep.passed},
-        }
-    )
-    return report, 0 if rep.passed else 2
+    return {
+        "min_eigenvalue": rep.global_min,
+        "per_node_min": rep.min_eigenvalues,
+        "violating_nodes": list(rep.violating_nodes),
+        "verdicts": {"legendre": rep.passed},
+    }
 
 
 def cmd_jacobi(prob: ProblemFile, args):
@@ -143,46 +138,40 @@ def cmd_jacobi(prob: ProblemFile, args):
         p = out / f"jacobi_mode_{idx}.csv"
         write_curve_csv(fn, p)
         paths.append(p.name)
-    report = _base_report("jacobi", prob)
-    report.update(
-        {
-            "k": args.k,
-            "eigenvalues": [ev for ev, _ in pairs],
-            "outputs": {"modes_csv": paths},
-            "verdicts": {"computed": True},
-        }
-    )
-    return report, 0
+    return {
+        "k": args.k,
+        "eigenvalues": [ev for ev, _ in pairs],
+        "outputs": {"modes_csv": paths},
+        "verdicts": {"computed": True},
+    }
 
 
-def _generator_or_fail(prob: ProblemFile, name: str):
-    if name not in prob.generators:
-        raise ProblemError(
-            f"unknown generator {name!r}; file defines {sorted(prob.generators)}"
-        )
-    return prob.generators[name]
+def _entry(table: dict, kind: str, name: str):
+    """``table[name]``, the file's generator or integral (``kind``) called
+    ``name``, or a ValidationError naming the ones the file defines."""
+    if name not in table:
+        raise ValidationError(f"unknown {kind} {name!r}; file defines {sorted(table)}")
+    return table[name]
 
 
 def cmd_check_invariance(prob: ProblemFile, args):
-    report = _base_report("check-invariance", prob)
     verdicts = {}
     details = {}
     names = [args.generator] if args.generator else sorted(prob.generators)
     if not names:
-        raise ProblemError("problem file defines no generators")
+        raise ValidationError("problem file defines no generators")
     for name in names:
-        g = _generator_or_fail(prob, name)
+        g = _entry(prob.generators, "generator", name)
         inv = check_invariance(
             prob.lagrangian, g, prob.sampling, tol=prob.tolerances["invariance"]
         )
         verdicts[name] = inv.passed
         details[name] = {"max_residual": inv.max_residual, "samples": prob.sampling.count}
-    report.update({"generators": details, "verdicts": verdicts})
-    return report, 0 if all(verdicts.values()) else 2
+    return {"generators": details, "verdicts": verdicts}
 
 
 def cmd_noether(prob: ProblemFile, args):
-    g = _generator_or_fail(prob, args.generator)
+    g = _entry(prob.generators, "generator", args.generator)
     inv = check_invariance(
         prob.lagrangian, g, prob.sampling, tol=prob.tolerances["invariance"]
     )
@@ -192,74 +181,55 @@ def cmd_noether(prob: ProblemFile, args):
     # a curve the solver returns always passes through its own stopping rule
     extremal = meets_stopping_rule(prob.lagrangian, curve, prob.solver.tol)
     cons = verify_conservation(integral, curve, tol=prob.tolerances["conservation"])
-    report = _base_report("noether", prob)
-    report.update(
-        {
-            "generator": args.generator,
-            "invariance_max_residual": inv.max_residual,
-            "extremal_residual_max": res.max_norm,
-            "conserved_mean": cons.mean,
-            "conserved_max_deviation": cons.max_deviation,
-            "conserved_relative_deviation": cons.relative_deviation,
-            "verdicts": {
-                "invariance": inv.passed,
-                "extremal": extremal,
-                "conservation": cons.passed,
-            },
-        }
-    )
-    ok = all(report["verdicts"].values())
-    return report, 0 if ok else 2
+    return {
+        "generator": args.generator,
+        "invariance_max_residual": inv.max_residual,
+        "extremal_residual_max": res.max_norm,
+        "conserved_mean": cons.mean,
+        "conserved_max_deviation": cons.max_deviation,
+        "conserved_relative_deviation": cons.relative_deviation,
+        "verdicts": {
+            "invariance": inv.passed,
+            "extremal": extremal,
+            "conservation": cons.passed,
+        },
+    }
 
 
 def cmd_verify(prob: ProblemFile, args):
-    if args.integral not in prob.integrals:
-        raise ProblemError(
-            f"unknown integral {args.integral!r}; file defines {sorted(prob.integrals)}"
-        )
-    integral = prob.integrals[args.integral]
+    integral = _entry(prob.integrals, "integral", args.integral)
     curve = _load_curve(prob, args)
     cons = verify_conservation(integral, curve, tol=prob.tolerances["conservation"])
-    report = _base_report("verify", prob)
-    report.update(
-        {
-            "integral": args.integral,
-            "conserved_mean": cons.mean,
-            "conserved_max_deviation": cons.max_deviation,
-            "conserved_relative_deviation": cons.relative_deviation,
-            "verdicts": {"conservation": cons.passed},
-        }
-    )
-    return report, 0 if cons.passed else 2
+    return {
+        "integral": args.integral,
+        "conserved_mean": cons.mean,
+        "conserved_max_deviation": cons.max_deviation,
+        "conserved_relative_deviation": cons.relative_deviation,
+        "verdicts": {"conservation": cons.passed},
+    }
 
 
 def cmd_find_symmetries(prob: ProblemFile, args):
     from .symmetry import find_affine_symmetries
 
     found = find_affine_symmetries(prob.lagrangian, prob.sampling)
-    report = _base_report("find-symmetries", prob)
-    report.update(
-        {
-            "count": len(found),
-            "generators": [
-                {"coefficients": g.coefficients} for g in found
-            ],
-            "verdicts": {"searched": True},
-        }
-    )
-    return report, 0
+    return {
+        "count": len(found),
+        "generators": [{"coefficients": g.coefficients} for g in found],
+        "verdicts": {"searched": True},
+    }
 
 
 def cmd_audit_diff(prob: ProblemFile, args):
     m = prob.space.dim
     L = prob.lagrangian
     t_mid = 0.5 * (prob.grid.a + prob.grid.b)
-    stacked = make_space(
+    stacked = Space(
         dim=2 * m,
         weights=np.concatenate([prob.space.weights, prob.space.weights]),
         num_seminorms=2 * m,
     )
-    scalar = make_space(dim=1, weights=[1.0], num_seminorms=1)
+    scalar = Space(dim=1, weights=[1.0], num_seminorms=1)
 
     def g(z):
         return np.array([L(t_mid, z[:m], z[m:])])
@@ -273,21 +243,17 @@ def cmd_audit_diff(prob: ProblemFile, args):
     audit = check_normal_differentiability(
         g, deriv, stacked, scalar, bases, tol=prob.tolerances["audit"]
     )
-    report = _base_report("audit-diff", prob)
-    report.update(
-        {
-            "radii": audit.radii,
-            "pairs": {
-                f"s{s}_m{mm}": {
-                    "worst_ratios": audit.ratios[(s, mm)],
-                    "passed": audit.verdicts[(s, mm)],
-                }
-                for (s, mm) in sorted(audit.ratios)
-            },
-            "verdicts": {"differentiable": audit.passed},
-        }
-    )
-    return report, 0 if audit.passed else 2
+    return {
+        "radii": audit.radii,
+        "pairs": {
+            f"s{s}_m{mm}": {
+                "worst_ratios": audit.ratios[(s, mm)],
+                "passed": audit.verdicts[(s, mm)],
+            }
+            for (s, mm) in sorted(audit.ratios)
+        },
+        "verdicts": {"differentiable": audit.passed},
+    }
 
 
 _COMMANDS = {
@@ -336,8 +302,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         prob = load_problem(args.problem, grid_n=args.grid_n)
-        report, code = _COMMANDS[args.command](prob, args)
-    except (ProblemError, ValidationError, SolverError, EvaluationError, OSError) as err:
+        report = {**_base_report(args.command, prob), **_COMMANDS[args.command](prob, args)}
+    except (ValidationError, SolverError, EvaluationError, OSError) as err:
         print(f"error: {args.problem}: {args.command}: {err}", file=sys.stderr)
         return 1
     out = _outdir(args)
@@ -347,7 +313,7 @@ def main(argv=None) -> int:
     sys.stdout.write(text)
     elapsed = time.perf_counter() - started
     print(f"[{args.command}] wall time {elapsed:.3f}s -> {path}", file=sys.stderr)
-    return code
+    return 0 if all(report["verdicts"].values()) else 2
 
 
 if __name__ == "__main__":

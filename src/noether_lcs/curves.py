@@ -44,14 +44,15 @@ class Grid:
 
 @dataclass(frozen=True)
 class Curve:
-    """Node values of a curve [a, b] -> Space."""
+    """Node values of a curve [a, b] -> Space; the curve keeps a read-only
+    copy of the values it is given."""
 
     space: Space
     grid: Grid
     values: np.ndarray  # (N+1, dim)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)
         if vals.shape != (self.grid.n + 1, self.space.dim):
             raise ValidationError(
                 f"curve values shape {vals.shape} != "

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .spaces import Space, LinearOperator, normal_index, seminorm
+from .spaces import Space, normal_index, seminorm
 
 
 class EvaluationError(RuntimeError):
@@ -200,6 +200,8 @@ def check_normal_differentiability(
     """Probe the remainder ratio |g(x+h) - g(x) - g'(x)h|^s / |h|_m at
     every base point and the radii |h|_m = 1e-1 .. 1e-6.
 
+    ``candidate_derivative(x)`` returns g'(x) as a matrix of shape
+    (space_dst.dim, space_src.dim), or a 1-D row when the target is scalar.
     The (s, m) pairs audited are those with m in the finiteness set of the
     candidate derivative at every base point.  Each pair probes along the 2k
     signed unit vectors of its first k = min(m, dim) coordinates and 8
@@ -223,16 +225,11 @@ def check_normal_differentiability(
             A = candidate_derivative(b)
         except EvaluationError as err:
             raise err.prefixed(f"candidate derivative failed at base point {j} ({b}): ")
-        A = A if isinstance(A, LinearOperator) else LinearOperator(np.atleast_2d(A))
-        if not np.all(np.isfinite(A.matrix)):
+        A = np.atleast_2d(np.asarray(A, dtype=float))
+        if not np.all(np.isfinite(A)):
             raise EvaluationError(f"non-finite candidate derivative at base point {j}: {b}", index=j)
         derivs.append(A)
-        rep = normal_index(space_src, space_dst, A)
-        here = {
-            (s, m)
-            for s in range(1, space_dst.num_seminorms + 1)
-            for m in rep.finite_sources[s]
-        }
+        here = {(s, m) for s, ms in normal_index(space_src, space_dst, A).items() for m in ms}
         pairs = here if pairs is None else pairs & here
 
     def values(points):  # g at each point, one call each: rows of g's values
@@ -255,8 +252,8 @@ def check_normal_differentiability(
         worst = np.zeros(len(_PROBE_RADII))
         for j, (b, gb, A) in enumerate(zip(base_points, g_base, derivs)):
             points = b + H
-            # stacked matmul, not H @ A.T or einsum: it rounds as A.matrix @ h per probe
-            rem = (values(points) - gb) - np.matmul(A.matrix, H[..., None])[..., 0]
+            # stacked matmul, not H @ A.T or einsum: it rounds as A @ h per probe
+            rem = (values(points) - gb) - np.matmul(A, H[..., None])[..., 0]
             bad = np.flatnonzero(~np.isfinite(rem).all(axis=1))
             if len(bad):
                 i = int(bad[0])
@@ -266,7 +263,8 @@ def check_normal_differentiability(
                     index=j,
                 )
             nums = seminorm(space_dst, s, rem).reshape(len(_PROBE_RADII), -1)
-            worst = np.maximum(worst, (nums / _PROBE_RADII[:, None]).max(axis=1))
+            with np.errstate(over="ignore"):  # a ratio past the float range is inf
+                worst = np.maximum(worst, (nums / _PROBE_RADII[:, None]).max(axis=1))
         ratios[(s, m)] = worst
         verdicts[(s, m)] = bool(worst[-1] <= tol and worst[-1] <= worst[0] + tol)
     return DifferentiabilityAudit(

@@ -20,12 +20,8 @@ from .curves import Grid
 from .dsl import compile_field, has_variables, parse, ParseDiagnostic
 from .euler_lagrange import BoundaryConditions, SolverConfig
 from .fields import EvaluationError, ScalarField
-from .spaces import Space, ValidationError, make_space
+from .spaces import Space, ValidationError
 from .symmetry import SamplingConfig, SymmetryGenerator, catalog_generator
-
-
-class ProblemError(ValueError):
-    """Problem file fails validation."""
 
 
 @dataclass
@@ -44,7 +40,7 @@ class ProblemFile:
 
     def require_boundary(self) -> BoundaryConditions:
         if self.boundary is None:
-            raise ProblemError("problem file has no boundary section")
+            raise ValidationError("problem file has no boundary section")
         return self.boundary
 
 
@@ -54,6 +50,14 @@ DEFAULT_TOLERANCES = {
     "legendre": 1e-10,
     "audit": 1e-3,
 }
+
+
+def _object(value) -> dict:
+    """A ``kind`` for ``_value``: a JSON object, as it is; an array of
+    pairs is not one."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{value!r} is not a JSON object")
+    return value
 
 
 def _finite(value) -> float:
@@ -104,12 +108,16 @@ _SECTIONS = {
 
 def _value(section: dict, key: str, kind, default=None):
     """``kind(section[key])``, or ``kind(default)`` when the key is absent; a
-    missing key without a default, or a value ``kind`` rejects, is a
-    ValidationError naming the key."""
+    missing key without a default, a value that is or holds JSON's true or
+    false (no key takes one, and no numeric kind reads it as 1 or 0), or a
+    value ``kind`` rejects, is a ValidationError naming the key."""
     if key not in section and default is None:
         raise ValidationError(f"missing required key {key!r}")
+    value = section.get(key, default)
     try:
-        return kind(section.get(key, default))
+        if any(isinstance(z, bool) for z in (value if isinstance(value, list) else [value])):
+            raise TypeError
+        return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"malformed value {section[key]!r} for key {key!r}") from None
 
@@ -117,7 +125,7 @@ def _value(section: dict, key: str, kind, default=None):
 def _section(doc: dict, name: str) -> dict:
     """The keys the file sets in the optional section ``name``, each read by
     its kind in ``_SECTIONS``; a key the section does not have is an error."""
-    section, kinds = _value(doc, name, dict, {}), _SECTIONS[name]
+    section, kinds = _value(doc, name, _object, {}), _SECTIONS[name]
     if unknown := sorted(section.keys() - kinds.keys()):
         raise ValidationError(f"unknown key {unknown[0]!r} in {name!r}; it takes {sorted(kinds)}")
     return {key: _value(section, key, kinds[key]) for key in section}
@@ -147,17 +155,17 @@ def load_problem(path, grid_n: Optional[int] = None) -> ProblemFile:
     try:
         doc = json.loads(raw)
     except ValueError as err:  # a JSONDecodeError, or bytes no UTF encoding reads
-        raise ProblemError(f"not valid JSON ({err})")
+        raise ValidationError(f"not valid JSON ({err})")
 
     where = ""  # the generator or integral being read, for the error message
     try:
         if not isinstance(doc, dict):
             raise ValidationError(f"a problem file is a JSON object, got {doc!r}")
-        sp = _value(doc, "space", dict)
+        sp = _value(doc, "space", _object)
         dim = _value(sp, "dim", _int_at_least(1))
         weights = _value(sp, "weights", _finite_vector, [1.0] * dim)
-        space = make_space(dim, weights, _value(sp, "seminorms", _int_at_least(1), dim))
-        iv = _value(doc, "interval", dict)
+        space = Space(dim, weights, _value(sp, "seminorms", _int_at_least(1), dim))
+        iv = _value(doc, "interval", _object)
         n = int(grid_n) if grid_n is not None else _value(iv, "n", _int_at_least(4))
         if n % 2 != 0 or n < 4:
             raise ValidationError(f"interval n must be even and >= 4, got {n}")
@@ -166,7 +174,7 @@ def load_problem(path, grid_n: Optional[int] = None) -> ProblemFile:
 
         boundary = None
         if "boundary" in doc:
-            bnd = _value(doc, "boundary", dict)
+            bnd = _value(doc, "boundary", _object)
             xa, xb = (_value(bnd, k, _finite_vector) for k in ("xa", "xb"))
             if xa.shape != (dim,) or xb.shape != (dim,):
                 raise ValidationError(f"boundary vectors must have length {dim}")
@@ -177,16 +185,16 @@ def load_problem(path, grid_n: Optional[int] = None) -> ProblemFile:
         sampling = SamplingConfig(t_range=(grid.a, grid.b), **_section(doc, "sampling"))
 
         generators = {}
-        for name, spec in _value(doc, "generators", dict, {}).items():
+        for name, spec in _value(doc, "generators", _object, {}).items():
             where = f"generator {name!r}: "
             generators[name] = _generator(spec, name, dim)
         integrals = {}
-        section = _value(doc, "integrals", dict, {})
+        section = _value(doc, "integrals", _object, {})
         for name in section:
             where = f"integral {name!r}: "
             integrals[name] = compile_field(_value(section, name, str), dim)
     except (ValidationError, ParseDiagnostic, EvaluationError) as err:
-        raise ProblemError(f"{where}{err}") from None
+        raise ValidationError(f"{where}{err}") from None
 
     return ProblemFile(
         path=path, digest=hashlib.sha256(raw).hexdigest(), space=space, grid=grid,

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from noether_lcs import cli
 from noether_lcs.cli import main
 from noether_lcs.euler_lagrange import SolverConfig
 from noether_lcs.problem import DEFAULT_TOLERANCES, load_problem
@@ -380,6 +381,20 @@ def test_version_and_help_exit_0(flag, capsys):
     assert capsys.readouterr().out
 
 
+@pytest.mark.parametrize("verdicts,code", [({"a": True, "b": False}, 2), ({"a": True}, 0)])
+def test_main_derives_the_exit_code_from_the_verdicts(
+    tmp_path, free_particle_json, monkeypatch, verdicts, code
+):
+    # a command returns its own fields; main puts the common frame first
+    monkeypatch.setitem(cli._COMMANDS, "legendre", lambda prob, args: {"verdicts": verdicts})
+    got, report, _ = run(tmp_path, "legendre", str(free_particle_json))
+    assert got == code
+    assert list(report) == [
+        "schema_version", "command", "input", "input_digest", "grid", "tolerances", "verdicts"
+    ]
+    assert report["verdicts"] == verdicts
+
+
 def _malformed(doc, case):
     if case == "boundary-without-xb":
         del doc["boundary"]["xb"]
@@ -448,6 +463,12 @@ def _malformed(doc, case):
         doc["sampling"] = {"radius": 1.0}
     elif case == "not-an-object":
         doc = [doc]
+    elif case.endswith("-pairs"):  # an object written as an array of [key, value]
+        key = case.removesuffix("-pairs")
+        doc[key] = [list(item) for item in doc.get(key, {"tol": 1e-9}).items()]
+    elif case.endswith(("-true", "-false")):  # a JSON bool where a number goes
+        section, key, value = case.split("-")
+        doc.setdefault(section, {})[key] = [value == "true"] if key in ("weights", "xa") else value == "true"
     return doc
 
 
@@ -488,6 +509,22 @@ def _malformed(doc, case):
         ("unknown-solver-key", "unknown key 'damping' in 'solver'"),
         ("unknown-sampling-key", "unknown key 'radius' in 'sampling'"),
         ("not-an-object", "a problem file is a JSON object"),
+        ("space-pairs", "malformed value [['dim', 1], ['weights', [1.0]], ['seminorms', 1]] for key 'space'"),
+        ("interval-pairs", "for key 'interval'"),
+        ("boundary-pairs", "for key 'boundary'"),
+        ("solver-pairs", "malformed value [['tol', 1e-09]] for key 'solver'"),
+        ("generators-pairs", "for key 'generators'"),
+        ("integrals-pairs", "for key 'integrals'"),
+        ("space-dim-true", "malformed value True for key 'dim'"),
+        ("space-seminorms-true", "malformed value True for key 'seminorms'"),
+        ("space-weights-true", "malformed value [True] for key 'weights'"),
+        ("interval-a-false", "malformed value False for key 'a'"),
+        ("interval-b-true", "malformed value True for key 'b'"),
+        ("boundary-xa-false", "malformed value [False] for key 'xa'"),
+        ("solver-tol-true", "malformed value True for key 'tol'"),
+        ("tolerances-legendre-true", "malformed value True for key 'legendre'"),
+        ("sampling-count-true", "malformed value True for key 'count'"),
+        ("sampling-seed-false", "malformed value False for key 'seed'"),
     ],
 )
 def test_malformed_problem_values_give_one_error_line(tmp_path, capsys, case, named):

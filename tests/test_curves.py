@@ -15,6 +15,20 @@ def test_grid_validation():
         nl.Grid(0.0, 1.0, 3)
 
 
+def test_a_curve_owns_its_values(line_space):
+    grid = nl.Grid(0.0, 1.0, 4)
+    base = np.zeros((5, 2))
+    view = nl.Curve(line_space, grid, base[:, :1])
+    base[0, 0] = 7.0
+    assert view.values[0, 0] == 0.0
+    mine = np.zeros((5, 1))
+    curve = nl.Curve(line_space, grid, mine)
+    mine[1, 0] = 3.0
+    assert mine.flags.writeable
+    assert curve.values[1, 0] == 0.0
+    assert not curve.values.flags.writeable
+
+
 def test_derivative_exact_on_linear(line_space):
     grid = nl.Grid(0.0, 1.0, 10)
     c = line_curve(line_space, grid, slope=3.0)

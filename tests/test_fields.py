@@ -149,6 +149,23 @@ def test_audit_abs_kink_fails(sup_space3):
     assert not audit.passed
 
 
+def test_audit_fails_where_the_remainder_seminorm_overflows():
+    # the remainder 1e10 y^2 is finite, but its seminorm under the weight
+    # 1e305 and its ratio to the radius pass the float range: inf ratios
+    # fail the verdict, with no RuntimeWarning
+    src = nl.make_space(1, [1.0], 1)
+    heavy = nl.make_space(1, [1e305], 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        audit = nl.check_normal_differentiability(
+            lambda y: np.array([1e10 * y[0] ** 2]),
+            lambda y: np.array([[2e10 * y[0]]]),
+            src, heavy, [np.zeros(1)], tol=1e-4,
+        )
+    assert np.all(audit.ratios[(1, 1)] == np.inf)
+    assert not audit.passed
+
+
 def test_audit_names_the_probe_where_g_is_not_finite(sup_space3):
     # g is finite up to y1 = 0.5: the second base point's probe at radius 0.1
     # along +e1 reaches y1 = 0.55
@@ -202,7 +219,7 @@ def _radius_major_audit(g, candidate_derivative, space_src, space_dst, base_poin
     candidate derivative, a value or a remainder is not finite, or the
     candidate raises, the EvaluationError the audit raises first."""
     from noether_lcs.fields import EvaluationError
-    from noether_lcs.spaces import LinearOperator, normal_index, seminorm
+    from noether_lcs.spaces import normal_index, seminorm
 
     pairs, derivs = None, []
     for j, b in enumerate(base_points):
@@ -211,15 +228,15 @@ def _radius_major_audit(g, candidate_derivative, space_src, space_dst, base_poin
         except EvaluationError as err:
             err.args = (f"candidate derivative failed at base point {j} ({b}): {err}",)
             raise
-        A = A if isinstance(A, LinearOperator) else LinearOperator(np.atleast_2d(A))
-        if not np.all(np.isfinite(A.matrix)):
+        A = np.atleast_2d(np.asarray(A, dtype=float))
+        if not np.all(np.isfinite(A)):
             raise EvaluationError(f"non-finite candidate derivative at base point {j}: {b}", index=j)
         derivs.append(A)
         rep = normal_index(space_src, space_dst, A)
         here = {
             (s, m)
             for s in range(1, space_dst.num_seminorms + 1)
-            for m in rep.finite_sources[s]
+            for m in rep[s]
         }
         pairs = here if pairs is None else pairs & here
 
@@ -247,7 +264,7 @@ def _radius_major_audit(g, candidate_derivative, space_src, space_dst, base_poin
             for j, (b, gb, A) in enumerate(zip(base_points, g_base, derivs)):
                 for d, (u, nu) in enumerate(dirs):
                     h = (r / nu) * u
-                    rem = values(b + h) - gb - A.matrix @ h
+                    rem = values(b + h) - gb - A @ h
                     if not np.all(np.isfinite(rem)):
                         bad.append((j, ir, d, b + h))
                         continue

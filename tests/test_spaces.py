@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,34 @@ def test_make_space_validation():
         nl.make_space(2, [1.0], 1)
     with pytest.raises(nl.ValidationError):
         nl.make_space(2, [1.0, 1.0], 0)
+
+
+def test_a_space_is_checked_however_it_is_built():
+    with pytest.raises(nl.ValidationError):
+        nl.Space(dim=2, weights=[1.0, 0.0], num_seminorms=2)
+    with pytest.raises(nl.ValidationError):
+        nl.Space(dim=1, weights=[1.0], num_seminorms=0)
+
+
+def test_a_space_owns_its_weights():
+    arr = np.array([1.0, 2.0, 3.0])
+    sp = nl.make_space(2, arr, 2)
+    arr[0] = 5.0
+    assert sp.weights.tolist() == [1.0, 2.0]
+    assert arr.flags.writeable
+    assert not sp.weights.flags.writeable
+
+
+def test_seminorms_overflow_to_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert nl.seminorm(nl.make_space(1, [2.0], 1), 1, [1e308]) == math.inf
+        assert nl.dual_seminorm(nl.make_space(1, [0.5], 1), 1, [1e308]) == math.inf
+        sp = nl.make_space(2, [0.5, 2.0], 2)
+        stack = np.array([[1e308, 0.0], [1.0, 1.0]])
+        assert nl.seminorm(sp, 2, stack[:, ::-1]).tolist() == [math.inf, 2.0]
+        assert nl.dual_seminorm(sp, 2, stack).tolist() == [math.inf, 2.5]
+        assert nl.operator_seminorm(sp, sp, np.diag([1e308, 1.0]), 2, 2) == math.inf
 
 
 def test_seminorm_of_zero_and_index_range():
@@ -72,28 +101,26 @@ def test_seminorm_monotone_in_index():
 
 def test_operator_seminorm_identity():
     sp = nl.make_space(3, [1, 1, 1], 3)
-    A = nl.LinearOperator(np.eye(3))
-    assert nl.operator_seminorm(sp, sp, A, 3, 3) == 1.0
+    assert nl.operator_seminorm(sp, sp, np.eye(3), 3, 3) == 1.0
 
 
 def test_operator_seminorm_unbounded_direction():
     sp = nl.make_space(3, [1, 1, 1], 3)
     m = np.zeros((3, 3))
     m[0, 2] = 1.0
-    A = nl.LinearOperator(m)
-    assert nl.operator_seminorm(sp, sp, A, 1, 1) == math.inf
+    assert nl.operator_seminorm(sp, sp, m, 1, 1) == math.inf
 
 
 def test_operator_seminorm_diagonal():
     sp = nl.make_space(3, [1, 1, 1], 3)
-    A = nl.LinearOperator(np.diag([1.0, 2.0, 3.0]))
+    A = np.diag([1.0, 2.0, 3.0])
     assert nl.operator_seminorm(sp, sp, A, 3, 3) == 3.0
 
 
 def brute_force_operator_seminorm(sp_src, sp_dst, A, p, q):
     best = 0.0
     for y in unit_ball_vertices(sp_src, p):
-        best = max(best, nl.seminorm(sp_dst, q, A.matrix @ y))
+        best = max(best, nl.seminorm(sp_dst, q, A @ y))
     return best
 
 
@@ -105,7 +132,7 @@ def test_operator_seminorm_matches_vertex_maximization():
         w_dst = rng.uniform(0.2, 3.0, size=dim)
         sp_src = nl.make_space(dim, w_src, dim)
         sp_dst = nl.make_space(dim, w_dst, dim)
-        A = nl.LinearOperator(rng.normal(size=(dim, dim)))
+        A = rng.normal(size=(dim, dim))
         for q in range(1, dim + 1):
             exact = nl.operator_seminorm(sp_src, sp_dst, A, dim, q)
             brute = brute_force_operator_seminorm(sp_src, sp_dst, A, dim, q)
@@ -114,27 +141,27 @@ def test_operator_seminorm_matches_vertex_maximization():
 
 def test_normal_index_identity():
     sp = nl.make_space(3, [1, 1, 1], 3)
-    rep = nl.normal_index(sp, sp, nl.LinearOperator(np.eye(3)))
+    rep = nl.normal_index(sp, sp, np.eye(3))
     for q in range(1, 4):
-        assert rep.finite_sources[q] == frozenset(range(q, 4))
+        assert rep[q] == frozenset(range(q, 4))
         for p in range(q, 4):
-            assert rep.values[(p, q)] == 1.0
+            assert nl.operator_seminorm(sp, sp, np.eye(3), p, q) == 1.0
 
 
 def test_normal_index_zero_operator():
     sp = nl.make_space(3, [1, 1, 1], 3)
-    rep = nl.normal_index(sp, sp, nl.LinearOperator(np.zeros((3, 3))))
+    rep = nl.normal_index(sp, sp, np.zeros((3, 3)))
     for q in range(1, 4):
-        assert rep.finite_sources[q] == frozenset({1, 2, 3})
+        assert rep[q] == frozenset({1, 2, 3})
 
 
 def test_normal_index_upper_shift():
     # strictly upper shift maps e_{i+1} -> e_i, so row i needs column i+1
     sp = nl.make_space(3, [1, 1, 1], 3)
     m = np.diag([1.0, 1.0], k=1)
-    rep = nl.normal_index(sp, sp, nl.LinearOperator(m))
+    rep = nl.normal_index(sp, sp, m)
     for q in range(1, 4):
-        for p in rep.finite_sources[q]:
+        for p in rep[q]:
             assert p >= min(q + 1, 3)
 
 
@@ -145,8 +172,8 @@ def test_normal_index_upward_closure_random():
         sp = nl.make_space(dim, rng.uniform(0.3, 2.0, size=dim), dim + 1)
         m = rng.normal(size=(dim, dim))
         m[rng.random(size=m.shape) < 0.5] = 0.0
-        rep = nl.normal_index(sp, sp, nl.LinearOperator(m))
-        for q, members in rep.finite_sources.items():
+        rep = nl.normal_index(sp, sp, m)
+        for q, members in rep.items():
             for p in members:
                 for p2 in range(p, sp.num_seminorms + 1):
                     assert p2 in members
@@ -159,7 +186,7 @@ def test_support_profile():
     m = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
     sp = nl.make_space(3, [1.0, 1.0, 1.0], 3)
     finite = {
-        (p, q): math.isfinite(nl.operator_seminorm(sp, sp, nl.LinearOperator(m), p, q))
+        (p, q): math.isfinite(nl.operator_seminorm(sp, sp, m, p, q))
         for p in (1, 2, 3)
         for q in (1, 2, 3)
     }
