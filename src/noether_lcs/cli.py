@@ -17,9 +17,11 @@ solver error, printed as one line ``error: <file>: <command>: <message>``.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,7 @@ from .problem import ProblemFile, load_problem
 from .spaces import Space, ValidationError
 from .symmetry import (
     check_invariance,
+    find_affine_symmetries,
     noether_first_integral,
     verify_conservation,
 )
@@ -60,8 +63,6 @@ def _format_value(obj):
 
 
 def canonical_json(report: dict) -> str:
-    import json
-
     return json.dumps(_format_value(report), indent=2) + "\n"
 
 
@@ -99,8 +100,6 @@ def cmd_solve(prob: ProblemFile, args):
     bc = prob.require_boundary()
     cfg = prob.solver
     if args.seed_curve:
-        from dataclasses import replace
-
         cfg = replace(cfg, seed_curve=_seed_curve(prob, args))
     curve = solve_extremal(prob.lagrangian, bc, prob.grid, prob.space, cfg)
     res = el_residual(prob.lagrangian, curve)
@@ -210,8 +209,6 @@ def cmd_verify(prob: ProblemFile, args):
 
 
 def cmd_find_symmetries(prob: ProblemFile, args):
-    from .symmetry import find_affine_symmetries
-
     found = find_affine_symmetries(prob.lagrangian, prob.sampling)
     return {
         "count": len(found),

@@ -26,7 +26,6 @@ class ParseDiagnostic(ValueError):
     def __init__(self, offset: int, token: str, message: str):
         self.offset = offset
         self.token = token
-        self.message = message
         super().__init__(f"at offset {offset} near {token!r}: {message}")
 
 

@@ -81,7 +81,6 @@ def first_variation(L: ScalarField, x: Curve, h: Curve) -> float:
 class ELResidual:
     """Per-interior-node residual covectors and their dual-seminorm summary."""
 
-    nodes: np.ndarray  # interior node times
     residuals: np.ndarray  # (N-1, dim)
     max_norm: float
 
@@ -96,7 +95,6 @@ def el_residual(L: ScalarField, x: Curve) -> ELResidual:
     _, lx, lv = _covectors(L, x.grid, x.values)
     res = _residual(x.grid, lx, lv)
     return ELResidual(
-        nodes=x.grid.nodes[1:-1],
         residuals=res,
         max_norm=float(np.max(dual_seminorm(x.space, x.space.num_seminorms, res))),
     )

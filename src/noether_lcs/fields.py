@@ -178,11 +178,9 @@ _RANDOM_DIRECTIONS = 8
 class DifferentiabilityAudit:
     """Remainder-ratio trajectories per seminorm pair over shrinking probes."""
 
-    base_points: tuple
     radii: np.ndarray
     ratios: dict  # (s, m) -> array of worst ratios, one per radius
     verdicts: dict  # (s, m) -> bool
-    tol: float
 
     @property
     def passed(self) -> bool:
@@ -267,10 +265,4 @@ def check_normal_differentiability(
                 worst = np.maximum(worst, (nums / _PROBE_RADII[:, None]).max(axis=1))
         ratios[(s, m)] = worst
         verdicts[(s, m)] = bool(worst[-1] <= tol and worst[-1] <= worst[0] + tol)
-    return DifferentiabilityAudit(
-        base_points=tuple(base_points),
-        radii=_PROBE_RADII,
-        ratios=ratios,
-        verdicts=verdicts,
-        tol=tol,
-    )
+    return DifferentiabilityAudit(radii=_PROBE_RADII, ratios=ratios, verdicts=verdicts)

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional
 
-import numpy as np
-
 from .curves import Grid
 from .dsl import compile_field, has_variables, parse, ParseDiagnostic
 from .euler_lagrange import BoundaryConditions, SolverConfig
@@ -52,83 +50,90 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _object(value) -> dict:
-    """A ``kind`` for ``_value``: a JSON object, as it is; an array of
-    pairs is not one."""
-    if not isinstance(value, dict):
-        raise TypeError(f"{value!r} is not a JSON object")
-    return value
-
-
-def _finite(value) -> float:
-    """A ``kind`` for ``_value``: a float that is neither NaN nor infinite."""
-    x = float(value)
-    if not -math.inf < x < math.inf:
-        raise ValueError(f"{x} is not finite")
-    return x
-
-
-def positive(value) -> float:
-    """A finite float > 0: the kind of every tolerance."""
-    x = float(value)
-    if not 0 < x < math.inf:
-        raise ValueError(f"{x} is not finite and positive")
-    return x
-
-
-def _finite_vector(value) -> np.ndarray:
-    v = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{v} is not finite")
-    return v
-
-
-def _int_at_least(low: int):
-    """A ``kind`` for ``_value``: a whole number, as an int, that is at
-    least ``low``; 1.7 or "3" is rejected, not truncated or parsed."""
+def _of(json_type: type):
+    """A kind: a JSON value that Python's json reads as ``json_type``, as it
+    is: an object (dict; an array of pairs is not one), an array (list) or a
+    string (str, the kind of every expression)."""
 
     def kind(value):
-        n = int(value)
-        if n != value or n < low:
-            raise ValueError(f"{value!r} is not a whole number >= {low}")
-        return n
+        if not isinstance(value, json_type):
+            raise TypeError
+        return value
 
     return kind
 
 
-# each key an optional section may set, and its kind; a key the file leaves
-# out keeps the default of SolverConfig, DEFAULT_TOLERANCES or SamplingConfig
-_SECTIONS = {
-    "solver": {"tol": positive, "max_iter": _int_at_least(1)},
-    "tolerances": dict.fromkeys(DEFAULT_TOLERANCES, positive),
-    "sampling": {"x_radius": _finite, "v_radius": _finite,
-                 "count": _int_at_least(1), "seed": _int_at_least(0)},
+_object, _string = _of(dict), _of(str)
+
+
+def _number(above: float = -math.inf, whole: bool = False):
+    """The number kind: a JSON number, not a bool, finite and above
+    ``above``; where ``whole``, an int (1.7 is rejected, not truncated)."""
+
+    def kind(value):
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and above < value < math.inf) or whole and value != int(value):
+            raise TypeError
+        return int(value) if whole else float(value)
+
+    return kind
+
+
+def _array(kind):
+    """A kind: a JSON array, each entry read by ``kind``."""
+    return lambda value: [kind(z) for z in _of(list)(value)]
+
+
+def _table(name: str, *required: str):
+    """A kind: a JSON object that sets the keys ``required``, read against
+    ``_KEYS[name]``."""
+    return lambda value: _read(_object(value), name, required)
+
+
+# every object of a problem file: each key it may set and the kind that
+# reads its value; generators and integrals take any name as a key
+_KEYS = {
+    "problem file": {
+        "space": _table("space", "dim"), "interval": _table("interval", "a", "b", "n"),
+        "lagrangian": _string, "boundary": _table("boundary", "xa", "xb"),
+        "generators": _object, "integrals": _object,
+        "solver": _table("solver"), "tolerances": _table("tolerances"),
+        "sampling": _table("sampling"),
+    },
+    "space": {"dim": _number(0, whole=True), "weights": _array(_number()),
+              "seminorms": _number(0, whole=True)},
+    "interval": {"a": _number(), "b": _number(), "n": _number(3, whole=True)},
+    "boundary": {"xa": _array(_number()), "xb": _array(_number())},
+    "generator": {"T": _string, "X": _array(_string)},
+    # a key the file leaves out of these three keeps the default of
+    # SolverConfig, DEFAULT_TOLERANCES or SamplingConfig
+    "solver": {"tol": _number(0), "max_iter": _number(0, whole=True)},
+    "tolerances": dict.fromkeys(DEFAULT_TOLERANCES, _number(0)),
+    "sampling": {"x_radius": _number(), "v_radius": _number(),
+                 "count": _number(0, whole=True), "seed": _number(-1, whole=True)},
 }
 
 
-def _value(section: dict, key: str, kind, default=None):
-    """``kind(section[key])``, or ``kind(default)`` when the key is absent; a
-    missing key without a default, a value that is or holds JSON's true or
-    false (no key takes one, and no numeric kind reads it as 1 or 0), or a
-    value ``kind`` rejects, is a ValidationError naming the key."""
-    if key not in section and default is None:
-        raise ValidationError(f"missing required key {key!r}")
-    value = section.get(key, default)
+def _value(value, kind, key: str):
+    """``kind(value)``; a value the kind rejects (it raises TypeError, or
+    OverflowError for an integer past the float range) is a ValidationError
+    naming the key."""
     try:
-        if any(isinstance(z, bool) for z in (value if isinstance(value, list) else [value])):
-            raise TypeError
         return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"malformed value {section[key]!r} for key {key!r}") from None
+    except (TypeError, OverflowError):
+        raise ValidationError(f"malformed value {value!r} for key {key!r}") from None
 
 
-def _section(doc: dict, name: str) -> dict:
-    """The keys the file sets in the optional section ``name``, each read by
-    its kind in ``_SECTIONS``; a key the section does not have is an error."""
-    section, kinds = _value(doc, name, _object, {}), _SECTIONS[name]
-    if unknown := sorted(section.keys() - kinds.keys()):
+def _read(obj: dict, name: str, required) -> dict:
+    """The keys ``obj`` sets, each read by its kind in ``_KEYS[name]``; a key
+    the table does not list, or one of ``required`` that ``obj`` leaves out,
+    is an error."""
+    kinds = _KEYS[name]
+    if unknown := sorted(obj.keys() - kinds.keys()):
         raise ValidationError(f"unknown key {unknown[0]!r} in {name!r}; it takes {sorted(kinds)}")
-    return {key: _value(section, key, kinds[key]) for key in section}
+    if missing := [key for key in required if key not in obj]:
+        raise ValidationError(f"missing required key {missing[0]!r}")
+    return {key: _value(obj[key], kind, key) for key, kind in kinds.items() if key in obj}
 
 
 def _generator(spec, name: str, dim: int) -> SymmetryGenerator:
@@ -136,13 +141,11 @@ def _generator(spec, name: str, dim: int) -> SymmetryGenerator:
     expressions in t and x."""
     if isinstance(spec, str):
         return catalog_generator(spec, dim)
-    if not isinstance(spec, dict):
-        raise ValidationError(f"must be a catalog name or an object with T and X, got {spec!r}")
-    trees = [parse(_value(spec, "T", str, "0"), dim)]
+    spec = _value(spec, _table("generator"), name)
     x_exprs = spec.get("X", ["0"] * dim)
-    if not isinstance(x_exprs, list) or len(x_exprs) != dim:
+    if len(x_exprs) != dim:
         raise ValidationError(f"needs a list of {dim} X components")
-    trees += [parse(str(s), dim) for s in x_exprs]
+    trees = [parse(e, dim) for e in (spec.get("T", "0"), *x_exprs)]
     if any(has_variables(e, "v") for e in trees):
         raise ValidationError(f"T and X are fields of (t, x) and may not use v1..v{dim}")
     t_field, *x_fields = (compile_field(e, dim) for e in trees)
@@ -161,38 +164,35 @@ def load_problem(path, grid_n: Optional[int] = None) -> ProblemFile:
     try:
         if not isinstance(doc, dict):
             raise ValidationError(f"a problem file is a JSON object, got {doc!r}")
-        sp = _value(doc, "space", _object)
-        dim = _value(sp, "dim", _int_at_least(1))
-        weights = _value(sp, "weights", _finite_vector, [1.0] * dim)
-        space = Space(dim, weights, _value(sp, "seminorms", _int_at_least(1), dim))
-        iv = _value(doc, "interval", _object)
-        n = int(grid_n) if grid_n is not None else _value(iv, "n", _int_at_least(4))
+        doc = _read(doc, "problem file", ("space", "interval", "lagrangian"))
+        sp, iv = doc["space"], doc["interval"]
+        dim = sp["dim"]
+        space = Space(dim, sp.get("weights", [1.0] * dim), sp.get("seminorms", dim))
+        n = int(grid_n) if grid_n is not None else iv["n"]
         if n % 2 != 0 or n < 4:
             raise ValidationError(f"interval n must be even and >= 4, got {n}")
-        grid = Grid(a=_value(iv, "a", _finite), b=_value(iv, "b", _finite), n=n)
-        lagrangian = compile_field(_value(doc, "lagrangian", str), dim)
+        grid = Grid(a=iv["a"], b=iv["b"], n=n)
+        lagrangian = compile_field(doc["lagrangian"], dim)
 
         boundary = None
         if "boundary" in doc:
-            bnd = _value(doc, "boundary", _object)
-            xa, xb = (_value(bnd, k, _finite_vector) for k in ("xa", "xb"))
-            if xa.shape != (dim,) or xb.shape != (dim,):
+            bnd = doc["boundary"]
+            if len(bnd["xa"]) != dim or len(bnd["xb"]) != dim:
                 raise ValidationError(f"boundary vectors must have length {dim}")
-            boundary = BoundaryConditions(xa=xa, xb=xb)
+            boundary = BoundaryConditions(**bnd)
 
-        solver = SolverConfig(**_section(doc, "solver"))
-        tolerances = {**DEFAULT_TOLERANCES, **_section(doc, "tolerances")}
-        sampling = SamplingConfig(t_range=(grid.a, grid.b), **_section(doc, "sampling"))
+        solver = SolverConfig(**doc.get("solver", {}))
+        tolerances = {**DEFAULT_TOLERANCES, **doc.get("tolerances", {})}
+        sampling = SamplingConfig(t_range=(grid.a, grid.b), **doc.get("sampling", {}))
 
         generators = {}
-        for name, spec in _value(doc, "generators", _object, {}).items():
+        for name, spec in doc.get("generators", {}).items():
             where = f"generator {name!r}: "
             generators[name] = _generator(spec, name, dim)
         integrals = {}
-        section = _value(doc, "integrals", _object, {})
-        for name in section:
+        for name, expr in doc.get("integrals", {}).items():
             where = f"integral {name!r}: "
-            integrals[name] = compile_field(_value(section, name, str), dim)
+            integrals[name] = compile_field(_value(expr, _string, name), dim)
     except (ValidationError, ParseDiagnostic, EvaluationError) as err:
         raise ValidationError(f"{where}{err}") from None
 

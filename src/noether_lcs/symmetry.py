@@ -48,7 +48,7 @@ class SymmetryGenerator:
     X: tuple  # dim ScalarFields, one per component
     name: str = ""
     F: Optional[ScalarField] = None
-    # the affine coefficient vector (layout of ``affine_generator``), when known
+    # the coefficient vector of an affine generator (layout of ``affine_generator``)
     coefficients: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -150,6 +150,7 @@ def affine_generator(
         T=ScalarField(dim, _Polynomial(t_coeffs, affine)),
         X=tuple(ScalarField(dim, _Polynomial(row, affine)) for row in x_coeffs),
         name=name,
+        coefficients=np.concatenate([t_coeffs, x_coeffs.ravel()]),
     )
 
 
@@ -492,9 +493,6 @@ def find_affine_symmetries(
     with _naming_samples("symmetry search check", fresh.seed):
         residual = np.max(np.abs(_search_matrix(L, *fresh.samples(dim)) @ null.T), axis=0)
     return [
-        replace(
-            affine_generator(dim, vec[:per], vec[per:].reshape(dim, per)),
-            coefficients=vec.copy(),
-        )
+        affine_generator(dim, vec[:per], vec[per:].reshape(dim, per))
         for vec in null[residual <= 1e-6]
     ]

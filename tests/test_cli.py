@@ -463,6 +463,34 @@ def _malformed(doc, case):
         doc["sampling"] = {"radius": 1.0}
     elif case == "not-an-object":
         doc = [doc]
+    elif case == "misspelled-section":  # the file's own section is "tolerances"
+        doc["tolerance"] = {"conservation": 1e-8}
+    elif case == "space-unknown-key":
+        doc["space"]["wieghts"] = [4.0]
+    elif case == "interval-unknown-key":
+        doc["interval"]["N"] = 40
+    elif case == "boundary-unknown-key":
+        doc["boundary"]["xB"] = [9.0]
+    elif case == "generator-unknown-key":  # read as the zero generator before
+        doc["generators"]["g"] = {"T": "0", "x": ["t"]}
+    elif case == "b-string":
+        doc["interval"]["b"] = "1.0"
+    elif case == "weights-string":
+        doc["space"]["weights"] = ["1.0"]
+    elif case == "solver-tol-string":
+        doc["solver"] = {"tol": "1e-10"}
+    elif case == "tolerance-string":
+        doc["tolerances"] = {"conservation": "1e-8"}
+    elif case == "integral-number":
+        doc["integrals"]["momentum"] = 2
+    elif case == "integral-five":
+        doc["integrals"]["five"] = 5
+    elif case == "generator-t-number":
+        doc["generators"]["g"] = {"T": 1, "X": [0]}
+    elif case == "generator-x-number":
+        doc["generators"]["g"] = {"T": "0", "X": [0]}
+    elif case == "lagrangian-number":
+        doc["lagrangian"] = 0.5
     elif case.endswith("-pairs"):  # an object written as an array of [key, value]
         key = case.removesuffix("-pairs")
         doc[key] = [list(item) for item in doc.get(key, {"tol": 1e-9}).items()]
@@ -526,6 +554,20 @@ def _malformed(doc, case):
         ("tolerances-legendre-true", "malformed value True for key 'legendre'"),
         ("sampling-count-true", "malformed value True for key 'count'"),
         ("sampling-seed-false", "malformed value False for key 'seed'"),
+        ("misspelled-section", "unknown key 'tolerance' in 'problem file'"),
+        ("space-unknown-key", "unknown key 'wieghts' in 'space'"),
+        ("interval-unknown-key", "unknown key 'N' in 'interval'"),
+        ("boundary-unknown-key", "unknown key 'xB' in 'boundary'"),
+        ("generator-unknown-key", "generator 'g': unknown key 'x' in 'generator'"),
+        ("b-string", "malformed value '1.0' for key 'b'"),
+        ("weights-string", "malformed value ['1.0'] for key 'weights'"),
+        ("solver-tol-string", "malformed value '1e-10' for key 'tol'"),
+        ("tolerance-string", "malformed value '1e-8' for key 'conservation'"),
+        ("integral-number", "integral 'momentum': malformed value 2 for key 'momentum'"),
+        ("integral-five", "integral 'five': malformed value 5 for key 'five'"),
+        ("generator-t-number", "generator 'g': malformed value 1 for key 'T'"),
+        ("generator-x-number", "generator 'g': malformed value [0] for key 'X'"),
+        ("lagrangian-number", "malformed value 0.5 for key 'lagrangian'"),
     ],
 )
 def test_malformed_problem_values_give_one_error_line(tmp_path, capsys, case, named):
@@ -718,16 +760,6 @@ def test_integral_that_is_not_finite_on_the_curve_gives_one_error_line(tmp_path,
     )
     assert "non-finite field value at point 101" in lines[0]
     assert not list(out.glob("*_report.json"))
-
-
-def test_numeric_problem_file_integral_is_a_constant(tmp_path):
-    doc = json.loads((PROBLEMS / "free_particle.json").read_text())
-    doc["integrals"]["five"] = 5
-    path = tmp_path / "five.json"
-    path.write_text(json.dumps(doc))
-    code, report, _ = run(tmp_path, "verify", str(path), "--integral", "five")
-    assert code == 0
-    assert report["conserved_mean"] == 5.0 and report["conserved_max_deviation"] == 0.0
 
 
 @pytest.mark.parametrize(
