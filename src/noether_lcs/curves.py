@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -37,9 +38,12 @@ class Grid:
     def h(self) -> float:
         return (self.b - self.a) / self.n
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return self.a + self.h * np.arange(self.n + 1)
+        """The n + 1 nodes, built on the first read and read-only."""
+        nodes = self.a + self.h * np.arange(self.n + 1)
+        nodes.flags.writeable = False
+        return nodes
 
 
 @dataclass(frozen=True)

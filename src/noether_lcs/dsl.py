@@ -6,6 +6,14 @@ and propagates forward-mode jets (value, gradient, Hessian) at one point or
 at a whole stack of points at once.  Compiled fields and the parser's folding of
 constant exponents both go through it.  Exponents of ^ must be constant so
 second partials stay closed-form.
+
+An integer power u^p with p >= 2 calls no ``pow``: u^2 is u*u, and for p >= 3
+u^(p-2) comes from repeated squaring, then u^(p-1) = u^(p-2)*u and
+u^p = u^(p-1)*u, with f' = p*u^(p-1) and f'' = p(p-1)*u^(p-2).  The same
+products serve every order, so a value does not depend on the order asked
+for, and a row of a stack has the bits of the same point read alone.  Their
+relative error is at most gamma_(p-1) (Higham, Accuracy and Stability of
+Numerical Algorithms, ch. 3).  Other exponents go through numpy's power.
 """
 
 from __future__ import annotations
@@ -337,7 +345,7 @@ def _variable(r, c):  # r = (_variable, column, index, unit gradient)
     return (value, r[3], None) if c.order else value
 
 
-def _power(r, c):  # zero is None for a positive integer exponent: no checks
+def _power(r, c):  # zero is None for p = 1: no checks
     _, u, p, fractional, zero, negative = r
     u0, ug, uh = u[0](u, c) if (order := c.order) else (u[0](u, c), None, None)
     if zero is not None:
@@ -352,11 +360,42 @@ def _power(r, c):  # zero is None for a positive integer exponent: no checks
     f0 = u0**p
     if ug is None:
         return (f0, None, None) if order else f0
-    if p == 2.0:  # u^0 is 1 for every u, NaN and inf too: f'' = 2 is one scalar
-        f2 = np.float64(2.0)
-    else:
-        f2 = None if p == 1.0 or order < 2 else p * (p - 1.0) * u0 ** (p - 2.0)
+    f2 = None if p == 1.0 or order < 2 else p * (p - 1.0) * u0 ** (p - 2.0)
     return _chain(c, f0, ug, uh, p * u0 ** (p - 1.0), f2)
+
+
+def _square(r, c):  # u^2 = u*u, f' = 2u and f'' = 2, one scalar for every u
+    _, u = r
+    if not c.order:
+        u0 = u[0](u, c)
+        return u0 * u0
+    u0, ug, uh = u[0](u, c)
+    if ug is None:
+        return u0 * u0, None, None
+    return _chain(c, u0 * u0, ug, uh, 2.0 * u0, np.float64(2.0))
+
+
+def _ipow(u, q):
+    """u^q for an integer q >= 1 by repeated squaring."""
+    out = None
+    while True:
+        if q & 1:
+            out = u if out is None else out * u
+        q >>= 1
+        if not q:
+            return out
+        u = u * u
+
+
+def _integer_power(r, c):  # u^p for an integer p >= 3, from products alone
+    _, u, q, p, p2 = r  # q = p - 2, p2 = p(p - 1)
+    u0, ug, uh = u[0](u, c) if (order := c.order) else (u[0](u, c), None, None)
+    low = _ipow(u0, q)  # u^(p-2), then u^(p-1) and u^p: the same products at every order
+    high = low * u0
+    f0 = high * u0
+    if ug is None:
+        return (f0, None, None) if order else f0
+    return _chain(c, f0, ug, uh, p * high, p2 * low if order >= 2 else None)
 
 
 def _unary(r, c):
@@ -436,7 +475,10 @@ def _compile(e, m: int) -> tuple:
         p, fractional = e.exponent, not float(e.exponent).is_integer()
         zero = f"0 raised to exponent {p}" if p <= 0.0 or fractional else None
         negative = f"negative base {{}} with non-integer exponent {p}" if fractional else None
-        r = _power, u, p, fractional, zero, negative
+        if fractional or p < 2.0:
+            r = _power, u, p, fractional, zero, negative
+        else:
+            r = (_square, u) if p == 2.0 else (_integer_power, u, int(p) - 2, p, p * (p - 1.0))
     elif kind is Unary and e.op == "neg":
         r = _negative, u
     elif kind is Unary:

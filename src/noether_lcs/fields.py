@@ -167,8 +167,9 @@ class ScalarField:
 # -- normal-differentiability audit -------------------------------------
 
 
-# the probe radii of the audit, read-only because every audit hands them out
-_PROBE_RADII = np.logspace(-1, -6, 6)
+# the probe radii of the audit, read-only because every audit hands them out;
+# written out, because np.logspace's SIMD power rounds 1e-5 differently by host
+_PROBE_RADII = np.array([1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
 _PROBE_RADII.flags.writeable = False
 # random directions per seminorm pair, beside the 2k signed unit vectors
 _RANDOM_DIRECTIONS = 8

@@ -25,7 +25,7 @@ class ValidationError(ValueError):
 class Space:
     """Truncated model space: dimension, coordinate weights, seminorm count.
     The p-th seminorm sups over the first min(p, dim) coordinates; the space
-    keeps a read-only copy of the first ``dim`` weights."""
+    keeps a read-only copy of its weights, one per coordinate."""
 
     dim: int
     weights: np.ndarray
@@ -37,9 +37,10 @@ class Space:
         if self.num_seminorms < 1:
             raise ValidationError(f"need at least one seminorm, got {self.num_seminorms}")
         w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or len(w) < self.dim:
-            raise ValidationError(f"need >= {self.dim} weights, got shape {w.shape}")
-        w = w[: self.dim].copy()
+        if w.shape != (self.dim,):
+            raise ValidationError(f"'weights' must hold one entry per coordinate ({self.dim}), "
+                                  f"got shape {w.shape}")
+        w = w.copy()
         if not np.all(w > 0) or not np.all(np.isfinite(w)):
             raise ValidationError("weights must be strictly positive and finite")
         w.setflags(write=False)

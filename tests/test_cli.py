@@ -475,6 +475,8 @@ def _malformed(doc, case):
         doc["generators"]["g"] = {"T": "0", "x": ["t"]}
     elif case == "b-string":
         doc["interval"]["b"] = "1.0"
+    elif case == "weights-extra":  # dropped without a word before
+        doc["space"]["weights"] = [1.0, 5.0]
     elif case == "weights-string":
         doc["space"]["weights"] = ["1.0"]
     elif case == "solver-tol-string":
@@ -561,6 +563,7 @@ def _malformed(doc, case):
         ("generator-unknown-key", "generator 'g': unknown key 'x' in 'generator'"),
         ("b-string", "malformed value '1.0' for key 'b'"),
         ("weights-string", "malformed value ['1.0'] for key 'weights'"),
+        ("weights-extra", "'weights' must hold one entry per coordinate (1), got shape (2,)"),
         ("solver-tol-string", "malformed value '1e-10' for key 'tol'"),
         ("tolerance-string", "malformed value '1e-8' for key 'conservation'"),
         ("integral-number", "integral 'momentum': malformed value 2 for key 'momentum'"),

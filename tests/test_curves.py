@@ -15,6 +15,16 @@ def test_grid_validation():
         nl.Grid(0.0, 1.0, 3)
 
 
+def test_a_grid_builds_its_nodes_once_and_read_only():
+    grid = nl.Grid(0.5, 2.0, 6)
+    nodes = grid.nodes
+    assert grid.nodes is nodes and not nodes.flags.writeable
+    assert nodes.tobytes() == (0.5 + 0.25 * np.arange(7)).tobytes()
+    # equality and hashing still read (a, b, n) only
+    twin = nl.Grid(0.5, 2.0, 6)
+    assert twin == grid and hash(twin) == hash(grid) and twin.nodes is not nodes
+
+
 def test_a_curve_owns_its_values(line_space):
     grid = nl.Grid(0.0, 1.0, 4)
     base = np.zeros((5, 2))

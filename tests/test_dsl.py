@@ -2,6 +2,7 @@ import math
 import operator
 import pickle
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -659,9 +660,9 @@ def test_stacked_jet_with_kink_rows_equals_the_one_point_reads(seed):
 # -- the compiled program against the tree-walking evaluator ---------------
 #
 # The recursive evaluator that walked the tree on every call, kept verbatim
-# (but for its name and its abs rule, which checks 0 as sqrt's does) as the
-# reference: the compiled program must give the same bits and the same
-# DomainError.
+# (but for its name, its abs rule, which checks 0 as sqrt's does, and its
+# integer powers, which are products as the program's are) as the reference:
+# the compiled program must give the same bits and the same DomainError.
 
 _UNARY = {
     "sin": np.sin,
@@ -772,6 +773,24 @@ def reference_evaluate(e: Expression, t, x, v, order: int = 0) -> EvalResult:
         u0, ug, uh = u
         if c == 0.0:
             return np.float64(1.0), None, None
+        if c >= 2.0 and c == int(c):
+            # u^2 = u*u; for c >= 3, u^(c-2) by repeated squaring, then
+            # u^(c-1) and u^c by one more product each
+            if c == 2.0:
+                low, high = np.float64(1.0), u0
+            else:
+                low, square, q = None, u0, int(c) - 2
+                while q:
+                    if q & 1:
+                        low = square if low is None else low * square
+                    q >>= 1
+                    if q:
+                        square = square * square
+                high = low * u0
+            f0 = high * u0
+            if ug is None:
+                return f0, None, None
+            return chain(f0, ug, uh, c * high, c * (c - 1.0) * low)
         if c < 0.0:
             check(u0 == 0.0, f"0 raised to exponent {c}")
         elif ug is not None and c < order and c != int(c):
@@ -977,3 +996,107 @@ def test_a_constant_that_fails_when_folded_at_parse_time_names_no_point():
     L = compile_field("v1 + log(0 - 1)", 1)
     with pytest.raises(DomainError, match=r"^log of non-positive value -1\.0 at t=0\.5, x=\[1\.\], v=\[2\.\]$"):
         L(0.5, np.array([1.0]), np.array([2.0]))
+
+
+# -- integer powers as products ---------------------------------------------
+#
+# u^p for an integer p >= 2 is a chain of products: u*u for p = 2, and for
+# p >= 3 u^(p-2) by repeated squaring, then u^(p-1) and u^p.  A product
+# chain's relative error is at most gamma_(p-1) (Higham, Accuracy and
+# Stability of Numerical Algorithms, ch. 3): a squaring doubles the error
+# of its operand, so the bound counts the p - 1 factors of u, not the
+# products made.
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.integers(2, 12),
+    u=st.floats(-1e25, 1e25, allow_nan=False, allow_subnormal=True)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -2.0**-1022, 1e-30, -2.0**-100, -1.0]),
+)
+def test_an_integer_power_is_within_p_minus_1_ulp_of_the_exact_power(p, u):
+    # negative, zero and subnormal bases, and powers that underflow part
+    # of the way into the subnormal range
+    e = Pow(Var("x", 1), float(p))
+    exact = Fraction(u) ** p
+    value = evaluate(e, 0.0, [u], [0.0]).value
+    assert abs(Fraction(value) - exact) <= (p - 1) * Fraction(math.ulp(float(exact)))
+    assert math.copysign(1.0, value) == math.copysign(1.0, u**p)  # -0.0 too
+    # the same products at every order, on a stack as at one point
+    for order in (1, 2):
+        assert evaluate(e, 0.0, [u], [0.0], order=order).value == value
+    stacked = evaluate(e, np.zeros(2), np.array([[u], [u]]), np.zeros((2, 1)), order=2)
+    assert stacked.value.tobytes() == np.array([value, value]).tobytes()
+
+
+def _polynomial(rng, depth, dim):
+    """A random tree of +, -, *, / by a constant and integer powers."""
+    if depth == 0 or rng.random() < 0.3:
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            return Const(float(np.round(rng.uniform(-2, 2), 3)))
+        if kind == 1:
+            return Var("t", 0)
+        return Var("x" if kind == 2 else "v", int(rng.integers(1, dim + 1)))
+    op = rng.choice(["+", "-", "*", "/", "^", "^"])
+    if op == "^":
+        return Pow(_polynomial(rng, depth - 1, dim), float(rng.integers(2, 7)))
+    if op == "/":
+        return Binary("/", _polynomial(rng, depth - 1, dim), Const(float(rng.choice([3.0, -0.7, 12.0]))))
+    return Binary(op, _polynomial(rng, depth - 1, dim), _polynomial(rng, depth - 1, dim))
+
+
+def _rows_equal_the_one_point_jets(expr, t, x, v, orders):
+    for order in orders:
+        stack = evaluate(expr, t, x, v, order=order)
+        blocks = ("value", "grad", "hess")[: order + 1]
+        for i in range(len(t)):
+            one = evaluate(expr, t[i], x[i], v[i], order=order)
+            for block in blocks:
+                got, want = getattr(stack, block)[i], np.asarray(getattr(one, block))
+                assert got.tobytes() == want.tobytes(), (block, i, order)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3))
+def test_each_row_of_a_stacked_polynomial_jet_is_its_one_point_jet(seed, dim):
+    rng = np.random.default_rng(seed)
+    expr = Binary("+", _polynomial(rng, 4, dim), Pow(Var("x", 1), float(rng.integers(2, 13))))
+    t = rng.uniform(-2, 2, 6)
+    x, v = rng.uniform(-2, 2, (6, dim)), rng.uniform(-2, 2, (6, dim))
+    x[0] = v[0] = 0.0
+    _rows_equal_the_one_point_jets(expr, t, x, v, (0, 1, 2))
+
+
+def test_a_quartic_and_a_cubic_give_the_same_bits_on_a_stack_and_at_one_point():
+    # numpy's power may round a stack (a SIMD loop) and one point (scalar
+    # pow) differently, in a few percent of normal draws; products do not
+    rng = np.random.default_rng(7)
+    x, v = rng.standard_normal((2000, 1)), rng.standard_normal((2000, 1))
+    expr = parse("x1^4 + v1^3", 1)
+    _rows_equal_the_one_point_jets(expr, np.zeros(2000), x, v, (0, 1))
+
+
+@pytest.mark.parametrize(
+    "src, at, message",
+    [
+        ("x1^-1 + v1^2", [0.0], "0 raised to exponent -1.0"),
+        ("(x1 - 1)^-3", [1.0], "0 raised to exponent -3.0"),
+        ("v1^2 + x1^0.5", [-2.0], "negative base -2.0 with non-integer exponent 0.5"),
+        ("x1^1.5*v1^4", [-2.0], "negative base -2.0 with non-integer exponent 1.5"),
+        ("x1^(-2.5)", [-2.0], "negative base -2.0 with non-integer exponent -2.5"),
+    ],
+)
+def test_zero_to_a_negative_power_and_a_negative_base_raise_as_before(src, at, message):
+    # these exponents keep numpy's power and its domain checks at every order
+    L = compile_field(src, 1)
+    x, v = np.array(at), np.array([2.0])
+    where = f" at t=0.5, x=[{at[0]:.0f}.], v=[2.]"
+    for order in (0, 1, 2):
+        with pytest.raises(DomainError) as err:
+            L.jets(0.5, x, v, order)
+        assert str(err.value) == message + where and err.value.index is None
+        with pytest.raises(DomainError) as err:
+            L.jets(np.array([0.0, 0.5]), np.array([[3.0], at]), np.array([[1.0], [2.0]]), order)
+        assert str(err.value) == f"{message} at point 1 (t=0.5, x=[{at[0]:.0f}.], v=[2.])"
+        assert list(err.value.rows) == [1] and err.value.index == 1

@@ -245,7 +245,7 @@ def _radius_major_audit(g, candidate_derivative, space_src, space_dst, base_poin
 
     g_base = [values(b) for b in base_points] if pairs else []
     rng = np.random.default_rng(0)
-    radii = np.logspace(-1, -6, 6)
+    radii = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
     ratios, verdicts = {}, {}
     for (s, m) in sorted(pairs):
         k = min(m, space_src.dim)

@@ -30,6 +30,8 @@ def test_make_space_validation():
         nl.make_space(2, [1.0, -1.0], 1)
     with pytest.raises(nl.ValidationError):
         nl.make_space(2, [1.0], 1)
+    with pytest.raises(nl.ValidationError, match=r"^'weights' must hold one entry per coordinate"):
+        nl.make_space(1, [1.0, 5.0], 1)  # an extra weight is not dropped
     with pytest.raises(nl.ValidationError):
         nl.make_space(2, [1.0, 1.0], 0)
     # a Space built under its own name is checked the same way
@@ -38,7 +40,7 @@ def test_make_space_validation():
 
 
 def test_a_space_owns_its_weights():
-    arr = np.array([1.0, 2.0, 3.0])
+    arr = np.array([1.0, 2.0])
     sp = nl.make_space(2, arr, 2)
     arr[0] = 5.0
     assert sp.weights.tolist() == [1.0, 2.0]
