@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -91,21 +91,38 @@ def stencil_derivative(values: np.ndarray, h: float, order: int) -> np.ndarray:
     return d
 
 
+@lru_cache
+def _band_plan(nb: int, m: int, offsets: tuple) -> tuple:
+    """The half-bandwidth u of ``block_band`` and, for each block diagonal d
+    in ``offsets``, the flat indices into its band storage of the entries of
+    its stacked blocks, in their C order (read-only)."""
+    u = (max(abs(d) for d in offsets) + 1) * m - 1
+    a = np.arange(m)
+    plan = []
+    for d in offsets:
+        # entry (I, a_r, a_c) of the stack is A[r, c], r = I m + a_r and
+        # c = (I + d) m + a_c, kept at ab[u + r - c, c]
+        cols = (m * np.arange(max(d, 0), nb + min(d, 0)))[:, None, None] + a
+        index = ((u - d * m + a[:, None] - a[None, :]) * (nb * m) + cols).reshape(-1)
+        index.flags.writeable = False
+        plan.append(index)
+    return u, tuple(plan)
+
+
 def block_band(diagonals: dict) -> np.ndarray:
     """LAPACK band storage ab[u + r - c, c] = A[r, c] of a square matrix of
     m x m blocks, read by gbsv below u fill rows, as in the Newton step and
     ``scipy.linalg.solve_banded((u, u), ab, b)``.  ``diagonals[d]`` stacks
     the blocks of block diagonal d in order (block row I holds one at block
     column I + d); the scalar half-bandwidth is
-    u = (max |d| + 1) m - 1 = (len(ab) - 1) / 2."""
+    u = (max |d| + 1) m - 1 = (len(ab) - 1) / 2.  Each block diagonal is one
+    flat assignment from an index plan cached per shape (``_band_plan``)."""
     nb, m = len(diagonals[0]), diagonals[0].shape[1]
-    u = (max(abs(d) for d in diagonals) + 1) * m - 1
+    u, plan = _band_plan(nb, m, tuple(diagonals))
     ab = np.zeros((2 * u + 1, nb * m))
-    a = np.arange(m)
-    rows = u + a[:, None] - a[None, :]
-    for d, blocks in diagonals.items():
-        cols = (m * np.arange(max(d, 0), nb + min(d, 0)))[:, None, None] + a
-        ab[rows - d * m, cols] = blocks
+    flat = ab.reshape(-1)
+    for index, blocks in zip(plan, diagonals.values()):
+        flat[index] = blocks.reshape(-1)
     return ab
 
 

@@ -7,13 +7,20 @@ at a whole stack of points at once.  Compiled fields and the parser's folding of
 constant exponents both go through it.  Exponents of ^ must be constant so
 second partials stay closed-form.
 
+Every order runs the same operations for the value and, from order 1, the
+gradient; a higher order only adds its own partials (and the checks they
+need, such as 0 to a power below the order).  So where an order-2 jet is
+defined, its value and gradient are the bits of the order-1 jet's and its
+value that of order 0: the Newton solve reads a point's covectors and its
+Jacobian blocks from one order-2 jet.
+
 An integer power u^p with p >= 2 calls no ``pow``: u^2 is u*u, and for p >= 3
 u^(p-2) comes from repeated squaring, then u^(p-1) = u^(p-2)*u and
 u^p = u^(p-1)*u, with f' = p*u^(p-1) and f'' = p(p-1)*u^(p-2).  The same
-products serve every order, so a value does not depend on the order asked
-for, and a row of a stack has the bits of the same point read alone.  Their
-relative error is at most gamma_(p-1) (Higham, Accuracy and Stability of
-Numerical Algorithms, ch. 3).  Other exponents go through numpy's power.
+products serve every order, and a row of a stack has the bits of the same
+point read alone.  Their relative error is at most gamma_(p-1) (Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 3).  Other exponents go
+through numpy's power.
 """
 
 from __future__ import annotations

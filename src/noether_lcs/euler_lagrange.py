@@ -5,6 +5,9 @@ The residual at interior node i is dL/dx(t_i, x_i, x'_i) minus the stencil
 time derivative of the momentum covector dL/dv along the curve; the solver
 drives the stacked interior residual to zero with a damped Newton iteration
 whose Jacobian is assembled exactly from the second-partial blocks of L.
+The solver reads L once at each point it visits, one order-2 jet that holds
+the covectors of the residual and the blocks of the Jacobian: an order-2
+jet's value and gradient are the bits of the order-1 jet's.
 """
 
 from __future__ import annotations
@@ -61,6 +64,15 @@ def _covectors(L: ScalarField, grid: Grid, xs: np.ndarray):
     return (xd, *L.partial(("x", "v"), grid.nodes, xs, xd))
 
 
+def _point(L: ScalarField, grid: Grid, xs: np.ndarray):
+    """The covectors dL/dx and dL/dv and the Hessian blocks [xx, xv, vv] of
+    L at every node of the node array xs and its stencil velocities, all
+    read from one order-2 jet."""
+    xd = stencil_derivative(xs, grid.h, 1)
+    lx, lv, *hess = L.second_partial(("x", "v", "xx", "xv", "vv"), grid.nodes, xs, xd)
+    return lx, lv, hess
+
+
 def _residual(grid: Grid, lx: np.ndarray, lv: np.ndarray) -> np.ndarray:
     """The Euler-Lagrange residual dL/dx - d/dt dL/dv at the interior nodes,
     with the momentum derivative by the central stencil."""
@@ -100,14 +112,13 @@ def el_residual(L: ScalarField, x: Curve) -> ELResidual:
     )
 
 
-def _interior_jacobian(L, grid, xs, xd):
+def _interior_jacobian(grid, lxx, lxv, lvv):
     """Exact Jacobian of the stacked residual with respect to the interior
-    nodes, in band storage (see ``block_band``), from one order-2 jet.  It is
-    block-pentadiagonal, scalar half-bandwidth 3m - 1: row i reads x_i's jet
-    directly and, through the momentum stencil, the jets at nodes i -+ 1,
-    whose velocity stencils reach nodes i -+ 2 (one-sided at the endpoints,
-    weights -3, 4, -1)."""
-    lxx, lxv, lvv = L.second_partial(("xx", "xv", "vv"), grid.nodes, xs, xd)
+    nodes, in band storage (see ``block_band``), from the xx, xv and vv
+    blocks of L at every node.  It is block-pentadiagonal, scalar
+    half-bandwidth 3m - 1: row i reads x_i's jet directly and, through the
+    momentum stencil, the jets at nodes i -+ 1, whose velocity stencils reach
+    nodes i -+ 2 (one-sided at the endpoints, weights -3, 4, -1)."""
     lvx = np.swapaxes(lxv, 1, 2)  # dp_j/dx_j for the momentum p_j = dL/dv
     c = 1.0 / (2.0 * grid.h)
     q = c * c
@@ -164,7 +175,8 @@ def meets_stopping_rule(L: ScalarField, x: Curve, tol: float) -> bool:
     res = _residual(x.grid, lx, lv)
     if float(np.max(np.abs(res))) <= tol:
         return True
-    ab = _interior_jacobian(L, x.grid, x.values, xd)
+    hess = L.second_partial(("xx", "xv", "vv"), x.grid.nodes, x.values, xd)
+    ab = _interior_jacobian(x.grid, *hess)
     return bool(np.max(_floor_ratios(x.grid, x.values, lx, lv, res, np.abs(ab))) <= _FLOOR)
 
 
@@ -172,23 +184,25 @@ def _line_search(L, grid, xs, step, abs_ab, worst):
     """The first trial xs + 2^-k step, k = 0, 1, ..., 29, whose
     largest |r_i| / (eps s_i) (see ``_floor_ratios``; its own s, with the
     iterate's |J| abs_ab) is below ``worst``, the iterate's, with its
-    velocities, covectors and residual; None when no trial is.  It stops at
-    the first trial that rounds to xs: rounding is monotone, so every smaller
-    step rounds to xs too, and each such trial has xs's own ratios.  A trial
-    where a jet read fails, not finite or outside L's domain (an
-    EvaluationError), is refused like one with larger ratios."""
+    covectors, Hessian blocks and residual, from one order-2 jet
+    (see ``_point``); None when no trial is.  It stops at the first trial
+    that rounds to xs: rounding is monotone, so every smaller step rounds to
+    xs too, and each such trial has xs's own ratios.  A trial where a jet
+    read fails, the value, a covector or a Hessian block not finite or the
+    point outside L's domain (an EvaluationError), is refused like one with
+    larger ratios."""
     for k in range(30):
         trial = xs.copy()
         trial[1:-1] += 0.5**k * step
         if np.array_equal(trial, xs):
             return None
         try:
-            xd, lx, lv = _covectors(L, grid, trial)
+            lx, lv, hess = _point(L, grid, trial)
         except EvaluationError:  # L or a partial fails there: refused
             continue
         res = _residual(grid, lx, lv)
         if float(np.max(_floor_ratios(grid, trial, lx, lv, res, abs_ab))) < worst:
-            return trial, xd, lx, lv, res
+            return trial, lx, lv, hess, res
     return None
 
 
@@ -203,8 +217,10 @@ def solve_extremal(
     line search judged by the componentwise backward error (see
     ``_floor_ratios``).  It stops at residual max-norm ``cfg.tol``, or where
     the line search stalls with every row at its roundoff floor (see
-    ``meets_stopping_rule``; the floor grows like eps |x| / h^2).  Each
-    residual is one order-1 jet of L and each Jacobian one order-2 jet."""
+    ``meets_stopping_rule``; the floor grows like eps |x| / h^2).  It reads
+    L once at each point it visits, the first iterate and each line-search
+    trial: one order-2 jet (see ``_point``) gives the residual there and,
+    for an accepted trial, the next iteration's Jacobian."""
     if grid.n % 2 != 0:
         raise ValidationError(f"grid N must be even, got {grid.n}")
     m = space.dim
@@ -223,14 +239,14 @@ def solve_extremal(
     xs[-1] = bc.xb
 
     history = []
-    xd, lx, lv = _covectors(L, grid, xs)
+    lx, lv, hess = _point(L, grid, xs)
     res = _residual(grid, lx, lv)
     for _ in range(cfg.max_iter):
         norm = float(np.max(np.abs(res)))
         history.append(norm)
         if norm <= cfg.tol:
             return Curve(space, grid, xs)
-        ab = _interior_jacobian(L, grid, xs, xd)
+        ab = _interior_jacobian(grid, *hess)
         step = _solve_band(ab, res)
         if step is None:
             worst = int(np.argmax(np.max(np.abs(res), axis=1))) + 1
@@ -254,7 +270,7 @@ def solve_extremal(
                 f"{ratios[worst - 1]:.3g}, above the roundoff floor {_FLOOR:g}",
                 history,
             )
-        xs, xd, lx, lv, res = accepted
+        xs, lx, lv, hess, res = accepted
     norm = float(np.max(np.abs(res)))
     if norm <= cfg.tol:
         return Curve(space, grid, xs)

@@ -5,7 +5,10 @@ returns an ``EvalResult``: the value and every partial up to ``order``.
 ``jet(t, x, v, order)`` reads that one engine call block by block;
 ``__call__`` is the engine's value at order 0, and ``partial`` and
 ``second_partial`` read one block, or a tuple of blocks
-(``L.partial(("x", "v"), ...)``) from one jet.  ``BLOCKS`` names the blocks
+(``L.partial(("x", "v"), ...)``) from one jet: ``partial`` the first
+partials from an order-1 jet, ``second_partial`` any block of an order-2 jet
+(``L.second_partial(("x", "v", "xx", "xv", "vv"), ...)`` is one engine
+call).  ``BLOCKS`` names the blocks
 and ``slots`` places them in z = (t, x1..xm, v1..vm): a block is read from
 the engine's gradient or Hessian at its slots.  Every block handed out is
 finite, or EvaluationError names it and the point; a failure at a point is
@@ -142,26 +145,29 @@ class ScalarField:
     def __call__(self, t, x, v):
         return _check_finite(self.jets(t, x, v, 0).value, "value", t, x, v)
 
-    def _blocks(self, names, order: int, kind: str, t, x, v):
-        """The named blocks of one jet of ``order``: one block for a name,
-        a tuple of blocks for a tuple of names."""
+    def _blocks(self, names, order: int, known, kind: str, t, x, v):
+        """The named blocks, each one of ``known``, of one jet of ``order``:
+        one block for a name, a tuple of blocks for a tuple of names."""
         single = isinstance(names, str)
         wanted = (names,) if single else tuple(names)
         for name in wanted:
-            if BLOCKS.get(name) != order:
+            if name not in known:
                 raise ValueError(f"unknown {kind} {name!r}")
         jet = self.jet(t, x, v, order)
         return jet[names] if single else tuple(jet[name] for name in wanted)
 
     def partial(self, which, t, x, v):
         """One first partial, 't' (a float at one point), 'x' or 'v'; or, for
-        a tuple of these names, a tuple of the blocks from one jet."""
-        return self._blocks(which, 1, "partial", t, x, v)
+        a tuple of these names, a tuple of the blocks from one order-1 jet."""
+        return self._blocks(which, 1, ("t", "x", "v"), "partial", t, x, v)
 
     def second_partial(self, pair, t, x, v):
-        """One second-partial block, 'tt', 'xx', 'xv', 'vx' or 'vv'; or, for
-        a tuple of these names, a tuple of the blocks from one jet."""
-        return self._blocks(pair, 2, "second partial", t, x, v)
+        """One block of an order-2 jet, a second partial 'tt', 'xx', 'xv',
+        'vx' or 'vv', or any lower block of ``BLOCKS``; or, for a tuple of
+        these names, a tuple of the blocks from one order-2 jet:
+        ``("x", "v", "xx", "xv", "vv")`` reads a residual's covectors and a
+        Jacobian's blocks in one engine call."""
+        return self._blocks(pair, 2, BLOCKS, "second partial", t, x, v)
 
 
 # -- normal-differentiability audit -------------------------------------

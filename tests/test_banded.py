@@ -14,8 +14,8 @@ from scipy.linalg import qr as scipy_qr
 
 import noether_lcs as nl
 from noether_lcs import _lapack
-from noether_lcs.curves import band_matvec
-from noether_lcs.euler_lagrange import _covectors, _interior_jacobian, _residual, _solve_band
+from noether_lcs.curves import band_matvec, block_band, stencil_derivative
+from noether_lcs.euler_lagrange import _interior_jacobian, _point, _residual, _solve_band
 from noether_lcs.legendre_jacobi import _qr_step
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -111,12 +111,42 @@ def test_banded_newton_step_matches_the_dense_solve(n, dim, data):
     t = grid.nodes[:, None]
     xs = xa + (xb - xa) * t + bump * np.sin(np.pi * t)
     # the step as solve_extremal takes it
-    xd, lx, lv = _covectors(L, grid, xs)
+    lx, lv, hess = _point(L, grid, xs)
     res = _residual(grid, lx, lv)
-    step = _solve_band(_interior_jacobian(L, grid, xs, xd), res)
+    step = _solve_band(_interior_jacobian(grid, *hess), res)
+    xd = stencil_derivative(xs, grid.h, 1)
     want = np.linalg.solve(dense_jacobian(L, grid, xs, xd), -res.reshape(-1))
     scale = float(np.max(np.abs(want)))
     assert np.max(np.abs(step.reshape(-1) - want)) <= 1e-12 * scale
+
+
+def scattered_band(diagonals):
+    """Band storage of a block matrix by one 2-D fancy scatter per block
+    diagonal, its index arrays built on every call: the reference that
+    ``block_band``'s cached flat plan must match byte for byte."""
+    nb, m = len(diagonals[0]), diagonals[0].shape[1]
+    u = (max(abs(d) for d in diagonals) + 1) * m - 1
+    ab = np.zeros((2 * u + 1, nb * m))
+    a = np.arange(m)
+    rows = u + a[:, None] - a[None, :]
+    for d, blocks in diagonals.items():
+        cols = (m * np.arange(max(d, 0), nb + min(d, 0)))[:, None, None] + a
+        ab[rows - d * m, cols] = blocks
+    return ab
+
+
+@pytest.mark.parametrize("offsets", [(-1, 0, 1), (-2, -1, 0, 1, 2)])
+@pytest.mark.parametrize("nb", [3, 4, 200])
+@pytest.mark.parametrize("m", [1, 2, 3, 16])
+def test_block_band_is_the_scattered_band_byte_for_byte(m, nb, offsets):
+    # nb = 3 is the interior of the N = 4 grid: its +-2 diagonals hold one
+    # block each; the -1 diagonal is a transposed view, as jacobi_eigen's is
+    rng = np.random.default_rng(1000 * m + nb + len(offsets))
+    diagonals = {d: rng.normal(size=(nb - abs(d), m, m)) for d in offsets}
+    diagonals[-1] = np.swapaxes(diagonals[1], 1, 2)
+    for _ in range(2):  # the second call reads the cached plan
+        ab = block_band(diagonals)
+        assert ab.tobytes() == scattered_band(diagonals).tobytes()
 
 
 @PROPERTY

@@ -1077,6 +1077,40 @@ def test_a_quartic_and_a_cubic_give_the_same_bits_on_a_stack_and_at_one_point():
     _rows_equal_the_one_point_jets(expr, np.zeros(2000), x, v, (0, 1))
 
 
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3))
+def test_an_order_2_jet_holds_the_bits_of_the_lower_orders(seed, dim):
+    # every order runs the same operations for the value and the gradient:
+    # where the order-2 jet is defined, the order-1 jet is too, with the
+    # same value and gradient, and the order-0 value is the same, on a stack
+    # and at each of its points (the Newton solve reads a point's covectors
+    # from the order-2 jet that holds its Jacobian blocks)
+    rng = np.random.default_rng(seed)
+    ops = _SMOOTH_OPS + ["/", "log", "sqrt", "abs", "neg", "pow-", "pow."]
+    expr = _random_expression(rng, int(rng.integers(1, 7)), ops, dim)
+    t = rng.uniform(-1, 1, 5)
+    x, v = rng.uniform(-2, 2, (5, dim)), rng.uniform(-2, 2, (5, dim))
+    compared = 0
+    for args in ((t, x, v), *((t[i], x[i], v[i]) for i in range(5))):
+        try:
+            two = evaluate(expr, *args, order=2)
+        except DomainError:  # the order-2 checks reach further than the lower ones
+            continue
+        one, zero = evaluate(expr, *args, order=1), evaluate(expr, *args, order=0)
+        value = np.asarray(two.value).tobytes()
+        assert np.asarray(one.value).tobytes() == value
+        assert np.asarray(zero.value).tobytes() == value
+        assert one.grad.tobytes() == two.grad.tobytes()
+        compared += 1
+    assume(compared)
+
+
 @pytest.mark.parametrize(
     "src, at, message",
     [

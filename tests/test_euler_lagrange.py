@@ -167,11 +167,12 @@ def test_discrete_stationarity_random_variations(line_space):
 
 
 def test_newton_iteration_costs_a_fixed_number_of_jet_calls(monkeypatch):
-    # every residual and Jacobian is one stacked jet call per block, so the
-    # count per Newton iteration does not grow with the grid
-    calls, jacobians = [], []
+    # every point the solve visits is one stacked jet call, so the count per
+    # Newton iteration does not grow with the grid
+    calls, jacobians, residuals = [], [], []
     evaluate = nl.dsl.evaluate
-    assemble = nl.euler_lagrange._interior_jacobian
+    el = nl.euler_lagrange
+    assemble, residual = el._interior_jacobian, el._residual
 
     def counting(e, t, x, v, order=0):
         calls.append(order)
@@ -181,16 +182,27 @@ def test_newton_iteration_costs_a_fixed_number_of_jet_calls(monkeypatch):
         jacobians.append(1)
         return assemble(*args)
 
+    def counting_residual(*args):
+        residuals.append(1)
+        return residual(*args)
+
+    L = nl.compile_field("v1^2/2 + v1^4/12 - x1^2/2", dim=1)  # parsing folds with evaluate
     monkeypatch.setattr(nl.dsl, "evaluate", counting)
-    monkeypatch.setattr(nl.euler_lagrange, "_interior_jacobian", counting_jacobian)
+    monkeypatch.setattr(el, "_interior_jacobian", counting_jacobian)
+    monkeypatch.setattr(el, "_residual", counting_residual)
+    space, bc = nl.make_space(1, np.ones(1), 1), nl.BoundaryConditions([0.0], [1.0])
     for n in (40, 320):
         calls.clear()
         jacobians.clear()
-        solve("v1^2/2 + v1^4/12 - x1^2/2", [0.0], [1.0], 0.0, 1.0, n)
+        residuals.clear()
+        nl.solve_extremal(L, bc, nl.Grid(0.0, 1.0, n), space)
         assert jacobians
         assert len(calls) <= 15 * len(jacobians)
-        # each Jacobian reads its xx, xv and vv blocks from one order-2 jet
-        assert calls.count(2) == len(jacobians)
+        # one order-2 jet per point visited, the first iterate and each
+        # line-search trial (each forms its residual); no order-1 jet: the
+        # Jacobian reads its xx, xv and vv blocks from the accepted trial's
+        assert set(calls) == {2}
+        assert len(calls) == len(residuals)
 
 
 def test_newton_carries_the_accepted_trial_residual(monkeypatch, line_space):
@@ -208,9 +220,9 @@ def test_newton_carries_the_accepted_trial_residual(monkeypatch, line_space):
     monkeypatch.setattr(nl.dsl, "evaluate", counting)
     bc = nl.BoundaryConditions([0.0], [1.0])
     nl.solve_extremal(L, bc, nl.Grid(0.0, np.pi / 2, 40), line_space)
-    # one order-1 jet (dL/dx and dL/dv) at the start, one order-2 jet (the
-    # xx, xv and vv Jacobian blocks), and one order-1 jet at the one trial
-    assert orders == [1, 2, 1]
+    # one order-2 jet at the start (dL/dx and dL/dv, and the xx, xv and vv
+    # blocks of the first Jacobian) and one at the one trial
+    assert orders == [2, 2]
 
 
 def test_line_search_refuses_a_trial_where_a_jet_is_not_finite(monkeypatch, line_space):
@@ -224,7 +236,7 @@ def test_line_search_refuses_a_trial_where_a_jet_is_not_finite(monkeypatch, line
     def overflowing_first_trial(e, t, x, v, order=0):
         orders.append(order)
         r = evaluate(e, t, x, v, order=order)
-        if len(orders) == 3:
+        if len(orders) == 2:  # the first call reads the first iterate
             r.value[7] = np.inf
         return r
 
@@ -232,7 +244,33 @@ def test_line_search_refuses_a_trial_where_a_jet_is_not_finite(monkeypatch, line
     bc = nl.BoundaryConditions([0.0], [1.0])
     grid = nl.Grid(0.0, np.pi / 2, 40)
     curve = nl.solve_extremal(L, bc, grid, line_space)
-    assert orders[:4] == [1, 2, 1, 1]
+    assert orders[:3] == [2, 2, 2]
+    assert nl.meets_stopping_rule(L, curve, nl.SolverConfig().tol)
+
+
+def test_line_search_refuses_a_trial_whose_hessian_block_is_not_finite(
+    monkeypatch, line_space
+):
+    # the first trial's value and covectors are finite, its xx block is not
+    # at one node: the trial's jet holds the next Jacobian's blocks, so the
+    # line search refuses it and halves the step, and the solve converges
+    L = nl.compile_field("(v1^2 - x1^2)/2", dim=1)
+    orders = []
+    evaluate = nl.dsl.evaluate
+
+    def overflowing_first_trial(e, t, x, v, order=0):
+        orders.append(order)
+        r = evaluate(e, t, x, v, order=order)
+        if len(orders) == 2:
+            r.hess[7, 1, 1] = np.inf  # slot 1 is x1
+        return r
+
+    monkeypatch.setattr(nl.dsl, "evaluate", overflowing_first_trial)
+    bc = nl.BoundaryConditions([0.0], [1.0])
+    curve = nl.solve_extremal(L, bc, nl.Grid(0.0, np.pi / 2, 40), line_space)
+    # the first iterate, the refused full step and the halved step: one
+    # order-2 jet each
+    assert orders[:3] == [2, 2, 2]
     assert nl.meets_stopping_rule(L, curve, nl.SolverConfig().tol)
 
 
@@ -315,18 +353,24 @@ def test_stalled_line_search_stops_at_the_first_trial_that_rounds_to_the_iterate
     # at the x1e4 roundoff floor every trial fails; once xs + lam step rounds
     # to xs, every smaller lam does too, so the line search stops there
     # instead of halving lam 30 times
-    orders = []
+    orders, jacobians = [], []
     evaluate = nl.dsl.evaluate
+    assemble = nl.euler_lagrange._interior_jacobian
 
     def counting(e, t, x, v, order=0):
         orders.append(order)
         return evaluate(e, t, x, v, order=order)
 
+    def counting_jacobian(*args):
+        jacobians.append(len(orders))  # the jets read before this Jacobian
+        return assemble(*args)
+
     monkeypatch.setattr(nl.dsl, "evaluate", counting)
+    monkeypatch.setattr(nl.euler_lagrange, "_interior_jacobian", counting_jacobian)
     L, c = solve("(v1^2 - x1^2)/2", [0.0], [1e4], 0.0, np.pi / 2, 200)
-    last_jacobian = len(orders) - orders[::-1].index(2)
-    stalled = orders[last_jacobian:]
-    assert stalled and set(stalled) == {1}
+    # the trials of the last line search, one order-2 jet each
+    stalled = orders[jacobians[-1]:]
+    assert stalled and set(stalled) == {2}
     assert len(stalled) < 12
     assert nl.el_residual(L, c).max_norm > 10 * nl.SolverConfig().tol
 
@@ -374,8 +418,8 @@ def test_line_search_stall_names_the_worst_node_and_its_backward_error(line_spac
 def max_floor_ratio(L, x):
     """The largest |r_i| / (eps s_i) over the interior rows of x."""
     el = nl.euler_lagrange
-    xd, lx, lv = el._covectors(L, x.grid, x.values)
-    ab = el._interior_jacobian(L, x.grid, x.values, xd)
+    lx, lv, hess = el._point(L, x.grid, x.values)
+    ab = el._interior_jacobian(x.grid, *hess)
     res = el._residual(x.grid, lx, lv)
     return float(np.max(el._floor_ratios(x.grid, x.values, lx, lv, res, np.abs(ab))))
 

@@ -510,9 +510,14 @@ def test_tuple_read_is_one_engine_call(monkeypatch):
     assert orders == [1, 2]
     with pytest.raises(ValueError, match="unknown partial 'xx'"):
         L.partial(("x", "xx"), t, x, v)
-    with pytest.raises(ValueError, match="unknown second partial 'v'"):
-        L.second_partial(("vv", "v"), t, x, v)
     assert orders == [1, 2]
+    # an order-2 jet holds the first partials too: one call reads both orders
+    vv, lv = L.second_partial(("vv", "v"), t, x, v)
+    assert orders == [1, 2, 2]
+    assert np.array_equal(lv, L.partial("v", t, x, v))
+    assert np.array_equal(vv, L.second_partial("vv", t, x, v))
+    with pytest.raises(ValueError, match="unknown second partial 'vt'"):
+        L.second_partial(("vv", "vt"), t, x, v)
 
 
 def test_fd_hessian_blocks_are_exactly_symmetric():
