@@ -19,10 +19,7 @@ from .fields import (
 from .curves import (
     Grid,
     Curve,
-    derivative,
     derivative_all,
-    curve_seminorm_c1,
-    curve_seminorm_c2,
     action,
     read_curve_csv,
     write_curve_csv,
@@ -33,7 +30,6 @@ from .euler_lagrange import (
     SolverConfig,
     SolverError,
     ELResidual,
-    first_variation,
     el_residual,
     meets_stopping_rule,
     solve_extremal,
@@ -42,12 +38,8 @@ from .legendre_jacobi import (
     JacobiOperators,
     LegendreReport,
     jacobi_operators,
-    second_variation,
     legendre_check,
     jacobi_eigen,
-    spike_variation,
-    negative_second_variation_witness,
-    constant_operators,
 )
 from .symmetry import (
     SymmetryGenerator,
@@ -56,13 +48,10 @@ from .symmetry import (
     ConservationReport,
     affine_generator,
     catalog_generator,
-    total_time_derivative,
-    extended_generator,
     invariance_residual,
     check_invariance,
     fit_gauge,
     noether_first_integral,
-    hamiltonian,
     verify_conservation,
     find_affine_symmetries,
 )

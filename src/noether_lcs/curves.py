@@ -1,10 +1,9 @@
-"""Discretized curves on a uniform grid with stencil derivative reconstruction.
+"""Discretized curves on a uniform grid with stencil velocity reconstruction.
 
-First and second derivatives use second-order central stencils at interior
-nodes and second-order one-sided stencils at the endpoints, so polynomial
-curves of degree <= 2 are reconstructed exactly at interior nodes.  ``simpson``
-is the one quadrature rule: the action and the first and second variations
-all integrate with it.
+Velocities use the second-order central stencil at interior nodes and
+second-order one-sided stencils at the endpoints, so the velocities of
+polynomial curves of degree <= 2 are exact at every node.  ``simpson`` is the
+one quadrature rule of the action.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import ScalarField, EvaluationError
-from .spaces import Space, ValidationError, seminorm
+from .spaces import Space, ValidationError
 
 
 @dataclass(frozen=True)
@@ -73,21 +72,14 @@ class Curve:
         return Curve(space, grid, vals)
 
 
-def stencil_derivative(values: np.ndarray, h: float, order: int) -> np.ndarray:
-    """Nodewise derivative of a sampled sequence (works on vectors and matrices
-    stacked along axis 0)."""
+def stencil_derivative(values: np.ndarray, h: float) -> np.ndarray:
+    """Nodewise first derivative of a sampled sequence (works on vectors and
+    matrices stacked along axis 0)."""
     v = np.asarray(values, dtype=float)
     d = np.empty_like(v)
-    if order == 1:
-        d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-        d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-        d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    elif order == 2:
-        d[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-        d[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
-        d[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
-    else:
-        raise ValidationError(f"derivative order must be 1 or 2, got {order}")
+    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
     return d
 
 
@@ -142,29 +134,9 @@ def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def derivative(curve: Curve, i: int, order: int) -> np.ndarray:
-    """Reconstructed derivative of the given order at node i."""
-    if not 0 <= i <= curve.grid.n:
-        raise ValidationError(f"node index {i} out of range 0..{curve.grid.n}")
-    return stencil_derivative(curve.values, curve.grid.h, order)[i]
-
-
-def derivative_all(curve: Curve, order: int) -> np.ndarray:
-    return stencil_derivative(curve.values, curve.grid.h, order)
-
-
-def curve_seminorm_c1(curve: Curve, p: int) -> float:
-    """sup |x(t)|_p + sup |x'(t)|_p, with sups taken over the grid nodes."""
-    sup_x = np.max(seminorm(curve.space, p, curve.values))
-    sup_v = np.max(seminorm(curve.space, p, derivative_all(curve, 1)))
-    return float(sup_x + sup_v)
-
-
-def curve_seminorm_c2(curve: Curve, p: int) -> float:
-    """C1 seminorm plus the sup of the reconstructed second derivative."""
-    acc = curve_seminorm_c1(curve, p)
-    sup_a = np.max(seminorm(curve.space, p, derivative_all(curve, 2)))
-    return float(acc + sup_a)
+def derivative_all(curve: Curve) -> np.ndarray:
+    """The stencil velocities of the curve at every node."""
+    return stencil_derivative(curve.values, curve.grid.h)
 
 
 def simpson(f: np.ndarray, grid: Grid) -> float:
@@ -183,7 +155,7 @@ def along(f: ScalarField, curve: Curve, phase: str):
     naming the phase and the node."""
     grid = curve.grid
     try:
-        return f(grid.nodes, curve.values, derivative_all(curve, 1))
+        return f(grid.nodes, curve.values, derivative_all(curve))
     except EvaluationError as err:
         i = err.index
         raise err.prefixed(f"{phase} failed at node {i} (t={grid.nodes[i]}): ")
@@ -202,7 +174,7 @@ def write_curve_csv(curve: Curve, path, velocities: bool = False) -> None:
     header = ["t"] + [f"x{i}" for i in range(1, dim + 1)]
     if velocities:
         header += [f"v{i}" for i in range(1, dim + 1)]
-        vels = derivative_all(curve, 1)
+        vels = derivative_all(curve)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

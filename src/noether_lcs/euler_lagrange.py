@@ -1,5 +1,5 @@
-"""First variation, pointwise Euler-Lagrange residual, and a Newton
-collocation solver for two-point boundary value extremals.
+"""The pointwise Euler-Lagrange residual and a Newton collocation solver for
+two-point boundary value extremals.
 
 The residual at interior node i is dL/dx(t_i, x_i, x'_i) minus the stencil
 time derivative of the momentum covector dL/dv along the curve; the solver
@@ -18,8 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import _lapack
-from .curves import (Curve, Grid, _check_grid, band_matvec, block_band, derivative_all,
-                     simpson, stencil_derivative)
+from .curves import Curve, Grid, _check_grid, band_matvec, block_band, stencil_derivative
 from .fields import EvaluationError, ScalarField
 from .spaces import Space, ValidationError, dual_seminorm
 
@@ -60,7 +59,7 @@ class SolverError(RuntimeError):
 def _covectors(L: ScalarField, grid: Grid, xs: np.ndarray):
     """Node velocities of the node array xs, and the covectors dL/dx and
     dL/dv at every node, both read from one order-1 jet."""
-    xd = stencil_derivative(xs, grid.h, 1)
+    xd = stencil_derivative(xs, grid.h)
     return (xd, *L.partial(("x", "v"), grid.nodes, xs, xd))
 
 
@@ -68,7 +67,7 @@ def _point(L: ScalarField, grid: Grid, xs: np.ndarray):
     """The covectors dL/dx and dL/dv and the Hessian blocks [xx, xv, vv] of
     L at every node of the node array xs and its stencil velocities, all
     read from one order-2 jet."""
-    xd = stencil_derivative(xs, grid.h, 1)
+    xd = stencil_derivative(xs, grid.h)
     lx, lv, *hess = L.second_partial(("x", "v", "xx", "xv", "vv"), grid.nodes, xs, xd)
     return lx, lv, hess
 
@@ -77,16 +76,6 @@ def _residual(grid: Grid, lx: np.ndarray, lv: np.ndarray) -> np.ndarray:
     """The Euler-Lagrange residual dL/dx - d/dt dL/dv at the interior nodes,
     with the momentum derivative by the central stencil."""
     return lx[1:-1] - (lv[2:] - lv[:-2]) / (2.0 * grid.h)
-
-
-def first_variation(L: ScalarField, x: Curve, h: Curve) -> float:
-    """Simpson quadrature of dL/dx . h + dL/dv . h' along the curve."""
-    if x.grid != h.grid or x.space.dim != h.space.dim:
-        raise ValidationError("curve and variation must share grid and space")
-    _, lx, lv = _covectors(L, x.grid, x.values)
-    hd = derivative_all(h, 1)
-    f = np.einsum("ni,ni->n", lx, h.values) + np.einsum("ni,ni->n", lv, hd)
-    return simpson(f, x.grid)
 
 
 @dataclass(frozen=True)
@@ -220,7 +209,9 @@ def solve_extremal(
     ``meets_stopping_rule``; the floor grows like eps |x| / h^2).  It reads
     L once at each point it visits, the first iterate and each line-search
     trial: one order-2 jet (see ``_point``) gives the residual there and,
-    for an accepted trial, the next iteration's Jacobian."""
+    for an accepted trial, the next iteration's Jacobian.  Where only that
+    jet fails, a first iterate whose order-1 residual meets ``cfg.tol`` is
+    returned, and a line-search trial is refused even so."""
     if grid.n % 2 != 0:
         raise ValidationError(f"grid N must be even, got {grid.n}")
     m = space.dim
@@ -239,7 +230,13 @@ def solve_extremal(
     xs[-1] = bc.xb
 
     history = []
-    lx, lv, hess = _point(L, grid, xs)
+    try:
+        lx, lv, hess = _point(L, grid, xs)
+    except EvaluationError:  # a first iterate that meets tol needs no Hessian block
+        _, lx, lv = _covectors(L, grid, xs)
+        if float(np.max(np.abs(_residual(grid, lx, lv)))) > cfg.tol:
+            raise
+        return Curve(space, grid, xs)
     res = _residual(grid, lx, lv)
     for _ in range(cfg.max_iter):
         norm = float(np.max(np.abs(res)))

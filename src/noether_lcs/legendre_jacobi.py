@@ -1,5 +1,5 @@
-"""Second variation, Legendre condition audit, and the accessory (Jacobi)
-eigenvalue problem along a candidate curve.
+"""The Legendre condition audit and the accessory (Jacobi) eigenvalue problem
+along a candidate curve.
 
 Both read one quadratic form, the second variation: the integral of
 h'.R h' + 2 h'.Q h + h.S h, with R = L_vv, Q = L_vx (rows v, columns x) and
@@ -16,7 +16,7 @@ from typing import List, Tuple
 import numpy as np
 
 from . import _lapack
-from .curves import Curve, Grid, _check_grid, band_matvec, block_band, derivative_all, simpson
+from .curves import Curve, Grid, _check_grid, band_matvec, block_band, derivative_all
 from .euler_lagrange import SolverError
 from .fields import ScalarField
 from .spaces import Space, ValidationError
@@ -40,23 +40,8 @@ class JacobiOperators:
 
 def jacobi_operators(L: ScalarField, x: Curve) -> JacobiOperators:
     grid = x.grid
-    jet = L.jet(grid.nodes, x.values, derivative_all(x, 1), 2)
+    jet = L.jet(grid.nodes, x.values, derivative_all(x), 2)
     return JacobiOperators(grid=grid, R=jet["vv"], Q=jet["vx"], S=jet["xx"])
-
-
-def second_variation(L: ScalarField, x: Curve, h: Curve) -> float:
-    """Simpson quadrature of h'.R h' + 2 h'.Q h + h.S h for an
-    endpoint-vanishing h: the second derivative of ``action`` along h."""
-    if x.grid != h.grid:
-        raise ValidationError("curve and variation must share the grid")
-    scale = float(np.max(np.abs(h.values))) or 1.0
-    if np.max(np.abs(h.values[[0, -1]])) > 1e-12 * scale:
-        raise ValidationError("variation must vanish at both endpoints")
-    ops = jacobi_operators(L, x)
-    hd, hv = derivative_all(h, 1), h.values
-    f = np.einsum("ni,nij,nj->n", hd, ops.R, hd) + 2.0 * np.einsum("ni,nij,nj->n", hd, ops.Q, hv)
-    f += np.einsum("ni,nij,nj->n", hv, ops.S, hv)
-    return simpson(f, x.grid)
 
 
 @dataclass(frozen=True)
@@ -78,45 +63,11 @@ class LegendreReport:
 
 def legendre_check(L: ScalarField, x: Curve, tol: float = 1e-10) -> LegendreReport:
     """Positive semidefiniteness of the symmetrized vv-Hessian at every node."""
-    hess = L.second_partial("vv", x.grid.nodes, x.values, derivative_all(x, 1))
+    hess = L.second_partial("vv", x.grid.nodes, x.values, derivative_all(x))
     sym = 0.5 * (hess + np.swapaxes(hess, 1, 2))
     mins = np.min(np.linalg.eigvalsh(sym), axis=1)
     bad = tuple(int(i) for i in np.flatnonzero(mins < -tol))
     return LegendreReport(min_eigenvalues=mins, tol=tol, violating_nodes=bad)
-
-
-def spike_variation(x: Curve, node: int, direction) -> Curve:
-    """Hat-function variation 4 grid cells wide centered near ``node``, along
-    the vector ``direction``, normalized so sup|h| equals the grid spacing.
-
-    This realizes the classical witness for a strict Legendre violation: the
-    slope stays O(1) while the amplitude shrinks with the mesh, so the R-term
-    dominates the second variation.
-    """
-    grid = x.grid
-    center = int(np.clip(node, 2, grid.n - 2))
-    direction = np.asarray(direction, dtype=float)
-    direction = direction / np.max(np.abs(direction))
-    prof = np.zeros(grid.n + 1)
-    prof[center - 2 : center + 3] = [0.0, 0.5, 1.0, 0.5, 0.0]
-    vals = grid.h * prof[:, None] * direction[None, :]
-    return Curve(x.space, grid, vals)
-
-
-def negative_second_variation_witness(
-    L: ScalarField, x: Curve, report: LegendreReport
-) -> Tuple[Curve, float]:
-    """Construct a spike variation with negative second variation from a
-    strict Legendre violation."""
-    if report.passed:
-        raise ValidationError("Legendre report shows no violation to witness")
-    worst = int(np.argmin(report.min_eigenvalues))
-    xd = derivative_all(x, 1)
-    hess = L.second_partial("vv", x.grid.nodes[worst], x.values[worst], xd[worst])
-    sym = 0.5 * (hess + hess.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    h = spike_variation(x, worst, direction=eigvecs[:, 0])
-    return h, second_variation(L, x, h)
 
 
 def _qr_step(lapack, size, p):
@@ -239,8 +190,3 @@ def jacobi_eigen(ops: JacobiOperators, grid: Grid, k: int) -> List[Tuple[float, 
         out.append((float(lam), Curve(space, grid, vals)))
     return out
 
-
-def constant_operators(grid: Grid, r: float, p: float, dim: int = 1) -> JacobiOperators:
-    """Operators of the form r h'.h' + p h.h: R = rI, Q = 0 and S = pI."""
-    eye = np.repeat(np.eye(dim)[None], grid.n + 1, axis=0)
-    return JacobiOperators(grid=grid, R=r * eye, Q=np.zeros_like(eye), S=p * eye)

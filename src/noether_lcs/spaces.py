@@ -10,7 +10,6 @@ infinite: the p-unit ball is unbounded in every coordinate beyond p.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -129,13 +128,3 @@ def normal_index(space_src: Space, space_dst: Space, A) -> dict:
         )
         for q in range(1, space_dst.num_seminorms + 1)
     }
-
-def unit_ball_vertices(space: Space, p: int):
-    """Extreme points of the truncated p-unit ball; only complete when p >= dim."""
-    space.check_index(p)
-    k = min(p, space.dim)
-    bounds = 1.0 / space.weights[:k]
-    for signs in itertools.product((-1.0, 1.0), repeat=k):
-        y = np.zeros(space.dim)
-        y[:k] = np.array(signs) * bounds
-        yield y

@@ -204,15 +204,6 @@ def _time_derivative(jet, v):
     return jet["t"] + _dot(jet["x"], v)
 
 
-def total_time_derivative(f: ScalarField, t, x, v):
-    """f' = df/dt + df/dx . v for a field of (t, x), at one point (a float)
-    or at a stack of points (an (N,) array)."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    out = _time_derivative(f.jet(t, x, v, 1), v)
-    return float(out) if x.ndim == 1 else out
-
-
 def _field_jets(g: SymmetryGenerator, t, x, v):
     """T, T', X and X' from one order-1 jet of each generator field."""
     tj, xj = g.T.jet(t, x, v, 1), [c.jet(t, x, v, 1) for c in g.X]
@@ -230,14 +221,6 @@ def _residual(lj, v, T, tp, X, xp):
     return lj["t"] * T + _dot(lj["x"], X) + _dot(lj["v"], vel) + lj["value"] * tp
 
 
-def extended_generator(g: SymmetryGenerator, t, x, v) -> np.ndarray:
-    """Velocity-space generator V = X' - v T'."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _, tp, _, xp = _field_jets(g, t, x, v)
-    return xp - v * np.asarray(tp)[..., None]
-
-
 def invariance_residual(L: ScalarField, g: SymmetryGenerator, t, x, v):
     """The (gauged) invariance residual at one point (a float) or at a stack
     of sample points (an (N,) array), from one order-1 jet of L and of each
@@ -246,7 +229,7 @@ def invariance_residual(L: ScalarField, g: SymmetryGenerator, t, x, v):
     v = np.asarray(v, dtype=float)
     res = _residual(L.jet(t, x, v, 1), v, *_field_jets(g, t, x, v))
     if g.F is not None:
-        res = res - total_time_derivative(g.F, t, x, v)
+        res = res - _time_derivative(g.F.jet(t, x, v, 1), v)
     return float(res) if x.ndim == 1 else res
 
 
@@ -347,7 +330,7 @@ def check_invariance(
         strict_res = invariance_residual(L, replace(g, F=None), ts, xs, vs)
         res = strict_res
         if g.F is not None:
-            res = strict_res - total_time_derivative(g.F, ts, xs, vs)
+            res = strict_res - _time_derivative(g.F.jet(ts, xs, vs, 1), vs)
     return InvarianceReport(
         residuals=res,
         max_residual=float(np.max(np.abs(res))),
@@ -405,16 +388,6 @@ def noether_first_integral(L: ScalarField, g: SymmetryGenerator) -> ScalarField:
         return EvalResult(float(c) if x.ndim == 1 else c)
 
     return ScalarField(g.dim, jets)
-
-
-def hamiltonian(L: ScalarField, t, x, v):
-    """H = -L + v . dL/dv at one point (a float) or at a stack of points (an
-    (N,) array)."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    lj = L.jet(t, x, v, 1)
-    out = -lj["value"] + _dot(v, lj["v"])
-    return float(out) if x.ndim == 1 else out
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import pytest
 
 import fd
 import noether_lcs as nl
+import variations
 from test_dsl import random_smooth_expression
 from test_spaces import brute_force_operator_seminorm
 
@@ -88,7 +89,7 @@ def test_criterion_2_stationarity():
                 vals += mode[:, None] * coeffs[k][None, :]
             vals /= max(float(np.max(np.abs(vals))), 1e-12)
             h = nl.Curve(x.space, grid, vals)
-            ok &= abs(nl.first_variation(L, x, h)) <= 10 * grid.h**2
+            ok &= abs(variations.first_variation(L, x, h)) <= 10 * grid.h**2
     record("2 stationarity", ok)
 
 
@@ -167,7 +168,7 @@ def test_criterion_5_legendre_condition():
     x = nl.Curve.from_function(sp, grid, lambda t: [t])
     rep = nl.legendre_check(bad, x)
     ok &= not rep.passed and len(rep.violating_nodes) == grid.n + 1
-    _, value = nl.negative_second_variation_witness(bad, x, rep)
+    _, value = variations.negative_second_variation_witness(bad, x, rep)
     ok &= value < 0.0
     record("5 legendre condition", ok)
 
@@ -183,7 +184,7 @@ def test_criterion_6_second_variation_identity():
         vals = np.zeros_like(x.values)
         vals[:, 0] = mode
         h = nl.Curve(x.space, grid, vals)
-        d2 = nl.second_variation(L, x, h)
+        d2 = variations.second_variation(L, x, h)
         j0 = nl.action(L, x)
         jp = nl.action(L, nl.Curve(x.space, grid, x.values + eps * vals))
         jm = nl.action(L, nl.Curve(x.space, grid, x.values - eps * vals))
@@ -194,10 +195,10 @@ def test_criterion_6_second_variation_identity():
 
 def test_criterion_7_jacobi_spectrum():
     grid = nl.Grid(0.0, np.pi, 500)
-    base = nl.constant_operators(grid, 1.0, 0.0)
+    base = variations.constant_operators(grid, 1.0, 0.0)
     vals = [lam for lam, _ in nl.jacobi_eigen(base, grid, 3)]
     ok = all(abs(got - want) <= 0.01 * want for got, want in zip(vals, (1.0, 4.0, 9.0)))
-    shifted = nl.constant_operators(grid, 1.0, 1.75)
+    shifted = variations.constant_operators(grid, 1.0, 1.75)
     svals = [lam for lam, _ in nl.jacobi_eigen(shifted, grid, 3)]
     ok &= all(abs((s - v) - 1.75) <= 1e-10 for s, v in zip(svals, vals))
     record("7 jacobi spectrum", ok)

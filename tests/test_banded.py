@@ -114,7 +114,7 @@ def test_banded_newton_step_matches_the_dense_solve(n, dim, data):
     lx, lv, hess = _point(L, grid, xs)
     res = _residual(grid, lx, lv)
     step = _solve_band(_interior_jacobian(grid, *hess), res)
-    xd = stencil_derivative(xs, grid.h, 1)
+    xd = stencil_derivative(xs, grid.h)
     want = np.linalg.solve(dense_jacobian(L, grid, xs, xd), -res.reshape(-1))
     scale = float(np.max(np.abs(want)))
     assert np.max(np.abs(step.reshape(-1) - want)) <= 1e-12 * scale

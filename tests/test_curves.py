@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import noether_lcs as nl
+import variations
 
 
 def line_curve(space, grid, slope=1.0):
@@ -43,54 +44,19 @@ def test_derivative_exact_on_linear(line_space):
     grid = nl.Grid(0.0, 1.0, 10)
     c = line_curve(line_space, grid, slope=3.0)
     for i in range(11):
-        assert nl.derivative(c, i, 1) == pytest.approx([3.0], abs=1e-12)
-        assert nl.derivative(c, i, 2) == pytest.approx([0.0], abs=1e-9)
+        assert nl.derivative_all(c)[i] == pytest.approx([3.0], abs=1e-12)
 
 
 def test_derivative_exact_on_quadratic_interior(line_space):
     grid = nl.Grid(0.0, 1.0, 10)
     c = nl.Curve.from_function(line_space, grid, lambda t: [t * t])
-    assert nl.derivative(c, 5, 1) == pytest.approx([1.0], abs=1e-12)
-    assert nl.derivative(c, 5, 2) == pytest.approx([2.0], abs=1e-9)
+    assert nl.derivative_all(c)[5] == pytest.approx([1.0], abs=1e-12)
 
 
 def test_derivative_constant_curve(line_space):
     grid = nl.Grid(0.0, 1.0, 8)
     c = nl.Curve.from_function(line_space, grid, lambda t: [4.0])
-    assert nl.derivative(c, 3, 2) == pytest.approx([0.0], abs=1e-12)
-
-
-def test_derivative_index_range(line_space):
-    c = line_curve(line_space, nl.Grid(0.0, 1.0, 8))
-    with pytest.raises(nl.ValidationError):
-        nl.derivative(c, 9, 1)
-
-
-def test_curve_seminorm_c1(line_space):
-    grid = nl.Grid(0.0, 1.0, 20)
-    assert nl.curve_seminorm_c1(line_curve(line_space, grid), 1) == pytest.approx(2.0)
-    zero = nl.Curve.from_function(line_space, grid, lambda t: [0.0])
-    assert nl.curve_seminorm_c1(zero, 1) == 0.0
-    const = nl.Curve.from_function(line_space, grid, lambda t: [2.5])
-    assert nl.curve_seminorm_c1(const, 1) == pytest.approx(2.5)
-
-
-def test_curve_seminorm_c2(line_space):
-    grid = nl.Grid(0.0, 1.0, 20)
-    assert nl.curve_seminorm_c2(line_curve(line_space, grid), 1) == pytest.approx(2.0)
-    half_parabola = nl.Curve.from_function(line_space, grid, lambda t: [t * t / 2])
-    assert nl.curve_seminorm_c2(half_parabola, 1) == pytest.approx(2.5, abs=1e-9)
-
-
-def test_c1_seminorm_below_c2(line_space):
-    rng = np.random.default_rng(5)
-    grid = nl.Grid(0.0, 1.0, 16)
-    for _ in range(20):
-        coeffs = rng.normal(size=4)
-        c = nl.Curve.from_function(
-            line_space, grid, lambda t: [np.polyval(coeffs, t)]
-        )
-        assert nl.curve_seminorm_c1(c, 1) <= nl.curve_seminorm_c2(c, 1) + 1e-12
+    assert np.array_equal(nl.derivative_all(c), np.zeros((9, 1)))
 
 
 def test_action_constant_lagrangian(line_space):
@@ -121,7 +87,7 @@ def test_variations_need_an_even_n_as_the_action_does(line_space, free_particle)
     grid = nl.Grid(0.0, 1.0, 7)
     x = nl.Curve.from_function(line_space, grid, lambda t: [t])
     h = nl.Curve.from_function(line_space, grid, lambda t: [t * (1.0 - t)])
-    for variation in (nl.first_variation, nl.second_variation):
+    for variation in (variations.first_variation, variations.second_variation):
         with pytest.raises(nl.ValidationError, match="needs an even N, got 7"):
             variation(free_particle, x, h)
 

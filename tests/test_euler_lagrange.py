@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import noether_lcs as nl
+import variations
 
 
 def solve(src, xa, xb, a, b, n, dim=1, **cfg):
@@ -24,21 +25,21 @@ def test_first_variation_zero_variation(line_space, free_particle):
     grid = nl.Grid(0.0, 1.0, 50)
     x = nl.Curve.from_function(line_space, grid, lambda t: [t])
     h = nl.Curve.from_function(line_space, grid, lambda t: [0.0])
-    assert nl.first_variation(free_particle, x, h) == 0.0
+    assert variations.first_variation(free_particle, x, h) == 0.0
 
 
 def test_first_variation_straight_line_extremal(line_space, free_particle):
     grid = nl.Grid(0.0, 1.0, 100)
     x = nl.Curve.from_function(line_space, grid, lambda t: [t])
     h = nl.Curve.from_function(line_space, grid, lambda t: [t * (1 - t) * np.sin(3 * t)])
-    assert abs(nl.first_variation(free_particle, x, h)) <= 10 * grid.h**2
+    assert abs(variations.first_variation(free_particle, x, h)) <= 10 * grid.h**2
 
 
 def test_first_variation_quadratic_curve(line_space, free_particle):
     grid = nl.Grid(0.0, 1.0, 200)
     x = nl.Curve.from_function(line_space, grid, lambda t: [t * t])
     h = nl.Curve.from_function(line_space, grid, lambda t: [t * (1 - t)])
-    assert nl.first_variation(free_particle, x, h) == pytest.approx(-1.0 / 3.0, abs=1e-9)
+    assert variations.first_variation(free_particle, x, h) == pytest.approx(-1.0 / 3.0, abs=1e-9)
 
 
 def test_first_variation_matches_action_fd(line_space):
@@ -46,7 +47,7 @@ def test_first_variation_matches_action_fd(line_space):
     grid = nl.Grid(0.0, 1.0, 100)
     x = nl.Curve.from_function(line_space, grid, lambda t: [np.cos(t)])
     h = nl.Curve.from_function(line_space, grid, lambda t: [t * (1 - t)])
-    fv = nl.first_variation(L, x, h)
+    fv = variations.first_variation(L, x, h)
     eps = 1e-5
     jp = nl.action(L, nl.Curve(line_space, grid, x.values + eps * h.values))
     jm = nl.action(L, nl.Curve(line_space, grid, x.values - eps * h.values))
@@ -163,7 +164,7 @@ def test_discrete_stationarity_random_variations(line_space):
         h = nl.Curve.from_function(line_space, grid, f)
         scale = np.max(np.abs(h.values)) or 1.0
         h = nl.Curve(line_space, grid, h.values / scale)
-        assert abs(nl.first_variation(L, c, h)) <= 10 * grid.h**2
+        assert abs(variations.first_variation(L, c, h)) <= 10 * grid.h**2
 
 
 def test_newton_iteration_costs_a_fixed_number_of_jet_calls(monkeypatch):
@@ -284,6 +285,22 @@ def test_line_search_refuses_a_trial_outside_the_domain_of_the_lagrangian(line_s
     assert nl.el_residual(L, curve).max_norm <= nl.SolverConfig().tol
     assert nl.meets_stopping_rule(L, curve, nl.SolverConfig().tol)
     assert curve.values.min() == 0.2
+
+
+def test_a_first_iterate_that_meets_tol_is_returned_where_only_its_hessian_fails(line_space):
+    # x = 0 is the extremal of v1^2/2 + x1^1.5 from 0 to 0: its residual is 0,
+    # but the second partial 0.75 x1^-0.5 has no value there, so the order-2
+    # jet raises
+    L = nl.compile_field("v1^2/2 + x1^1.5", dim=1)
+    grid = nl.Grid(0.0, 1.0, 20)
+    with pytest.raises(nl.dsl.DomainError, match="0 raised to exponent"):
+        L.jet(grid.nodes, np.zeros((21, 1)), np.zeros((21, 1)), 2)
+    curve = nl.solve_extremal(L, nl.BoundaryConditions([0.0], [0.0]), grid, line_space)
+    assert np.array_equal(curve.values, np.zeros((21, 1)))
+    assert nl.meets_stopping_rule(L, curve, nl.SolverConfig().tol)
+    # a first iterate past tol still raises the order-2 jet's error
+    with pytest.raises(nl.dsl.DomainError, match="0 raised to exponent 1.5 at point 0"):
+        nl.solve_extremal(L, nl.BoundaryConditions([0.0], [0.5]), grid, line_space)
 
 
 def test_each_engine_request_is_one_evaluate_call_on_the_compiled_program(

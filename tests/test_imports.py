@@ -10,9 +10,11 @@ extension ``scipy.linalg._flapack`` on its own: those routines are the very
 objects ``scipy.linalg.get_lapack_funcs`` hands out once ``scipy.linalg`` is
 imported, and a scipy without the extension raises one ``ImportError``.  The
 benchmark's import-split self-test reads ``scipy.integrate`` from a
-``solve`` process, which the ``solve`` case pins.
+``solve`` process, which the ``solve`` case pins.  And the package exports
+only what its commands or the benchmark call.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -24,7 +26,8 @@ import pytest
 import noether_lcs
 from noether_lcs import _lapack
 
-SRC = Path(noether_lcs.__file__).resolve().parents[1]
+PACKAGE = Path(noether_lcs.__file__).resolve().parent
+SRC = PACKAGE.parent
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 HEAVY = ("scipy.stats", "scipy.integrate", "scipy.linalg", "scipy.sparse")
 
@@ -104,3 +107,55 @@ def test_a_scipy_without_the_lapack_extension_raises_one_import_error(tmp_path, 
     with pytest.raises(ImportError, match=f"scipy {scipy.__version__} has no LAPACK") as err:
         _lapack.routines("gbsv")
     assert str(tmp_path) in str(err.value)
+
+
+def exported_names():
+    """The public names ``noether_lcs/__init__.py`` imports from its modules."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names if not alias.name.startswith("_")
+    }
+
+
+def referenced_names(node):
+    """Every name the code under ``node`` reads (an ``ast.Name``), reaches as
+    an attribute or imports; a docstring or a definition is no reference."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in sub.names)
+    return names
+
+
+def uncalled_exports(paths):
+    """The exports that no code of ``paths`` references, where a reference
+    from the definition of an uncalled export does not count (to a
+    fixpoint): an export that only dead exports call is dead too."""
+    exports = exported_names()
+    blocks = [
+        (getattr(node, "name", None), referenced_names(node))
+        for path in paths for node in ast.parse(path.read_text()).body
+    ]
+    dead = set()
+    while True:
+        live = set().union(*(refs for name, refs in blocks if name not in dead))
+        if exports - live == dead:
+            return dead
+        dead = exports - live
+
+
+# the joint (T, X, F) symmetry search of ROADMAP item 5 will call fit_gauge
+UNCALLED = {"fit_gauge"}
+
+
+def test_every_export_is_called_by_the_package_or_the_benchmark():
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    benchmark = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
+    assert modules and benchmark
+    assert uncalled_exports(modules + benchmark) == UNCALLED

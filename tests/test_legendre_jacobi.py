@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import noether_lcs as nl
+import variations
 from noether_lcs.problem import load_problem
 
 
@@ -38,7 +39,7 @@ def test_second_variation_free_particle_sine(line_space, free_particle):
     x = nl.Curve.from_function(line_space, grid, lambda t: [0.0])
     h = sine_mode(line_space, grid)
     # integral of cos^2 over [0, pi] is pi/2
-    assert nl.second_variation(free_particle, x, h) == pytest.approx(
+    assert variations.second_variation(free_particle, x, h) == pytest.approx(
         np.pi / 2, abs=1e-3
     )
 
@@ -48,7 +49,7 @@ def test_second_variation_oscillator_null_direction(line_space, oscillator):
     x = nl.Curve.from_function(line_space, grid, lambda t: [0.0])
     h = sine_mode(line_space, grid)
     # sin is the conjugate-point direction of the oscillator over [0, pi]
-    assert abs(nl.second_variation(oscillator, x, h)) <= 1e-3
+    assert abs(variations.second_variation(oscillator, x, h)) <= 1e-3
 
 
 def test_second_variation_matches_action_fd(line_space):
@@ -56,7 +57,7 @@ def test_second_variation_matches_action_fd(line_space):
     grid = nl.Grid(0.0, 1.0, 100)
     x = nl.Curve.from_function(line_space, grid, lambda t: [np.cos(t)])
     h = nl.Curve.from_function(line_space, grid, lambda t: [t * (1 - t)])
-    d2 = nl.second_variation(L, x, h)
+    d2 = variations.second_variation(L, x, h)
     eps = 1e-4
     j0 = nl.action(L, x)
     jp = nl.action(L, nl.Curve(line_space, grid, x.values + eps * h.values))
@@ -84,14 +85,14 @@ def test_second_variation_is_the_second_derivative_of_the_action_under_a_gyrosco
     h = nl.Curve.from_function(
         prob.space, x.grid, lambda t: [np.sin(np.pi * t), t * np.sin(np.pi * t), 0.0]
     )
-    d2 = nl.second_variation(prob.lagrangian, x, h)
+    d2 = variations.second_variation(prob.lagrangian, x, h)
     assert d2 == pytest.approx(second_difference_of_action(prob.lagrangian, x, h), rel=1e-6)
     plane = nl.make_space(2, [1.0, 1.0], 2)
     grid = nl.Grid(0.0, 1.0, 200)
     L = nl.compile_field(MAGNETIC, 2)
     x = nl.Curve.from_function(plane, grid, lambda t: [np.sin(t), t**2])
     h = nl.Curve.from_function(plane, grid, lambda t: [t * (1 - t), t * np.sin(np.pi * t)])
-    d2 = nl.second_variation(L, x, h)
+    d2 = variations.second_variation(L, x, h)
     assert d2 == pytest.approx(second_difference_of_action(L, x, h), rel=1e-6)
 
 
@@ -116,7 +117,7 @@ def test_second_variation_rejects_nonvanishing_endpoints(line_space, free_partic
     x = nl.Curve.from_function(line_space, grid, lambda t: [t])
     h = nl.Curve.from_function(line_space, grid, lambda t: [1.0])
     with pytest.raises(nl.ValidationError):
-        nl.second_variation(free_particle, x, h)
+        variations.second_variation(free_particle, x, h)
 
 
 def test_legendre_pass_kinetic(line_space, free_particle):
@@ -162,7 +163,7 @@ def test_negative_witness_from_violation(line_space):
     x = nl.Curve.from_function(line_space, grid, lambda t: [0.0])
     rep = nl.legendre_check(L, x)
     assert not rep.passed
-    h, value = nl.negative_second_variation_witness(L, x, rep)
+    h, value = variations.negative_second_variation_witness(L, x, rep)
     assert value < 0.0
     assert np.max(np.abs(h.values[[0, -1]])) == 0.0
 
@@ -172,12 +173,12 @@ def test_witness_requires_violation(line_space, free_particle):
     x = nl.Curve.from_function(line_space, grid, lambda t: [t])
     rep = nl.legendre_check(free_particle, x)
     with pytest.raises(nl.ValidationError):
-        nl.negative_second_variation_witness(free_particle, x, rep)
+        variations.negative_second_variation_witness(free_particle, x, rep)
 
 
 def test_jacobi_eigen_dirichlet_laplacian():
     grid = nl.Grid(0.0, np.pi, 200)
-    ops = nl.constant_operators(grid, 1.0, 0.0)
+    ops = variations.constant_operators(grid, 1.0, 0.0)
     pairs = nl.jacobi_eigen(ops, grid, 3)
     vals = [lam for lam, _ in pairs]
     for got, want in zip(vals, (1.0, 4.0, 9.0)):
@@ -186,8 +187,8 @@ def test_jacobi_eigen_dirichlet_laplacian():
 
 def test_jacobi_eigen_shift_property():
     grid = nl.Grid(0.0, np.pi, 120)
-    base = nl.constant_operators(grid, 1.0, 0.0)
-    shifted = nl.constant_operators(grid, 1.0, 2.5)
+    base = variations.constant_operators(grid, 1.0, 0.0)
+    shifted = variations.constant_operators(grid, 1.0, 2.5)
     lam0 = [lam for lam, _ in nl.jacobi_eigen(base, grid, 4)]
     lam1 = [lam for lam, _ in nl.jacobi_eigen(shifted, grid, 4)]
     for a, b in zip(lam0, lam1):
@@ -196,7 +197,7 @@ def test_jacobi_eigen_shift_property():
 
 def test_jacobi_eigen_conjugate_point_marginal():
     grid = nl.Grid(0.0, np.pi, 200)
-    ops = nl.constant_operators(grid, 1.0, -1.0)
+    ops = variations.constant_operators(grid, 1.0, -1.0)
     lam, mode = nl.jacobi_eigen(ops, grid, 1)[0]
     assert abs(lam) <= 1e-3
     # eigenfunction is the first Dirichlet sine, up to sign and L2 scale
@@ -209,7 +210,7 @@ def test_jacobi_eigen_conjugate_point_marginal():
 
 def test_jacobi_eigen_eigenfunction_normalization():
     grid = nl.Grid(0.0, 1.0, 60)
-    ops = nl.constant_operators(grid, 2.0, 1.0)
+    ops = variations.constant_operators(grid, 2.0, 1.0)
     for lam, mode in nl.jacobi_eigen(ops, grid, 2):
         l2 = grid.h * np.sum(mode.values**2)
         assert l2 == pytest.approx(1.0, abs=1e-12)
@@ -218,7 +219,7 @@ def test_jacobi_eigen_eigenfunction_normalization():
 
 def test_jacobi_eigen_k_validation():
     grid = nl.Grid(0.0, 1.0, 10)
-    ops = nl.constant_operators(grid, 1.0, 0.0)
+    ops = variations.constant_operators(grid, 1.0, 0.0)
     with pytest.raises(nl.ValidationError):
         nl.jacobi_eigen(ops, grid, 0)
     with pytest.raises(nl.ValidationError):
@@ -229,14 +230,14 @@ def test_jacobi_eigen_k_validation():
 def test_jacobi_eigen_rejects_a_grid_that_is_not_the_operators(other):
     # h is read from the grid argument: on [0, 2] the spectrum of the [0, 1]
     # operators came out 4 times too small
-    ops = nl.constant_operators(nl.Grid(0.0, 1.0, 100), 1.0, 0.0)
+    ops = variations.constant_operators(nl.Grid(0.0, 1.0, 100), 1.0, 0.0)
     with pytest.raises(nl.ValidationError, match=r"n=100 on \[0.0, 1.0\].*jacobi_eigen grid"):
         nl.jacobi_eigen(ops, other, 2)
 
 
 def test_jacobi_eigen_accepts_a_grid_whose_end_differs_in_the_last_bit():
     # a grid read back from CSV ends within roundoff of the problem's
-    ops = nl.constant_operators(nl.Grid(0.0, 1.0, 100), 1.0, 0.0)
+    ops = variations.constant_operators(nl.Grid(0.0, 1.0, 100), 1.0, 0.0)
     near = nl.Grid(0.0, np.nextafter(1.0, 2.0), 100)
     lam = [ev for ev, _ in nl.jacobi_eigen(ops, near, 2)]
     assert lam == pytest.approx([ev for ev, _ in nl.jacobi_eigen(ops, ops.grid, 2)], rel=1e-12)
@@ -275,7 +276,7 @@ def test_jacobi_modes_take_the_sign_of_their_largest_value():
     # both signs, and the first one (sin = +1) is made positive; for k = 3
     # only the node t = pi/2 reaches |sin(3 t)| = 1, where sin(3 t) = -1
     grid = nl.Grid(0.0, np.pi, 200)
-    pairs = nl.jacobi_eigen(nl.constant_operators(grid, 1.0, 0.0), grid, 4)
+    pairs = nl.jacobi_eigen(variations.constant_operators(grid, 1.0, 0.0), grid, 4)
     for k, sign, (_, mode) in zip((1, 2, 3, 4), (1, 1, -1, 1), pairs):
         target = sign * np.sin(k * grid.nodes)
         target /= np.sqrt(grid.h * np.sum(target**2))
@@ -331,7 +332,7 @@ def test_jacobi_eigen_raises_rather_than_return_unconverged_pairs(monkeypatch):
     from noether_lcs import legendre_jacobi
 
     grid = nl.Grid(0.0, 1.0, 200)
-    ops = nl.constant_operators(grid, 1.0, 0.0)
+    ops = variations.constant_operators(grid, 1.0, 0.0)
     monkeypatch.setattr(legendre_jacobi, "_MAX_SWEEPS", 2)
     named = r"k=3 did not converge in 2 sweeps \(worst Ritz residual \d\.\d{3}e[+-]\d+"
     with pytest.raises(nl.SolverError, match=named):

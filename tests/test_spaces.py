@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import noether_lcs as nl
-from noether_lcs.spaces import unit_ball_vertices
+from variations import unit_ball_vertices
 
 
 def test_make_space_sup_norm():

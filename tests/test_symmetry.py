@@ -14,10 +14,12 @@ from noether_lcs.problem import load_problem
 from noether_lcs.fields import EvalResult
 from noether_lcs.symmetry import (
     _Polynomial,
+    _field_jets,
     _halton,
     _monomial_columns,
     _monomials,
     _search_matrix,
+    _time_derivative,
 )
 from test_banded import lagrangian_source
 
@@ -90,7 +92,8 @@ def test_generator_dimension_mismatch():
 def test_total_time_derivative_affine():
     g = nl.affine_generator(1, [0.0, 1.0, 2.0], np.zeros((1, 3)))
     # T = t + 2 x1, so T' = 1 + 2 v1
-    assert nl.total_time_derivative(g.T, 0.5, [1.0], [3.0]) == pytest.approx(7.0)
+    v = np.array([3.0])
+    assert _time_derivative(g.T.jet(0.5, np.array([1.0]), v, 1), v) == pytest.approx(7.0)
 
 
 def tree_polynomial(coeffs, monomials, dim):
@@ -186,7 +189,9 @@ def test_catalog_and_gauged_generators_survive_pickling():
 def test_extended_generator_boost():
     g = nl.catalog_generator("galilean-1", 1)
     # X = t, T = 0: velocity-space component X' - v T' = 1
-    assert nl.extended_generator(g, 0.4, [2.0], [5.0]) == pytest.approx([1.0])
+    v = np.array([5.0])
+    _, tp, _, xp = _field_jets(g, 0.4, np.array([2.0]), v)
+    assert xp - v * tp == pytest.approx([1.0])
 
 
 def test_invariance_free_particle_translation(free_particle):
@@ -365,29 +370,31 @@ def test_noether_energy(oscillator):
     )
     # C = L - v dL/dv = -(v^2 + x^2)/2, minus the Hamiltonian
     assert C(0.0, [1.0], [2.0]) == pytest.approx(-2.5)
-    assert C(0.0, [1.0], [2.0]) == pytest.approx(
-        -nl.hamiltonian(oscillator, 0.0, [1.0], [2.0])
-    )
+    t, x, v = 0.0, np.array([1.0]), np.array([2.0])
+    h = -oscillator(t, x, v) + float(v @ oscillator.partial("v", t, x, v))
+    assert C(t, x, v) == pytest.approx(-h)
 
 
 def test_hamiltonian_identity_random(oscillator, free_particle):
+    # the time-translation integral is minus the Hamiltonian -L + v . dL/dv
     rng = np.random.default_rng(2)
     for L in (oscillator, free_particle):
+        C = nl.noether_first_integral(L, nl.catalog_generator("time-translation", 1))
         for _ in range(50):
             t = float(rng.uniform(0, 1))
             x = rng.uniform(-2, 2, size=1)
             v = rng.uniform(-2, 2, size=1)
-            h = nl.hamiltonian(L, t, x, v)
-            direct = -L(t, x, v) + float(v @ L.partial("v", t, x, v))
-            assert abs(h - direct) <= 1e-12
+            h = -L(t, x, v) + float(v @ L.partial("v", t, x, v))
+            assert abs(C(t, x, v) + h) <= 1e-12
 
 
 def test_hamiltonian_of_a_stack_equals_the_per_point_values():
     L = nl.compile_field("v1^2/2 + v2^4/4 - x1*x2 + t*v1", dim=2)
+    C = nl.noether_first_integral(L, nl.catalog_generator("time-translation", 2))
     ts, xs, vs = nl.SamplingConfig(count=30).samples(2)
-    stacked = nl.hamiltonian(L, ts, xs, vs)
+    stacked = -C(ts, xs, vs)
     assert stacked.shape == (30,)
-    single = [nl.hamiltonian(L, t, x, v) for t, x, v in zip(ts, xs, vs)]
+    single = [-L(t, x, v) + float(v @ L.partial("v", t, x, v)) for t, x, v in zip(ts, xs, vs)]
     np.testing.assert_allclose(stacked, single, rtol=1e-14, atol=1e-14)
 
 
@@ -516,7 +523,7 @@ def count_jets(monkeypatch, tree):
 def per_point_values(C, x):
     """C at each node of the curve, one call per node: the path
     ``verify_conservation`` took before first integrals took stacks."""
-    xd = nl.derivative_all(x, 1)
+    xd = nl.derivative_all(x)
     return np.array([C(t, x.values[i], xd[i]) for i, t in enumerate(x.grid.nodes)])
 
 
